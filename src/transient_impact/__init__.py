@@ -67,7 +67,6 @@ from .tree import (
     TiltResult,
     conditional_expectation,
     is_martingale,
-    martingale_projection,
     q_tail_probability,
     tilt_to_martingale,
 )

@@ -247,31 +247,34 @@ def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | 
     pin = pin or {}
     slack = 1e-12 * (1.0 + float(np.max(np.abs(tree.P)) + np.max(lam)))
 
-    lo = tree.P - lam
-    hi = tree.P + lam
+    own_lo = tree.P - lam
+    own_hi = tree.P + lam
     for node, value in pin.items():
-        lo[node] = max(lo[node], value - slack)
-        hi[node] = min(hi[node], value + slack)
-    for level in reversed(tree.levels):
-        for node in level:
-            kids = tree.children[node]
-            if kids.size:
-                lo[node] = max(lo[node], float(np.dot(qt[kids], lo[kids])))
-                hi[node] = min(hi[node], float(np.dot(qt[kids], hi[kids])))
-            if lo[node] > hi[node] + slack:
-                return BandFeasibility(feasible=False, M=None, empty_node=int(node))
+        own_lo[node] = max(own_lo[node], value - slack)
+        own_hi[node] = min(own_hi[node], value + slack)
+    # After k passes every node within k levels of the leaves holds its final
+    # interval: each pass reads only the children's values.
+    lo, hi = own_lo, own_hi
+    for _ in range(tree.n_levels - 1):
+        lo = np.where(tree.is_leaf, own_lo, np.maximum(own_lo, tree.child_sum(qt * lo)))
+        hi = np.where(tree.is_leaf, own_hi, np.minimum(own_hi, tree.child_sum(qt * hi)))
+    empty = np.flatnonzero(lo > hi + slack)
+    if empty.size:
+        # the first empty node a leaves-up pass meets: deepest, then lowest id
+        first = empty[np.argmax(tree.t_index[empty])]
+        return BandFeasibility(feasible=False, M=None, empty_node=int(first))
 
-    M = np.empty(tree.n_nodes)
-    M[0] = 0.5 * (lo[0] + hi[0])
-    for node in range(tree.n_nodes):
-        kids = tree.children[node]
-        if not kids.size:
-            continue
-        exp_lo = float(np.dot(qt[kids], lo[kids]))
-        exp_hi = float(np.dot(qt[kids], hi[kids]))
-        theta = 0.0 if exp_hi <= exp_lo else (M[node] - exp_lo) / (exp_hi - exp_lo)
-        theta = min(max(theta, 0.0), 1.0)
-        M[kids] = lo[kids] + theta * (hi[kids] - lo[kids])
+    # Every child takes the same fraction of its interval, chosen so the
+    # children's expectation is the parent's value.
+    exp_lo = tree.child_sum(qt * lo)
+    span = tree.child_sum(qt * hi) - exp_lo
+
+    def place(m_parent, nodes):
+        par = tree.parent[nodes]
+        theta = np.divide(m_parent - exp_lo[par], span[par], out=np.zeros(nodes.size), where=span[par] > 0.0)
+        return lo[nodes] + np.clip(theta, 0.0, 1.0) * (hi[nodes] - lo[nodes])
+
+    M = tree.down_sweep(0.5 * (lo[0] + hi[0]), place)
     return BandFeasibility(feasible=True, M=M, empty_node=None)
 
 
@@ -315,11 +318,7 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
     reach_p = tree.reach_probabilities()
     leaf_mass = reach_p[tree.leaves] * weights
     total = float(np.sum(leaf_mass))
-    marginal = np.zeros(tree.n_nodes)
-    marginal[tree.leaves] = leaf_mass / total
-    for level in reversed(tree.levels[:-1]):
-        for node in level:
-            marginal[node] = float(np.sum(marginal[tree.children[node]]))
+    marginal = tree.up_sweep(np.ones(tree.n_nodes), leaf_mass / total)
     transitions = np.ones(tree.n_nodes)
     nonroot = np.arange(1, tree.n_nodes)
     parent_mass = marginal[tree.parent[nonroot]]

@@ -25,8 +25,6 @@ EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_NONCONVERGED = 3
 
-DEFAULT_SEED = 20240214
-
 
 def _with_units(payload: dict, units: dict) -> dict:
     payload["units"] = units
@@ -48,8 +46,6 @@ def _options(args) -> SolverOptions:
         kwargs["tol"] = args.tol
     if getattr(args, "max_iter", None) is not None:
         kwargs["max_iter"] = args.max_iter
-    if getattr(args, "trade_grid", None) is not None:
-        kwargs["trade_grid_step"] = args.trade_grid
     if getattr(args, "smoothing", None):
         kwargs["smoothing_levels"] = tuple(float(v) for v in args.smoothing.split(","))
     return SolverOptions(**kwargs)
@@ -299,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="transient-impact",
         description="Transient price impact model: wealth accounting, super-replication pricing and dual certificates.",
     )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized auxiliary routines (fixed default keeps outputs reproducible)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, handler, help_, *flags):
@@ -327,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "solver":
                 p.add_argument("--tol", type=float, help="solver tolerance")
                 p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget")
-                p.add_argument("--trade-grid", type=float, dest="trade_grid", help="oracle lattice step")
                 p.add_argument("--smoothing", help="comma-separated smoothing schedule for the max over leaves")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", help="output path (default: stdout)")

@@ -52,8 +52,7 @@ def node_penalty_weights(tree: ScenarioTree, q) -> np.ndarray:
     reaching the interval under the measure.
     """
     reach = tree.reach_probabilities(q)
-    w = np.zeros(tree.n_nodes)
-    np.add.at(w, tree.parent[1:], reach[1:] * tree.edge_weight[1:])
+    w = tree.child_sum(reach * tree.edge_weight)
     w[tree.leaves] += reach[tree.leaves] * tree.kappa[tree.leaves]
     return w
 
@@ -67,14 +66,9 @@ def constraint_bound(tree: ScenarioTree, cert: DualCertificate, market: MarketSp
     bound telescopes to that constant at every node.
     """
     alpha = cert.alpha_or_default(tree, market.impact.zeta0)
-    qt = cert.q.transitions
-    F = np.zeros(tree.n_nodes)
     leaves = tree.leaves
-    F[leaves] = tree.kappa[leaves] * alpha[leaves]
-    for level in reversed(tree.levels[:-1]):
-        for node in level:
-            kids = tree.children[node]
-            F[node] = float(np.dot(qt[kids], tree.edge_weight[kids] * alpha[node] + F[kids]))
+    edge = tree.edge_weight * alpha[tree.parent]  # the root's entry is never read
+    F = tree.up_sweep(cert.q.transitions, tree.kappa[leaves] * alpha[leaves], edge)
     return tree.rho / tree.delta * F
 
 

@@ -39,3 +39,11 @@ class InstanceTooLarge(TransientImpactError):
 
 class NotApplicable(TransientImpactError):
     """Closed-form result invoked outside of its preconditions."""
+
+
+class NonFiniteInput(TransientImpactError, ValueError):
+    """A numeric input holds NaN or infinity."""
+
+
+class WeakDualityViolated(TransientImpactError):
+    """A dual value exceeds the primal value by more than rounding."""

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .duality import DualCertificate
+from .errors import NonFiniteInput
 from .market import MarketSpec
 from .strategy import TradeSchedule
 from .tree import NodeMeasure, ScenarioTree
@@ -65,6 +66,8 @@ def load_tree(path, market: MarketSpec | None = None) -> ScenarioTree:
             times = data["times"]
             default_delta = default_r = None
         tree = ScenarioTree.from_node_dicts(times, nodes, default_delta, default_r)
+    except NonFiniteInput:
+        raise  # readable, but outside the model's domain
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"bad tree file: {exc}") from exc
     if "levels" in data and int(data["levels"]) != tree.n_levels:

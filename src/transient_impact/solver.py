@@ -22,13 +22,14 @@ from .duality import (
     DualCertificate,
     check_feasibility,
     dual_objective,
+    node_penalty_weights,
     restore_feasibility,
 )
-from .errors import InfeasibleInit, InstanceTooLarge
+from .errors import InfeasibleInit, InstanceTooLarge, WeakDualityViolated
 from .market import MarketSpec, as_curve
 from .strategy import TradeSchedule, normalize
 from .tree import NodeMeasure, ScenarioTree, conditional_expectation
-from .wealth import tree_wealth
+from .wealth import book_value, tree_wealth
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class SolverOptions:
     smoothing_levels: tuple[float, ...] = (
         3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e-7, 1e-7,
     )
-    trade_grid_step: float = 0.01
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class _PrimalProblem:
         self.P_path = tree.P[paths]
         self.w_path = tree.edge_weight[paths]  # column 0 unused (zero)
         self.kappa_leaf = tree.kappa[paths[:, -1]]
-        self.offset = 0.5 * (self.impact.iota * self.impact.x0**2 + float(tree.delta[0]) * self.impact.zeta0**2)
 
     def leaf_values(self, b, s, eps):
         """Per-leaf payoff-plus-cost together with intermediate state."""
@@ -122,16 +121,13 @@ class _PrimalProblem:
         dv_db = dprice + self.c_path[:, :-1] * tail + closing
         dv_ds = -dprice + self.c_path[:, :-1] * tail - closing
 
-        gb = np.zeros(self.n_dec)
-        gs = np.zeros(self.n_dec)
-        np.add.at(gb, self.var_idx, weights[:, None] * dv_db)
-        np.add.at(gs, self.var_idx, weights[:, None] * dv_ds)
+        slots = self.var_idx.ravel()
+        gb = np.bincount(slots, (weights[:, None] * dv_db).ravel(), self.n_dec)
+        gs = np.bincount(slots, (weights[:, None] * dv_ds).ravel(), self.n_dec)
         return smooth, np.concatenate([gb, gs])
 
     def cash_requirement(self, u) -> tuple[float, TradeSchedule]:
         """Exact worst-leaf cash needed by the normalized schedule built from ``u``."""
-        from dataclasses import replace
-
         schedule = self.schedule(u)
         tw = tree_wealth(self.tree, schedule, replace(self.impact, xi0=0.0))
         return float(np.max(self.H - tw.xi_T)), schedule
@@ -266,7 +262,7 @@ def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) ->
         return best
 
     raw = visit(0, imp.x0, imp.zeta0, 0.0, 0.0)
-    return float(raw - 0.5 * (imp.iota * imp.x0**2 + float(tree.delta[0]) * imp.zeta0**2))
+    return float(raw - book_value(imp, float(tree.delta[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -289,20 +285,21 @@ class _DualProblem:
         self.tree = tree
         self.market = market
         self.H = as_curve(H, tree.leaves.size, "H")
-        self.H_by_node = np.zeros(tree.n_nodes)
-        self.H_by_node[tree.leaves] = self.H
         self.free = tree.p_transition > 0.0
         self.free[0] = False
 
     def measure(self, logits: np.ndarray) -> np.ndarray:
-        q = np.zeros(self.tree.n_nodes)
+        """Softmax of the logits over each node's free children; null branches get zero."""
+        tree = self.tree
+        kids = np.flatnonzero(self.free)
+        par = tree.parent[kids]
+        top = np.full(tree.n_nodes, -np.inf)
+        np.maximum.at(top, par, logits[kids])
+        w = np.zeros(tree.n_nodes)
+        w[kids] = np.exp(logits[kids] - top[par])
+        q = np.zeros(tree.n_nodes)
         q[0] = 1.0
-        for node in np.flatnonzero(~self.tree.is_leaf):
-            kids = self.tree.children[node]
-            kids = kids[self.free[kids]]
-            z = logits[kids] - logits[kids].max()
-            w = np.exp(z)
-            q[kids] = w / w.sum()
+        q[kids] = w[kids] / tree.child_sum(w)[par]
         return q
 
     def build(self, params) -> DualCertificate:
@@ -321,22 +318,13 @@ class _DualProblem:
         reach = tree.reach_probabilities(q)
         dev = alpha - imp.zeta0
 
-        val = np.zeros(tree.n_nodes)
         leaves = tree.leaves
-        val[leaves] = (
-            self.H_by_node[leaves] - imp.x0 * m_terminal - 0.5 * dev[leaves] ** 2 * tree.kappa[leaves]
-        )
+        leaf_val = self.H - imp.x0 * m_terminal - 0.5 * dev[leaves] ** 2 * tree.kappa[leaves]
         edge = -0.5 * dev[tree.parent] ** 2 * tree.edge_weight  # value attached to each edge
-        for level in reversed(tree.levels[:-1]):
-            for node in level:
-                kids = tree.children[node]
-                val[node] = float(np.dot(q[kids], edge[kids] + val[kids]))
+        val = tree.up_sweep(q, leaf_val, edge)
         objective = float(val[0] - 0.5 * imp.iota * imp.x0**2)
 
-        g_alpha = np.zeros(tree.n_nodes)
-        np.add.at(g_alpha, tree.parent[1:], reach[1:] * tree.edge_weight[1:])
-        g_alpha[leaves] += reach[leaves] * tree.kappa[leaves]
-        g_alpha *= -dev
+        g_alpha = node_penalty_weights(tree, q) * -dev
 
         g_m = -imp.x0 * reach[leaves]
 
@@ -443,7 +431,7 @@ def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions
     gap = float(primal.primal_value - dual.dual_value)
     scale = 1.0 + abs(primal.primal_value) + abs(dual.dual_value)
     if gap < -1e-9 * scale:
-        raise ArithmeticError(f"weak duality violated: gap {gap:.3e}")
+        raise WeakDualityViolated(f"weak duality violated: gap {gap:.3e}")
     return replace(
         primal,
         dual_value=dual.dual_value,

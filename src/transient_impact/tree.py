@@ -1,10 +1,15 @@
 """Finite scenario trees: filtered structure, measures, martingale tools.
 
-Nodes are stored level by level (parents always precede children), each node
-carrying the exogenous price, depth and resilience at its time slot together
-with the transition probability from its parent under the reference measure.
-A re-weighted measure is represented the same way: one transition probability
-per node.  All recursions are deterministic level sweeps.
+Nodes are stored parents first, each node carrying the exogenous price, depth
+and resilience at its time slot together with the transition probability from
+its parent under the reference measure.  A re-weighted measure is represented
+the same way: one transition probability per node.
+
+Every recursion over the tree goes through three primitives of
+:class:`ScenarioTree`: ``down_sweep`` (root to leaves, one vectorised step per
+level), ``up_sweep`` (leaves to root, one ``np.bincount`` per level) and
+``child_sum`` (one ``np.bincount`` over all edges).  They are the only code
+that walks the tree levels, so the level layout stays inside this module.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSignChange
+from .errors import NoSignChange, NonFiniteInput
 from .market import TimeGrid, as_curve
 
 MARTINGALE_RTOL = 1e-10
@@ -45,6 +50,9 @@ class ScenarioTree:
         self.delta = as_curve(delta, n, "delta")
         self.r = as_curve(r, n, "r")
 
+        for name in ("p_transition", "P", "delta", "r"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise NonFiniteInput(f"{name} must be finite at every node")
         if n == 0 or self.parent[0] != -1:
             raise ValueError("node 0 must be the root (parent -1)")
         if np.any(self.parent[1:] < 0) or np.any(self.parent[1:] >= np.arange(1, n)):
@@ -58,9 +66,12 @@ class ScenarioTree:
         if self.p_transition[0] != 1.0:
             raise ValueError("root transition probability must be 1")
 
+        # Depth by pointer jumping; ``parent < id`` guarantees termination.
         self.t_index = np.zeros(n, dtype=int)
-        for node in range(1, n):
-            self.t_index[node] = self.t_index[self.parent[node]] + 1
+        ancestor = self.parent.copy()
+        while (live := ancestor >= 0).any():
+            self.t_index[live] += 1
+            ancestor[live] = self.parent[ancestor[live]]
         self.n_levels = int(self.t_index.max()) + 1
         if self.n_levels != self.grid.n_points:
             raise ValueError(
@@ -68,34 +79,66 @@ class ScenarioTree:
                 f"({self.grid.n_points} points)"
             )
 
-        self.children: list[np.ndarray] = [np.empty(0, dtype=int) for _ in range(n)]
+        n_children = self.child_sum(np.ones(n)).astype(int)
         order = np.argsort(self.parent[1:], kind="stable") + 1
-        splits = np.searchsorted(self.parent[order], np.arange(n))
-        for node in range(n):
-            lo, hi = splits[node], splits[node + 1] if node + 1 < n else order.size
-            self.children[node] = order[lo:hi]
-
-        self.is_leaf = np.array([c.size == 0 for c in self.children])
+        self.children: list[np.ndarray] = np.split(order, np.cumsum(n_children)[:-1])
+        self.is_leaf = n_children == 0
         if np.any(self.t_index[self.is_leaf] != self.n_levels - 1):
             raise ValueError("every leaf must sit at the terminal time")
         self.leaves = np.flatnonzero(self.is_leaf)
         self.levels = [np.flatnonzero(self.t_index == k) for k in range(self.n_levels)]
-
-        for node in np.flatnonzero(~self.is_leaf):
-            total = self.p_transition[self.children[node]].sum()
-            if abs(total - 1.0) > SIMPLEX_ATOL:
-                raise ValueError(f"transition probabilities at node {node} sum to {total}, not 1")
+        self._check_simplex(self.p_transition, "transition probabilities")
 
         # Per-node resilience discount and liquidity curve along the path.
         dt = np.diff(self.grid.times)
-        self.rho = np.ones(n)
-        for node in range(1, n):
-            par = self.parent[node]
-            self.rho[node] = self.rho[par] * np.exp(self.r[par] * dt[self.t_index[par]])
+        growth = np.ones(n)
+        growth[1:] = np.exp(self.r[self.parent[1:]] * dt[self.t_index[self.parent[1:]]])
+        self.rho = self.down_sweep(1.0, lambda acc, nodes: acc * growth[nodes])
         self.kappa = self.delta / self.rho**2
         # Mass of the interval ending at each node, consumed against parent-time values.
         self.edge_weight = np.zeros(n)
         self.edge_weight[1:] = self.kappa[self.parent[1:]] - self.kappa[1:]
+
+    # -- sweeps ----------------------------------------------------------------
+
+    def down_sweep(self, root, step) -> np.ndarray:
+        """Forward recursion from the root, one vectorised ``step`` per level.
+
+        ``out[0] = root``; then, level by level, ``out[nodes] =
+        step(out[parent[nodes]], nodes)``: ``step`` combines the parents'
+        results with the nodes' own data, for example ``acc + v[nodes]`` for
+        sums along paths or ``acc * q[nodes]`` for products.  ``root`` may be
+        an array, giving one row per node.
+        """
+        root = np.asarray(root)
+        out = np.empty((self.n_nodes,) + root.shape, dtype=root.dtype)
+        out[0] = root
+        for level in self.levels[1:]:
+            out[level] = step(out[self.parent[level]], level)
+        return out
+
+    def up_sweep(self, q, leaf_values, edge=None) -> np.ndarray:
+        """Backward recursion ``out[node] = sum_c q[c] * (edge[c] + out[c])`` over children ``c``.
+
+        Leaves take ``leaf_values`` (leaf-id order); ``edge`` defaults to zero.
+        Each level is one ``np.bincount`` over the edges into it.
+        """
+        out = np.zeros(self.n_nodes)
+        out[self.leaves] = leaf_values
+        for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1]):
+            term = out[lower] if edge is None else edge[lower] + out[lower]
+            out[upper] = np.bincount(self.parent[lower], q[lower] * term, self.n_nodes)[upper]
+        return out
+
+    def child_sum(self, values) -> np.ndarray:
+        """Sum of a per-node quantity over each node's children (zero at leaves)."""
+        return np.bincount(self.parent[1:], weights=values[1:], minlength=self.n_nodes)
+
+    def _check_simplex(self, q, what: str) -> None:
+        totals = self.child_sum(q)
+        bad = np.flatnonzero(~self.is_leaf & (np.abs(totals - 1.0) > SIMPLEX_ATOL))
+        if bad.size:
+            raise ValueError(f"{what} at node {bad[0]} sum to {totals[bad[0]]}, not 1")
 
     # -- basic structure ----------------------------------------------------
 
@@ -110,32 +153,22 @@ class ScenarioTree:
     def accumulate(self, values, initial=0.0) -> np.ndarray:
         """Running sum of a per-node quantity along every root-to-node path."""
         values = as_curve(values, self.n_nodes, "values")
-        out = np.empty(self.n_nodes)
-        out[0] = initial + values[0]
-        out[1:] = values[1:]
-        for node in range(1, self.n_nodes):
-            out[node] += out[self.parent[node]]
-        return out
+        return self.down_sweep(initial + values[0], lambda acc, nodes: acc + values[nodes])
 
     def path_nodes(self, leaf: int) -> np.ndarray:
         """Node ids from the root to ``leaf`` inclusive."""
-        path = np.empty(self.n_levels, dtype=int)
-        node = leaf
-        for k in range(self.n_levels - 1, -1, -1):
-            path[k] = node
-            node = self.parent[node]
-        return path
+        return self.leaf_paths()[np.flatnonzero(self.leaves == leaf)[0]]
 
     def leaf_paths(self) -> np.ndarray:
-        return np.stack([self.path_nodes(leaf) for leaf in self.leaves])
+        """Node ids along every root-to-leaf path: one row per leaf, one column per level."""
+        own = np.zeros((self.n_nodes, self.n_levels), dtype=int)
+        own[np.arange(self.n_nodes), self.t_index] = np.arange(self.n_nodes)
+        return self.down_sweep(own[0], lambda rows, nodes: rows + own[nodes])[self.leaves]
 
     def reach_probabilities(self, transitions=None) -> np.ndarray:
         """Probability of passing through each node (products of edge weights)."""
         q = self.p_transition if transitions is None else _transition_array(self, transitions)
-        out = q.copy()
-        for node in range(1, self.n_nodes):
-            out[node] *= out[self.parent[node]]
-        return out
+        return self.down_sweep(q[0], lambda acc, nodes: acc * q[nodes])
 
     def validate_assumptions_pathwise(self) -> tuple[bool, float]:
         """Edge-wise check that the liquidity curve strictly decreases on every path."""
@@ -212,14 +245,13 @@ class NodeMeasure:
     @classmethod
     def for_tree(cls, tree: ScenarioTree, transitions) -> "NodeMeasure":
         q = as_curve(transitions, tree.n_nodes, "transitions")
+        if not np.all(np.isfinite(q)):
+            raise NonFiniteInput("measure transitions must be finite")
         if np.any(q < 0.0):
             raise ValueError("measure transitions must be >= 0")
         if np.any((tree.p_transition == 0.0) & (q > 0.0)):
             raise ValueError("measure puts mass on a branch with zero reference probability")
-        for node in np.flatnonzero(~tree.is_leaf):
-            total = q[tree.children[node]].sum()
-            if abs(total - 1.0) > SIMPLEX_ATOL:
-                raise ValueError(f"measure transitions at node {node} sum to {total}, not 1")
+        tree._check_simplex(q, "measure transitions")
         q = q.copy()
         q[0] = 1.0
         return cls(q)
@@ -240,14 +272,12 @@ def _transition_array(tree: ScenarioTree, q) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _expand_leaf_values(tree: ScenarioTree, values) -> np.ndarray:
+def _leaf_values(tree: ScenarioTree, values) -> np.ndarray:
     values = np.asarray(values, dtype=float)
     if values.shape == (tree.leaves.size,):
-        out = np.zeros(tree.n_nodes)
-        out[tree.leaves] = values
-        return out
+        return values
     if values.shape == (tree.n_nodes,):
-        return values.astype(float).copy()
+        return values[tree.leaves]
     raise ValueError("values must be given per leaf or per node")
 
 
@@ -257,28 +287,15 @@ def conditional_expectation(tree: ScenarioTree, q, values) -> np.ndarray:
     ``values`` fixes the leaves (given per leaf in leaf-id order, or per node).
     Returns one value per node.
     """
-    qt = _transition_array(tree, q)
-    out = _expand_leaf_values(tree, values)
-    for level in reversed(tree.levels[:-1]):
-        for node in level:
-            kids = tree.children[node]
-            out[node] = float(np.dot(qt[kids], out[kids]))
-    return out
-
-
-def martingale_projection(tree: ScenarioTree, q, terminal_values) -> np.ndarray:
-    """Martingale with the given terminal values: projections under ``q``."""
-    return conditional_expectation(tree, q, terminal_values)
+    return tree.up_sweep(_transition_array(tree, q), _leaf_values(tree, values))
 
 
 def is_martingale(tree: ScenarioTree, q, M) -> tuple[bool, float]:
     """Largest one-step drift of ``M`` under ``q``; true when below tolerance."""
     qt = _transition_array(tree, q)
     M = as_curve(M, tree.n_nodes, "M")
-    defect = 0.0
-    for node in np.flatnonzero(~tree.is_leaf):
-        kids = tree.children[node]
-        defect = max(defect, abs(float(np.dot(qt[kids], M[kids])) - M[node]))
+    drift = np.abs(tree.child_sum(qt * M) - M)[~tree.is_leaf]
+    defect = float(np.max(drift, initial=0.0))
     scale = 1.0 + float(np.max(np.abs(M)))
     return defect <= MARTINGALE_RTOL * scale, defect
 
@@ -349,7 +366,7 @@ def tilt_to_martingale(tree: ScenarioTree, g, eps: float) -> TiltResult:
             q[lo] += 1.0
 
     measure = NodeMeasure.for_tree(tree, q)
-    M = martingale_projection(tree, measure, shifted[tree.leaves])
+    M = conditional_expectation(tree, measure, shifted[tree.leaves])
     gap = float(np.max(np.abs(shifted - M)))
     tail = q_tail_probability(tree, measure, eps)
     return TiltResult(measure=measure, martingale=M, max_abs_gap=gap, tail_probability=tail)

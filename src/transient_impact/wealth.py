@@ -71,11 +71,9 @@ def _collapse(values: np.ndarray, was_1d: bool):
     return float(values[0]) if was_1d else values
 
 
-def base_value(market: MarketSpec) -> float:
-    """Initial cash plus the book value of position and spread state."""
-    imp = market.impact
-    delta0 = float(market.liquidity.delta[0])
-    return imp.xi0 + 0.5 * (imp.iota * imp.x0**2 + delta0 * imp.zeta0**2)
+def book_value(impact, delta0: float) -> float:
+    """Book value of the initial position and spread state at initial depth ``delta0``."""
+    return 0.5 * (impact.iota * impact.x0**2 + delta0 * impact.zeta0**2)
 
 
 def eta_path(schedule: TradeSchedule, market: MarketSpec) -> SpreadState:
@@ -126,7 +124,7 @@ def lambda_functional(schedule: TradeSchedule, market: MarketSpec, P) -> WealthB
     p_integral = P2 @ schedule.net()
     eta_penalty = 0.5 * (float(np.dot(mu.interior, eta[:-1] ** 2)) + mu.atom * eta[-1] ** 2)
     lam = p_integral + eta_penalty
-    v0 = base_value(market)
+    v0 = market.impact.xi0 + book_value(market.impact, float(market.liquidity.delta[0]))
     return WealthBreakdown(
         xi_T=_collapse(v0 - lam, was_1d),
         lambda_T=_collapse(lam, was_1d),
@@ -235,10 +233,6 @@ class TreeWealth:
     v0: float
 
 
-def tree_base_value(tree, impact) -> float:
-    return impact.xi0 + 0.5 * (impact.iota * impact.x0**2 + float(tree.delta[0]) * impact.zeta0**2)
-
-
 def tree_wealth(tree, schedule: TradeSchedule, impact) -> TreeWealth:
     """Evaluate the cash decomposition of a node-indexed schedule on a tree."""
     if schedule.n_slots != tree.n_nodes:
@@ -255,7 +249,7 @@ def tree_wealth(tree, schedule: TradeSchedule, impact) -> TreeWealth:
     leaves = tree.leaves
     eta_penalty = 0.5 * (pen_run[leaves] + tree.kappa[leaves] * eta[leaves] ** 2)
     lam = p_run[leaves] + eta_penalty
-    v0 = tree_base_value(tree, impact)
+    v0 = impact.xi0 + book_value(impact, float(tree.delta[0]))
     return TreeWealth(
         eta=eta,
         position=position,

@@ -160,7 +160,7 @@ def random_certificate(rng, tree, market):
         q[kids] = w
     measure = ti.NodeMeasure.for_tree(tree, q)
     m_terminal = tree.P[tree.leaves] * rng.uniform(0.9, 1.1, tree.leaves.size)
-    M = ti.martingale_projection(tree, measure, m_terminal)
+    M = ti.conditional_expectation(tree, measure, m_terminal)
     alpha = market.impact.zeta0 + rng.uniform(0.0, 1.0, tree.n_nodes)
     cert = ti.DualCertificate(q=measure, M=M, alpha=alpha)
     return ti.restore_feasibility(tree, cert, market)

@@ -112,6 +112,43 @@ class TestPriceAndGap:
         _, out2 = run(capsys, "price", "--market", market, "--tree", tree, "--payoff", payoff)
         assert out1 == out2
 
+    def test_weak_duality_breach_exits_one(self, capsys, binary_files, monkeypatch):
+        from dataclasses import replace
+
+        from transient_impact import solver
+
+        dual_ascent = solver.dual_ascent
+
+        def overshooting(*args, **kwargs):
+            report = dual_ascent(*args, **kwargs)
+            return replace(report, dual_value=report.dual_value + 1.0)
+
+        monkeypatch.setattr(solver, "dual_ascent", overshooting)
+        market, tree, payoff = binary_files
+        code = main(["gap", "--market", market, "--tree", tree, "--payoff", payoff])
+        assert code == 1
+        assert "weak duality violated" in capsys.readouterr().err
+
+    def test_non_finite_tree_exits_one(self, tmp_path, capsys, binary_files):
+        market, _, payoff = binary_files
+        tree = write_json(
+            tmp_path / "nan_tree.json",
+            {
+                "levels": 2,
+                "nodes": [
+                    {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+                    {"id": 1, "parent": 0, "p_transition": 0.5, "P": float("nan")},
+                    {"id": 2, "parent": 0, "p_transition": 0.5, "P": 90.0},
+                ],
+            },
+        )
+        for command in ("gap", "price"):
+            code = main([command, "--market", market, "--tree", tree, "--payoff", payoff])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "P must be finite" in captured.err
+
 
 class TestDualEval:
     def test_flat_spread_certificate(self, tmp_path, capsys):

@@ -103,7 +103,7 @@ class TestFeasibility:
         tree = decreasing_depth_tree(rng)
         market = market_for_tree(rng, tree)
         lam = 5.0  # wide enough for the +-3 price moves used by the generator
-        M = ti.martingale_projection(tree, ti.NodeMeasure.reference(tree), tree.P[tree.leaves])
+        M = ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), tree.P[tree.leaves])
         report = ti.check_feasibility(tree, flat_alpha_cert(tree, lam, M=M), market)
         assert report.feasible
 
@@ -122,7 +122,7 @@ class TestFeasibility:
             market = market_for_tree(rng, tree)
             cert = ti.DualCertificate(
                 ti.NodeMeasure.reference(tree),
-                ti.martingale_projection(tree, ti.NodeMeasure.reference(tree), rng.normal(90, 15, tree.leaves.size)),
+                ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), rng.normal(90, 15, tree.leaves.size)),
                 rng.uniform(0.0, 0.2, tree.n_nodes),
             )
             repaired = ti.restore_feasibility(tree, cert, market)

@@ -47,6 +47,14 @@ class TestConstruction:
                 r=np.zeros(3),
             )
 
+    @pytest.mark.parametrize("field", ["p_transition", "P", "delta", "r"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_node_data_rejected(self, field, bad):
+        data = dict(p_transition=[1.0, 0.5, 0.5], P=[100.0, 105.0, 95.0], delta=[10.0] * 3, r=[0.0] * 3)
+        data[field][1] = bad
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            ti.ScenarioTree(times=[0.0, 1.0], parent=[-1, 0, 0], **data)
+
     def test_accumulate_walks_ancestors(self):
         tree = one_step_tree([90.0, 110.0])
         out = tree.accumulate(np.array([1.0, 2.0, 3.0]), initial=10.0)
@@ -76,6 +84,12 @@ class TestNodeMeasure:
         tree = one_step_tree([90.0, 105.0, 120.0], probs=[0.5, 0.5, 0.0])
         with pytest.raises(ValueError, match="zero reference"):
             ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.0, 0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_transitions_rejected(self, bad):
+        tree = one_step_tree([90.0, 110.0])
+        with pytest.raises(ValueError, match="finite"):
+            ti.NodeMeasure.for_tree(tree, [1.0, bad, 0.5])
 
     def test_zero_mass_on_positive_branch_accepted(self):
         tree = one_step_tree([90.0, 105.0, 120.0])
@@ -124,19 +138,19 @@ class TestMartingaleProjection:
     def test_projection_is_martingale(self, rng):
         tree = random_tree(rng, depth=3)
         q = ti.NodeMeasure.reference(tree)
-        M = ti.martingale_projection(tree, q, rng.normal(100.0, 10.0, tree.leaves.size))
+        M = ti.conditional_expectation(tree, q, rng.normal(100.0, 10.0, tree.leaves.size))
         ok, defect = ti.is_martingale(tree, q, M)
         assert ok and defect <= 1e-12 * 101.0
 
     def test_risk_neutral_price_projects_to_itself(self, rng):
         tree = random_tree(rng, depth=3, martingale=True)
         q = ti.NodeMeasure.reference(tree)
-        M = ti.martingale_projection(tree, q, tree.P[tree.leaves])
+        M = ti.conditional_expectation(tree, q, tree.P[tree.leaves])
         np.testing.assert_allclose(M, tree.P, rtol=1e-12)
 
     def test_constant_terminal_value(self, rng):
         tree = random_tree(rng, depth=2)
-        M = ti.martingale_projection(tree, ti.NodeMeasure.reference(tree), np.full(tree.leaves.size, 5.0))
+        M = ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), np.full(tree.leaves.size, 5.0))
         np.testing.assert_allclose(M, 5.0)
 
     def test_drift_detected(self):
