@@ -2,8 +2,11 @@
 
 One subcommand per operation family; every command reads JSON/CSV inputs,
 writes a JSON report (or per-node CSV series with ``--format csv``) and maps
-failures to exit codes: 1 for domain failures, 2 for unreadable inputs,
-3 for non-convergence.  Identical inputs produce byte-identical output.
+failures to exit codes: 2 when an input is unreadable or breaks its schema
+(a malformed tree structure, transitions that do not sum to one), 1 when a
+readable tree or certificate holds NaN/inf or the operation fails in its
+domain, 3 when a solver stops before its tolerance.  Identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations

@@ -44,14 +44,13 @@ class DualCertificate:
         return as_curve(self.alpha, tree.n_nodes, "alpha")
 
 
-def node_penalty_weights(tree: ScenarioTree, q) -> np.ndarray:
+def node_penalty_weights(tree: ScenarioTree, reach) -> np.ndarray:
     """Measure-weighted liquidity mass attached to each node's spread value.
 
     Interval masses are paired with the node at the left end of the interval,
-    the terminal atom with the leaf; each is weighted by the probability of
-    reaching the interval under the measure.
+    the terminal atom with the leaf; each is weighted by ``reach``, the
+    probability under the measure of reaching the node that ends the interval.
     """
-    reach = tree.reach_probabilities(q)
     w = tree.child_sum(reach * tree.edge_weight)
     w[tree.leaves] += reach[tree.leaves] * tree.kappa[tree.leaves]
     return w
@@ -116,13 +115,6 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
     raise InfeasibleCertificate("could not restore feasibility")  # pragma: no cover
 
 
-def penalty_norm(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> float:
-    """Squared liquidity-weighted distance of the spread process from its rest value."""
-    alpha = cert.alpha_or_default(tree, market.impact.zeta0)
-    w = node_penalty_weights(tree, cert.q)
-    return float(np.dot(w, (alpha - market.impact.zeta0) ** 2))
-
-
 def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec, H) -> float:
     """Penalized expectation: payoff mean minus spread penalty and position value."""
     H = as_curve(H, tree.leaves.size, "H")
@@ -131,8 +123,10 @@ def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec
     imp = market.impact
     reach = tree.reach_probabilities(cert.q)
     expected_payoff = float(np.dot(reach[tree.leaves], H))
+    dev = cert.alpha_or_default(tree, imp.zeta0) - imp.zeta0
+    penalty = float(np.dot(node_penalty_weights(tree, reach), dev**2))
     m0 = float(cert.M[0])
-    return expected_payoff - 0.5 * penalty_norm(tree, cert, market) - m0 * imp.x0 - 0.5 * imp.iota * imp.x0**2
+    return expected_payoff - 0.5 * penalty - m0 * imp.x0 - 0.5 * imp.iota * imp.x0**2
 
 
 @dataclass(frozen=True)
@@ -201,10 +195,7 @@ def weak_duality_check(
     slack_super = float(np.dot(reach[tree.leaves], tw.xi_T - H))
     slack_sign = float(np.dot(reach, gap * net + np.abs(gap) * gross))
     slack_band = float(np.dot(reach, (feas.bound - np.abs(gap)) * gross))
-    sq = (tw.eta - alpha) ** 2
-    edge_part = float(np.dot(reach[1:] * tree.edge_weight[1:], sq[tree.parent[1:]]))
-    leaf_part = float(np.dot(reach[tree.leaves] * tree.kappa[tree.leaves], sq[tree.leaves]))
-    slack_quad = 0.5 * (edge_part + leaf_part)
+    slack_quad = 0.5 * float(np.dot(node_penalty_weights(tree, reach), (tw.eta - alpha) ** 2))
     residual = margin - (slack_super + slack_sign + slack_band + slack_quad)
 
     return WeakDualityReport(

@@ -94,7 +94,12 @@ def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
         M = np.asarray(data["M"], dtype=float)
         alpha = data.get("alpha")
         alpha = None if alpha is None else np.asarray(alpha, dtype=float)
+        for name, values in (("M", M), ("alpha", alpha)):
+            if values is not None and not np.all(np.isfinite(values)):
+                raise NonFiniteInput(f"certificate {name} must be finite at every node")
         return DualCertificate(q=q, M=M, alpha=alpha)
+    except NonFiniteInput:
+        raise  # readable, but outside the model's domain
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad certificate file: {exc}") from exc
 

@@ -29,7 +29,7 @@ from .errors import InfeasibleInit, InstanceTooLarge, WeakDualityViolated
 from .market import MarketSpec, as_curve
 from .strategy import TradeSchedule, normalize
 from .tree import NodeMeasure, ScenarioTree, conditional_expectation
-from .wealth import book_value, tree_wealth
+from .wealth import book_value, leaf_path_rows, spread_penalty, tree_wealth
 
 
 @dataclass(frozen=True)
@@ -77,34 +77,26 @@ class _PrimalProblem:
         slot_of = np.full(tree.n_nodes, -1)
         slot_of[self.decision] = np.arange(self.n_dec)
 
-        paths = tree.leaf_paths()  # (L, n_levels)
+        paths, self.c_path, self.w_path, self.kappa_leaf = leaf_path_rows(tree)  # (L, n_levels) rows
         self.var_idx = slot_of[paths[:, :-1]]
-        self.c_path = (tree.rho / tree.delta)[paths]
         self.P_path = tree.P[paths]
-        self.w_path = tree.edge_weight[paths]  # column 0 unused (zero)
-        self.kappa_leaf = tree.kappa[paths[:, -1]]
 
     def leaf_values(self, b, s, eps):
-        """Per-leaf payoff-plus-cost together with intermediate state."""
-        x0, zeta0 = self.impact.x0, self.impact.zeta0
+        """Per-leaf payoff-plus-cost and state; the leaf slot closes ``x_pre``, its size smoothed by ``eps``."""
         bp, sp = b[self.var_idx], s[self.var_idx]
         nu = bp - sp
-        g = bp + sp
-        x_pre = x0 + nu.sum(axis=1)
+        x_pre = self.impact.x0 + nu.sum(axis=1)
         ghat = np.sqrt(x_pre**2 + eps**2) if eps > 0.0 else np.abs(x_pre)
-        eta_dec = zeta0 + np.cumsum(self.c_path[:, :-1] * g, axis=1)
-        eta_leaf = eta_dec[:, -1] + self.c_path[:, -1] * ghat
+        gross = np.concatenate([bp + sp, ghat[:, None]], axis=1)
+        eta, pen = spread_penalty(self.impact.zeta0, self.c_path, gross, self.w_path, self.kappa_leaf)
         pint = (self.P_path[:, :-1] * nu).sum(axis=1) - self.P_path[:, -1] * x_pre
-        pen = 0.5 * (
-            (self.w_path[:, 1:] * eta_dec**2).sum(axis=1) + self.kappa_leaf * eta_leaf**2
-        )
-        vals = self.H + pint + pen
-        return vals, x_pre, ghat, eta_dec, eta_leaf
+        return self.H + pint + pen, x_pre, ghat, eta
 
     def objective_and_gradient(self, u, tau, eps):
         """Annealed soft maximum over leaves and its gradient on the orthant."""
         b, s = u[: self.n_dec], u[self.n_dec :]
-        vals, x_pre, ghat, eta_dec, eta_leaf = self.leaf_values(b, s, eps)
+        vals, x_pre, ghat, eta = self.leaf_values(b, s, eps)
+        eta_leaf = eta[:, -1]
 
         shifted = (vals - vals.max()) / tau
         weights = np.exp(shifted)
@@ -112,7 +104,7 @@ class _PrimalProblem:
         smooth = vals.max() + tau * np.log(np.sum(np.exp(shifted)))
 
         # Suffix sums pairing interval masses with the left spread value.
-        m = self.w_path[:, 1:] * eta_dec  # contribution of eta_{j-1} to interval j
+        m = self.w_path * eta[:, :-1]  # contribution of eta_{j-1} to interval j
         tail = np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
         tail += (self.kappa_leaf * eta_leaf)[:, None]
         dprice = self.P_path[:, :-1] - self.P_path[:, -1][:, None]
@@ -324,7 +316,7 @@ class _DualProblem:
         val = tree.up_sweep(q, leaf_val, edge)
         objective = float(val[0] - 0.5 * imp.iota * imp.x0**2)
 
-        g_alpha = node_penalty_weights(tree, q) * -dev
+        g_alpha = node_penalty_weights(tree, reach) * -dev
 
         g_m = -imp.x0 * reach[leaves]
 

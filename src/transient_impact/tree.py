@@ -53,10 +53,7 @@ class ScenarioTree:
         for name in ("p_transition", "P", "delta", "r"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise NonFiniteInput(f"{name} must be finite at every node")
-        if n == 0 or self.parent[0] != -1:
-            raise ValueError("node 0 must be the root (parent -1)")
-        if np.any(self.parent[1:] < 0) or np.any(self.parent[1:] >= np.arange(1, n)):
-            raise ValueError("nodes must be stored level by level with parents first")
+        self.t_index = _depths(self.parent)
         if np.any(self.delta <= 0.0):
             raise ValueError("market depth must be > 0 at every node")
         if np.any(self.r < 0.0):
@@ -66,12 +63,6 @@ class ScenarioTree:
         if self.p_transition[0] != 1.0:
             raise ValueError("root transition probability must be 1")
 
-        # Depth by pointer jumping; ``parent < id`` guarantees termination.
-        self.t_index = np.zeros(n, dtype=int)
-        ancestor = self.parent.copy()
-        while (live := ancestor >= 0).any():
-            self.t_index[live] += 1
-            ancestor[live] = self.parent[ancestor[live]]
         self.n_levels = int(self.t_index.max()) + 1
         if self.n_levels != self.grid.n_points:
             raise ValueError(
@@ -200,37 +191,45 @@ class ScenarioTree:
         resilience falls back to the per-time-index defaults (deterministic
         curves broadcast onto the tree).
         """
-        n = len(nodes)
-        parent = np.empty(n, dtype=int)
-        p = np.empty(n)
-        price = np.empty(n)
-        delta = np.empty(n)
-        r = np.empty(n)
-        t_index = np.zeros(n, dtype=int)
+        if any(int(rec.get("id", i)) != i for i, rec in enumerate(nodes)):
+            raise ValueError("node records must be listed in id order starting at 0")
+        parent = np.array([int(rec["parent"]) for rec in nodes], dtype=int)
+        t_index = _depths(parent)
         for i, rec in enumerate(nodes):
-            if int(rec.get("id", i)) != i:
-                raise ValueError("node records must be listed in id order starting at 0")
-            parent[i] = int(rec["parent"])
-            t_index[i] = 0 if parent[i] < 0 else t_index[parent[i]] + 1
             if "t_index" in rec and int(rec["t_index"]) != t_index[i]:
                 raise ValueError(f"node {i}: declared t_index contradicts the parent structure")
-            p[i] = float(rec.get("p_transition", 1.0))
-            price[i] = float(rec["P"])
-            if "delta" in rec:
-                delta[i] = float(rec["delta"])
-            elif default_delta is not None:
-                delta[i] = np.asarray(default_delta, dtype=float).reshape(-1)[t_index[i]] \
-                    if np.ndim(default_delta) else float(default_delta)
-            else:
-                raise ValueError(f"node {i} has no depth and no default was given")
-            if "r" in rec:
-                r[i] = float(rec["r"])
-            elif default_r is not None:
-                r[i] = np.asarray(default_r, dtype=float).reshape(-1)[t_index[i]] \
-                    if np.ndim(default_r) else float(default_r)
-            else:
-                raise ValueError(f"node {i} has no resilience rate and no default was given")
+        p = _node_column(nodes, "p_transition", 1.0, t_index, "transition probability")
+        price = _node_column(nodes, "P", None, t_index, "price")
+        delta = _node_column(nodes, "delta", default_delta, t_index, "depth")
+        r = _node_column(nodes, "r", default_r, t_index, "resilience rate")
         return cls(times, parent, p, price, delta, r)
+
+
+def _depths(parent: np.ndarray) -> np.ndarray:
+    """Depth of every node by pointer jumping; checking ``parent[i] < i`` first makes it terminate."""
+    if parent.size == 0 or parent[0] != -1:
+        raise ValueError("node 0 must be the root (parent -1)")
+    if np.any(parent[1:] < 0) or np.any(parent >= np.arange(parent.size)):
+        raise ValueError("nodes must be stored level by level with parents first")
+    depth = np.zeros(parent.size, dtype=int)
+    ancestor = parent.copy()
+    while (live := ancestor >= 0).any():
+        depth[live] += 1
+        ancestor[live] = parent[ancestor[live]]
+    return depth
+
+
+def _node_column(nodes, key: str, default, t_index: np.ndarray, what: str) -> np.ndarray:
+    """Per-node ``key`` from the records; records without it take ``default`` at their time index."""
+    given = np.array([key in rec for rec in nodes], dtype=bool)
+    if default is None and not given.all():
+        raise ValueError(f"node {np.argmin(given)} has no {what} and no default was given")
+    out = np.empty(given.size)
+    out[given] = [float(rec[key]) for rec in nodes if key in rec]
+    if not given.all():
+        default = np.asarray(default, dtype=float)
+        out[~given] = default.reshape(-1)[t_index[~given]] if default.ndim else default
+    return out
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,12 @@
 """Spread state, terminal cash and its convex decomposition.
 
-Two routes to the same terminal cash: the direct midpoint-execution rule
-(trades fill at the average of pre- and post-trade mid price and half-spread)
-and the decomposition ``cash = v0 - (price integral + quadratic spread
-penalty)`` which isolates a convex functional of the schedule.  Both are exact
-for grid-point trading and agree to rounding whenever the terminal position is
-zero; the penalty integrates the squared scaled spread against the liquidity
-weights, interval weights against the value at the left grid point.
+Two routes to the same terminal cash, each written once on rows of slots
+(slots along the last axis, independent paths along the leading axes): the
+direct midpoint-execution rule :func:`midpoint_cash`, and the decomposition
+``cash = v0 - (price integral + spread penalty)`` whose convex penalty and
+spread recursion live in :func:`spread_penalty`.  Both agree to rounding
+whenever the terminal position is zero.  A deterministic grid is one row; a
+scenario tree is gathered onto its root-to-leaf paths, one row per leaf.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, TerminalNotZero
-from .market import MarketSpec, build_mu
-from .strategy import TradeSchedule, check_terminal_zero, convex_combine, normalize, position_path
+from .market import MarketSpec
+from .strategy import TradeSchedule, check_terminal_zero, convex_combine, normalize
 
 
 @dataclass(frozen=True)
@@ -51,13 +51,6 @@ class WealthBreakdown:
     eta_penalty: float
 
 
-def _check_slots(schedule: TradeSchedule, market: MarketSpec) -> None:
-    if schedule.n_slots != market.grid.n_points:
-        raise GridMismatch(
-            f"schedule has {schedule.n_slots} slots but the grid has {market.grid.n_points} points"
-        )
-
-
 def _prices(P, n_points: int) -> np.ndarray:
     P = np.asarray(P, dtype=float)
     if P.ndim == 1:
@@ -76,34 +69,66 @@ def book_value(impact, delta0: float) -> float:
     return 0.5 * (impact.iota * impact.x0**2 + delta0 * impact.zeta0**2)
 
 
+def _running(first, steps) -> np.ndarray:
+    """``first + cumsum(steps)`` along the last axis, summed in path order from ``first``."""
+    out = np.array(steps, dtype=float)
+    out[..., 0] += first
+    return np.cumsum(out, axis=-1, out=out)
+
+
+def _pre(post: np.ndarray, first) -> np.ndarray:
+    """Pre-trade values: ``first`` at slot 0, then the post-trade value of the previous slot."""
+    return np.concatenate([np.full(post.shape[:-1] + (1,), first), post[..., :-1]], axis=-1)
+
+
+def spread_penalty(zeta0, c, gross, w, atom):
+    """Scaled spread ``eta = zeta0 + cumsum(c * gross)`` and its penalty on rows of slots.
+
+    ``c`` is ``rho / delta`` per slot.  The penalty is ``0.5 * (sum(w *
+    eta[..., :-1]**2) + atom * eta[..., -1]**2)``: each interval mass in ``w``
+    pairs with the spread at its left slot, the ``atom`` with the last slot.
+    """
+    eta = _running(zeta0, c * gross)
+    return eta, 0.5 * ((w * eta[..., :-1] ** 2).sum(axis=-1) + atom * eta[..., -1] ** 2)
+
+
+def midpoint_cash(impact, x0: float, p_integral, net, gross, eta, rho):
+    """Terminal cash of midpoint-rule execution on rows of slots, from position ``x0``.
+
+    Each trade pays the pre/post-trade average of the shifted mid price on its
+    net size and of the half-spread ``eta / rho`` on its gross size.  The
+    unaffected part ``p_integral = sum(P * net)`` comes from the caller: one
+    per schedule row, or one per scenario row for a single schedule row.
+    """
+    pos = _running(x0, net)
+    mid = impact.iota * 0.5 * (_pre(pos, x0) + pos)
+    half_spread = 0.5 * (_pre(eta, impact.zeta0) + eta) / rho
+    return impact.xi0 - (p_integral + (mid * net + half_spread * gross).sum(axis=-1))
+
+
+def _grid_spread(schedule: TradeSchedule, market: MarketSpec, zeta0: float):
+    """Spread row and penalty of a schedule on the market grid, starting from ``zeta0``."""
+    if schedule.n_slots != market.grid.n_points:
+        raise GridMismatch(f"schedule has {schedule.n_slots} slots but the grid has {market.grid.n_points} points")
+    mu = market.mu(require_strict=False)
+    c = market.rho() / market.liquidity.delta
+    return spread_penalty(zeta0, c, schedule.gross(), mu.interior, mu.atom)
+
+
 def eta_path(schedule: TradeSchedule, market: MarketSpec) -> SpreadState:
     """Scaled spread and half-spread along the grid, pre- and post-trade."""
-    _check_slots(schedule, market)
+    eta, _ = _grid_spread(schedule, market, market.impact.zeta0)
+    eta_pre = _pre(eta, market.impact.zeta0)
     rho = market.rho()
-    bump = rho / market.liquidity.delta * schedule.gross()
-    eta = market.impact.zeta0 + np.cumsum(bump)
-    eta_pre = np.concatenate([[market.impact.zeta0], eta[:-1]])
     return SpreadState(eta=eta, eta_pre=eta_pre, zeta=eta / rho, zeta_pre=eta_pre / rho)
 
 
 def terminal_cash_direct(schedule: TradeSchedule, market: MarketSpec, P):
-    """Terminal cash from midpoint-rule execution against one or many price paths.
-
-    Each trade pays the average of pre- and post-trade shifted mid price on
-    the net quantity and the average of pre- and post-trade half-spread on the
-    gross quantity.  ``P`` may be one path ``(N+1,)`` or a matrix of scenario
-    rows ``(S, N+1)``.
-    """
-    _check_slots(schedule, market)
+    """Midpoint-rule terminal cash against one price path ``(N+1,)`` or scenario rows ``(S, N+1)``."""
+    eta, _ = _grid_spread(schedule, market, market.impact.zeta0)
     P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
     net = schedule.net()
-    pos = position_path(schedule)
-    pos_pre = np.concatenate([[schedule.x0], pos[:-1]])
-    spread = eta_path(schedule, market)
-
-    mid_cost = P2 @ net + market.impact.iota * 0.5 * float(np.dot(pos_pre + pos, net))
-    spread_cost = 0.5 * float(np.dot(spread.zeta_pre + spread.zeta, schedule.gross()))
-    cash = market.impact.xi0 - mid_cost - spread_cost
+    cash = midpoint_cash(market.impact, schedule.x0, P2 @ net, net, schedule.gross(), eta, market.rho())
     return _collapse(cash, was_1d)
 
 
@@ -111,18 +136,14 @@ def lambda_functional(schedule: TradeSchedule, market: MarketSpec, P) -> WealthB
     """Convex decomposition of terminal cash.
 
     ``p_integral`` integrates the unaffected price against the net trades;
-    ``eta_penalty`` is half the squared scaled spread against the liquidity
-    weights (interval weights paired with the left value, the atom with the
-    terminal one).  ``xi_T = v0 - lambda_T`` is the terminal cash whenever the
-    schedule liquidates.
+    ``eta_penalty`` is the spread penalty of :func:`spread_penalty`.
+    ``xi_T = v0 - lambda_T`` is the terminal cash whenever the schedule
+    liquidates.
     """
-    _check_slots(schedule, market)
+    eta_penalty = float(_grid_spread(schedule, market, market.impact.zeta0)[1])
     P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
-    mu = build_mu(market.kappa(), require_strict=False)
-    eta = eta_path(schedule, market).eta
 
     p_integral = P2 @ schedule.net()
-    eta_penalty = 0.5 * (float(np.dot(mu.interior, eta[:-1] ** 2)) + mu.atom * eta[-1] ** 2)
     lam = p_integral + eta_penalty
     v0 = market.impact.xi0 + book_value(market.impact, float(market.liquidity.delta[0]))
     return WealthBreakdown(
@@ -195,16 +216,13 @@ def quadratic_scaling(schedule: TradeSchedule, market: MarketSpec, P):
     empty schedule.  The polynomial identity is re-verified internally at
     ``c in {0, 1, 2}``.
     """
-    _check_slots(schedule, market)
-    P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
-    mu = build_mu(market.kappa(), require_strict=False)
     zeta0 = market.impact.zeta0
-    excess = eta_path(schedule, market).eta - zeta0
-
-    a = 0.5 * zeta0**2 * mu.total
-    mu_excess = float(np.dot(mu.interior, excess[:-1])) + mu.atom * excess[-1]
-    b = P2 @ schedule.net() + zeta0 * mu_excess
-    q = 0.5 * (float(np.dot(mu.interior, excess[:-1] ** 2)) + mu.atom * excess[-1] ** 2)
+    a = float(_grid_spread(_scale_schedule(schedule, 0.0), market, zeta0)[1])
+    q = float(_grid_spread(schedule, market, 0.0)[1])
+    # the penalty of zeta0 + (eta - zeta0) is a + q plus the cross term, which is linear in c
+    cross = float(_grid_spread(schedule, market, zeta0)[1]) - a - q
+    P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
+    b = P2 @ schedule.net() + cross
 
     for c in (0.0, 1.0, 2.0):
         lam = np.atleast_1d(lambda_functional(_scale_schedule(schedule, c), market, P2).lambda_T)
@@ -233,27 +251,32 @@ class TreeWealth:
     v0: float
 
 
-def tree_wealth(tree, schedule: TradeSchedule, impact) -> TreeWealth:
-    """Evaluate the cash decomposition of a node-indexed schedule on a tree."""
+def leaf_path_rows(tree):
+    """Root-to-leaf rows of a tree: node ids, ``rho / delta``, interval masses and terminal atoms."""
+    paths = tree.leaf_paths()
+    return paths, (tree.rho / tree.delta)[paths], tree.edge_weight[paths[:, 1:]], tree.kappa[paths[:, -1]]
+
+
+def _tree_spread(tree, schedule: TradeSchedule, impact):
+    """Leaf-path rows of a node-indexed schedule: node ids, spread, penalty and price integral."""
     if schedule.n_slots != tree.n_nodes:
         raise GridMismatch("schedule must have one slot per tree node")
-    gross = schedule.gross()
-    eta = tree.accumulate(tree.rho / tree.delta * gross, initial=impact.zeta0)
-    position = tree.accumulate(schedule.net(), initial=schedule.x0)
-    p_run = tree.accumulate(tree.P * schedule.net(), initial=0.0)
+    paths, c, w, atom = leaf_path_rows(tree)
+    eta, penalty = spread_penalty(impact.zeta0, c, schedule.gross()[paths], w, atom)
+    return paths, eta, penalty, np.einsum("ij,ij->i", tree.P[paths], schedule.net()[paths])
 
-    pen_contrib = np.zeros(tree.n_nodes)
-    pen_contrib[1:] = tree.edge_weight[1:] * eta[tree.parent[1:]] ** 2
-    pen_run = tree.accumulate(pen_contrib, initial=0.0)
 
-    leaves = tree.leaves
-    eta_penalty = 0.5 * (pen_run[leaves] + tree.kappa[leaves] * eta[leaves] ** 2)
-    lam = p_run[leaves] + eta_penalty
+def tree_wealth(tree, schedule: TradeSchedule, impact) -> TreeWealth:
+    """Evaluate the cash decomposition of a node-indexed schedule on a tree."""
+    paths, eta_rows, eta_penalty, p_integral = _tree_spread(tree, schedule, impact)
+    eta = np.empty(tree.n_nodes)
+    eta[paths] = eta_rows  # exact: every path through a node sums the same prefix
+    lam = p_integral + eta_penalty
     v0 = impact.xi0 + book_value(impact, float(tree.delta[0]))
     return TreeWealth(
         eta=eta,
-        position=position,
-        p_integral=p_run[leaves],
+        position=tree.accumulate(schedule.net(), initial=schedule.x0),
+        p_integral=p_integral,
         eta_penalty=eta_penalty,
         lambda_T=lam,
         xi_T=v0 - lam,
@@ -263,23 +286,6 @@ def tree_wealth(tree, schedule: TradeSchedule, impact) -> TreeWealth:
 
 def tree_terminal_cash_direct(tree, schedule: TradeSchedule, impact) -> np.ndarray:
     """Midpoint-rule terminal cash per leaf for a node-indexed schedule."""
-    if schedule.n_slots != tree.n_nodes:
-        raise GridMismatch("schedule must have one slot per tree node")
-    net = schedule.net()
-    gross = schedule.gross()
-    eta = tree.accumulate(tree.rho / tree.delta * gross, initial=impact.zeta0)
-    position = tree.accumulate(net, initial=schedule.x0)
-
-    eta_pre = np.empty(tree.n_nodes)
-    eta_pre[0] = impact.zeta0
-    eta_pre[1:] = eta[tree.parent[1:]]
-    pos_pre = np.empty(tree.n_nodes)
-    pos_pre[0] = schedule.x0
-    pos_pre[1:] = position[tree.parent[1:]]
-
-    zeta = eta / tree.rho
-    zeta_pre = eta_pre / tree.rho
-    spend = (tree.P + impact.iota * 0.5 * (pos_pre + position)) * net
-    spend += 0.5 * (zeta_pre + zeta) * gross
-    total = tree.accumulate(spend, initial=0.0)
-    return impact.xi0 - total[tree.leaves]
+    paths, eta, _, p_integral = _tree_spread(tree, schedule, impact)
+    net, gross = schedule.net()[paths], schedule.gross()[paths]
+    return midpoint_cash(impact, schedule.x0, p_integral, net, gross, eta, tree.rho[paths])

@@ -149,6 +149,24 @@ class TestPriceAndGap:
             assert captured.out == ""
             assert "P must be finite" in captured.err
 
+    def test_node_that_is_its_own_parent_exits_two(self, tmp_path, capsys, binary_files):
+        market, _, payoff = binary_files
+        tree = write_json(
+            tmp_path / "loop_tree.json",
+            {
+                "nodes": [
+                    {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+                    {"id": 1, "parent": 1, "p_transition": 0.5, "P": 110.0},
+                    {"id": 2, "parent": 0, "p_transition": 0.5, "P": 90.0},
+                ],
+            },
+        )
+        code = main(["price", "--market", market, "--tree", tree, "--payoff", payoff])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "parents first" in captured.err
+
 
 class TestDualEval:
     def test_flat_spread_certificate(self, tmp_path, capsys):
@@ -197,6 +215,25 @@ class TestDualEval:
         header = out.splitlines()[0].split(",")
         for column in ("node", "t_index", "P", "M", "bound", "alpha"):
             assert column in header
+
+
+    @pytest.mark.parametrize("field, values", [
+        ("M", [100.0, float("nan"), 90.0]),
+        ("alpha", [0.0, float("inf"), 0.0]),
+        ("q_transitions", [1.0, float("nan"), 0.5]),
+    ])
+    def test_non_finite_certificate_exits_one(self, tmp_path, capsys, binary_files, field, values):
+        market, tree, payoff = binary_files
+        cert = {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 110.0, 90.0], "alpha": [0.0, 0.0, 0.0]}
+        cert[field] = values
+        certificate = write_json(tmp_path / "c.json", cert)
+        for command in ("dual-eval", "dual-search"):
+            code = main([command, "--market", market, "--tree", tree,
+                         "--certificate", certificate, "--payoff", payoff])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "must be finite" in captured.err
 
 
 class TestCall:

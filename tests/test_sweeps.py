@@ -2,7 +2,9 @@
 
 The reference functions below are the plain loop versions, kept as oracles.
 They read only ``tree.parent`` and the per-node data, and derive children and
-levels themselves, so they do not share the sweep primitives under test.
+levels themselves, so they do not share the sweep primitives under test.  The
+tree wealth oracles are the node-wise ``accumulate`` versions that the
+leaf-path spread/penalty kernel replaced.
 
 Tolerances are fixed by the arithmetic: down-sweeps (sums and products along
 paths) keep the operation order of the loops and must agree exactly; where a
@@ -16,9 +18,10 @@ import pytest
 
 import transient_impact as ti
 from transient_impact.duality import node_penalty_weights
-from transient_impact.solver import _DualProblem
+from transient_impact.solver import _DualProblem, _PrimalProblem
+from transient_impact.wealth import book_value
 
-from conftest import market_for_tree
+from conftest import market_for_tree, random_tree_schedule
 
 RTOL = 1e-12
 
@@ -263,6 +266,52 @@ def ref_value_and_gradients(tree, market, H, free, params):
     return objective, (g_logits, g_m, g_alpha)
 
 
+def ref_tree_wealth(tree, schedule, impact):
+    gross = schedule.gross()
+    eta = tree.accumulate(tree.rho / tree.delta * gross, initial=impact.zeta0)
+    position = tree.accumulate(schedule.net(), initial=schedule.x0)
+    p_run = tree.accumulate(tree.P * schedule.net(), initial=0.0)
+
+    pen_contrib = np.zeros(tree.n_nodes)
+    pen_contrib[1:] = tree.edge_weight[1:] * eta[tree.parent[1:]] ** 2
+    pen_run = tree.accumulate(pen_contrib, initial=0.0)
+
+    leaves = tree.leaves
+    eta_penalty = 0.5 * (pen_run[leaves] + tree.kappa[leaves] * eta[leaves] ** 2)
+    lam = p_run[leaves] + eta_penalty
+    v0 = impact.xi0 + book_value(impact, float(tree.delta[0]))
+    return ti.TreeWealth(
+        eta=eta,
+        position=position,
+        p_integral=p_run[leaves],
+        eta_penalty=eta_penalty,
+        lambda_T=lam,
+        xi_T=v0 - lam,
+        v0=v0,
+    )
+
+
+def ref_tree_terminal_cash_direct(tree, schedule, impact):
+    net = schedule.net()
+    gross = schedule.gross()
+    eta = tree.accumulate(tree.rho / tree.delta * gross, initial=impact.zeta0)
+    position = tree.accumulate(net, initial=schedule.x0)
+
+    eta_pre = np.empty(tree.n_nodes)
+    eta_pre[0] = impact.zeta0
+    eta_pre[1:] = eta[tree.parent[1:]]
+    pos_pre = np.empty(tree.n_nodes)
+    pos_pre[0] = schedule.x0
+    pos_pre[1:] = position[tree.parent[1:]]
+
+    zeta = eta / tree.rho
+    zeta_pre = eta_pre / tree.rho
+    spend = (tree.P + impact.iota * 0.5 * (pos_pre + position)) * net
+    spend += 0.5 * (zeta_pre + zeta) * gross
+    total = tree.accumulate(spend, initial=0.0)
+    return impact.xi0 - total[tree.leaves]
+
+
 def ref_shadow_band_feasibility(tree, q, lam, pin):
     children = ref_children(tree)
     slack = 1e-12 * (1.0 + float(np.max(np.abs(tree.P)) + np.max(lam)))
@@ -345,7 +394,7 @@ def test_constraint_bound_and_penalty_weights(tree):
     alpha = market.impact.zeta0 + rng.uniform(0.0, 1.0, tree.n_nodes)
     cert = ti.DualCertificate(q=q, M=tree.P, alpha=alpha)
     assert_close(ti.constraint_bound(tree, cert, market), ref_constraint_bound(tree, q.transitions, alpha))
-    assert_close(node_penalty_weights(tree, q), ref_node_penalty_weights(tree, q.transitions))
+    assert_close(node_penalty_weights(tree, tree.reach_probabilities(q)), ref_node_penalty_weights(tree, q.transitions))
 
 
 @pytest.mark.parametrize("tree", TREES)
@@ -384,3 +433,40 @@ def test_shadow_band_feasibility_with_and_without_pins():
                 assert_close(band.M, M)
             outcomes.add((feasible, bool(pin)))
     assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_tree_wealth_kernels(tree):
+    rng = np.random.default_rng(tree.n_nodes + 4)
+    market = market_for_tree(rng, tree)
+    x0 = market.impact.x0
+    open_position = ti.TradeSchedule(
+        rng.uniform(0.0, 1.0, tree.n_nodes), rng.uniform(0.0, 1.0, tree.n_nodes), x0
+    )
+    for schedule in (random_tree_schedule(rng, tree, x0=x0), open_position):
+        got = ti.tree_wealth(tree, schedule, market.impact)
+        want = ref_tree_wealth(tree, schedule, market.impact)
+        np.testing.assert_array_equal(got.eta, want.eta)
+        np.testing.assert_array_equal(got.position, want.position)
+        assert got.v0 == want.v0
+        for name in ("p_integral", "eta_penalty", "lambda_T", "xi_T"):
+            assert_close(getattr(got, name), getattr(want, name))
+        assert_close(
+            ti.tree_terminal_cash_direct(tree, schedule, market.impact),
+            ref_tree_terminal_cash_direct(tree, schedule, market.impact),
+        )
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_primal_leaf_values_match_tree_wealth(tree):
+    rng = np.random.default_rng(tree.n_nodes + 5)
+    market = market_for_tree(rng, tree)
+    H = np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
+    prob = _PrimalProblem(tree, market, H)
+    # one side per node, so the closing-trade schedule needs no netting
+    size = rng.uniform(0.0, 1.0, prob.n_dec) * (rng.random(prob.n_dec) < 0.8)
+    buy = rng.random(prob.n_dec) < 0.5
+    u = np.concatenate([np.where(buy, size, 0.0), np.where(buy, 0.0, size)])
+    vals = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :], 0.0)[0]
+    tw = ti.tree_wealth(tree, prob.schedule(u), market.impact)
+    assert_close(vals, H + tw.lambda_T)
