@@ -3,10 +3,11 @@
 One subcommand per operation family; every command reads JSON/CSV inputs,
 writes a JSON report (or per-node CSV series with ``--format csv``) and maps
 failures to exit codes: 2 when an input is unreadable or breaks its schema
-(a malformed tree structure, transitions that do not sum to one), 1 when a
-readable tree or certificate holds NaN/inf or the operation fails in its
-domain, 3 when a solver stops before its tolerance.  Identical inputs produce
-byte-identical output.
+(a malformed tree structure, transitions that do not sum to one, a NaN or
+infinite flag value), 1 when any readable input file (market, tree, payoff,
+strategy, certificate, price paths) holds NaN/inf or the operation fails in
+its domain, 3 when a solver stops before its tolerance.  Identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -41,6 +42,17 @@ def _emit(args, payload, tree=None, series=None) -> None:
     else:
         formats.dump_json(payload, buf)
     formats.write_text(buf.getvalue(), args.out)
+
+
+def _finite_float(text: str) -> float:
+    """Flag value parser: a float, where NaN and infinity are usage errors (exit 2)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
 
 
 def _options(args) -> SolverOptions:
@@ -323,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "paths-opt":
                 p.add_argument("--paths", help="price paths CSV, one column per scenario")
             elif flag == "solver":
-                p.add_argument("--tol", type=float, help="solver tolerance")
+                p.add_argument("--tol", type=_finite_float, help="solver tolerance")
                 p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget")
                 p.add_argument("--smoothing", help="comma-separated smoothing schedule for the max over leaves")
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -339,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     add("dual-eval", cmd_dual_eval, "evaluate a certificate: feasibility, bound, objective", "market", "tree", "certificate", "payoff")
     add("dual-search", cmd_dual_search, "improve a certificate by monotone ascent", "market", "tree", "payoff", "certificate-opt", "solver")
     c = add("call", cmd_call, "closed-form call price and buy-and-hold identity", "market", "paths-opt")
-    c.add_argument("--strike", type=float, default=0.0)
-    c.add_argument("--p0", type=float, help="initial price (used when no paths are given)")
+    c.add_argument("--strike", type=_finite_float, default=0.0)
+    c.add_argument("--p0", type=_finite_float, help="initial price (used when no paths are given)")
     t = add("tilt", cmd_tilt, "drift-removing measure tilt on a tree", "tree", "market-opt")
     t.add_argument("--g", help="comma-separated non-increasing offset per time index (default zero)")
-    t.add_argument("--eps", type=float, default=1e-3, help="tail threshold to report")
+    t.add_argument("--eps", type=_finite_float, default=1e-3, help="tail threshold to report")
     s = add("shadow-check", cmd_shadow_check, "verify utility optimality via a shadow price", "market", "tree", "strategy", "certificate-opt")
     s.add_argument("--utility", required=True, choices=("exp", "exponential", "power", "log"))
-    s.add_argument("--utility-param", type=float, dest="utility_param")
+    s.add_argument("--utility-param", type=_finite_float, dest="utility_param")
     return parser
 
 

@@ -100,19 +100,19 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
     """Raise the spread process just enough to re-establish feasibility.
 
     Adding a constant ``c`` to the spread process widens the band by exactly
-    ``c / rho`` at every node, so one bump by the worst discounted violation
-    repairs any certificate while keeping its measure and martingale.
+    ``c / rho`` at every node, so one bump by the worst discounted violation,
+    confirmed by a second check, repairs any certificate with finite entries.
     """
-    alpha = cert.alpha_or_default(tree, market.impact.zeta0)
-    cert = replace(cert, alpha=alpha)
-    for _ in range(4):
-        report = check_feasibility(tree, cert, market)
-        if report.feasible:
-            return cert
-        gap = np.abs(tree.P - cert.M) - report.bound
-        bump = float(np.max(gap * tree.rho))
-        cert = replace(cert, alpha=cert.alpha + bump * (1.0 + 1e-12) + 1e-15)
-    raise InfeasibleCertificate("could not restore feasibility")  # pragma: no cover
+    cert = replace(cert, alpha=cert.alpha_or_default(tree, market.impact.zeta0))
+    report = check_feasibility(tree, cert, market)
+    if report.feasible:
+        return cert
+    bump = float(np.max((np.abs(tree.P - cert.M) - report.bound) * tree.rho))
+    cert = replace(cert, alpha=cert.alpha + bump * (1.0 + 1e-12) + 1e-15)
+    report = check_feasibility(tree, cert, market)
+    if not report.feasible:
+        raise InfeasibleCertificate(f"repair left the band violated at node {report.worst_node}")
+    return cert
 
 
 def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec, H) -> float:

@@ -31,17 +31,24 @@ def _read_json(path) -> dict:
     return data
 
 
+def _finite(values, what: str):
+    """``values`` itself when every entry is finite; otherwise :class:`NonFiniteInput`.
+
+    The extremes carry any NaN and show any infinity, and unlike an
+    elementwise test they need no temporary as large as the input.
+    """
+    if not (np.isfinite(np.min(values, initial=0.0)) and np.isfinite(np.max(values, initial=0.0))):
+        raise NonFiniteInput(f"{what} must be finite")
+    return values
+
+
 def market_from_dict(data: dict) -> MarketSpec:
     try:
-        return MarketSpec.build(
-            data["grid"],
-            data["delta"],
-            data["r"],
-            iota=float(data.get("iota", 0.0)),
-            zeta0=float(data.get("zeta0", 0.0)),
-            x0=float(data.get("x0", 0.0)),
-            xi0=float(data.get("xi0", 0.0)),
-        )
+        curves = [_finite(np.asarray(data[k], dtype=float), f"market {k}") for k in ("grid", "delta", "r")]
+        scalars = {k: _finite(float(data.get(k, 0.0)), f"market {k}") for k in ("iota", "zeta0", "x0", "xi0")}
+        return MarketSpec.build(*curves, **scalars)
+    except NonFiniteInput:
+        raise  # readable, but outside the model's domain
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad market spec: {exc}") from exc
 
@@ -66,12 +73,13 @@ def load_tree(path, market: MarketSpec | None = None) -> ScenarioTree:
             times = data["times"]
             default_delta = default_r = None
         tree = ScenarioTree.from_node_dicts(times, nodes, default_delta, default_r)
+        levels = int(data.get("levels", tree.n_levels))
     except NonFiniteInput:
         raise  # readable, but outside the model's domain
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad tree file: {exc}") from exc
-    if "levels" in data and int(data["levels"]) != tree.n_levels:
-        raise FormatError(f"tree file declares {data['levels']} levels but has {tree.n_levels}")
+    if levels != tree.n_levels:
+        raise FormatError(f"tree file declares {levels} levels but has {tree.n_levels}")
     return tree
 
 
@@ -79,10 +87,12 @@ def load_schedule(path, x0_default: float = 0.0) -> TradeSchedule:
     data = _read_json(path)
     try:
         return TradeSchedule(
-            np.asarray(data["buys"], dtype=float),
-            np.asarray(data["sells"], dtype=float),
-            float(data.get("x0", x0_default)),
+            _finite(np.asarray(data["buys"], dtype=float), "strategy buys"),
+            _finite(np.asarray(data["sells"], dtype=float), "strategy sells"),
+            _finite(float(data.get("x0", x0_default)), "strategy x0"),
         )
+    except NonFiniteInput:
+        raise  # readable, but outside the model's domain
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"bad strategy file: {exc}") from exc
 
@@ -91,12 +101,11 @@ def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
     data = _read_json(path)
     try:
         q = NodeMeasure.for_tree(tree, np.asarray(data["q_transitions"], dtype=float))
-        M = np.asarray(data["M"], dtype=float)
+        M = _finite(np.asarray(data["M"], dtype=float), "certificate M")
+        if M.shape != (tree.n_nodes,):
+            raise FormatError(f"certificate M must list {tree.n_nodes} node values")
         alpha = data.get("alpha")
-        alpha = None if alpha is None else np.asarray(alpha, dtype=float)
-        for name, values in (("M", M), ("alpha", alpha)):
-            if values is not None and not np.all(np.isfinite(values)):
-                raise NonFiniteInput(f"certificate {name} must be finite at every node")
+        alpha = None if alpha is None else _finite(np.asarray(alpha, dtype=float), "certificate alpha")
         return DualCertificate(q=q, M=M, alpha=alpha)
     except NonFiniteInput:
         raise  # readable, but outside the model's domain
@@ -111,17 +120,19 @@ def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
     """
     data = _read_json(path)
     kind = data.get("type", "values")
-    if kind == "call":
-        try:
-            strike = float(data["strike"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"bad payoff file: {exc}") from exc
-        return np.maximum(tree.P[tree.leaves] - strike, 0.0)
-    if kind == "values":
-        values = np.asarray(data.get("values"), dtype=float)
-        if values.shape != (tree.leaves.size,):
-            raise FormatError(f"payoff must list {tree.leaves.size} leaf values")
-        return values
+    try:
+        if kind == "call":
+            strike = _finite(float(data["strike"]), "payoff strike")
+            return np.maximum(tree.P[tree.leaves] - strike, 0.0)
+        if kind == "values":
+            values = np.asarray(data["values"], dtype=float)
+            if values.shape != (tree.leaves.size,):
+                raise FormatError(f"payoff must list {tree.leaves.size} leaf values")
+            return _finite(values, "payoff values")
+    except NonFiniteInput:
+        raise  # readable, but outside the model's domain
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"bad payoff file: {exc}") from exc
     raise FormatError(f"unknown payoff type {kind!r}")
 
 
@@ -143,7 +154,9 @@ def load_price_paths(path) -> np.ndarray:
         raise FormatError(f"{path}: {exc}") from exc
     if not rows or any(len(r) != len(rows[0]) for r in rows):
         raise FormatError(f"{path}: need a rectangular numeric table")
-    return np.asarray(rows, dtype=float).T
+    table = np.asarray(rows, dtype=float)
+    del rows  # checked only once the row list is gone, and before the transpose, in memory order
+    return _finite(table, f"{path}: price paths").T
 
 
 def jsonify(obj):

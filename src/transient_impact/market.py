@@ -56,10 +56,6 @@ class TimeGrid:
     def n_steps(self) -> int:
         return self.times.size - 1
 
-    @property
-    def horizon(self) -> float:
-        return float(self.times[-1])
-
     def steps(self) -> np.ndarray:
         return np.diff(self.times)
 
@@ -78,10 +74,6 @@ class LiquiditySpec:
             raise ValueError("depth and resilience curves must have the same length")
         object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "r", r)
-
-    @classmethod
-    def constant(cls, delta: float, r: float, n_points: int) -> "LiquiditySpec":
-        return cls(np.full(n_points, float(delta)), np.full(n_points, float(r)))
 
 
 @dataclass(frozen=True)

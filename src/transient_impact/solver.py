@@ -337,10 +337,10 @@ def dual_ascent(
     """Monotone certificate improvement from a feasible start.
 
     Projected-gradient ascent on (measure logits, terminal martingale values,
-    spread process); after every trial step feasibility is restored by raising
-    the spread process, and the step is accepted only if the repaired
-    certificate improves the objective.  The returned certificate is exactly
-    feasible and never worse than the initial one.
+    spread process); each trial step along the gradient is repaired by raising
+    the spread process and accepted only if the repaired certificate improves
+    the objective.  The returned certificate is exactly feasible and never
+    worse than the initial one.
     """
     opts = options or SolverOptions()
     report = check_feasibility(tree, init_cert, market)
@@ -358,9 +358,10 @@ def dual_ascent(
     alpha = init_cert.alpha_or_default(tree, market.impact.zeta0).copy()
     params = (logits, m_terminal, alpha)
 
-    current = dual_objective(tree, prob.build(params), market, prob.H)
+    start = prob.build(params)
+    current = dual_objective(tree, start, market, prob.H)
     if current > best_value:
-        best_value, best_cert = current, prob.build(params)
+        best_value, best_cert = current, start
 
     obj_scale = 1.0 + abs(best_value) + float(np.max(prob.H, initial=0.0))
     step = 1.0
@@ -375,26 +376,25 @@ def dual_ascent(
             float(np.max(np.abs(g_alpha), initial=0.0)),
             1e-12,
         )
-        # The feasibility repair is invisible to the gradient, so scan a small
-        # deterministic pattern: full step and per-block steps, both signs,
-        # over a geometric step ladder, and keep the best improving trial.
+        # The repair is invisible to the gradient, so scan the full step and each block
+        # over 18 halvings (72 trials) and keep the best improving one.  Ascent sign only:
+        # a step against the gradient loses to first order and never won on a tested tree.
         blocks = ((1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
         best_trial = None
         best_trial_value = current + 1e-15 * obj_scale
         for w_logits, w_m, w_alpha in blocks:
-            for sign in (1.0, -1.0):
-                s = sign * step
-                for _ in range(18):
-                    trial = (
-                        params[0] + s / norm * w_logits * g_logits,
-                        params[1] + s / norm * w_m * g_m,
-                        params[2] + s / norm * w_alpha * g_alpha,
-                    )
-                    cert = prob.build(trial)
-                    value = dual_objective(tree, cert, market, prob.H)
-                    if value > best_trial_value:
-                        best_trial, best_trial_value, best_step = (trial, cert), value, abs(s)
-                    s *= 0.5
+            s = step
+            for _ in range(18):
+                trial = (
+                    params[0] + s / norm * w_logits * g_logits,
+                    params[1] + s / norm * w_m * g_m,
+                    params[2] + s / norm * w_alpha * g_alpha,
+                )
+                cert = prob.build(trial)
+                value = dual_objective(tree, cert, market, prob.H)
+                if value > best_trial_value:
+                    best_trial, best_trial_value, best_step = (trial, cert), value, s
+                s *= 0.5
         if best_trial is None:
             converged = True
             break

@@ -191,6 +191,8 @@ class ScenarioTree:
         resilience falls back to the per-time-index defaults (deterministic
         curves broadcast onto the tree).
         """
+        if not all(isinstance(rec, dict) for rec in nodes):
+            raise ValueError("every node record must be a JSON object")
         if any(int(rec.get("id", i)) != i for i, rec in enumerate(nodes)):
             raise ValueError("node records must be listed in id order starting at 0")
         parent = np.array([int(rec["parent"]) for rec in nodes], dtype=int)

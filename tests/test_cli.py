@@ -80,6 +80,45 @@ class TestWealth:
         assert report["liquidates"] is True
         assert report["consistency_gap"] <= 1e-12
 
+    @pytest.mark.parametrize("field", ["grid", "delta", "r", "iota", "zeta0", "x0", "xi0"])
+    def test_non_finite_market_exits_one(self, tmp_path, capsys, field):
+        spec = {"grid": [0.0, 1.0], "delta": 10.0, "r": LN2, "iota": 0.0, "zeta0": 0.0, "x0": 0.0, "xi0": 0.0}
+        spec[field] = [0.0, float("nan")] if field == "grid" else float("nan")
+        market = write_json(tmp_path / "market.json", spec)
+        strategy = write_json(tmp_path / "s.json", {"buys": [1.0, 0.0], "sells": [0.0, 1.0]})
+        paths = tmp_path / "p.csv"
+        paths.write_text("100.0\n100.0\n", encoding="utf-8")
+        code = main(["wealth", "--market", market, "--strategy", strategy, "--paths", str(paths)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"market {field} must be finite" in captured.err
+
+    @pytest.mark.parametrize("field", ["buys", "sells", "x0"])
+    def test_non_finite_strategy_exits_one(self, tmp_path, capsys, market_file, field):
+        data = {"buys": [1.0, 0.0], "sells": [0.0, 1.0], "x0": 0.0}
+        data[field] = float("inf") if field == "x0" else [1.0, float("nan")]
+        strategy = write_json(tmp_path / "s.json", data)
+        paths = tmp_path / "p.csv"
+        paths.write_text("100.0\n100.0\n", encoding="utf-8")
+        code = main(["wealth", "--market", market_file, "--strategy", strategy, "--paths", str(paths)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert f"strategy {field} must be finite" in captured.err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_paths_exit_one(self, tmp_path, capsys, market_file, cell):
+        strategy = write_json(tmp_path / "s.json", {"buys": [1.0, 0.0], "sells": [0.0, 1.0]})
+        paths = tmp_path / "p.csv"
+        paths.write_text(f"s0,s1\n100.0,100.0\n{cell},100.0\n", encoding="utf-8")
+        for argv in (["wealth", "--strategy", strategy], ["call"]):
+            code = main([*argv, "--market", market_file, "--paths", str(paths)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "price paths must be finite" in captured.err
+
     def test_open_position_flagged(self, tmp_path, capsys, market_file):
         strategy = write_json(tmp_path / "s.json", {"buys": [1.0, 0.0], "sells": [0.0, 0.0]})
         paths = tmp_path / "p.csv"
@@ -148,6 +187,29 @@ class TestPriceAndGap:
             assert code == 1
             assert captured.out == ""
             assert "P must be finite" in captured.err
+
+    @pytest.mark.parametrize("payoff_data", [
+        {"type": "values", "values": [float("nan"), 0.0]},
+        {"type": "call", "strike": float("nan")},
+        {"type": "call", "strike": float("inf")},
+    ])
+    def test_non_finite_payoff_exits_one(self, tmp_path, capsys, binary_files, payoff_data):
+        market, tree, _ = binary_files
+        payoff = write_json(tmp_path / "nan_payoff.json", payoff_data)
+        code = main(["price", "--market", market, "--tree", tree, "--payoff", payoff])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "payoff" in captured.err and "must be finite" in captured.err
+
+    def test_node_record_that_is_not_an_object_exits_two(self, tmp_path, capsys, binary_files):
+        market, _, payoff = binary_files
+        tree = write_json(tmp_path / "int_nodes.json", {"levels": 2, "nodes": [1, 2, 3]})
+        code = main(["price", "--market", market, "--tree", tree, "--payoff", payoff])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "JSON object" in captured.err
 
     def test_node_that_is_its_own_parent_exits_two(self, tmp_path, capsys, binary_files):
         market, _, payoff = binary_files
@@ -244,6 +306,16 @@ class TestCall:
         report = json.loads(out)
         assert report["closed_form_price"] == pytest.approx(100.2, abs=1e-12)
         assert report["identity_holds"] is True
+
+    @pytest.mark.parametrize("flag, value", [("--strike", "nan"), ("--p0", "inf"), ("--p0", "abc")])
+    def test_non_finite_flag_is_a_usage_error(self, capsys, market_file, flag, value):
+        argv = ["call", "--market", market_file, "--p0", "100.0", flag, value]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "is not a finite number" in captured.err
 
     def test_with_paths(self, tmp_path, capsys, market_file):
         paths = tmp_path / "p.csv"

@@ -4,7 +4,9 @@ The reference functions below are the plain loop versions, kept as oracles.
 They read only ``tree.parent`` and the per-node data, and derive children and
 levels themselves, so they do not share the sweep primitives under test.  The
 tree wealth oracles are the node-wise ``accumulate`` versions that the
-leaf-path spread/penalty kernel replaced.
+leaf-path spread/penalty kernel replaced.  The dual-search oracles are the
+scan over both step signs and the four-pass repair that the ascent-sign scan
+and the one-bump repair replaced; certificates and values must agree exactly.
 
 Tolerances are fixed by the arithmetic: down-sweeps (sums and products along
 paths) keep the operation order of the loops and must agree exactly; where a
@@ -13,11 +15,14 @@ absolute floor of ``1e-12`` times the largest reference entry for entries that
 come out of a cancelling sum.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import transient_impact as ti
 from transient_impact.duality import node_penalty_weights
+from transient_impact.errors import InfeasibleCertificate
 from transient_impact.solver import _DualProblem, _PrimalProblem
 from transient_impact.wealth import book_value
 
@@ -343,6 +348,80 @@ def ref_shadow_band_feasibility(tree, q, lam, pin):
     return True, M, None
 
 
+def ref_restore_feasibility(tree, cert, market):
+    """Up to four bumps of the spread process, each re-checked."""
+    alpha = cert.alpha_or_default(tree, market.impact.zeta0)
+    cert = replace(cert, alpha=alpha)
+    for _ in range(4):
+        report = ti.check_feasibility(tree, cert, market)
+        if report.feasible:
+            return cert
+        gap = np.abs(tree.P - cert.M) - report.bound
+        bump = float(np.max(gap * tree.rho))
+        cert = replace(cert, alpha=cert.alpha + bump * (1.0 + 1e-12) + 1e-15)
+    raise InfeasibleCertificate("could not restore feasibility")
+
+
+def ref_default_certificate(tree, market):
+    q = ti.NodeMeasure.reference(tree)
+    M = ti.conditional_expectation(tree, q, tree.P[tree.leaves])
+    cert = ti.DualCertificate(q=q, M=M, alpha=np.full(tree.n_nodes, market.impact.zeta0))
+    return ref_restore_feasibility(tree, cert, market)
+
+
+def ref_dual_ascent(tree, market, H, init_cert, options):
+    """The pattern scan over both signs, with the starting certificate built twice."""
+    prob = _DualProblem(tree, market, H)
+
+    def build(params):
+        logits, m_terminal, alpha = params
+        q = ti.NodeMeasure(prob.measure(logits))
+        M = ti.conditional_expectation(tree, q, m_terminal)
+        return ref_restore_feasibility(tree, ti.DualCertificate(q=q, M=M, alpha=alpha.copy()), market)
+
+    best_value = ti.dual_objective(tree, init_cert, market, prob.H)
+    best_cert = init_cert
+    logits = np.where(prob.free, np.log(np.clip(init_cert.q.transitions, 1e-12, None)), 0.0)
+    m_terminal = np.asarray(init_cert.M, dtype=float)[tree.leaves].copy()
+    alpha = init_cert.alpha_or_default(tree, market.impact.zeta0).copy()
+    params = (logits, m_terminal, alpha)
+    current = ti.dual_objective(tree, build(params), market, prob.H)
+    if current > best_value:
+        best_value, best_cert = current, build(params)
+
+    obj_scale = 1.0 + abs(best_value) + float(np.max(prob.H, initial=0.0))
+    step = 1.0
+    iterations = 0
+    converged = False
+    while iterations < options.max_iter:
+        iterations += 1
+        _, grads = prob.value_and_gradients(params)
+        norm = max(max(float(np.max(np.abs(g), initial=0.0)) for g in grads), 1e-12)
+        blocks = ((1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
+        best_trial = None
+        best_trial_value = current + 1e-15 * obj_scale
+        for weights in blocks:
+            for sign in (1.0, -1.0):
+                s = sign * step
+                for _ in range(18):
+                    trial = tuple(p + s / norm * w * g for p, w, g in zip(params, weights, grads))
+                    cert = build(trial)
+                    value = ti.dual_objective(tree, cert, market, prob.H)
+                    if value > best_trial_value:
+                        best_trial, best_trial_value, best_step = (trial, cert), value, abs(s)
+                    s *= 0.5
+        if best_trial is None:
+            converged = True
+            break
+        trial, cert = best_trial
+        params = (trial[0], trial[1], np.asarray(cert.alpha, dtype=float).copy())
+        current = best_trial_value
+        if current > best_value:
+            best_value, best_cert = current, cert
+        step = min(best_step * 2.0, 1e3)
+    return best_value, best_cert, iterations, converged
+
+
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -470,3 +549,65 @@ def test_primal_leaf_values_match_tree_wealth(tree):
     vals = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :], 0.0)[0]
     tw = ti.tree_wealth(tree, prob.schedule(u), market.impact)
     assert_close(vals, H + tw.lambda_T)
+
+
+def assert_same_certificate(got, want):
+    np.testing.assert_array_equal(got.q.transitions, want.q.transitions)
+    np.testing.assert_array_equal(got.M, want.M)
+    np.testing.assert_array_equal(got.alpha, want.alpha)
+
+
+@pytest.mark.parametrize("tree", TREES)
+def test_one_bump_repair_matches_four_pass_loop(tree):
+    rng = np.random.default_rng(tree.n_nodes + 6)
+    market = market_for_tree(rng, tree)
+    q = random_measure(rng, tree)
+    repaired = 0
+    for spread in (None, market.impact.zeta0 + rng.uniform(0.0, 0.5, tree.n_nodes)):
+        for push in (0.0, 0.5, 5.0, 50.0):
+            M = tree.P + push * rng.normal(0.0, 1.0, tree.n_nodes)
+            cert = ti.DualCertificate(q=q, M=M, alpha=spread)
+            got = ti.restore_feasibility(tree, cert, market)
+            want = ref_restore_feasibility(tree, cert, market)
+            assert_same_certificate(got, want)
+            repaired += not np.array_equal(got.alpha, cert.alpha_or_default(tree, market.impact.zeta0))
+    assert repaired >= 4
+
+    broken = ti.DualCertificate(q=q, M=np.where(np.arange(tree.n_nodes) == 0, np.nan, tree.P))
+    for restore in (ti.restore_feasibility, ref_restore_feasibility):
+        with pytest.raises(InfeasibleCertificate):
+            restore(tree, broken, market)
+
+
+def dual_instances():
+    """The binary reference instance and nine seeded trees, all but one run to convergence.
+
+    Depth is made constant on each tree, so the liquidity curve decays along
+    every edge (positive resilience), as the model requires.
+    """
+    binary = ti.ScenarioTree([0.0, 1.0], [-1, 0, 0], [1.0, 0.5, 0.5], [100.0, 110.0, 90.0], np.full(3, 10.0), np.zeros(3))
+    binary_market = ti.MarketSpec.build([0.0, 1.0], 10.0, 0.0)
+    out = [pytest.param(binary, binary_market, np.array([10.0, 0.0]), ti.SolverOptions(), id="binary")]
+    for k in (0, 3, 5, 6, 9, 12, 15, 18, 21):
+        tree = TREES[k]
+        tree = ti.ScenarioTree(tree.times, tree.parent, tree.p_transition, tree.P,
+                               np.full(tree.n_nodes, tree.delta[0]), tree.r)
+        rng = np.random.default_rng(tree.n_nodes + 7)
+        options = ti.SolverOptions(max_iter=20) if k == 5 else ti.SolverOptions()
+        H = np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
+        out.append(pytest.param(tree, market_for_tree(rng, tree), H, options, id=f"tree{k}"))
+    return out
+
+
+@pytest.mark.parametrize("tree, market, H, options", dual_instances())
+def test_ascent_sign_scan_matches_two_sign_scan(tree, market, H, options):
+    init = ti.default_certificate(tree, market)
+    ref_init = ref_default_certificate(tree, market)
+    assert_same_certificate(init, ref_init)
+
+    got = ti.dual_ascent(tree, market, H, init, options)
+    value, cert, iterations, converged = ref_dual_ascent(tree, market, H, ref_init, options)
+    assert got.dual_value == value
+    assert got.iterations == iterations
+    assert got.dual_converged == converged == (options.max_iter > 20)
+    assert_same_certificate(got.certificate, cert)
