@@ -19,7 +19,7 @@ import numpy as np
 from .duality import DualCertificate, constraint_bound
 from .errors import NotApplicable, TerminalNotZero
 from .market import MarketSpec, as_curve
-from .strategy import TradeSchedule, normalize
+from .strategy import TradeSchedule, check_terminal_zero, normalize
 from .tree import NodeMeasure, ScenarioTree, is_martingale
 from .wealth import terminal_cash_direct, tree_wealth
 
@@ -280,16 +280,19 @@ def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | 
 
 @dataclass(frozen=True)
 class ShadowVerdict:
-    """Result of the verification: "optimal" or "inconclusive", with diagnostics."""
+    """Result of the verification: "optimal" or "inconclusive", with diagnostics.
+
+    The three violations are ``None`` when no band martingale was given or found.
+    """
 
     verdict: str
     reasons: tuple[str, ...]
     q_hat: NodeMeasure
     lambda_hat: np.ndarray
     M_hat: np.ndarray | None
-    martingale_defect: float
-    band_violation: float
-    flat_off_violation: float
+    martingale_defect: float | None
+    band_violation: float | None
+    flat_off_violation: float | None
     expected_utility: float
 
 
@@ -305,12 +308,10 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
     schedules; anything else is inconclusive.
     """
     schedule = normalize(inp.schedule)
-    utility = inp.utility
-    imp = market.impact
-    tw = tree_wealth(tree, schedule, imp)
-    terminal_pos = tw.position[tree.leaves]
-    if np.max(np.abs(terminal_pos)) > 1e-9 * (1.0 + abs(schedule.x0) + float(np.sum(schedule.gross()))):
+    if not np.all(check_terminal_zero(schedule, tree)):
         raise TerminalNotZero("candidate schedule must liquidate on every scenario")
+    utility = inp.utility
+    tw = tree_wealth(tree, schedule, market.impact)
     if not utility.in_domain(tw.xi_T):
         raise ValueError("terminal cash leaves the utility's domain")
 
@@ -349,7 +350,7 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
     else:
         M_hat = as_curve(M_hat, tree.n_nodes, "M_hat")
 
-    defect = band_violation = flat_violation = np.inf
+    defect = band_violation = flat_violation = None
     if M_hat is not None:
         _, defect = is_martingale(tree, q_hat, M_hat)
         if defect > tol:
@@ -372,8 +373,8 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
         q_hat=q_hat,
         lambda_hat=lam_hat,
         M_hat=M_hat,
-        martingale_defect=float(defect),
-        band_violation=float(band_violation),
-        flat_off_violation=float(flat_violation),
+        martingale_defect=defect,
+        band_violation=band_violation,
+        flat_off_violation=flat_violation,
         expected_utility=expected_utility,
     )

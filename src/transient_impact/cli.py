@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 One subcommand per operation family; every command reads JSON/CSV inputs,
-writes a JSON report (or per-node CSV series with ``--format csv``) and maps
-failures to exit codes: 2 when an input is unreadable or breaks its schema
-(a malformed tree structure, transitions that do not sum to one, a NaN or
-infinite flag value), 1 when any readable input file (market, tree, payoff,
-strategy, certificate, price paths) holds NaN/inf or the operation fails in
-its domain, 3 when a solver stops before its tolerance.  Identical inputs
+writes a JSON report (``dual-eval``, ``tilt`` and ``shadow-check`` write
+per-node CSV series instead with ``--format csv``) and maps failures to exit
+codes: 2 when an input is unreadable or breaks its schema (a malformed tree
+structure, transitions that do not sum to one, a NaN, infinite or unknown flag
+value), 1 when any readable input file (market, tree, payoff, strategy,
+certificate, price paths) holds NaN/inf or the operation fails in its domain
+(including a liquidity curve that rises along a tree edge in ``gap`` and
+``dual-search``), 3 when a solver stops before its tolerance.  Identical inputs
 produce byte-identical output.
 """
 
@@ -37,7 +39,7 @@ def _with_units(payload: dict, units: dict) -> dict:
 
 def _emit(args, payload, tree=None, series=None) -> None:
     buf = io.StringIO()
-    if args.format == "csv" and series is not None:
+    if series is not None and args.format == "csv":
         formats.write_node_series_csv(tree, series, buf)
     else:
         formats.dump_json(payload, buf)
@@ -55,14 +57,26 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _finite_list(text: str) -> tuple[float, ...]:
+    """Comma-separated flag values, each parsed by :func:`_finite_float`."""
+    return tuple(_finite_float(v) for v in text.split(","))
+
+
+def _smoothing_levels(text: str) -> tuple[float, ...]:
+    levels = _finite_list(text)
+    if min(levels) <= 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r}: smoothing levels must be > 0")
+    return levels
+
+
 def _options(args) -> SolverOptions:
     kwargs = {}
     if getattr(args, "tol", None) is not None:
         kwargs["tol"] = args.tol
-    if getattr(args, "max_iter", None) is not None:
+    if args.max_iter is not None:
         kwargs["max_iter"] = args.max_iter
-    if getattr(args, "smoothing", None):
-        kwargs["smoothing_levels"] = tuple(float(v) for v in args.smoothing.split(","))
+    if getattr(args, "smoothing", None) is not None:
+        kwargs["smoothing_levels"] = args.smoothing
     return SolverOptions(**kwargs)
 
 
@@ -88,38 +102,27 @@ def cmd_wealth(args) -> int:
     schedule = formats.load_schedule(args.strategy, x0_default=market.impact.x0)
     if args.paths:
         paths = formats.load_price_paths(args.paths)
-        liquidates = strategy.check_terminal_zero(schedule)
+        direct = wealth.terminal_cash_direct(schedule, market, paths)
         breakdown = wealth.lambda_functional(schedule, market, paths)
-        payload = {
-            "terminal_cash_direct": wealth.terminal_cash_direct(schedule, market, paths),
-            "breakdown": breakdown,
-            "liquidates": liquidates,
-            "terminal_position": float(strategy.position_path(schedule)[-1]),
-        }
-        if liquidates:
-            payload["consistency_gap"] = wealth.consistency_check(schedule, market, paths)
+        liquidates = strategy.check_terminal_zero(schedule)
+        terminal_position = float(strategy.position_path(schedule)[-1])
     elif args.tree:
         tr = formats.load_tree(args.tree, market)
-        tw = wealth.tree_wealth(tr, schedule, market.impact)
         direct = wealth.tree_terminal_cash_direct(tr, schedule, market.impact)
-        flags = strategy.check_terminal_zero(schedule, tr)
-        liquidates = bool(np.all(flags))
-        payload = {
-            "terminal_cash_direct": direct,
-            "breakdown": {
-                "xi_T": tw.xi_T,
-                "lambda_T": tw.lambda_T,
-                "v0": tw.v0,
-                "p_integral": tw.p_integral,
-                "eta_penalty": tw.eta_penalty,
-            },
-            "liquidates": liquidates,
-            "terminal_position": tw.position[tr.leaves],
-        }
-        if liquidates:
-            payload["consistency_gap"] = float(np.max(np.abs(direct - tw.xi_T)))
+        tw = wealth.tree_wealth(tr, schedule, market.impact)
+        breakdown = wealth.WealthBreakdown(tw.xi_T, tw.lambda_T, tw.v0, tw.p_integral, tw.eta_penalty)
+        liquidates = bool(np.all(strategy.check_terminal_zero(schedule, tr)))
+        terminal_position = tw.position[tr.leaves]
     else:
         raise FormatError("wealth command needs --paths or --tree")
+    payload = {
+        "terminal_cash_direct": direct,
+        "breakdown": breakdown,
+        "liquidates": liquidates,
+        "terminal_position": terminal_position,
+    }
+    if liquidates:
+        payload["consistency_gap"] = float(np.max(np.abs(direct - breakdown.xi_T)))
     _with_units(payload, {
         "terminal_cash_direct": "currency", "breakdown": "currency",
         "terminal_position": "shares", "consistency_gap": "currency",
@@ -248,7 +251,7 @@ def cmd_call(args) -> int:
 def cmd_tilt(args) -> int:
     market = formats.load_market(args.market) if args.market else None
     tr = formats.load_tree(args.tree, market)
-    g = np.zeros(tr.n_levels) if args.g is None else np.asarray([float(v) for v in args.g.split(",")])
+    g = np.zeros(tr.n_levels) if args.g is None else np.asarray(args.g)
     result = tree_mod.tilt_to_martingale(tr, g, eps=args.eps)
     payload = _with_units(
         {
@@ -334,11 +337,13 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument("--paths", required=True, help="price paths CSV, one column per scenario")
             elif flag == "paths-opt":
                 p.add_argument("--paths", help="price paths CSV, one column per scenario")
-            elif flag == "solver":
-                p.add_argument("--tol", type=_finite_float, help="solver tolerance")
+            elif flag == "primal":
+                p.add_argument("--tol", type=_finite_float, help="primal solver tolerance")
+                p.add_argument("--smoothing", type=_smoothing_levels, help="comma-separated smoothing schedule (each > 0) for the max over leaves")
+            elif flag == "max-iter":
                 p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget")
-                p.add_argument("--smoothing", help="comma-separated smoothing schedule for the max over leaves")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+            elif flag == "format":
+                p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: per-node series instead of the report")
         p.add_argument("--out", help="output path (default: stdout)")
         return p
 
@@ -346,17 +351,17 @@ def build_parser() -> argparse.ArgumentParser:
     w = add("wealth", cmd_wealth, "terminal cash, both computations", "market", "strategy", "paths-opt")
     w.add_argument("--tree", help="scenario tree JSON (node-indexed schedule evaluation)")
     w.add_argument("--require-liquidation", action="store_true")
-    add("price", cmd_price, "primal super-replication price", "market", "tree", "payoff", "solver")
-    add("gap", cmd_gap, "primal and dual values with their gap", "market", "tree", "payoff", "solver")
-    add("dual-eval", cmd_dual_eval, "evaluate a certificate: feasibility, bound, objective", "market", "tree", "certificate", "payoff")
-    add("dual-search", cmd_dual_search, "improve a certificate by monotone ascent", "market", "tree", "payoff", "certificate-opt", "solver")
+    add("price", cmd_price, "primal super-replication price", "market", "tree", "payoff", "primal", "max-iter")
+    add("gap", cmd_gap, "primal and dual values with their gap", "market", "tree", "payoff", "primal", "max-iter")
+    add("dual-eval", cmd_dual_eval, "evaluate a certificate: feasibility, bound, objective", "market", "tree", "certificate", "payoff", "format")
+    add("dual-search", cmd_dual_search, "improve a certificate by monotone ascent", "market", "tree", "payoff", "certificate-opt", "max-iter")
     c = add("call", cmd_call, "closed-form call price and buy-and-hold identity", "market", "paths-opt")
     c.add_argument("--strike", type=_finite_float, default=0.0)
     c.add_argument("--p0", type=_finite_float, help="initial price (used when no paths are given)")
-    t = add("tilt", cmd_tilt, "drift-removing measure tilt on a tree", "tree", "market-opt")
-    t.add_argument("--g", help="comma-separated non-increasing offset per time index (default zero)")
+    t = add("tilt", cmd_tilt, "drift-removing measure tilt on a tree", "tree", "market-opt", "format")
+    t.add_argument("--g", type=_finite_list, help="comma-separated non-increasing offset per time index (default zero)")
     t.add_argument("--eps", type=_finite_float, default=1e-3, help="tail threshold to report")
-    s = add("shadow-check", cmd_shadow_check, "verify utility optimality via a shadow price", "market", "tree", "strategy", "certificate-opt")
+    s = add("shadow-check", cmd_shadow_check, "verify utility optimality via a shadow price", "market", "tree", "strategy", "certificate-opt", "format")
     s.add_argument("--utility", required=True, choices=("exp", "exponential", "power", "log"))
     s.add_argument("--utility-param", type=_finite_float, dest="utility_param")
     return parser

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import InfeasibleCertificate, SuperReplicationViolated, TerminalNotZero
 from .market import MarketSpec, as_curve
-from .strategy import TradeSchedule
+from .strategy import TradeSchedule, check_terminal_zero
 from .tree import NodeMeasure, ScenarioTree, is_martingale
 from .wealth import tree_wealth
 
@@ -42,6 +42,14 @@ class DualCertificate:
         if self.alpha is None:
             return np.full(tree.n_nodes, float(zeta0))
         return as_curve(self.alpha, tree.n_nodes, "alpha")
+
+
+def leaf_payoff(tree: ScenarioTree, H) -> np.ndarray:
+    """The payoff as one non-negative value per leaf, in leaf-id order."""
+    H = as_curve(H, tree.leaves.size, "H")
+    if np.any(H < 0.0):
+        raise ValueError("payoff must be non-negative")
+    return H
 
 
 def node_penalty_weights(tree: ScenarioTree, reach) -> np.ndarray:
@@ -117,9 +125,7 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
 
 def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec, H) -> float:
     """Penalized expectation: payoff mean minus spread penalty and position value."""
-    H = as_curve(H, tree.leaves.size, "H")
-    if np.any(H < 0.0):
-        raise ValueError("payoff must be non-negative")
+    H = leaf_payoff(tree, H)
     imp = market.impact
     reach = tree.reach_probabilities(cert.q)
     expected_payoff = float(np.dot(reach[tree.leaves], H))
@@ -163,15 +169,14 @@ def weak_duality_check(
     ``xi0`` and the certificate to be feasible with a true martingale; returns
     the margin (never materially negative) and its slack decomposition.
     """
-    H = as_curve(H, tree.leaves.size, "H")
+    H = leaf_payoff(tree, H)
+    if not np.all(check_terminal_zero(schedule, tree)):
+        raise TerminalNotZero("schedule does not liquidate on every scenario")
     imp = replace(market.impact, xi0=float(xi0))
     tw = tree_wealth(tree, schedule, imp)
 
     scale = 1.0 + abs(xi0) + float(np.max(np.abs(H)) + np.max(np.abs(tree.P)))
     tol = WEAK_DUALITY_RTOL * scale
-    terminal = tw.position[tree.leaves]
-    if np.max(np.abs(terminal)) > 1e-9 * (1.0 + abs(schedule.x0) + float(np.sum(schedule.gross()))):
-        raise TerminalNotZero("schedule does not liquidate on every scenario")
     shortfall = float(np.min(tw.xi_T - H))
     if shortfall < -tol:
         raise SuperReplicationViolated(f"terminal cash falls {-shortfall:.3e} short of the payoff")

@@ -11,7 +11,7 @@ import numpy as np
 
 from .duality import DualCertificate
 from .errors import NonFiniteInput
-from .market import MarketSpec
+from .market import MarketSpec, finite
 from .strategy import TradeSchedule
 from .tree import NodeMeasure, ScenarioTree
 
@@ -31,22 +31,10 @@ def _read_json(path) -> dict:
     return data
 
 
-def _finite(values, what: str):
-    """``values`` itself when every entry is finite; otherwise :class:`NonFiniteInput`.
-
-    The extremes carry any NaN and show any infinity, and unlike an
-    elementwise test they need no temporary as large as the input.
-    """
-    if not (np.isfinite(np.min(values, initial=0.0)) and np.isfinite(np.max(values, initial=0.0))):
-        raise NonFiniteInput(f"{what} must be finite")
-    return values
-
-
 def market_from_dict(data: dict) -> MarketSpec:
     try:
-        curves = [_finite(np.asarray(data[k], dtype=float), f"market {k}") for k in ("grid", "delta", "r")]
-        scalars = {k: _finite(float(data.get(k, 0.0)), f"market {k}") for k in ("iota", "zeta0", "x0", "xi0")}
-        return MarketSpec.build(*curves, **scalars)
+        scalars = {k: float(data.get(k, 0.0)) for k in ("iota", "zeta0", "x0", "xi0")}
+        return MarketSpec.build(data["grid"], data["delta"], data["r"], **scalars)
     except NonFiniteInput:
         raise  # readable, but outside the model's domain
     except (KeyError, TypeError, ValueError) as exc:
@@ -86,11 +74,7 @@ def load_tree(path, market: MarketSpec | None = None) -> ScenarioTree:
 def load_schedule(path, x0_default: float = 0.0) -> TradeSchedule:
     data = _read_json(path)
     try:
-        return TradeSchedule(
-            _finite(np.asarray(data["buys"], dtype=float), "strategy buys"),
-            _finite(np.asarray(data["sells"], dtype=float), "strategy sells"),
-            _finite(float(data.get("x0", x0_default)), "strategy x0"),
-        )
+        return TradeSchedule(data["buys"], data["sells"], data.get("x0", x0_default))
     except NonFiniteInput:
         raise  # readable, but outside the model's domain
     except (KeyError, TypeError, ValueError) as exc:
@@ -101,11 +85,11 @@ def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
     data = _read_json(path)
     try:
         q = NodeMeasure.for_tree(tree, np.asarray(data["q_transitions"], dtype=float))
-        M = _finite(np.asarray(data["M"], dtype=float), "certificate M")
+        M = finite(np.asarray(data["M"], dtype=float), "certificate M")
         if M.shape != (tree.n_nodes,):
             raise FormatError(f"certificate M must list {tree.n_nodes} node values")
         alpha = data.get("alpha")
-        alpha = None if alpha is None else _finite(np.asarray(alpha, dtype=float), "certificate alpha")
+        alpha = None if alpha is None else finite(np.asarray(alpha, dtype=float), "certificate alpha")
         return DualCertificate(q=q, M=M, alpha=alpha)
     except NonFiniteInput:
         raise  # readable, but outside the model's domain
@@ -122,13 +106,13 @@ def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
     kind = data.get("type", "values")
     try:
         if kind == "call":
-            strike = _finite(float(data["strike"]), "payoff strike")
+            strike = finite(float(data["strike"]), "payoff strike")
             return np.maximum(tree.P[tree.leaves] - strike, 0.0)
         if kind == "values":
             values = np.asarray(data["values"], dtype=float)
             if values.shape != (tree.leaves.size,):
                 raise FormatError(f"payoff must list {tree.leaves.size} leaf values")
-            return _finite(values, "payoff values")
+            return finite(values, "payoff values")
     except NonFiniteInput:
         raise  # readable, but outside the model's domain
     except (KeyError, TypeError, ValueError) as exc:
@@ -156,7 +140,7 @@ def load_price_paths(path) -> np.ndarray:
         raise FormatError(f"{path}: need a rectangular numeric table")
     table = np.asarray(rows, dtype=float)
     del rows  # checked only once the row list is gone, and before the transpose, in memory order
-    return _finite(table, f"{path}: price paths").T
+    return finite(table, f"{path}: price paths").T
 
 
 def jsonify(obj):

@@ -16,14 +16,29 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MonotonicityViolation
+from .errors import MonotonicityViolation, NonFiniteInput
 
 # Relative strictness guard for the decay of the liquidity curve.
 EPS_MONO = 1e-12
 
 
+def finite(values, what: str):
+    """``values`` itself when every entry is finite; otherwise :class:`NonFiniteInput`.
+
+    The extremes carry any NaN and show any infinity, and unlike an
+    elementwise test they need no temporary as large as the input.
+    """
+    if not (np.isfinite(np.min(values, initial=0.0)) and np.isfinite(np.max(values, initial=0.0))):
+        raise NonFiniteInput(f"{what} must be finite")
+    return values
+
+
 def as_curve(values, n_points: int, name: str = "curve") -> np.ndarray:
-    """Coerce a scalar or sequence to a length-``n_points`` float array."""
+    """Coerce a scalar or sequence to a length-``n_points`` float array.
+
+    Finiteness is left to the model types: checked here, it would scan every
+    dual trial and turn a NaN martingale's ``InfeasibleCertificate`` into ``NonFiniteInput``.
+    """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:
         arr = np.full(n_points, float(arr))
@@ -39,7 +54,7 @@ class TimeGrid:
     times: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = finite(np.asarray(self.times, dtype=float), "market grid")
         if t.ndim != 1 or t.size < 2:
             raise ValueError("time grid needs at least two points")
         if t[0] != 0.0:
@@ -68,8 +83,8 @@ class LiquiditySpec:
     r: np.ndarray
 
     def __post_init__(self):
-        delta = np.atleast_1d(np.asarray(self.delta, dtype=float))
-        r = np.atleast_1d(np.asarray(self.r, dtype=float))
+        delta = finite(np.atleast_1d(np.asarray(self.delta, dtype=float)), "market delta")
+        r = finite(np.atleast_1d(np.asarray(self.r, dtype=float)), "market r")
         if delta.shape != r.shape:
             raise ValueError("depth and resilience curves must have the same length")
         object.__setattr__(self, "delta", delta)
@@ -86,6 +101,8 @@ class ImpactParams:
     xi0: float = 0.0
 
     def __post_init__(self):
+        for name in ("iota", "zeta0", "x0", "xi0"):
+            finite(getattr(self, name), f"market {name}")
         if self.iota < 0.0:
             raise ValueError("permanent impact coefficient must be >= 0")
         if self.zeta0 < 0.0:
@@ -171,15 +188,20 @@ def build_mu(kappa: np.ndarray, require_strict: bool = True) -> MuWeights:
     evaluate the algebraic cash identity may disable the check.
     """
     kappa = np.asarray(kappa, dtype=float)
-    interior = kappa[:-1] - kappa[1:]
-    if require_strict and np.any(interior <= EPS_MONO * np.abs(kappa[:-1])):
+    if require_strict and decay_margin(kappa[:-1], kappa[1:]) <= EPS_MONO:
         raise MonotonicityViolation("liquidity curve must be strictly decreasing")
-    return MuWeights(interior=interior, atom=float(kappa[-1]))
+    return MuWeights(interior=kappa[:-1] - kappa[1:], atom=float(kappa[-1]))
 
 
 # ---------------------------------------------------------------------------
 # Assumption checks
 # ---------------------------------------------------------------------------
+
+
+def decay_margin(kappa_from, kappa_to) -> float:
+    """Smallest relative drop of the liquidity curve per interval: < 0 if it rises, 0 if flat, inf if none."""
+    drops = (kappa_from - kappa_to) / kappa_from
+    return float(drops.min()) if drops.size else np.inf
 
 
 @dataclass(frozen=True)
@@ -221,8 +243,7 @@ def validate_assumptions(grid: TimeGrid, liquidity: LiquiditySpec) -> Validation
         ratio_min = float(ratio.min())
         ratio_max = float(ratio.max())
         kappa = build_kappa(grid, delta, rho)
-        drops = (kappa[:-1] - kappa[1:]) / kappa[:-1]
-        margin = float(drops.min())
+        margin = decay_margin(kappa[:-1], kappa[1:])
         if margin <= EPS_MONO:
             failures.append(
                 "liquidity curve is not strictly decreasing "

@@ -19,14 +19,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .duality import (
+    WEAK_DUALITY_RTOL,
     DualCertificate,
     check_feasibility,
     dual_objective,
+    leaf_payoff,
     node_penalty_weights,
     restore_feasibility,
 )
-from .errors import InfeasibleInit, InstanceTooLarge, WeakDualityViolated
-from .market import MarketSpec, as_curve
+from .errors import InfeasibleInit, InstanceTooLarge, MonotonicityViolation, WeakDualityViolated
+from .market import MarketSpec
 from .strategy import TradeSchedule, normalize
 from .tree import NodeMeasure, ScenarioTree, conditional_expectation
 from .wealth import book_value, leaf_path_rows, spread_penalty, tree_wealth
@@ -68,9 +70,7 @@ class _PrimalProblem:
     def __init__(self, tree: ScenarioTree, market: MarketSpec, H):
         self.tree = tree
         self.impact = market.impact
-        self.H = as_curve(H, tree.leaves.size, "H")
-        if np.any(self.H < 0.0):
-            raise ValueError("payoff must be non-negative")
+        self.H = leaf_payoff(tree, H)
 
         self.decision = np.flatnonzero(~tree.is_leaf)
         self.n_dec = self.decision.size
@@ -226,9 +226,7 @@ def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) ->
     if float(np.sum(grid.size ** depth.astype(float))) > 5e7:
         raise InstanceTooLarge("lattice enumeration would be too large")
 
-    H = as_curve(H, tree.leaves.size, "H")
-    if np.any(H < 0.0):
-        raise ValueError("payoff must be non-negative")
+    H = leaf_payoff(tree, H)
     H_by_node = np.zeros(tree.n_nodes)
     H_by_node[tree.leaves] = H
     imp = market.impact
@@ -276,7 +274,7 @@ class _DualProblem:
     def __init__(self, tree: ScenarioTree, market: MarketSpec, H):
         self.tree = tree
         self.market = market
-        self.H = as_curve(H, tree.leaves.size, "H")
+        self.H = leaf_payoff(tree, H)
         self.free = tree.p_transition > 0.0
         self.free[0] = False
 
@@ -340,8 +338,12 @@ def dual_ascent(
     spread process); each trial step along the gradient is repaired by raising
     the spread process and accepted only if the repaired certificate improves
     the objective.  The returned certificate is exactly feasible and never
-    worse than the initial one.
+    worse than the initial one.  A liquidity curve that rises along an edge
+    gives the penalty a negative weight and the objective no bound, so it is refused.
     """
+    _, margin = tree.validate_assumptions_pathwise()
+    if margin < 0.0:
+        raise MonotonicityViolation(f"liquidity curve rises along an edge (min relative drop {margin:.3e})")
     opts = options or SolverOptions()
     report = check_feasibility(tree, init_cert, market)
     if not report.feasible:
@@ -422,7 +424,7 @@ def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions
     dual = dual_ascent(tree, market, H, default_certificate(tree, market), opts)
     gap = float(primal.primal_value - dual.dual_value)
     scale = 1.0 + abs(primal.primal_value) + abs(dual.dual_value)
-    if gap < -1e-9 * scale:
+    if gap < -WEAK_DUALITY_RTOL * scale:
         raise WeakDualityViolated(f"weak duality violated: gap {gap:.3e}")
     return replace(
         primal,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch
+from .market import finite
 
 TERMINAL_ZERO_RTOL = 1e-12
 
@@ -27,15 +28,15 @@ class TradeSchedule:
     x0: float = 0.0
 
     def __post_init__(self):
-        buys = np.asarray(self.buys, dtype=float)
-        sells = np.asarray(self.sells, dtype=float)
+        buys = finite(np.asarray(self.buys, dtype=float), "strategy buys")
+        sells = finite(np.asarray(self.sells, dtype=float), "strategy sells")
         if buys.shape != sells.shape or buys.ndim != 1:
             raise ValueError("buys and sells must be 1-d arrays of equal length")
         if np.any(buys < 0.0) or np.any(sells < 0.0):
             raise ValueError("buy and sell quantities must be >= 0")
         object.__setattr__(self, "buys", buys)
         object.__setattr__(self, "sells", sells)
-        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "x0", finite(float(self.x0), "strategy x0"))
 
     @property
     def n_slots(self) -> int:
@@ -103,13 +104,8 @@ def convex_combine(s0: TradeSchedule, s1: TradeSchedule, w: float) -> TradeSched
 
 
 def check_terminal_zero(schedule: TradeSchedule, tree=None):
-    """True when the terminal position vanishes (per scenario on a tree)."""
-    pos = position_path(schedule, tree)
-    if tree is None:
-        terminal = pos[-1]
-        tv = float(np.sum(schedule.gross()))
-    else:
-        terminal = pos[tree.leaves]
-        tv = total_variation(schedule, tree)
-    tol = TERMINAL_ZERO_RTOL * (1.0 + abs(schedule.x0) + tv)
-    return np.abs(terminal) <= tol if tree is not None else bool(abs(terminal) <= tol)
+    """True when the terminal position vanishes (per scenario on a tree); every liquidation check uses it."""
+    terminal = position_path(schedule, tree)[-1 if tree is None else tree.leaves]
+    tol = TERMINAL_ZERO_RTOL * (1.0 + abs(schedule.x0) + total_variation(schedule, tree))
+    flags = np.abs(terminal) <= tol
+    return bool(flags) if tree is None else flags

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSignChange, NonFiniteInput
-from .market import TimeGrid, as_curve
+from .errors import NoSignChange
+from .market import EPS_MONO, TimeGrid, as_curve, decay_margin, finite
 
 MARTINGALE_RTOL = 1e-10
 SIMPLEX_ATOL = 1e-9
@@ -45,14 +45,10 @@ class ScenarioTree:
         self.grid = TimeGrid(np.asarray(times, dtype=float))
         self.parent = np.asarray(parent, dtype=int)
         n = self.parent.size
-        self.p_transition = as_curve(p_transition, n, "p_transition")
-        self.P = as_curve(P, n, "P")
-        self.delta = as_curve(delta, n, "delta")
-        self.r = as_curve(r, n, "r")
-
-        for name in ("p_transition", "P", "delta", "r"):
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise NonFiniteInput(f"{name} must be finite at every node")
+        self.p_transition = finite(as_curve(p_transition, n, "p_transition"), "p_transition")
+        self.P = finite(as_curve(P, n, "P"), "P")
+        self.delta = finite(as_curve(delta, n, "delta"), "delta")
+        self.r = finite(as_curve(r, n, "r"), "r")
         self.t_index = _depths(self.parent)
         if np.any(self.delta <= 0.0):
             raise ValueError("market depth must be > 0 at every node")
@@ -163,9 +159,8 @@ class ScenarioTree:
 
     def validate_assumptions_pathwise(self) -> tuple[bool, float]:
         """Edge-wise check that the liquidity curve strictly decreases on every path."""
-        drops = self.edge_weight[1:] / self.kappa[self.parent[1:]]
-        margin = float(drops.min()) if drops.size else np.inf
-        return margin > 1e-12, margin
+        margin = decay_margin(self.kappa[self.parent[1:]], self.kappa[1:])
+        return margin > EPS_MONO, margin
 
     # -- constructors --------------------------------------------------------
 
@@ -245,9 +240,7 @@ class NodeMeasure:
 
     @classmethod
     def for_tree(cls, tree: ScenarioTree, transitions) -> "NodeMeasure":
-        q = as_curve(transitions, tree.n_nodes, "transitions")
-        if not np.all(np.isfinite(q)):
-            raise NonFiniteInput("measure transitions must be finite")
+        q = finite(as_curve(transitions, tree.n_nodes, "transitions"), "measure transitions")
         if np.any(q < 0.0):
             raise ValueError("measure transitions must be >= 0")
         if np.any((tree.p_transition == 0.0) & (q > 0.0)):

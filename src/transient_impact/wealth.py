@@ -48,7 +48,7 @@ class WealthBreakdown:
     lambda_T: np.ndarray | float
     v0: float
     p_integral: np.ndarray | float
-    eta_penalty: float
+    eta_penalty: np.ndarray | float
 
 
 def _prices(P, n_points: int) -> np.ndarray:

@@ -1,9 +1,10 @@
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from transient_impact.cli import main
+from transient_impact.cli import build_parser, main
 
 LN2 = float(np.log(2.0))
 
@@ -404,3 +405,133 @@ class TestWealthOnTree:
         assert report["terminal_cash_direct"][0] == pytest.approx(110.0 - 100.05 - 0.15)
         assert report["terminal_cash_direct"][1] == pytest.approx(90.0 - 100.05 - 0.15)
         assert report["consistency_gap"] <= 1e-12
+
+
+def reject_constant(name):
+    raise AssertionError(f"report holds {name}, which is not valid JSON")
+
+
+def binary_tree_files(tmp_path, market, leaf_delta=None):
+    """Two-period binary tree on ``grid [0, 1, 2]``; ``leaf_delta`` overrides the leaves' depth."""
+    prices = [100.0, 110.0, 90.0, 120.0, 100.0, 100.0, 80.0]
+    nodes = [{"id": i, "parent": (i - 1) // 2, "p_transition": 0.5, "P": p} for i, p in enumerate(prices)]
+    nodes[0].update(parent=-1, p_transition=1.0)
+    if leaf_delta is not None:
+        for node in nodes[3:]:
+            node["delta"] = leaf_delta
+    return (
+        write_json(tmp_path / "m.json", market),
+        write_json(tmp_path / "t.json", {"levels": 3, "nodes": nodes}),
+        write_json(tmp_path / "h.json", {"type": "call", "strike": 100.0}),
+    )
+
+
+class TestOptions:
+    def test_every_subcommand_takes_only_the_options_its_handler_reads(self):
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: {opt for action in p._actions for opt in action.option_strings if opt not in ("-h", "--help")}
+            for name, p in sub.choices.items()
+        }
+        primal = {"--tol", "--smoothing", "--max-iter"}
+        assert options == {
+            "validate": {"--market", "--out"},
+            "wealth": {"--market", "--strategy", "--paths", "--tree", "--require-liquidation", "--out"},
+            "price": {"--market", "--tree", "--payoff", *primal, "--out"},
+            "gap": {"--market", "--tree", "--payoff", *primal, "--out"},
+            "dual-eval": {"--market", "--tree", "--certificate", "--payoff", "--format", "--out"},
+            "dual-search": {"--market", "--tree", "--payoff", "--certificate", "--max-iter", "--out"},
+            "call": {"--market", "--paths", "--strike", "--p0", "--out"},
+            "tilt": {"--tree", "--market", "--g", "--eps", "--format", "--out"},
+            "shadow-check": {"--market", "--tree", "--strategy", "--certificate", "--utility", "--utility-param",
+                             "--format", "--out"},
+        }
+
+    @pytest.mark.parametrize("command, extra", [
+        ("price", ["--format", "csv"]),
+        ("dual-search", ["--tol", "1e-3"]),
+        ("dual-search", ["--smoothing", "0.1"]),
+        ("price", ["--smoothing", "nan"]),
+        ("price", ["--smoothing", "abc"]),
+        ("price", ["--smoothing", "0.1,0"]),
+        ("gap", ["--smoothing", "0.1,-1"]),
+        ("gap", ["--smoothing", "inf,0.1"]),
+    ])
+    def test_unknown_or_bad_flag_is_a_usage_error(self, capsys, binary_files, command, extra):
+        market, tree, payoff = binary_files
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--market", market, "--tree", tree, "--payoff", payoff, *extra])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("g", ["nan,0", "1,abc", "inf"])
+    def test_bad_tilt_offset_is_a_usage_error(self, capsys, binary_files, g):
+        market, tree, _ = binary_files
+        with pytest.raises(SystemExit) as exit_info:
+            main(["tilt", "--tree", tree, "--market", market, "--g", g])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_smoothing_levels_reach_the_solver(self, capsys, binary_files):
+        market, tree, payoff = binary_files
+        code, out = run(capsys, "price", "--market", market, "--tree", tree, "--payoff", payoff,
+                        "--smoothing", "0.1,1e-7")
+        assert code == 0
+        assert json.loads(out)["primal_value"] == pytest.approx(5.05, abs=1e-4)
+
+
+class TestModelRules:
+    def test_rising_liquidity_curve_refused_by_the_dual_commands(self, tmp_path, capsys):
+        # depth 10 -> 40 at the last step with r = 0: the liquidity curve rises
+        files = binary_tree_files(tmp_path, {"grid": [0.0, 1.0, 2.0], "delta": 10.0, "r": 0.0}, leaf_delta=40.0)
+        market, tree, payoff = files
+        for command in ("dual-search", "gap"):
+            code = main([command, "--market", market, "--tree", tree, "--payoff", payoff, "--max-iter", "50"])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert "liquidity curve rises" in captured.err
+        code, out = run(capsys, "price", "--market", market, "--tree", tree, "--payoff", payoff)
+        assert code == 0
+        assert json.loads(out)["primal_value"] == pytest.approx(5.1068, abs=1e-3)
+
+    def test_nearly_liquidating_schedule_refused_everywhere(self, tmp_path, capsys):
+        # 1e-10 shares stay open on one leaf
+        market = write_json(tmp_path / "m.json",
+                            {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.0, "zeta0": 0.3, "xi0": 5.0})
+        tree = write_json(tmp_path / "t.json", {"nodes": [
+            {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+            {"id": 1, "parent": 0, "p_transition": 0.5, "P": 100.2},
+            {"id": 2, "parent": 0, "p_transition": 0.5, "P": 99.8},
+        ]})
+        strategy = write_json(tmp_path / "s.json", {"buys": [0.5, 0.0, 0.0], "sells": [0.0, 0.5, 0.5 - 1e-10]})
+        code, _ = run(capsys, "wealth", "--market", market, "--strategy", strategy, "--tree", tree,
+                      "--require-liquidation")
+        assert code == 1
+        code = main(["shadow-check", "--market", market, "--tree", tree, "--strategy", strategy,
+                     "--utility", "exp"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "liquidate" in captured.err
+
+
+class TestShadowCheckReport:
+    def test_no_band_martingale_reports_null_violations(self, tmp_path, capsys):
+        # strong drift: no martingale fits in the band
+        market = write_json(tmp_path / "m.json",
+                            {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.0, "zeta0": 0.5, "xi0": 5.0})
+        tree = write_json(tmp_path / "t.json", {"nodes": [
+            {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+            {"id": 1, "parent": 0, "p_transition": 0.5, "P": 106.0},
+            {"id": 2, "parent": 0, "p_transition": 0.5, "P": 107.0},
+        ]})
+        strategy = write_json(tmp_path / "s.json", {"buys": [0.0, 0.0, 0.0], "sells": [0.0, 0.0, 0.0]})
+        code, out = run(capsys, "shadow-check", "--market", market, "--tree", tree, "--strategy", strategy,
+                        "--utility", "exp")
+        assert code == 0
+        report = json.loads(out, parse_constant=reject_constant)
+        assert report["verdict"] == "inconclusive"
+        for field in ("M_hat", "martingale_defect", "band_violation", "flat_off_violation"):
+            assert report[field] is None

@@ -36,6 +36,15 @@ INPUTS = {
     "call_payoff": {"type": "call", "strike": 100.0},
     "certificate": {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 110.0, 90.0], "alpha": [0.05, 0.05, 0.05]},
     "strategy": {"buys": [1.0, 0.0], "sells": [0.0, 1.5], "x0": 0.5},
+    # no martingale fits in this tree's band, so shadow-check finds none and reports null violations
+    "drift_tree": {
+        "nodes": [
+            {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+            {"id": 1, "parent": 0, "p_transition": 0.5, "P": 106.0},
+            {"id": 2, "parent": 0, "p_transition": 0.5, "P": 107.0},
+        ],
+    },
+    "node_strategy": {"buys": [0.0, 0.0, 0.0], "sells": [0.0, 0.0, 0.0], "x0": 0.0},
     "paths": [["s0", "s1"], ["100.0", "100.0"], ["99.0", "103.0"]],
 }
 
@@ -48,6 +57,9 @@ COMMANDS = {
                   "--payoff", "payoff"],
     "wealth": ["wealth", "--market", "market", "--strategy", "strategy", "--paths", "paths"],
     "call": ["call", "--market", "market", "--paths", "paths", "--strike", "100.0"],
+    "shadow-check": ["shadow-check", "--market", "market", "--tree", "drift_tree", "--strategy", "node_strategy",
+                     "--utility", "exp"],
+    "tilt": ["tilt", "--tree", "tree", "--market", "market", "--g", "0.5,0.0"],
 }
 
 BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), "abc", None, [1.0])

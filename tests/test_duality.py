@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import InfeasibleCertificate, SuperReplicationViolated
+from transient_impact.errors import InfeasibleCertificate, SuperReplicationViolated, TerminalNotZero
 
 from conftest import (
     market_for_tree,
@@ -205,3 +205,13 @@ class TestWeakDuality:
         bad = ti.DualCertificate(ti.NodeMeasure.reference(tree), np.zeros(tree.n_nodes), np.zeros(tree.n_nodes))
         with pytest.raises(InfeasibleCertificate):
             ti.weak_duality_check(tree, market, schedule, xi0, bad, H)
+
+    def test_open_position_rejected_by_the_liquidation_rule(self):
+        # 1e-10 shares stay open on one leaf, which check_terminal_zero refuses
+        tree = one_step([110.0, 90.0])
+        market = chain_market()
+        schedule = ti.TradeSchedule([0.5, 0.0, 0.0], [0.0, 0.5, 0.5 - 1e-10])
+        assert not np.all(ti.check_terminal_zero(schedule, tree))
+        cert = ti.default_certificate(tree, market)
+        with pytest.raises(TerminalNotZero):
+            ti.weak_duality_check(tree, market, schedule, 100.0, cert, np.zeros(2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import MonotonicityViolation
+from transient_impact.errors import MonotonicityViolation, NonFiniteInput
 
 from conftest import random_market
 
@@ -25,6 +25,20 @@ class TestTimeGrid:
     def test_requires_strict_increase(self):
         with pytest.raises(ValueError):
             grid(0.0, 1.0, 1.0)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("build", [
+        lambda: grid(0.0, np.nan),
+        lambda: ti.MarketSpec.build([0, 1], [np.nan, 1], 0.5),
+        lambda: ti.MarketSpec.build([0, 1], 1.0, [0.5, np.inf]),
+        lambda: ti.LiquiditySpec(np.array([1.0, np.nan]), np.zeros(2)),
+        lambda: ti.ImpactParams(iota=np.nan),
+        lambda: ti.ImpactParams(x0=np.inf),
+    ], ids=["grid", "build-delta", "build-r", "liquidity", "iota", "x0"])
+    def test_model_types_reject_non_finite_values(self, build):
+        with pytest.raises(NonFiniteInput):
+            build()
 
 
 class TestBuildRho:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import InfeasibleInit, InstanceTooLarge
+from transient_impact.errors import InfeasibleInit, InstanceTooLarge, MonotonicityViolation
 
 from conftest import market_for_tree, random_tree
 
@@ -18,6 +18,20 @@ def binary_instance():
         r=np.zeros(3),
     )
     return tree, market, np.array([10.0, 0.0])
+
+
+def rising_instance():
+    """Two-period binary tree whose depth jumps from 10 to 40 at the last step (r = 0): kappa rises."""
+    market = ti.MarketSpec.build([0.0, 1.0, 2.0], 10.0, 0.0)
+    tree = ti.ScenarioTree(
+        times=[0.0, 1.0, 2.0],
+        parent=[-1, 0, 0, 1, 1, 2, 2],
+        p_transition=[1.0] + [0.5] * 6,
+        P=[100.0, 110.0, 90.0, 120.0, 100.0, 100.0, 80.0],
+        delta=[10.0, 10.0, 10.0, 40.0, 40.0, 40.0, 40.0],
+        r=np.zeros(7),
+    )
+    return tree, market, np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
 
 
 def single_scenario(P_values, delta=10.0, r=0.5):
@@ -171,6 +185,13 @@ class TestDualAscent:
         bad = ti.DualCertificate(ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), np.zeros(3), np.zeros(3))
         with pytest.raises(InfeasibleInit):
             ti.dual_ascent(tree, market, H, bad)
+
+    def test_rising_liquidity_curve_refused(self):
+        tree, market, H = rising_instance()
+        assert tree.validate_assumptions_pathwise()[1] < 0.0
+        init = ti.default_certificate(tree, market)
+        with pytest.raises(MonotonicityViolation, match="rises"):
+            ti.dual_ascent(tree, market, H, init, ti.SolverOptions(max_iter=5))
 
     def test_deterministic(self):
         tree, market, H = binary_instance()

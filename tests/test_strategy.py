@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import GridMismatch
+from transient_impact.errors import GridMismatch, NonFiniteInput
 
 from conftest import random_schedule, random_tree, random_tree_schedule
 
@@ -19,6 +19,15 @@ class TestTradeSchedule:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             sched([1.0, 0.0], [0.0])
+
+    @pytest.mark.parametrize("buys, sells, x0", [
+        ([np.nan, 0.0], [0.0, 0.0], 0.0),
+        ([0.0, 0.0], [np.inf, 0.0], 0.0),
+        ([0.0, 0.0], [0.0, 0.0], np.nan),
+    ])
+    def test_rejects_non_finite_values(self, buys, sells, x0):
+        with pytest.raises(NonFiniteInput):
+            ti.TradeSchedule(buys, sells, x0)
 
     def test_from_net_splits_signs(self):
         s = ti.TradeSchedule.from_net([1.0, -2.0, 0.0], x0=3.0)

@@ -4,7 +4,7 @@ import pytest
 import transient_impact as ti
 from transient_impact.errors import NoSignChange
 
-from conftest import random_tree
+from conftest import random_market, random_tree
 
 
 def one_step_tree(children_P, probs=None, p0=100.0, delta=10.0, r=0.0):
@@ -72,6 +72,17 @@ class TestConstruction:
         tree = random_tree(rng, depth=2)
         ok, margin = tree.validate_assumptions_pathwise()
         assert ok and margin > 0.0
+
+
+    def test_pathwise_margin_matches_market_margin(self, rng):
+        markets = [random_market(rng, max_steps=10) for _ in range(20)]
+        markets.append(ti.MarketSpec.build([0, 1, 2, 3], [1.0, 2.0, 4.0, 8.0], 0.0))  # rising
+        markets.append(ti.MarketSpec.build([0, 1, 2], 10.0, 0.0))  # flat
+        for market in markets:
+            tree = ti.ScenarioTree.single_path(market, 100.0)
+            _, margin = tree.validate_assumptions_pathwise()
+            expected = ti.validate_assumptions(market.grid, market.liquidity).kappa_relative_margin
+            assert margin == pytest.approx(expected, rel=1e-12)
 
 
 class TestNodeMeasure:
