@@ -7,9 +7,10 @@ codes: 2 when an input is unreadable or breaks its schema (a malformed tree
 structure, transitions that do not sum to one, a NaN, infinite or unknown flag
 value), 1 when any readable input file (market, tree, payoff, strategy,
 certificate, price paths) holds NaN/inf or the operation fails in its domain
-(including a liquidity curve that rises along a tree edge in ``gap`` and
-``dual-search``), 3 when a solver stops before its tolerance.  Identical inputs
-produce byte-identical output.
+(including a liquidity curve that rises along a tree edge in ``gap``,
+``dual-search`` and ``dual-eval``), 3 when a solver stops before its tolerance
+(for ``price`` and ``gap``: the primal's Newton budget ran out or its search
+stalled).  Identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -62,21 +63,12 @@ def _finite_list(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(v) for v in text.split(","))
 
 
-def _smoothing_levels(text: str) -> tuple[float, ...]:
-    levels = _finite_list(text)
-    if min(levels) <= 0.0:
-        raise argparse.ArgumentTypeError(f"{text!r}: smoothing levels must be > 0")
-    return levels
-
-
 def _options(args) -> SolverOptions:
     kwargs = {}
     if getattr(args, "tol", None) is not None:
         kwargs["tol"] = args.tol
     if args.max_iter is not None:
         kwargs["max_iter"] = args.max_iter
-    if getattr(args, "smoothing", None) is not None:
-        kwargs["smoothing_levels"] = args.smoothing
     return SolverOptions(**kwargs)
 
 
@@ -338,10 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "paths-opt":
                 p.add_argument("--paths", help="price paths CSV, one column per scenario")
             elif flag == "primal":
-                p.add_argument("--tol", type=_finite_float, help="primal solver tolerance")
-                p.add_argument("--smoothing", type=_smoothing_levels, help="comma-separated smoothing schedule (each > 0) for the max over leaves")
+                p.add_argument("--tol", type=_finite_float, help="primal solver tolerance (relative residual)")
             elif flag == "max-iter":
-                p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget")
+                p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget (Newton steps for the primal)")
             elif flag == "format":
                 p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: per-node series instead of the report")
         p.add_argument("--out", help="output path (default: stdout)")

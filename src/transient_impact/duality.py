@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleCertificate, SuperReplicationViolated, TerminalNotZero
-from .market import MarketSpec, as_curve
+from .market import MarketSpec, as_curve, finite
 from .strategy import TradeSchedule, check_terminal_zero
 from .tree import NodeMeasure, ScenarioTree, is_martingale
 from .wealth import tree_wealth
@@ -45,8 +45,8 @@ class DualCertificate:
 
 
 def leaf_payoff(tree: ScenarioTree, H) -> np.ndarray:
-    """The payoff as one non-negative value per leaf, in leaf-id order."""
-    H = as_curve(H, tree.leaves.size, "H")
+    """The payoff as one finite, non-negative value per leaf, in leaf-id order."""
+    H = finite(as_curve(H, tree.leaves.size, "H"), "payoff")
     if np.any(H < 0.0):
         raise ValueError("payoff must be non-negative")
     return H
@@ -91,7 +91,11 @@ class FeasibilityReport:
 
 
 def check_feasibility(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> FeasibilityReport:
-    """Check the price stays within the certificate's band at every node."""
+    """Check the price stays within the certificate's band at every node.
+
+    The band is defined on any tree; what a rising liquidity curve breaks is
+    the value's meaning, so :func:`dual_objective` holds that guard.
+    """
     B = constraint_bound(tree, cert, market)
     violation = np.abs(tree.P - cert.M) - B
     worst = int(np.argmax(violation))
@@ -125,6 +129,7 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
 
 def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec, H) -> float:
     """Penalized expectation: payoff mean minus spread penalty and position value."""
+    tree.require_decay()
     H = leaf_payoff(tree, H)
     imp = market.impact
     reach = tree.reach_probabilities(cert.q)
@@ -169,6 +174,7 @@ def weak_duality_check(
     ``xi0`` and the certificate to be feasible with a true martingale; returns
     the margin (never materially negative) and its slack decomposition.
     """
+    tree.require_decay()
     H = leaf_payoff(tree, H)
     if not np.all(check_terminal_zero(schedule, tree)):
         raise TerminalNotZero("schedule does not liquidate on every scenario")

@@ -165,8 +165,7 @@ def build_rho(grid: TimeGrid, r) -> np.ndarray:
     ``rho[i] = exp(sum_{j<i} r[j] * (t[j+1] - t[j]))`` with ``rho[0] = 1``.
     """
     r = as_curve(r, grid.n_points, "r")
-    if np.any(r < 0.0):
-        raise ValueError("resilience rate must be >= 0 everywhere")
+    require_signs(r=r)
     accum = np.concatenate([[0.0], np.cumsum(r[:-1] * grid.steps())])
     return np.exp(accum)
 
@@ -174,8 +173,7 @@ def build_rho(grid: TimeGrid, r) -> np.ndarray:
 def build_kappa(grid: TimeGrid, delta, rho: np.ndarray) -> np.ndarray:
     """Liquidity decay curve ``delta / rho**2`` on the grid."""
     delta = as_curve(delta, grid.n_points, "delta")
-    if np.any(delta <= 0.0):
-        raise ValueError("market depth must be > 0 everywhere")
+    require_signs(delta=delta)
     rho = as_curve(rho, grid.n_points, "rho")
     return delta / rho**2
 
@@ -196,6 +194,23 @@ def build_mu(kappa: np.ndarray, require_strict: bool = True) -> MuWeights:
 # ---------------------------------------------------------------------------
 # Assumption checks
 # ---------------------------------------------------------------------------
+
+
+def sign_failures(delta=(), r=()) -> list[str]:
+    """The model's sign rules that depth (> 0) and resilience (>= 0) values break, one message each."""
+    failures = []
+    if np.any(np.asarray(delta) <= 0.0):
+        failures.append("market depth must be > 0 everywhere")
+    if np.any(np.asarray(r) < 0.0):
+        failures.append("resilience rate must be >= 0 everywhere")
+    return failures
+
+
+def require_signs(delta=(), r=()) -> None:
+    """Raise ``ValueError`` with the first of :func:`sign_failures`, if any."""
+    failures = sign_failures(delta, r)
+    if failures:
+        raise ValueError(failures[0])
 
 
 def decay_margin(kappa_from, kappa_to) -> float:
@@ -226,15 +241,11 @@ def validate_assumptions(grid: TimeGrid, liquidity: LiquiditySpec) -> Validation
     curve ``kappa`` to be strictly decreasing with relative margin above
     ``EPS_MONO``.  Never raises; every violated clause is listed.
     """
-    failures = []
     delta = liquidity.delta
     r = liquidity.r
     if delta.shape != (grid.n_points,):
         return ValidationReport(False, ("liquidity curves do not match the grid",), np.nan, np.nan, np.nan)
-    if np.any(delta <= 0.0):
-        failures.append("market depth must be > 0 everywhere")
-    if np.any(r < 0.0):
-        failures.append("resilience rate must be >= 0 everywhere")
+    failures = sign_failures(delta, r)
 
     ratio_min = ratio_max = margin = np.nan
     if not failures:

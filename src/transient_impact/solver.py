@@ -1,15 +1,22 @@
 """Super-replication pricing on scenario trees: primal, oracle and dual search.
 
 The primal program minimises, over non-negative buy/sell quantities at every
-non-terminal node, the worst-leaf sum of payoff and cost functional; terminal
-liquidation is built in structurally (the leaf trade closes the running
-position), so the feasible set is an orthant.  The solver anneals a soft
-maximum over leaves and runs projected gradient steps with a backtracking line
-search; everything is deterministic.  The dual search performs monotone
-projected-gradient ascent over (measure logits, terminal martingale values,
-spread process) with feasibility restored after every trial step, so each
-emitted certificate is exactly feasible.  The gap between both sides is
-reported, never assumed zero.
+non-terminal node, the worst-leaf sum of payoff and cost functional; each leaf
+closes the running position.  It is solved in epigraph form: minimise ``t``
+subject to ``v_l <= t`` per leaf, ``b, s >= 0`` per decision node and
+``g_l >= |x_pre,l|`` for each closing trade, by a primal–dual interior-point
+method (Mehrotra predictor–corrector from an infeasible start).  Each leaf's
+value depends only on the trades along its own path, so every Newton system
+is solved along the tree (``_TreeFactor``) in O(nodes * depth**2) without
+forming a dense matrix.  The leaf multipliers form a probability over leaves.
+The reported value is the exact cash requirement of the returned schedule,
+so feasibility never rests on the solver.
+
+The dual search performs monotone projected-gradient ascent over (measure
+logits, terminal martingale values, spread process) with feasibility restored
+after every trial step, so each emitted certificate is exactly feasible.  The
+gap between both sides is reported, never assumed zero.  Everything is
+deterministic.
 """
 
 from __future__ import annotations
@@ -27,22 +34,28 @@ from .duality import (
     node_penalty_weights,
     restore_feasibility,
 )
-from .errors import InfeasibleInit, InstanceTooLarge, MonotonicityViolation, WeakDualityViolated
+from .errors import InfeasibleInit, InstanceTooLarge, WeakDualityViolated
 from .market import MarketSpec
 from .strategy import TradeSchedule, normalize
 from .tree import NodeMeasure, ScenarioTree, conditional_expectation
 from .wealth import book_value, leaf_path_rows, spread_penalty, tree_wealth
 
 
+# The primal search stops when its relative residual sets no new best in this many
+# Newton steps, or when no step of at least this length is acceptable.
+STALL_STEPS = 20
+MIN_STEP = 1e-12
+
+
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs shared by the primal and dual iterations."""
+    """Tuning knobs: the primal's relative residual tolerance, and the budget of both searches.
 
-    tol: float = 1e-6
+    ``max_iter`` caps the primal's Newton steps and the dual's ascent iterations.
+    """
+
+    tol: float = 1e-9
     max_iter: int = 12000
-    smoothing_levels: tuple[float, ...] = (
-        3e-1, 1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5, 3e-6, 1e-6, 3e-7, 1e-7,
-    )
 
 
 @dataclass(frozen=True)
@@ -65,7 +78,15 @@ class PriceReport:
 
 
 class _PrimalProblem:
-    """Leaf-path layout of the min-max objective and its gradient."""
+    """The epigraph program on leaf-path rows: leaf values, their gradients and curvature.
+
+    Per leaf, Newton quantities use the layout ``[t, b_0, s_0, ..., b_{D-1},
+    s_{D-1}, g]``: the bound ``t``, the buy and sell at each decision node on
+    the path, root first, and the closing trade's gross size ``g``.  So a node
+    at level ``k`` owns the entries from ``2k + 1`` on, two for a decision
+    node and one for a leaf, and ``t`` and its ancestors fill the entries
+    before them.
+    """
 
     def __init__(self, tree: ScenarioTree, market: MarketSpec, H):
         self.tree = tree
@@ -74,49 +95,56 @@ class _PrimalProblem:
 
         self.decision = np.flatnonzero(~tree.is_leaf)
         self.n_dec = self.decision.size
-        slot_of = np.full(tree.n_nodes, -1)
-        slot_of[self.decision] = np.arange(self.n_dec)
+        self.slot_of = np.full(tree.n_nodes, -1)
+        self.slot_of[self.decision] = np.arange(self.n_dec)
 
         paths, self.c_path, self.w_path, self.kappa_leaf = leaf_path_rows(tree)  # (L, n_levels) rows
-        self.var_idx = slot_of[paths[:, :-1]]
+        self.var_idx = self.slot_of[paths[:, :-1]]
         self.P_path = tree.P[paths]
+        self.dprice = self.P_path[:, :-1] - self.P_path[:, -1:]
+        self.mass = np.concatenate([self.w_path, self.kappa_leaf[:, None]], axis=1)
+        depth = tree.n_levels - 1
+        self.gross_of = np.repeat(np.arange(depth + 1), [2] * depth + [1])  # layout entry (t excluded) -> slot
+        self.net_sign = np.zeros(2 * depth + 2)  # d x_pre / d layout entry
+        self.net_sign[1:-1:2], self.net_sign[2:-1:2] = 1.0, -1.0
 
-    def leaf_values(self, b, s, eps):
-        """Per-leaf payoff-plus-cost and state; the leaf slot closes ``x_pre``, its size smoothed by ``eps``."""
+    def leaf_values(self, b, s, g=None):
+        """Payoff plus cost per leaf, the position each closing trade faces, and the spread rows.
+
+        ``g`` is the closing trades' gross size, at least ``|x_pre|``; by default exactly that.
+        """
         bp, sp = b[self.var_idx], s[self.var_idx]
         nu = bp - sp
         x_pre = self.impact.x0 + nu.sum(axis=1)
-        ghat = np.sqrt(x_pre**2 + eps**2) if eps > 0.0 else np.abs(x_pre)
-        gross = np.concatenate([bp + sp, ghat[:, None]], axis=1)
+        gross = np.concatenate([bp + sp, (np.abs(x_pre) if g is None else g)[:, None]], axis=1)
         eta, pen = spread_penalty(self.impact.zeta0, self.c_path, gross, self.w_path, self.kappa_leaf)
         pint = (self.P_path[:, :-1] * nu).sum(axis=1) - self.P_path[:, -1] * x_pre
-        return self.H + pint + pen, x_pre, ghat, eta
+        return self.H + pint + pen, x_pre, eta
 
-    def objective_and_gradient(self, u, tau, eps):
-        """Annealed soft maximum over leaves and its gradient on the orthant."""
-        b, s = u[: self.n_dec], u[self.n_dec :]
-        vals, x_pre, ghat, eta = self.leaf_values(b, s, eps)
-        eta_leaf = eta[:, -1]
+    def gradients(self, eta) -> np.ndarray:
+        """Gradient rows of the leaf values at spread rows ``eta``, in the layout without ``t``."""
+        tail = np.cumsum((self.mass * eta)[:, ::-1], axis=1)[:, ::-1]
+        grad = (self.c_path * tail)[:, self.gross_of]
+        grad[:, :-1:2] += self.dprice
+        grad[:, 1:-1:2] -= self.dprice
+        return grad
 
-        shifted = (vals - vals.max()) / tau
-        weights = np.exp(shifted)
-        weights /= weights.sum()
-        smooth = vals.max() + tau * np.log(np.sum(np.exp(shifted)))
+    def curvature_rows(self, lam) -> np.ndarray:
+        """Square-root rows ``R`` of the ``lam``-weighted curvature: each leaf's block is ``R.T @ R``.
 
-        # Suffix sums pairing interval masses with the left spread value.
-        m = self.w_path * eta[:, :-1]  # contribution of eta_{j-1} to interval j
-        tail = np.cumsum(m[:, ::-1], axis=1)[:, ::-1]
-        tail += (self.kappa_leaf * eta_leaf)[:, None]
-        dprice = self.P_path[:, :-1] - self.P_path[:, -1][:, None]
-        sign = np.divide(x_pre, ghat, out=np.zeros_like(ghat), where=ghat > 0.0)
-        closing = (self.kappa_leaf * eta_leaf * self.c_path[:, -1] * sign)[:, None]
-        dv_db = dprice + self.c_path[:, :-1] * tail + closing
-        dv_ds = -dprice + self.c_path[:, :-1] * tail - closing
-
-        slots = self.var_idx.ravel()
-        gb = np.bincount(slots, (weights[:, None] * dv_db).ravel(), self.n_dec)
-        gs = np.bincount(slots, (weights[:, None] * dv_ds).ravel(), self.n_dec)
-        return smooth, np.concatenate([gb, gs])
+        The penalty is ``0.5 * sum_k mass_k * eta_k**2`` with ``eta_k`` linear in
+        the gross trades up to slot ``k``, so row ``k`` is ``sqrt(lam * mass_k)``
+        times ``c`` on those trades (``t`` column zero).  A rising liquidity curve
+        gives some mass a negative sign; leaving it out keeps the Newton matrix
+        definite, at the price of a slower (but still exact-cash) search.
+        """
+        n_slots, m = self.mass.shape[1], self.gross_of.size + 1
+        rows = np.zeros((self.H.size, n_slots, m))
+        inner = rows[:, :, 1:]
+        np.multiply(np.sqrt(lam[:, None] * np.maximum(self.mass, 0.0))[:, :, None],
+                    self.c_path[:, self.gross_of][:, None, :], out=inner)
+        inner *= self.gross_of <= np.arange(n_slots)[:, None]
+        return rows
 
     def cash_requirement(self, u) -> tuple[float, TradeSchedule]:
         """Exact worst-leaf cash needed by the normalized schedule built from ``u``."""
@@ -139,70 +167,283 @@ class _PrimalProblem:
         return normalize(TradeSchedule(buys, sells, self.impact.x0))
 
 
+def _cholesky(pivot: np.ndarray) -> np.ndarray:
+    """Cholesky factors of a batch of 1x1 or 2x2 pivots; ``LinAlgError`` where one is not definite."""
+    low = np.zeros_like(pivot)
+    for i in range(pivot.shape[1]):
+        for j in range(i + 1):
+            acc = pivot[:, i, j] - np.sum(low[:, i, :j] * low[:, j, :j], axis=1)
+            if i > j:
+                low[:, i, j] = acc / low[:, j, j]
+            elif np.all(acc > 0.0):
+                low[:, i, i] = np.sqrt(acc)
+            else:
+                raise np.linalg.LinAlgError("a pivot is not positive definite")
+    return low
+
+
+def _cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``low @ low.T @ x = rhs`` for a batch of right-hand sides ``rhs`` of shape ``(n, own, cols)``."""
+    x = rhs.copy()
+    own = low.shape[1]
+    for i in range(own):  # forward: low @ y = rhs
+        x[:, i] -= np.einsum("nj,njc->nc", low[:, i, :i], x[:, :i])
+        x[:, i] /= low[:, i, i, None]
+    for i in reversed(range(own)):  # backward: low.T @ x = y
+        x[:, i] -= np.einsum("nj,njc->nc", low[:, i + 1 :, i], x[:, i + 1 :])
+        x[:, i] /= low[:, i, i, None]
+    return x
+
+
+class _TreeFactor:
+    """The condensed Newton matrix, factored along the tree without forming it.
+
+    The matrix is a sum of one block per leaf, on the leaf's layout, plus a
+    diagonal on every decision node's buy and sell.  Eliminating each leaf's
+    closing trade, then each level's (buy, sell) pairs from the deepest level
+    to the root, leaves fill only on ancestors and on ``t``, the border; what
+    remains at the root is a scalar.  The leaves' step is done by the caller
+    (``leaf_blocks`` are its Schur complements, ``leaf_pivots`` its Cholesky
+    factors and couplings).  One factorisation serves any number of
+    right-hand sides.
+    """
+
+    def __init__(self, prob: _PrimalProblem, leaf_blocks: np.ndarray, leaf_pivots, diag: np.ndarray):
+        self.prob = prob
+        self.pivots = {prob.tree.n_levels - 1: leaf_pivots}
+
+        def step(block, nodes):
+            a = 2 * prob.tree.t_index[nodes[0]] + 1
+            own = diag[prob.slot_of[nodes]]
+            block[:, a, a] += own[:, 0]
+            block[:, a + 1, a + 1] += own[:, 1]
+            return self._eliminate(block, nodes)
+
+        self.border = float(prob.tree.fold_up(leaf_blocks, step)[0, 0])
+
+    def _eliminate(self, block: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Schur complement of the level's own entries onto the entries before them (in place)."""
+        k = int(self.prob.tree.t_index[nodes[0]])
+        a = 2 * k + 1
+        chol = _cholesky(block[:, a:, a:])
+        coupling = _cholesky_solve(chol, block[:, a:, :a])
+        self.pivots[k] = (chol, coupling)
+        reduced = block[:, :a, :a]
+        reduced -= block[:, :a, a:] @ coupling
+        return reduced
+
+    def solve(self, rows: np.ndarray, own: np.ndarray, t_rhs: float) -> np.ndarray:
+        """Solution for leaf right-hand-side rows, decision-node terms ``own`` and ``t``'s own term.
+
+        Returns one row per node in the layout of its level: ``t``, the
+        ancestors' entries and the node's own, so a leaf's row is its whole path.
+        """
+        prob, tree = self.prob, self.prob.tree
+        kept = {}  # each level's own right-hand sides, for the way back
+
+        def reduce(r, nodes):
+            k = int(tree.t_index[nodes[0]])
+            a = 2 * k + 1
+            if k < tree.n_levels - 1:
+                r[:, a:] += own[prob.slot_of[nodes]]
+            kept[k] = r[:, a:]
+            return r[:, :a] - np.einsum("noa,no->na", self.pivots[k][1], r[:, a:])
+
+        t_total = tree.fold_up(reduce(rows.copy(), tree.leaves), reduce)[0] + t_rhs
+
+        def back(upper, nodes):
+            k = int(tree.t_index[nodes[0]])
+            a = 2 * k + 1
+            chol, coupling = self.pivots[k]
+            out = np.zeros((nodes.size, rows.shape[1]))
+            out[:, :a] = upper[:, :a]
+            out[:, a : a + chol.shape[1]] = (
+                _cholesky_solve(chol, kept[k][:, :, None])[:, :, 0] - np.einsum("nia,na->ni", coupling, upper[:, :a])
+            )
+            return out
+
+        top = np.full((1, 1), t_total / self.border)
+        return tree.down_sweep(back(top, np.zeros(1, dtype=int))[0], back)
+
+
+@dataclass
+class _Iterate:
+    """Primal–dual point of the epigraph program.
+
+    Per leaf, the three constraints are ``v_l - t <= 0`` and ``±x_pre - g <= 0``
+    (columns of ``slack`` and ``dual``); per decision node, the bounds
+    ``b, s >= 0`` (columns of ``trades`` and ``bound_dual``).
+    """
+
+    t: float
+    trades: np.ndarray  # (n_dec, 2): buy and sell
+    close: np.ndarray  # (L,): gross closing trade g
+    slack: np.ndarray  # (L, 3)
+    dual: np.ndarray  # (L, 3): leaf multiplier and the two closing-trade multipliers
+    bound_dual: np.ndarray  # (n_dec, 2)
+
+    def moved(self, step: "_Iterate", a: float) -> "_Iterate":
+        return _Iterate(*(x + a * dx for x, dx in zip(vars(self).values(), vars(step).values())))
+
+    def mu(self) -> float:
+        """Mean complementarity product over every inequality."""
+        products = float(np.sum(self.dual * self.slack)) + float(np.sum(self.bound_dual * self.trades))
+        return products / (self.slack.size + self.trades.size)
+
+
+class _Residuals:
+    """Constraint rows, residuals and complementarity of the epigraph program at one iterate."""
+
+    def __init__(self, prob: _PrimalProblem, it: _Iterate):
+        vals, x_pre, eta = prob.leaf_values(it.trades[:, 0], it.trades[:, 1], it.close)
+        grad = prob.gradients(eta)
+        L, m = grad.shape[0], grad.shape[1] + 1
+        rows = np.zeros((L, 3, m))  # constraint gradients in the layout
+        rows[:, 0, 0] = -1.0
+        rows[:, 0, 1:] = grad
+        rows[:, 1] = prob.net_sign
+        rows[:, 2] = -prob.net_sign
+        rows[:, 1:, -1] = -1.0
+        self.rows = rows
+        self.primal = np.stack([vals - it.t, x_pre - it.close, -x_pre - it.close], axis=1) + it.slack
+        stat = np.einsum("lk,lki->li", it.dual, rows)
+        self.dual_t = 1.0 + stat[:, 0].sum()
+        self.dual_trades = -it.bound_dual.copy()
+        for side in (0, 1):
+            self.dual_trades[:, side] += np.bincount(
+                prob.var_idx.ravel(), stat[:, 1 + side : -1 : 2].ravel(), prob.n_dec
+            )
+        dual_close = stat[:, -1]
+        self.n_ineq = it.slack.size + it.trades.size
+        self.mu = it.mu()
+        # Residuals relative to the problem's scale: values and trades for the constraints and
+        # complementarity, gradient entries for stationarity.
+        scale = 1.0 + max(abs(it.t), float(np.max(np.abs(vals))), float(np.max(it.close)))
+        stationarity = max(abs(self.dual_t), float(np.max(np.abs(self.dual_trades), initial=0.0)),
+                           float(np.max(np.abs(dual_close))))
+        self.error = max(
+            float(np.max(np.abs(self.primal))) / scale,
+            stationarity / (1.0 + float(np.max(np.abs(grad)))),
+            self.n_ineq * self.mu / scale,
+        )
+
+
+def _newton_matrix(prob: _PrimalProblem, it: _Iterate, res: _Residuals) -> _TreeFactor:
+    """Factor the condensed Newton matrix: curvature plus constraint rows weighted by dual/slack,
+    and the bounds' barrier diagonal.
+
+    Each leaf's block is ``R.T @ R`` for its square-root rows ``R``.  Eliminating
+    the closing trade (the last column) leaves the Gram matrix of the rows
+    projected off that column, so no leaf block is ever formed.
+    """
+    roots = np.concatenate([prob.curvature_rows(it.dual[:, 0]),
+                            res.rows * np.sqrt(it.dual / it.slack)[:, :, None]], axis=1)
+    close, rest = roots[:, :, -1].copy(), roots[:, :, :-1]
+    pivot = np.einsum("lr,lr->l", close, close)
+    coupling = np.einsum("lr,lra->la", close, rest) / pivot[:, None]
+    for j in range(roots.shape[1]):
+        rest[:, j] -= close[:, j, None] * coupling
+    blocks = np.matmul(rest.transpose(0, 2, 1), rest)
+    del roots, rest  # while factoring, at most the blocks and one update of their size stay alive
+    return _TreeFactor(prob, blocks, (np.sqrt(pivot)[:, None, None], coupling[:, None, :]), it.bound_dual / it.trades)
+
+
+def _direction(prob, it: _Iterate, res: _Residuals, factor: _TreeFactor, target, bound_target) -> _Iterate:
+    """Newton direction towards complementarity ``target`` (per leaf constraint) and ``bound_target``."""
+    tree = prob.tree
+    rho = (target - it.dual * (it.slack - res.primal)) / it.slack
+    rows = -np.einsum("lk,lki->li", it.dual + rho, res.rows)
+    sol = factor.solve(rows, bound_target / it.trades, -1.0)
+    path = sol[tree.leaves]
+    own = 2 * tree.t_index[prob.decision] + 1
+    trades = np.stack([sol[prob.decision, own], sol[prob.decision, own + 1]], axis=1)
+    slack = -res.primal - np.einsum("lki,li->lk", res.rows, path)
+    return _Iterate(
+        t=float(sol[0, 0]),
+        trades=trades,
+        close=path[:, -1],
+        slack=slack,
+        dual=(target - it.dual * (it.slack + slack)) / it.slack,
+        bound_dual=(bound_target - it.bound_dual * (it.trades + trades)) / it.trades,
+    )
+
+
+def _boundary_step(it: _Iterate, step: _Iterate) -> float:
+    """Longest step in [0, 1] that keeps trades, slacks and multipliers non-negative."""
+    a = 1.0
+    for name in ("trades", "slack", "dual", "bound_dual"):
+        x, dx = getattr(it, name), getattr(step, name)
+        falling = dx < 0.0
+        if falling.any():
+            a = min(a, float(np.min(-x[falling] / dx[falling])))
+    return a
+
+
+def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate, int, bool]:
+    """Mehrotra predictor–corrector from an infeasible start.
+
+    Returns the last iterate, the Newton steps taken and whether the relative
+    residual met ``opts.tol``.  The search also stops when the Newton budget
+    ``opts.max_iter`` runs out, when no step is acceptable, or when the
+    residual sets no new best in ``STALL_STEPS`` steps (a rising liquidity
+    curve can leave the program without a minimum).
+    """
+    L, n = prob.H.size, prob.n_dec
+    trades = np.ones((n, 2))
+    x_pre = prob.leaf_values(trades[:, 0], trades[:, 1])[1]
+    close = np.abs(x_pre) + 1.0
+    vals, _, eta = prob.leaf_values(trades[:, 0], trades[:, 1], close)
+    t = float(vals.max())
+    slack = np.maximum(-np.stack([vals - t, x_pre - close, -x_pre - close], axis=1), 1.0)
+    # leaf multipliers on the simplex, bound multipliers on the gradients' scale
+    bound_dual = np.full((n, 2), 1.0 + float(np.max(np.abs(prob.gradients(eta)))))
+    it = _Iterate(t, trades, close, slack, np.full((L, 3), 1.0 / L), bound_dual)
+
+    best, since_best = np.inf, 0
+    budget = max(opts.max_iter, 0)
+    for steps in range(budget + 1):
+        res = _Residuals(prob, it)
+        if res.error <= opts.tol:
+            return it, steps, True
+        best, since_best = (res.error, 0) if res.error < best else (best, since_best + 1)
+        if since_best >= STALL_STEPS or steps == budget:
+            break
+        try:
+            factor = _newton_matrix(prob, it, res)
+        except np.linalg.LinAlgError:  # a pivot lost definiteness to rounding
+            break
+        affine = _direction(prob, it, res, factor, np.zeros_like(it.slack), np.zeros_like(it.trades))
+        mu_affine = it.moved(affine, _boundary_step(it, affine)).mu()
+        sigma_mu = (mu_affine / res.mu) ** 3 * res.mu
+        step = _direction(prob, it, res, factor, sigma_mu - affine.slack * affine.dual,
+                          sigma_mu - affine.trades * affine.bound_dual)
+        a = min(1.0, 0.995 * _boundary_step(it, step))
+        # Linear constraints shrink their residual by (1 - a) on any step; the quadratic
+        # ones may not, so shorten the step while they lag too far behind.
+        quad = float(np.linalg.norm(res.primal[:, 0]))
+        while a > MIN_STEP:
+            trial = it.moved(step, a)
+            vals = prob.leaf_values(trial.trades[:, 0], trial.trades[:, 1], trial.close)[0]
+            if np.linalg.norm(vals - trial.t + trial.slack[:, 0]) <= (1.0 - 0.5 * a) * quad + a * res.n_ineq * res.mu:
+                break
+            a *= 0.5
+        else:
+            break
+        it = trial
+    return it, steps, False
+
+
 def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None) -> PriceReport:
     """Least initial cash whose forced-liquidation schedule dominates the payoff.
 
-    Deterministic annealed-softmax projected gradient; the returned value is
-    the exact worst-leaf cash requirement of the returned schedule, so it is
-    always sufficient (feasible) whatever the convergence flag says.
+    Deterministic interior-point solve of the epigraph program; the returned
+    value is the exact worst-leaf cash requirement of the returned schedule,
+    so it is always sufficient (feasible) whatever the convergence flag says.
     """
-    opts = options or SolverOptions()
     prob = _PrimalProblem(tree, market, H)
-    u = np.zeros(2 * prob.n_dec)
-
-    vals0, *_ = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :], 0.0)
-    scale = max(1.0, float(vals0.max() - vals0.min()), float(np.max(np.abs(prob.H), initial=0.0)))
-    eps_base = 1.0 + abs(market.impact.x0)
-
-    iterations = 0
-    converged = False
-    for k, level in enumerate(opts.smoothing_levels):
-        # unused budget of early-converging levels rolls over to the
-        # small-temperature levels, which need the most steps
-        remaining = max(0, opts.max_iter - iterations)
-        per_level = max(50, remaining // (len(opts.smoothing_levels) - k))
-        tau = max(scale * level, 1e-9 * scale)
-        eps = eps_base * level
-        f, grad = prob.objective_and_gradient(u, tau, eps)
-        step = 1.0 / (1.0 + float(np.max(np.abs(grad))))
-        level_converged = False
-        for _ in range(per_level):
-            iterations += 1
-            improved = False
-            for _ in range(40):
-                u_new = np.maximum(u - step * grad, 0.0)
-                f_new, grad_new = prob.objective_and_gradient(u_new, tau, eps)
-                move = float(np.dot(grad, u - u_new))
-                if f_new <= f - 1e-4 * move and f_new < f:
-                    improved = True
-                    break
-                step *= 0.5
-            if not improved:
-                level_converged = True
-                break
-            if f - f_new < opts.tol * scale * 1e-3:
-                u, f, grad = u_new, f_new, grad_new
-                level_converged = True
-                break
-            u, f, grad = u_new, f_new, grad_new
-            step *= 2.0
-        converged = level_converged
-
-    # The annealing leaves dust-sized trades behind; trimming them is free to
-    # try because the exact requirement of each candidate is re-evaluated.
-    value, schedule = prob.cash_requirement(u)
-    u_scale = max(1.0, float(np.max(u, initial=0.0)))
-    for threshold in (1e-8, 1e-5, 1e-3):
-        trimmed = np.where(u > threshold * u_scale, u, 0.0)
-        trimmed_value, trimmed_schedule = prob.cash_requirement(trimmed)
-        if trimmed_value < value:
-            value, schedule = trimmed_value, trimmed_schedule
-    return PriceReport(
-        primal_value=value,
-        strategy=schedule,
-        iterations=iterations,
-        primal_converged=converged,
-    )
+    it, steps, converged = _interior_point(prob, options or SolverOptions())
+    value, schedule = prob.cash_requirement(it.trades.T.ravel())
+    return PriceReport(primal_value=value, strategy=schedule, iterations=steps, primal_converged=converged)
 
 
 def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) -> float:
@@ -341,9 +582,7 @@ def dual_ascent(
     worse than the initial one.  A liquidity curve that rises along an edge
     gives the penalty a negative weight and the objective no bound, so it is refused.
     """
-    _, margin = tree.validate_assumptions_pathwise()
-    if margin < 0.0:
-        raise MonotonicityViolation(f"liquidity curve rises along an edge (min relative drop {margin:.3e})")
+    tree.require_decay()
     opts = options or SolverOptions()
     report = check_feasibility(tree, init_cert, market)
     if not report.feasible:

@@ -5,11 +5,13 @@ and resilience at its time slot together with the transition probability from
 its parent under the reference measure.  A re-weighted measure is represented
 the same way: one transition probability per node.
 
-Every recursion over the tree goes through three primitives of
+Every recursion over the tree goes through four primitives of
 :class:`ScenarioTree`: ``down_sweep`` (root to leaves, one vectorised step per
-level), ``up_sweep`` (leaves to root, one ``np.bincount`` per level) and
-``child_sum`` (one ``np.bincount`` over all edges).  They are the only code
-that walks the tree levels, so the level layout stays inside this module.
+level), ``up_sweep`` (leaves to root, one ``np.bincount`` per level),
+``fold_up`` (leaves to root on rows of any shape, one children-sum and one
+caller step per level) and ``child_sum`` (one ``np.bincount`` over all
+edges).  They are the only code that walks the tree levels, so the level
+layout stays inside this module.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSignChange
-from .market import EPS_MONO, TimeGrid, as_curve, decay_margin, finite
+from .errors import MonotonicityViolation, NoSignChange
+from .market import EPS_MONO, TimeGrid, as_curve, decay_margin, finite, require_signs
 
 MARTINGALE_RTOL = 1e-10
 SIMPLEX_ATOL = 1e-9
@@ -50,10 +52,7 @@ class ScenarioTree:
         self.delta = finite(as_curve(delta, n, "delta"), "delta")
         self.r = finite(as_curve(r, n, "r"), "r")
         self.t_index = _depths(self.parent)
-        if np.any(self.delta <= 0.0):
-            raise ValueError("market depth must be > 0 at every node")
-        if np.any(self.r < 0.0):
-            raise ValueError("resilience rate must be >= 0 at every node")
+        require_signs(self.delta, self.r)
         if np.any(self.p_transition < 0.0):
             raise ValueError("transition probabilities must be >= 0")
         if self.p_transition[0] != 1.0:
@@ -85,6 +84,8 @@ class ScenarioTree:
         # Mass of the interval ending at each node, consumed against parent-time values.
         self.edge_weight = np.zeros(n)
         self.edge_weight[1:] = self.kappa[self.parent[1:]] - self.kappa[1:]
+        # Smallest relative drop of the liquidity curve along an edge: negative where it rises.
+        self.decay_margin = decay_margin(self.kappa[self.parent[1:]], self.kappa[1:])
 
     # -- sweeps ----------------------------------------------------------------
 
@@ -116,6 +117,24 @@ class ScenarioTree:
             term = out[lower] if edge is None else edge[lower] + out[lower]
             out[upper] = np.bincount(self.parent[lower], q[lower] * term, self.n_nodes)[upper]
         return out
+
+    def fold_up(self, leaf_rows, step):
+        """Leaves-to-root recursion on per-node rows of any shape; returns the root's row.
+
+        ``leaf_rows`` holds one row per leaf (leaf-id order).  Then, level by
+        level from the deepest internal one, the rows of the level below are
+        summed over each node's children and ``step(sums, nodes)`` turns those
+        sums, one per node of the level in id order, into the level's rows.
+        """
+        rows = np.asarray(leaf_rows)
+        for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1]):
+            par = self.parent[lower]
+            if np.any(par[1:] < par[:-1]):  # siblings not adjacent: group them first
+                order = np.argsort(par, kind="stable")
+                par, rows = par[order], rows[order]
+            starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
+            rows = step(np.add.reduceat(rows, starts, axis=0), upper)
+        return rows[0]
 
     def child_sum(self, values) -> np.ndarray:
         """Sum of a per-node quantity over each node's children (zero at leaves)."""
@@ -159,8 +178,19 @@ class ScenarioTree:
 
     def validate_assumptions_pathwise(self) -> tuple[bool, float]:
         """Edge-wise check that the liquidity curve strictly decreases on every path."""
-        margin = decay_margin(self.kappa[self.parent[1:]], self.kappa[1:])
-        return margin > EPS_MONO, margin
+        return self.decay_margin > EPS_MONO, self.decay_margin
+
+    def require_decay(self) -> None:
+        """Refuse a liquidity curve that rises along an edge.
+
+        There the spread penalty has a negative weight, so a certificate's
+        value is no lower bound.  A flat curve (margin 0) is accepted.  The
+        margin is computed once, with the tree, so the guard is one read.
+        """
+        if self.decay_margin < 0.0:
+            raise MonotonicityViolation(
+                f"liquidity curve rises along an edge (min relative drop {self.decay_margin:.3e})"
+            )
 
     # -- constructors --------------------------------------------------------
 

@@ -434,7 +434,7 @@ class TestOptions:
             name: {opt for action in p._actions for opt in action.option_strings if opt not in ("-h", "--help")}
             for name, p in sub.choices.items()
         }
-        primal = {"--tol", "--smoothing", "--max-iter"}
+        primal = {"--tol", "--max-iter"}
         assert options == {
             "validate": {"--market", "--out"},
             "wealth": {"--market", "--strategy", "--paths", "--tree", "--require-liquidation", "--out"},
@@ -473,13 +473,6 @@ class TestOptions:
         assert exit_info.value.code == 2
         assert capsys.readouterr().out == ""
 
-    def test_smoothing_levels_reach_the_solver(self, capsys, binary_files):
-        market, tree, payoff = binary_files
-        code, out = run(capsys, "price", "--market", market, "--tree", tree, "--payoff", payoff,
-                        "--smoothing", "0.1,1e-7")
-        assert code == 0
-        assert json.loads(out)["primal_value"] == pytest.approx(5.05, abs=1e-4)
-
 
 class TestModelRules:
     def test_rising_liquidity_curve_refused_by_the_dual_commands(self, tmp_path, capsys):
@@ -495,6 +488,21 @@ class TestModelRules:
         code, out = run(capsys, "price", "--market", market, "--tree", tree, "--payoff", payoff)
         assert code == 0
         assert json.loads(out)["primal_value"] == pytest.approx(5.1068, abs=1e-3)
+
+    def test_rising_liquidity_curve_refused_by_dual_eval(self, tmp_path, capsys):
+        # spread 50 at the middle nodes makes this certificate feasible, but on a rising
+        # curve its objective (150005) is no lower bound on the primal (5.107)
+        files = binary_tree_files(tmp_path, {"grid": [0.0, 1.0, 2.0], "delta": 10.0, "r": 0.0}, leaf_delta=40.0)
+        market, tree, payoff = files
+        prices = [100.0, 110.0, 90.0, 120.0, 100.0, 100.0, 80.0]
+        certificate = write_json(tmp_path / "c.json", {"q_transitions": [1.0] + [0.5] * 6, "M": prices,
+                                                       "alpha": [0.0, 50.0, 50.0, 50.0, 50.0, 50.0, 50.0]})
+        code = main(["dual-eval", "--market", market, "--tree", tree, "--certificate", certificate,
+                     "--payoff", payoff])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "liquidity curve rises" in captured.err
 
     def test_nearly_liquidating_schedule_refused_everywhere(self, tmp_path, capsys):
         # 1e-10 shares stay open on one leaf

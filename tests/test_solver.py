@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import InfeasibleInit, InstanceTooLarge, MonotonicityViolation
+from transient_impact.errors import InfeasibleInit, InstanceTooLarge, MonotonicityViolation, NonFiniteInput
 
 from conftest import market_for_tree, random_tree
 
@@ -93,6 +93,17 @@ class TestPrimalSolve:
 
             tw = ti.tree_wealth(tree, report.strategy, replace(market.impact, xi0=report.primal_value))
             assert np.min(tw.xi_T - H) >= -1e-8 * (1.0 + abs(report.primal_value))
+
+    @pytest.mark.parametrize("budget", [-1, 0, 1])
+    def test_spent_newton_budget_still_gives_exact_cash(self, budget):
+        from dataclasses import replace
+
+        tree, market, H = binary_instance()
+        report = ti.primal_solve(tree, market, H, ti.SolverOptions(max_iter=budget))
+        assert not report.primal_converged
+        assert report.iterations == max(budget, 0)
+        tw = ti.tree_wealth(tree, report.strategy, replace(market.impact, xi0=report.primal_value))
+        assert np.min(tw.xi_T - H) >= -1e-9 * (1.0 + abs(report.primal_value))
 
     def test_deterministic(self):
         tree, market, H = binary_instance()
@@ -257,3 +268,132 @@ class TestGapReport:
             check = ti.weak_duality_check(tree, market, report.strategy, report.primal_value, report.certificate, H)
             scale = 1.0 + abs(report.primal_value) + abs(report.dual_value)
             assert check.margin >= -1e-9 * scale
+
+
+class TestNonFinitePayoff:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_every_entry_point_refuses_it(self, bad):
+        tree, market, _ = binary_instance()
+        H = np.array([bad, 0.0])
+        cert = ti.default_certificate(tree, market)
+        calls = (
+            lambda: ti.primal_solve(tree, market, H),
+            lambda: ti.gap_report(tree, market, H),
+            lambda: ti.dual_ascent(tree, market, H, cert, ti.SolverOptions(max_iter=5)),
+            lambda: ti.dual_objective(tree, cert, market, H),
+        )
+        for call in calls:
+            with pytest.raises(NonFiniteInput, match="payoff must be finite"):
+                call()
+
+
+class TestRisingLiquidityCurve:
+    def test_certificate_evaluation_refuses_it(self):
+        tree, market, H = rising_instance()
+        cert = ti.DualCertificate(ti.NodeMeasure.reference(tree), tree.P.copy(), np.full(tree.n_nodes, 50.0))
+        schedule = ti.primal_solve(tree, market, H)
+        assert ti.check_feasibility(tree, cert, market).feasible  # the band itself is defined
+        calls = (
+            lambda: ti.dual_objective(tree, cert, market, H),
+            lambda: ti.weak_duality_check(tree, market, schedule.strategy, schedule.primal_value, cert, H),
+        )
+        for call in calls:
+            with pytest.raises(MonotonicityViolation, match="rises"):
+                call()
+
+    def test_price_is_exact_cash_without_exception(self):
+        from dataclasses import replace
+
+        tree, market, H = rising_instance()
+        report = ti.primal_solve(tree, market, H)
+        assert report.primal_converged
+        assert report.primal_value == pytest.approx(5.1068, abs=1e-3)
+        tw = ti.tree_wealth(tree, report.strategy, replace(market.impact, xi0=report.primal_value))
+        assert np.min(tw.xi_T - H) >= -1e-9 * (1.0 + abs(report.primal_value))
+
+    def test_seeded_rising_trees_give_exact_cash(self):
+        # per-node depth makes the curve rise on most seeded trees; some of these programs stall
+        from dataclasses import replace
+        from test_sweeps import TREES
+
+        stalled = 0
+        for tree in TREES:
+            if tree.decay_margin >= 0.0:
+                continue
+            market = market_for_tree(np.random.default_rng(tree.n_nodes + 5), tree)
+            H = np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
+            report = ti.primal_solve(tree, market, H)
+            stalled += not report.primal_converged
+            tw = ti.tree_wealth(tree, report.strategy, replace(market.impact, xi0=report.primal_value))
+            assert np.min(tw.xi_T - H) >= -1e-9 * (1.0 + abs(report.primal_value))
+        assert stalled >= 1
+
+
+def binomial_ladder(depth):
+    """Binomial call ladder: +-5 additive steps from 100, times on [0, 1], delta 10, r 0.5, strike 100."""
+    times = np.linspace(0.0, 1.0, depth + 1)
+    nodes = [dict(parent=-1, p_transition=1.0, P=100.0)]
+    level = [0]
+    for _ in range(depth):
+        new = []
+        for par in level:
+            for move in (5.0, -5.0):
+                nodes.append(dict(parent=par, p_transition=0.5, P=nodes[par]["P"] + move))
+                new.append(len(nodes) - 1)
+        level = new
+    tree = ti.ScenarioTree.from_node_dicts(times, nodes, default_delta=10.0, default_r=0.5)
+    market = ti.MarketSpec.build(times, 10.0, 0.5)
+    return tree, market, np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
+
+
+def seeded_convex_trees():
+    from test_sweeps import TREES
+
+    for k, tree in enumerate(TREES):
+        tree = ti.ScenarioTree(tree.times, tree.parent, tree.p_transition, tree.P,
+                               np.full(tree.n_nodes, tree.delta[0]), tree.r)
+        rng = np.random.default_rng(tree.n_nodes + 5)
+        yield f"tree{k}", tree, market_for_tree(rng, tree), np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
+
+
+class TestInteriorPoint:
+    # Best known feasible values of the ladder (scipy SLSQP on the epigraph form, then this
+    # package's exact cash requirement of its schedule); optimal at depths 2, 4 and 6.
+    @pytest.mark.parametrize("depth, best", [(2, 2.605056511), (4, 3.888957393), (6, 4.855871027),
+                                             (8, 5.664055949)])
+    def test_ladder_reaches_the_best_known_value(self, depth, best):
+        report = ti.primal_solve(*binomial_ladder(depth))
+        assert report.primal_converged
+        assert report.primal_value <= best * (1.0 + 1e-9)
+
+    def test_converges_on_random_and_seeded_convex_trees(self):
+        rng = np.random.default_rng(77)
+        cases = list(seeded_convex_trees())
+        for k in range(30):
+            tree = random_tree(rng, depth=1 + k % 3, stochastic_liquidity=k % 2 == 0, martingale=k % 3 == 0)
+            cases.append((f"random{k}", tree, market_for_tree(rng, tree), rng.uniform(0.0, 4.0, tree.leaves.size)))
+        for name, tree, market, H in cases:
+            report = ti.primal_solve(tree, market, H)
+            assert report.primal_converged, name
+            assert report.iterations <= 60, name
+
+    def test_leaf_multipliers_sum_to_one(self):
+        from transient_impact.solver import _interior_point, _PrimalProblem
+
+        for _, tree, market, H in list(seeded_convex_trees())[:8]:
+            it, _, converged = _interior_point(_PrimalProblem(tree, market, H), ti.SolverOptions())
+            assert converged
+            assert np.all(it.dual > 0.0)
+            assert it.dual[:, 0].sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_depth_eight_memory_peak(self):
+        import tracemalloc
+
+        instance = binomial_ladder(8)
+        tracemalloc.start()
+        try:
+            ti.primal_solve(*instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20

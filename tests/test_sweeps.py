@@ -7,6 +7,8 @@ tree wealth oracles are the node-wise ``accumulate`` versions that the
 leaf-path spread/penalty kernel replaced.  The dual-search oracles are the
 scan over both step signs and the four-pass repair that the ascent-sign scan
 and the one-bump repair replaced; certificates and values must agree exactly.
+The primal's tree-sparse Newton direction is checked at every step against
+the perturbed KKT system assembled densely from per-leaf loops.
 
 Tolerances are fixed by the arithmetic: down-sweeps (sums and products along
 paths) keep the operation order of the loops and must agree exactly; where a
@@ -546,7 +548,7 @@ def test_primal_leaf_values_match_tree_wealth(tree):
     size = rng.uniform(0.0, 1.0, prob.n_dec) * (rng.random(prob.n_dec) < 0.8)
     buy = rng.random(prob.n_dec) < 0.5
     u = np.concatenate([np.where(buy, size, 0.0), np.where(buy, 0.0, size)])
-    vals = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :], 0.0)[0]
+    vals = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :])[0]
     tw = ti.tree_wealth(tree, prob.schedule(u), market.impact)
     assert_close(vals, H + tw.lambda_T)
 
@@ -611,3 +613,143 @@ def test_ascent_sign_scan_matches_two_sign_scan(tree, market, H, options):
     assert got.iterations == iterations
     assert got.dual_converged == converged == (options.max_iter > 20)
     assert_same_certificate(got.certificate, cert)
+
+
+# ---------------------------------------------------------------------------
+# Tree-sparse Newton direction against the dense KKT system
+# ---------------------------------------------------------------------------
+
+
+def ref_kkt_direction(prob, it, target, bound_target):
+    """Newton direction of the perturbed KKT conditions, assembled densely leaf by leaf.
+
+    Unknowns: ``x = (t, b, s, g)``, then per leaf the three slacks and three
+    multipliers, then the bound multipliers of ``b`` and ``s``.  Values,
+    gradients and curvature of each leaf come from loops over its path.
+    """
+    tree, imp = prob.tree, prob.impact
+    n, L = prob.n_dec, tree.leaves.size
+    nx = 1 + 2 * n + L
+    slot = {int(node): j for j, node in enumerate(prob.decision)}
+    paths = ref_leaf_paths(tree)
+    b, s = it.trades[:, 0], it.trades[:, 1]
+
+    jac = np.zeros((3 * L, nx))  # constraints c(x) <= 0: v_l - t, x_pre - g, -x_pre - g
+    cons = np.zeros(3 * L)
+    hess = np.zeros((nx, nx))
+    for row, path in enumerate(paths):
+        idx = [1 + slot[int(node)] for node in path[:-1]]
+        c = tree.rho[path] / tree.delta[path]
+        mass = [tree.edge_weight[path[k + 1]] for k in range(path.size - 1)] + [tree.kappa[path[-1]]]
+        gross = [b[i - 1] + s[i - 1] for i in idx] + [it.close[row]]
+        eta, acc = [], imp.zeta0
+        for k in range(path.size):
+            acc += c[k] * gross[k]
+            eta.append(acc)
+        x_pre = imp.x0 + sum(b[i - 1] - s[i - 1] for i in idx)
+        value = prob.H[row] - tree.P[path[-1]] * imp.x0 + 0.5 * sum(mass[k] * eta[k] ** 2 for k in range(path.size))
+        cols = []  # (b column, s column) per slot; the closing trade has one column
+        for k, i in enumerate(idx):
+            value += (tree.P[path[k]] - tree.P[path[-1]]) * (b[i - 1] - s[i - 1])
+            cols.append((i, n + i))
+        cols.append((1 + 2 * n + row,))
+        for k, group in enumerate(cols):
+            tail = sum(mass[j] * eta[j] for j in range(k, path.size))
+            drift = tree.P[path[k]] - tree.P[path[-1]] if k < len(idx) else 0.0
+            for side, col in enumerate(group):
+                jac[row, col] = c[k] * tail + (drift if side == 0 else -drift)
+            for k2, group2 in enumerate(cols):
+                curv = c[k] * c[k2] * sum(mass[j] for j in range(max(k, k2), path.size))
+                for col in group:
+                    for col2 in group2:
+                        hess[col, col2] += it.dual[row, 0] * curv
+        jac[row, 0] = -1.0
+        cons[row] = value - it.t
+        g_col = 1 + 2 * n + row
+        for sign, r in ((1.0, L + row), (-1.0, 2 * L + row)):
+            for i in idx:
+                jac[r, i], jac[r, n + i] = sign, -sign
+            jac[r, g_col] = -1.0
+            cons[r] = sign * x_pre - it.close[row]
+
+    u = it.slack.T.ravel()  # constraint order: all leaf rows, then all x_pre - g, then all -x_pre - g
+    nu = it.dual.T.ravel()
+    tau = target.T.ravel()
+    xb = np.concatenate([b, s])
+    z = np.concatenate([it.bound_dual[:, 0], it.bound_dual[:, 1]])
+    taub = np.concatenate([bound_target[:, 0], bound_target[:, 1]])
+    sel = np.zeros((2 * n, nx))
+    sel[np.arange(2 * n), 1 + np.arange(2 * n)] = 1.0
+
+    grad_f = np.zeros(nx)
+    grad_f[0] = 1.0
+    m, q = 3 * L, 2 * n
+    size = nx + 2 * m + q
+    K = np.zeros((size, size))
+    rhs = np.zeros(size)
+    X, U, N, Z = slice(0, nx), slice(nx, nx + m), slice(nx + m, nx + 2 * m), slice(nx + 2 * m, size)
+    K[X, X], K[X, N], K[X, Z] = hess, jac.T, -sel.T
+    rhs[X] = -(grad_f + jac.T @ nu - sel.T @ z)
+    K[U, X], K[U, U] = jac, np.eye(m)
+    rhs[U] = -(cons + u)
+    K[N, U], K[N, N] = np.diag(nu), np.diag(u)
+    rhs[N] = tau - nu * u
+    K[Z, X], K[Z, Z] = np.diag(z) @ sel, np.diag(xb)
+    rhs[Z] = taub - z * xb
+    d = np.linalg.solve(K, rhs)
+    dx, du, dnu, dz = d[X], d[U], d[N], d[Z]
+    return {
+        "t": dx[0],
+        "trades": np.stack([dx[1 : 1 + n], dx[1 + n : 1 + 2 * n]], axis=1),
+        "close": dx[1 + 2 * n :],
+        "slack": du.reshape(3, L).T,
+        "dual": dnu.reshape(3, L).T,
+        "bound_dual": np.stack([dz[:n], dz[n:]], axis=1),
+    }
+
+
+def newton_instances():
+    """Convex seeded trees (constant depth per tree) and conftest random trees."""
+    from conftest import random_tree
+
+    out = []
+    for k, tree in enumerate(TREES):
+        tree = ti.ScenarioTree(tree.times, tree.parent, tree.p_transition, tree.P,
+                               np.full(tree.n_nodes, tree.delta[0]), tree.r)
+        market = market_for_tree(np.random.default_rng(tree.n_nodes + 8), tree)
+        out.append(pytest.param(tree, market, np.maximum(tree.P[tree.leaves] - 100.0, 0.0), id=f"tree{k}"))
+    for k in range(6):
+        rng = np.random.default_rng(300 + k)
+        tree = random_tree(rng, depth=1 + k % 3, stochastic_liquidity=k % 2 == 0, martingale=k >= 3)
+        market = market_for_tree(rng, tree)
+        out.append(pytest.param(tree, market, rng.uniform(0.0, 4.0, tree.leaves.size), id=f"random{k}"))
+    return out
+
+
+@pytest.mark.parametrize("tree, market, H", newton_instances())
+def test_tree_sparse_newton_direction_matches_dense_kkt(monkeypatch, tree, market, H):
+    from transient_impact import solver
+
+    assert tree.validate_assumptions_pathwise()[0]  # convex: the curvature is the true Hessian
+    direction = solver._direction
+    seen = []
+
+    def checked(prob, it, res, factor, target, bound_target):
+        got = direction(prob, it, res, factor, target, bound_target)
+        want = ref_kkt_direction(prob, it, target, bound_target)
+        # Each group is relative to its direction plus its iterate.  Multiplier directions are
+        # compared in slack units, (slack / multiplier) * d(multiplier): that is how the rounding
+        # of a slack direction reaches them, amplified wherever a slack is nearly closed.
+        units = {"dual": it.slack / it.dual, "bound_dual": it.trades / it.bound_dual}
+        for name, expected in want.items():
+            unit = units.get(name, 1.0)
+            error = np.max(np.abs(unit * (getattr(got, name) - expected)))
+            scale = np.max(np.abs(unit * expected)) + np.max(np.abs(unit * getattr(it, name)))
+            assert error <= 1e-10 * scale, (name, len(seen))
+        seen.append(it.t)
+        return got
+
+    monkeypatch.setattr(solver, "_direction", checked)
+    report = ti.primal_solve(tree, market, H)
+    assert report.primal_converged
+    assert len(seen) == 2 * report.iterations  # predictor and corrector at every step
