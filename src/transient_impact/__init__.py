@@ -7,7 +7,6 @@ call price and shadow-price optimality conditions.
 """
 
 from .applications import (
-    BandFeasibility,
     CallSpec,
     CallVerification,
     ExponentialUtility,
@@ -18,18 +17,20 @@ from .applications import (
     buy_and_hold,
     call_price_formula,
     make_utility,
-    shadow_band_feasibility,
     shadow_price_check,
     verify_call_superreplication,
 )
 from .duality import (
+    BandFeasibility,
     DualCertificate,
     FeasibilityReport,
     WeakDualityReport,
+    certificate_from,
     check_feasibility,
     constraint_bound,
     dual_objective,
     restore_feasibility,
+    shadow_band_feasibility,
     weak_duality_check,
 )
 from .market import (

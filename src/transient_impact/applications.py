@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duality import DualCertificate, constraint_bound
+from .duality import DualCertificate, band_pins, constraint_bound, leaf_measure, shadow_band_feasibility
 from .errors import NotApplicable, TerminalNotZero
 from .market import MarketSpec, as_curve
 from .strategy import TradeSchedule, check_terminal_zero, normalize
@@ -224,61 +224,6 @@ class ShadowCheckInput:
 
 
 @dataclass(frozen=True)
-class BandFeasibility:
-    """Either a martingale within the band or the first node with empty interval."""
-
-    feasible: bool
-    M: np.ndarray | None
-    empty_node: int | None
-
-
-def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | None = None) -> BandFeasibility:
-    """Search for a martingale under ``q`` inside the band ``[P - lam, P + lam]``.
-
-    Backward interval recursion: a node's admissible values are the
-    intersection of its own band with the expectations of admissible child
-    selections; pinned nodes are forced to a single value.  Infeasibility is a
-    result, not an error.
-    """
-    lam = as_curve(lam, tree.n_nodes, "lam")
-    if np.any(lam < 0.0):
-        raise ValueError("band widths must be >= 0")
-    qt = q.transitions if isinstance(q, NodeMeasure) else as_curve(q, tree.n_nodes, "q")
-    pin = pin or {}
-    slack = 1e-12 * (1.0 + float(np.max(np.abs(tree.P)) + np.max(lam)))
-
-    own_lo = tree.P - lam
-    own_hi = tree.P + lam
-    for node, value in pin.items():
-        own_lo[node] = max(own_lo[node], value - slack)
-        own_hi[node] = min(own_hi[node], value + slack)
-    # After k passes every node within k levels of the leaves holds its final
-    # interval: each pass reads only the children's values.
-    lo, hi = own_lo, own_hi
-    for _ in range(tree.n_levels - 1):
-        lo = np.where(tree.is_leaf, own_lo, np.maximum(own_lo, tree.child_sum(qt * lo)))
-        hi = np.where(tree.is_leaf, own_hi, np.minimum(own_hi, tree.child_sum(qt * hi)))
-    empty = np.flatnonzero(lo > hi + slack)
-    if empty.size:
-        # the first empty node a leaves-up pass meets: deepest, then lowest id
-        first = empty[np.argmax(tree.t_index[empty])]
-        return BandFeasibility(feasible=False, M=None, empty_node=int(first))
-
-    # Every child takes the same fraction of its interval, chosen so the
-    # children's expectation is the parent's value.
-    exp_lo = tree.child_sum(qt * lo)
-    span = tree.child_sum(qt * hi) - exp_lo
-
-    def place(m_parent, nodes):
-        par = tree.parent[nodes]
-        theta = np.divide(m_parent - exp_lo[par], span[par], out=np.zeros(nodes.size), where=span[par] > 0.0)
-        return lo[nodes] + np.clip(theta, 0.0, 1.0) * (hi[nodes] - lo[nodes])
-
-    M = tree.down_sweep(0.5 * (lo[0] + hi[0]), place)
-    return BandFeasibility(feasible=True, M=M, empty_node=None)
-
-
-@dataclass(frozen=True)
 class ShadowVerdict:
     """Result of the verification: "optimal" or "inconclusive", with diagnostics.
 
@@ -315,34 +260,18 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
     if not utility.in_domain(tw.xi_T):
         raise ValueError("terminal cash leaves the utility's domain")
 
-    weights = utility.derivative(tw.xi_T)
     reach_p = tree.reach_probabilities()
-    leaf_mass = reach_p[tree.leaves] * weights
-    total = float(np.sum(leaf_mass))
-    marginal = tree.up_sweep(np.ones(tree.n_nodes), leaf_mass / total)
-    transitions = np.ones(tree.n_nodes)
-    nonroot = np.arange(1, tree.n_nodes)
-    parent_mass = marginal[tree.parent[nonroot]]
-    transitions[nonroot] = np.where(
-        parent_mass > 0.0,
-        marginal[nonroot] / np.where(parent_mass > 0.0, parent_mass, 1.0),
-        tree.p_transition[nonroot],
-    )
-    q_hat = NodeMeasure.for_tree(tree, transitions)
-
+    q_hat = leaf_measure(tree, reach_p[tree.leaves] * utility.derivative(tw.xi_T))
     alpha_hat = tw.eta
     lam_hat = constraint_bound(tree, DualCertificate(q=q_hat, M=np.zeros(tree.n_nodes), alpha=alpha_hat), market)
+    pin = band_pins(tree, schedule, lam_hat)
 
     scale = 1.0 + float(np.max(np.abs(tree.P)) + np.max(lam_hat))
     tol = SHADOW_RTOL * scale
-    sell_nodes = np.flatnonzero(schedule.sells > 0.0)
-    buy_nodes = np.flatnonzero(schedule.buys > 0.0)
 
     reasons: list[str] = []
     M_hat = inp.M_hat
     if M_hat is None:
-        pin = {int(n): float(tree.P[n] - lam_hat[n]) for n in sell_nodes}
-        pin.update({int(n): float(tree.P[n] + lam_hat[n]) for n in buy_nodes})
         band = shadow_band_feasibility(tree, q_hat, lam_hat, pin=pin)
         if not band.feasible:
             reasons.append(f"no band martingale with the required boundary contacts (empty at node {band.empty_node})")
@@ -358,11 +287,7 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
         band_violation = float(np.max(np.abs(tree.P - M_hat) - lam_hat))
         if band_violation > tol:
             reasons.append(f"band violated by {band_violation:.3e}")
-        flat_violation = 0.0
-        if sell_nodes.size:
-            flat_violation = max(flat_violation, float(np.max(np.abs(M_hat[sell_nodes] - (tree.P - lam_hat)[sell_nodes]))))
-        if buy_nodes.size:
-            flat_violation = max(flat_violation, float(np.max(np.abs(M_hat[buy_nodes] - (tree.P + lam_hat)[buy_nodes]))))
+        flat_violation = float(max((abs(M_hat[n] - edge) for n, edge in pin.items()), default=0.0))
         if flat_violation > tol:
             reasons.append(f"martingale leaves the boundary on trading nodes by {flat_violation:.3e}")
 

@@ -9,8 +9,12 @@ value), 1 when any readable input file (market, tree, payoff, strategy,
 certificate, price paths) holds NaN/inf or the operation fails in its domain
 (including a liquidity curve that rises along a tree edge in ``gap``,
 ``dual-search`` and ``dual-eval``), 3 when a solver stops before its tolerance
-(for ``price`` and ``gap``: the primal's Newton budget ran out or its search
-stalled).  Identical inputs produce byte-identical output.
+(for ``price``: the primal's Newton budget ran out or its search stalled; for
+``gap``: the same, unless the certificate it reads off the primal closes the
+gap to ``tol * (1 + |primal|)``, which proves the value optimal; for
+``dual-search``: the ascent budget ran out).  ``gap`` runs no dual search, so
+its ``--max-iter`` counts Newton steps only.  Identical inputs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -151,7 +155,7 @@ def cmd_gap(args) -> int:
         "dual_value": report.dual_value,
         "gap": report.gap,
         "iterations": report.iterations,
-        "converged": report.primal_converged and report.dual_converged,
+        "converged": report.primal_converged,
         "strategy": formats.schedule_to_dict(report.strategy),
         "certificate": formats.certificate_to_dict(report.certificate),
     }
@@ -162,7 +166,7 @@ def cmd_gap(args) -> int:
         "certificate.q_transitions": "probability",
     })
     _emit(args, payload)
-    return EXIT_OK if (report.primal_converged and report.dual_converged) else EXIT_NONCONVERGED
+    return EXIT_OK if report.primal_converged else EXIT_NONCONVERGED
 
 
 def cmd_dual_eval(args) -> int:

@@ -6,7 +6,10 @@ whose width is the discounted conditional liquidity-weighted mass of the
 spread process.  The penalized expectation of the payoff under a feasible
 certificate can never exceed any super-replicating initial cash; the verifier
 returns that margin together with the exact slack decomposition that makes the
-inequality an identity.
+inequality an identity.  :func:`certificate_from` reads a certificate off a
+solved primal by complementary slackness: the measure from its leaf
+multipliers, the spread process from its spread, and a band martingale that
+touches the band where the schedule trades.
 """
 
 from __future__ import annotations
@@ -125,6 +128,126 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
     if not report.feasible:
         raise InfeasibleCertificate(f"repair left the band violated at node {report.worst_node}")
     return cert
+
+
+@dataclass(frozen=True)
+class BandFeasibility:
+    """Either a martingale within the band or the first node with empty interval.
+
+    ``deficit`` is the widening of every band, on each side, that leaves no
+    interval empty when nothing is pinned; zero when the band is feasible.
+    """
+
+    feasible: bool
+    M: np.ndarray | None
+    empty_node: int | None
+    deficit: float = 0.0
+
+
+def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | None = None) -> BandFeasibility:
+    """Search for a martingale under ``q`` inside the band ``[P - lam, P + lam]``.
+
+    Backward interval recursion: a node's admissible values are the
+    intersection of its own band with the expectations of admissible child
+    selections; pinned nodes are forced to a single value.  Infeasibility is a
+    result, not an error.
+    """
+    lam = as_curve(lam, tree.n_nodes, "lam")
+    if np.any(lam < 0.0):
+        raise ValueError("band widths must be >= 0")
+    qt = q.transitions if isinstance(q, NodeMeasure) else as_curve(q, tree.n_nodes, "q")
+    pin = pin or {}
+    slack = 1e-12 * (1.0 + float(np.max(np.abs(tree.P)) + np.max(lam)))
+
+    own_lo = tree.P - lam
+    own_hi = tree.P + lam
+    for node, value in pin.items():
+        own_lo[node] = max(own_lo[node], value - slack)
+        own_hi[node] = min(own_hi[node], value + slack)
+    # After k passes every node within k levels of the leaves holds its final
+    # interval: each pass reads only the children's values.
+    lo, hi = own_lo, own_hi
+    for _ in range(tree.n_levels - 1):
+        lo = np.where(tree.is_leaf, own_lo, np.maximum(own_lo, tree.child_sum(qt * lo)))
+        hi = np.where(tree.is_leaf, own_hi, np.minimum(own_hi, tree.child_sum(qt * hi)))
+    empty = np.flatnonzero(lo > hi + slack)
+    if empty.size:
+        # the first empty node a leaves-up pass meets: deepest, then lowest id
+        first = empty[np.argmax(tree.t_index[empty])]
+        # Widening every band by w lowers every lo and raises every hi by w (the
+        # transitions sum to one), so half the largest overlap closes them all.
+        deficit = 0.5 * float(np.max(lo - hi))
+        return BandFeasibility(feasible=False, M=None, empty_node=int(first), deficit=deficit)
+
+    # Every child takes the same fraction of its interval, chosen so the
+    # children's expectation is the parent's value.
+    exp_lo = tree.child_sum(qt * lo)
+    span = tree.child_sum(qt * hi) - exp_lo
+
+    def place(m_parent, nodes):
+        par = tree.parent[nodes]
+        theta = np.divide(m_parent - exp_lo[par], span[par], out=np.zeros(nodes.size), where=span[par] > 0.0)
+        return lo[nodes] + np.clip(theta, 0.0, 1.0) * (hi[nodes] - lo[nodes])
+
+    M = tree.down_sweep(0.5 * (lo[0] + hi[0]), place)
+    return BandFeasibility(feasible=True, M=M, empty_node=None)
+
+
+def leaf_measure(tree: ScenarioTree, leaf_weights) -> NodeMeasure:
+    """Measure whose leaf probabilities are proportional to ``leaf_weights`` (leaf-id order).
+
+    Each transition is the node's share of its parent's weight (the reference
+    transition where the parent has none).  Weight on a leaf behind a
+    zero-probability branch is dropped, since no measure may charge it; with
+    no weight left the measure is the reference one.
+    """
+    reach = tree.reach_probabilities()
+    leaf_mass = np.where(reach[tree.leaves] > 0.0, as_curve(leaf_weights, tree.leaves.size, "leaf_weights"), 0.0)
+    total = float(np.sum(leaf_mass))
+    if not total > 0.0:
+        return NodeMeasure.reference(tree)
+    marginal = tree.up_sweep(np.ones(tree.n_nodes), leaf_mass / total)
+    transitions = np.ones(tree.n_nodes)
+    nonroot = np.arange(1, tree.n_nodes)
+    parent_mass = marginal[tree.parent[nonroot]]
+    transitions[nonroot] = np.where(
+        parent_mass > 0.0,
+        marginal[nonroot] / np.where(parent_mass > 0.0, parent_mass, 1.0),
+        tree.p_transition[nonroot],
+    )
+    return NodeMeasure.for_tree(tree, transitions)
+
+
+def band_pins(tree: ScenarioTree, schedule: TradeSchedule, lam) -> dict[int, float]:
+    """Band edge at every trading node: ``P - lam`` where the schedule sells, ``P + lam`` where it buys."""
+    pin = {int(n): float(tree.P[n] - lam[n]) for n in np.flatnonzero(schedule.sells > 0.0)}
+    pin.update({int(n): float(tree.P[n] + lam[n]) for n in np.flatnonzero(schedule.buys > 0.0)})
+    return pin
+
+
+def certificate_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSchedule, leaf_weights) -> DualCertificate:
+    """Feasible certificate read off a schedule and leaf weights (the primal's multipliers).
+
+    The measure is :func:`leaf_measure` of the weights, the spread process
+    the schedule's spread, and the martingale a band martingale: touching the
+    band at :func:`band_pins`, else anywhere inside it, else inside the band
+    widened by its deficit.  Adding ``c`` to the spread on a node's subtree
+    widens that node's band by ``c / rho`` and, on a decaying liquidity
+    curve, narrows none; so raising each node's spread by the largest
+    discounted violation on its path from the root repairs every violation,
+    and :func:`restore_feasibility` confirms it.
+    """
+    q = leaf_measure(tree, leaf_weights)
+    alpha = tree_wealth(tree, schedule, market.impact).eta
+    lam = constraint_bound(tree, DualCertificate(q=q, M=np.zeros(tree.n_nodes), alpha=alpha), market)
+    band = shadow_band_feasibility(tree, q, lam, pin=band_pins(tree, schedule, lam))
+    if not band.feasible:
+        band = shadow_band_feasibility(tree, q, lam)
+    if not band.feasible:
+        band = shadow_band_feasibility(tree, q, lam + band.deficit)
+    violation = np.maximum(np.abs(tree.P - band.M) - lam, 0.0) * tree.rho
+    raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
+    return restore_feasibility(tree, DualCertificate(q=q, M=band.M, alpha=alpha + raise_by), market)
 
 
 def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec, H) -> float:

@@ -156,14 +156,16 @@ class TestPriceAndGap:
         from dataclasses import replace
 
         from transient_impact import solver
+        from transient_impact.tree import NodeMeasure
 
-        dual_ascent = solver.dual_ascent
+        certificate_from = solver.certificate_from
 
-        def overshooting(*args, **kwargs):
-            report = dual_ascent(*args, **kwargs)
-            return replace(report, dual_value=report.dual_value + 1.0)
+        def overshooting(tree, *args, **kwargs):
+            # all mass on the leaf paying 10: worth about 9.95 against a primal of 5.05
+            cert = certificate_from(tree, *args, **kwargs)
+            return replace(cert, q=NodeMeasure.for_tree(tree, [1.0, 1.0, 0.0]))
 
-        monkeypatch.setattr(solver, "dual_ascent", overshooting)
+        monkeypatch.setattr(solver, "certificate_from", overshooting)
         market, tree, payoff = binary_files
         code = main(["gap", "--market", market, "--tree", tree, "--payoff", payoff])
         assert code == 1

@@ -270,6 +270,65 @@ class TestGapReport:
             assert check.margin >= -1e-9 * scale
 
 
+class TestCertificateFromPrimal:
+    @pytest.mark.parametrize("depth", [2, 4, 6, 8])
+    def test_ladder_gap_closes(self, depth):
+        report = ti.gap_report(*binomial_ladder(depth))
+        assert 0.0 <= report.gap <= 1e-6 * report.primal_value
+
+    def test_gap_makes_no_search(self, monkeypatch):
+        from transient_impact import solver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("gap_report searched")
+
+        monkeypatch.setattr(solver, "dual_ascent", refuse)
+        report = ti.gap_report(*binary_instance())
+        assert report.gap == pytest.approx(0.0, abs=1e-9)
+
+    def test_subtree_repair_leaves_nothing_to_bump(self, monkeypatch):
+        from transient_impact import duality
+
+        restore = duality.restore_feasibility
+        feasible_on_entry = []
+
+        def confirming(tree, cert, market):
+            feasible_on_entry.append(duality.check_feasibility(tree, cert, market).feasible)
+            return restore(tree, cert, market)
+
+        monkeypatch.setattr(duality, "restore_feasibility", confirming)
+        for _, tree, market, H in seeded_convex_trees():
+            report = ti.primal_solve(tree, market, H)
+            ti.certificate_from(tree, market, report.strategy, report.leaf_weights)
+        assert feasible_on_entry == [True] * 24
+
+    def test_degenerate_programs_are_certified_optimal(self):
+        # zero payoff, position and spread on a martingale price: the Newton search stalls
+        # on these exact programs, while the default certificate proves the value 0 optimal
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            tree = random_tree(rng, depth=2, martingale=True)
+            market = market_for_tree(rng, tree, x0=0.0, zeta0=0.0)
+            report = ti.gap_report(tree, market, np.zeros(tree.leaves.size))
+            assert report.primal_converged and report.dual_converged, seed
+            assert report.dual_value == 0.0, seed
+            assert 0.0 <= report.gap <= 1e-11, seed
+
+    @pytest.mark.parametrize("H, searched", [([0.0, 50.0], -500.0), ([10.0, 0.0], -490.0)])
+    def test_null_branch_mass_is_dropped(self, H, searched):
+        # the interior-point method weights the leaf behind the zero-probability branch too
+        tree = ti.ScenarioTree([0.0, 1.0], [-1, 0, 0], [1.0, 1.0, 0.0], [100.0, 110.0, 90.0],
+                               np.full(3, 10.0), np.zeros(3))
+        market = ti.MarketSpec.build([0.0, 1.0], 10.0, 0.0)
+        report = ti.gap_report(tree, market, H)
+        assert ti.check_feasibility(tree, report.certificate, market).feasible
+        check = ti.weak_duality_check(tree, market, report.strategy, report.primal_value, report.certificate, H)
+        assert check.margin >= 0.0
+        assert report.dual_value >= searched
+        recovered = ti.certificate_from(tree, market, report.strategy, [0.0, 1.0])  # all weight on the null leaf
+        np.testing.assert_array_equal(recovered.q.transitions, tree.p_transition)
+
+
 class TestNonFinitePayoff:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_every_entry_point_refuses_it(self, bad):
