@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -121,26 +122,36 @@ def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
 
 
 def load_price_paths(path) -> np.ndarray:
-    """CSV with one column per scenario; returns scenario rows ``(S, N+1)``."""
-    rows: list[list[float]] = []
+    """CSV with one column per scenario; returns scenario rows ``(S, N+1)``.
+
+    A first record with a cell that is not a number is a header and is skipped;
+    numpy's C reader parses the rest, so Python-only syntax such as ``1_0`` fails.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            for line_no, row in enumerate(csv.reader(fh)):
-                if not row:
-                    continue
-                try:
-                    rows.append([float(cell) for cell in row])
-                except ValueError:
-                    if line_no == 0:
-                        continue  # header
-                    raise FormatError(f"{path}: non-numeric value on line {line_no + 1}")
+            if not _is_header(next(csv.reader(fh), [])):
+                fh.seek(0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data: refused below
+                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    if not rows or any(len(r) != len(rows[0]) for r in rows):
+    except UnicodeDecodeError:
+        raise  # undecodable bytes exit as they do from the JSON readers
+    except ValueError as exc:  # ragged rows, text or empty cells; numpy's hint at `usecols` is cut
+        raise FormatError(f"{path}: need a rectangular numeric table: {str(exc).split(';')[0]}") from exc
+    if table.size == 0:
         raise FormatError(f"{path}: need a rectangular numeric table")
-    table = np.asarray(rows, dtype=float)
-    del rows  # checked only once the row list is gone, and before the transpose, in memory order
     return finite(table, f"{path}: price paths").T
+
+
+def _is_header(record: list[str]) -> bool:
+    """Whether any cell of a ``csv`` record is not a number."""
+    try:
+        list(map(float, record))
+    except ValueError:
+        return True
+    return False
 
 
 def jsonify(obj):
@@ -150,6 +161,8 @@ def jsonify(obj):
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind in "biuf":
+            return obj.tolist()  # already nested lists of Python scalars
         return [jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()

@@ -453,12 +453,12 @@ class TestOptions:
     @pytest.mark.parametrize("command, extra", [
         ("price", ["--format", "csv"]),
         ("dual-search", ["--tol", "1e-3"]),
-        ("dual-search", ["--smoothing", "0.1"]),
-        ("price", ["--smoothing", "nan"]),
-        ("price", ["--smoothing", "abc"]),
-        ("price", ["--smoothing", "0.1,0"]),
-        ("gap", ["--smoothing", "0.1,-1"]),
-        ("gap", ["--smoothing", "inf,0.1"]),
+        ("dual-search", ["--max-iter", "x"]),
+        ("price", ["--tol", "nan"]),
+        ("price", ["--max-iter", "1.5"]),
+        ("price", ["--tol", "inf"]),
+        ("gap", ["--tol", "abc"]),
+        ("gap", ["--max-iter", "1e3"]),
     ])
     def test_unknown_or_bad_flag_is_a_usage_error(self, capsys, binary_files, command, extra):
         market, tree, payoff = binary_files
