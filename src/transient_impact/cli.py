@@ -3,23 +3,24 @@
 One subcommand per operation family; every command reads JSON/CSV inputs,
 writes a JSON report (``dual-eval``, ``tilt`` and ``shadow-check`` write
 per-node CSV series instead with ``--format csv``) and maps failures to exit
-codes: 2 when an input is unreadable or breaks its schema (a malformed tree
-structure, transitions that do not sum to one, a NaN, infinite or unknown flag
-value), 1 when any readable input file (market, tree, payoff, strategy,
-certificate, price paths) holds NaN/inf or the operation fails in its domain
-(including a liquidity curve that rises along a tree edge in ``gap``,
-``dual-search`` and ``dual-eval``), 3 when a solver stops before its tolerance
-(for ``price``: the primal's Newton budget ran out or its search stalled; for
-``gap``: the same, unless the certificate it reads off the primal closes the
-gap to ``tol * (1 + |primal|)``, which proves the value optimal; for
-``dual-search``: the ascent budget ran out).  ``gap`` runs no dual search, so
-its ``--max-iter`` counts Newton steps only.  Identical inputs produce
-byte-identical output.
+codes: 2 when an input is unreadable (including bytes that are not UTF-8) or
+breaks its schema (a malformed tree structure, transitions that do not sum to
+one, a NaN, infinite or unknown flag value), 1 when any readable input file
+(market, tree, payoff, strategy, certificate, price paths) holds NaN/inf or
+the operation fails in its domain (including a liquidity curve that rises
+along a tree edge in ``gap``, ``dual-search`` and ``dual-eval``), 3 when a
+solver stops before its tolerance (for ``price``: the primal's Newton budget
+ran out or its search stalled; for ``gap``: the same, unless the certificate
+it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
+proves the value optimal; for ``dual-search``: the ascent budget ran out).
+``gap`` runs no dual search, so its ``--max-iter`` counts Newton steps only.
+Identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import sys
 
@@ -313,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, help_, *flags):
         p = sub.add_parser(name, help=help_)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=handler.__name__)  # looked up at call time, so rebinding a handler takes effect
         for flag in flags:
             if flag == "market":
                 p.add_argument("--market", required=True, help="market spec JSON")
@@ -362,12 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (FormatError, OSError) as exc:
+        return globals()[args.handler](args)
+    except (FormatError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (TransientImpactError, ValueError) as exc:

@@ -181,28 +181,29 @@ class _PrimalProblem:
 def _cholesky(pivot: np.ndarray) -> np.ndarray:
     """Cholesky factors of a batch of 1x1 or 2x2 pivots; ``LinAlgError`` where one is not definite."""
     low = np.zeros_like(pivot)
-    for i in range(pivot.shape[1]):
-        for j in range(i + 1):
-            acc = pivot[:, i, j] - np.sum(low[:, i, :j] * low[:, j, :j], axis=1)
-            if i > j:
-                low[:, i, j] = acc / low[:, j, j]
-            elif np.all(acc > 0.0):
-                low[:, i, i] = np.sqrt(acc)
-            else:
-                raise np.linalg.LinAlgError("a pivot is not positive definite")
+    a00 = pivot[:, 0, 0]
+    if not np.all(a00 > 0.0):
+        raise np.linalg.LinAlgError("a pivot is not positive definite")
+    low[:, 0, 0] = np.sqrt(a00)
+    if pivot.shape[1] == 2:
+        low[:, 1, 0] = l10 = pivot[:, 1, 0] / low[:, 0, 0]
+        a11 = pivot[:, 1, 1] - l10 * l10
+        if not np.all(a11 > 0.0):
+            raise np.linalg.LinAlgError("a pivot is not positive definite")
+        low[:, 1, 1] = np.sqrt(a11)
     return low
 
 
 def _cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve ``low @ low.T @ x = rhs`` for a batch of right-hand sides ``rhs`` of shape ``(n, own, cols)``."""
-    x = rhs.copy()
-    own = low.shape[1]
-    for i in range(own):  # forward: low @ y = rhs
-        x[:, i] -= np.einsum("nj,njc->nc", low[:, i, :i], x[:, :i])
-        x[:, i] /= low[:, i, i, None]
-    for i in reversed(range(own)):  # backward: low.T @ x = y
-        x[:, i] -= np.einsum("nj,njc->nc", low[:, i + 1 :, i], x[:, i + 1 :])
-        x[:, i] /= low[:, i, i, None]
+    l00 = low[:, 0, 0, None]
+    x = np.empty_like(rhs)
+    np.divide(rhs[:, 0], l00, out=x[:, 0])  # forward: low @ y = rhs
+    if low.shape[1] == 2:
+        l10, l11 = low[:, 1, 0, None], low[:, 1, 1, None]
+        x[:, 1] = (rhs[:, 1] - l10 * x[:, 0]) / l11 / l11  # both substitutions of the last entry
+        x[:, 0] -= l10 * x[:, 1]  # backward: low.T @ x = y
+    x[:, 0] /= l00
     return x
 
 
@@ -216,7 +217,9 @@ class _TreeFactor:
     remains at the root is a scalar.  The leaves' step is done by the caller
     (``leaf_blocks`` are its Schur complements, ``leaf_pivots`` its Cholesky
     factors and couplings).  One factorisation serves any number of
-    right-hand sides.
+    right-hand sides.  Every pivot is 1x1 (a leaf's closing trade) or 2x2 (a
+    buy/sell pair), factored and solved in closed form; a solve writes each
+    level's entries into the parents' rows that ``down_sweep`` gathers.
     """
 
     def __init__(self, prob: _PrimalProblem, leaf_blocks: np.ndarray, leaf_pivots, diag: np.ndarray):
@@ -258,22 +261,25 @@ class _TreeFactor:
             if k < tree.n_levels - 1:
                 r[:, a:] += own[prob.slot_of[nodes]]
             kept[k] = r[:, a:]
-            return r[:, :a] - np.einsum("noa,no->na", self.pivots[k][1], r[:, a:])
+            coupling = self.pivots[k][1]
+            folded = coupling[:, 0] * r[:, a, None]
+            if coupling.shape[1] == 2:
+                folded += coupling[:, 1] * r[:, a + 1, None]
+            return r[:, :a] - folded
 
-        t_total = tree.fold_up(reduce(rows.copy(), tree.leaves), reduce)[0] + t_rhs
+        t_total = tree.fold_up(reduce(rows, tree.leaves), reduce)[0] + t_rhs
 
-        def back(upper, nodes):
+        def back(upper, nodes):  # upper: the parents' rows, a fresh gather, zero from the nodes' entries on
             k = int(tree.t_index[nodes[0]])
             a = 2 * k + 1
             chol, coupling = self.pivots[k]
-            out = np.zeros((nodes.size, rows.shape[1]))
-            out[:, :a] = upper[:, :a]
-            out[:, a : a + chol.shape[1]] = (
+            upper[:, a : a + chol.shape[1]] = (
                 _cholesky_solve(chol, kept[k][:, :, None])[:, :, 0] - np.einsum("nia,na->ni", coupling, upper[:, :a])
             )
-            return out
+            return upper
 
-        top = np.full((1, 1), t_total / self.border)
+        top = np.zeros((1, rows.shape[1]))
+        top[0, 0] = t_total / self.border
         return tree.down_sweep(back(top, np.zeros(1, dtype=int))[0], back)
 
 
@@ -352,8 +358,7 @@ def _newton_matrix(prob: _PrimalProblem, it: _Iterate, res: _Residuals) -> _Tree
     close, rest = roots[:, :, -1].copy(), roots[:, :, :-1]
     pivot = np.einsum("lr,lr->l", close, close)
     coupling = np.einsum("lr,lra->la", close, rest) / pivot[:, None]
-    for j in range(roots.shape[1]):
-        rest[:, j] -= close[:, j, None] * coupling
+    rest -= close[:, :, None] * coupling[:, None, :]
     blocks = np.matmul(rest.transpose(0, 2, 1), rest)
     del roots, rest  # while factoring, at most the blocks and one update of their size stay alive
     return _TreeFactor(prob, blocks, (np.sqrt(pivot)[:, None, None], coupling[:, None, :]), it.bound_dual / it.trades)

@@ -11,7 +11,10 @@ level), ``up_sweep`` (leaves to root, one ``np.bincount`` per level),
 ``fold_up`` (leaves to root on rows of any shape, one children-sum and one
 caller step per level) and ``child_sum`` (one ``np.bincount`` over all
 edges).  They are the only code that walks the tree levels, so the level
-layout stays inside this module.
+layout stays inside this module.  ``fold_up`` carries the primal's Newton
+steps, so where each child sits, by rank under its parent, is worked out once
+with the tree: a fold is then a few gathers and adds per level, views where
+the children are evenly spaced.
 """
 
 from __future__ import annotations
@@ -73,6 +76,8 @@ class ScenarioTree:
             raise ValueError("every leaf must sit at the terminal time")
         self.leaves = np.flatnonzero(self.is_leaf)
         self.levels = [np.flatnonzero(self.t_index == k) for k in range(self.n_levels)]
+        self._fold_layout = [self._child_layout(upper, lower)
+                             for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1])]
         self._check_simplex(self.p_transition, "transition probabilities")
 
         # Per-node resilience discount and liquidity curve along the path.
@@ -96,7 +101,8 @@ class ScenarioTree:
         step(out[parent[nodes]], nodes)``: ``step`` combines the parents'
         results with the nodes' own data, for example ``acc + v[nodes]`` for
         sums along paths or ``acc * q[nodes]`` for products.  ``root`` may be
-        an array, giving one row per node.
+        an array, giving one row per node.  The parents' results reach ``step``
+        as a fresh gather, so it may write into them.
         """
         root = np.asarray(root)
         out = np.empty((self.n_nodes,) + root.shape, dtype=root.dtype)
@@ -125,16 +131,49 @@ class ScenarioTree:
         level from the deepest internal one, the rows of the level below are
         summed over each node's children and ``step(sums, nodes)`` turns those
         sums, one per node of the level in id order, into the level's rows.
+        Each sum is the first child's row plus the running sum of the other
+        children's rows, children in id order.  The sums are fresh arrays, so
+        ``step`` may write into them.  Which rows to gather comes from a
+        layout computed with the tree.
         """
         rows = np.asarray(leaf_rows)
-        for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1]):
-            par = self.parent[lower]
-            if np.any(par[1:] < par[:-1]):  # siblings not adjacent: group them first
-                order = np.argsort(par, kind="stable")
-                par, rows = par[order], rows[order]
-            starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
-            rows = step(np.add.reduceat(rows, starts, axis=0), upper)
+        for upper, (first, seconds, later, two) in zip(self.levels[-2::-1], self._fold_layout):
+            others = rows[seconds]
+            for at, kids in later:
+                others[at] += rows[kids]
+            if two is None:  # every node has a second child
+                sums = rows[first] + others
+            else:
+                sums = rows[first]
+                sums[two] += others
+            rows = step(sums, upper)
         return rows[0]
+
+    def _child_layout(self, upper, lower):
+        """Where ``fold_up`` finds each child of a level, by rank among its siblings.
+
+        ``upper`` and ``lower`` are the node ids of a level and of the level
+        below.  Returns the positions in ``lower`` of each node's first child
+        and of the second children (in ``upper`` order); per later rank, which
+        of the nodes with a second child have a child of that rank, and where
+        it is; and the positions in ``upper`` of the nodes with a second child,
+        ``None`` when all have one.  Evenly spaced positions that ``fold_up``
+        only reads become slices, so their rows are views.
+        """
+        slot = np.searchsorted(upper, self.parent[lower])  # parent's position in upper
+        order = np.argsort(slot, kind="stable")  # siblings grouped, in id order
+        counts = np.bincount(slot, minlength=upper.size)
+        rank = np.arange(order.size) - (np.cumsum(counts) - counts)[slot[order]]  # among siblings, per entry of order
+        two = np.flatnonzero(counts >= 2)
+        later = [(np.searchsorted(two, slot[order[rank == r]]), _as_slice(order[rank == r]))
+                 for r in range(2, int(counts.max()))]
+        # fold_up adds into the first children's rows unless every node has a second child,
+        # and into the second children's rows when there are later ranks
+        first, seconds = order[rank == 0], order[rank == 1]
+        seconds = seconds if later else _as_slice(seconds)
+        if two.size == upper.size:
+            return _as_slice(first), seconds, later, None
+        return first, seconds, later, two
 
     def child_sum(self, values) -> np.ndarray:
         """Sum of a per-node quantity over each node's children (zero at leaves)."""
@@ -230,6 +269,14 @@ class ScenarioTree:
         delta = _node_column(nodes, "delta", default_delta, t_index, "depth")
         r = _node_column(nodes, "r", default_r, t_index, "resilience rate")
         return cls(times, parent, p, price, delta, r)
+
+
+def _as_slice(idx: np.ndarray):
+    """``idx`` as a slice when it is evenly spaced and increasing, else unchanged."""
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if idx.size and step > 0 and np.array_equal(idx, np.arange(idx[0], idx[-1] + 1, step)):
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
 
 
 def _depths(parent: np.ndarray) -> np.ndarray:

@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -68,6 +71,15 @@ class TestValidate:
         code, _ = run(capsys, "validate", "--market", str(bad))
         assert code == 2
 
+    def test_undecodable_market_exits_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"grid":[0,1],\xff}')
+        code = main(["validate", "--market", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "can't decode byte 0xff" in captured.err
+
 
 class TestWealth:
     def test_round_trip_instance(self, tmp_path, capsys, market_file):
@@ -119,6 +131,16 @@ class TestWealth:
             assert code == 1
             assert captured.out == ""
             assert "price paths must be finite" in captured.err
+
+    def test_undecodable_paths_exit_two(self, tmp_path, capsys, market_file):
+        strategy = write_json(tmp_path / "s.json", {"buys": [1.0, 0.0], "sells": [0.0, 1.0]})
+        paths = tmp_path / "p.csv"
+        paths.write_bytes(b"100.0\n\xff\n")
+        code = main(["wealth", "--market", market_file, "--strategy", strategy, "--paths", str(paths)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "can't decode byte 0xff" in captured.err
 
     def test_open_position_flagged(self, tmp_path, capsys, market_file):
         strategy = write_json(tmp_path / "s.json", {"buys": [1.0, 0.0], "sells": [0.0, 0.0]})
@@ -426,6 +448,25 @@ def binary_tree_files(tmp_path, market, leaf_delta=None):
         write_json(tmp_path / "t.json", {"levels": 3, "nodes": nodes}),
         write_json(tmp_path / "h.json", {"type": "call", "strike": 100.0}),
     )
+
+
+class TestParser:
+    def test_not_built_at_import(self):
+        code = "import transient_impact.cli as cli; print(cli._parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert out.stdout.strip() == "0"
+
+    def test_built_once_and_handlers_looked_up_per_call(self, monkeypatch, market_file, capsys):
+        from transient_impact import cli
+
+        run(capsys, "validate", "--market", market_file)
+        parser = cli._parser()
+        seen = []
+        monkeypatch.setattr(cli, "cmd_validate", lambda args: seen.append(args.market) or 0)
+        assert main(["validate", "--market", market_file]) == 0
+        assert seen == [market_file]
+        assert cli._parser() is parser
 
 
 class TestOptions:

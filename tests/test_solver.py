@@ -271,9 +271,10 @@ class TestGapReport:
 
 
 class TestCertificateFromPrimal:
-    @pytest.mark.parametrize("depth", [2, 4, 6, 8])
+    @pytest.mark.parametrize("depth", [2, 4, 6, 8, 10])
     def test_ladder_gap_closes(self, depth):
         report = ti.gap_report(*binomial_ladder(depth))
+        assert report.primal_converged
         assert 0.0 <= report.gap <= 1e-6 * report.primal_value
 
     def test_gap_makes_no_search(self, monkeypatch):

@@ -8,7 +8,11 @@ leaf-path spread/penalty kernel replaced.  The dual-search oracles are the
 scan over both step signs and the four-pass repair that the ascent-sign scan
 and the one-bump repair replaced; certificates and values must agree exactly.
 The primal's tree-sparse Newton direction is checked at every step against
-the perturbed KKT system assembled densely from per-leaf loops.
+the perturbed KKT system assembled densely from per-leaf loops.  The fold
+over a cached child layout must reproduce the ``argsort`` + ``reduceat`` fold
+exactly where a node has at most eight children (beyond that ``reduceat``
+sums pairwise), and the closed-form 1x1 and 2x2 pivots the generic Cholesky
+loops.
 
 Tolerances are fixed by the arithmetic: down-sweeps (sums and products along
 paths) keep the operation order of the loops and must agree exactly; where a
@@ -151,6 +155,20 @@ def ref_t_index(tree):
 def ref_levels(tree):
     t_index = ref_t_index(tree)
     return [np.flatnonzero(t_index == k) for k in range(t_index.max() + 1)]
+
+
+def ref_fold_up(tree, leaf_rows, step):
+    """The fold that the cached child layout replaced: group siblings, then one ``reduceat`` per level."""
+    rows = np.asarray(leaf_rows)
+    levels = ref_levels(tree)
+    for upper, lower in zip(levels[-2::-1], levels[:0:-1]):
+        par = tree.parent[lower]
+        if np.any(par[1:] < par[:-1]):  # siblings not adjacent: group them first
+            order = np.argsort(par, kind="stable")
+            par, rows = par[order], rows[order]
+        starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
+        rows = step(np.add.reduceat(rows, starts, axis=0), upper)
+    return rows[0]
 
 
 def ref_rho(tree):
@@ -451,6 +469,63 @@ def test_down_sweeps_exact(tree):
     np.testing.assert_array_equal(tree.path_nodes(tree.leaves[-1]), ref_leaf_paths(tree)[-1])
 
 
+def fold_trees():
+    """The sweep trees, conftest random trees with 2-5 children per node, and one with scattered siblings."""
+    from conftest import random_tree
+
+    out = [pytest.param(tree, id=f"sweep{k}") for k, tree in enumerate(TREES)]
+    for seed in range(5, 11):
+        out.append(pytest.param(random_tree(np.random.default_rng(seed), depth=3, max_branch=5), id=f"random{seed}"))
+    # renumber each level of a level-ordered tree at random: siblings are no longer adjacent
+    rng = np.random.default_rng(11)
+    tree = random_tree(rng, depth=3, max_branch=5)
+    new_id = np.concatenate([rng.permutation(level) for level in tree.levels])
+    perm = np.argsort(new_id)  # old id -> new id
+    parent = np.r_[-1, perm[tree.parent[new_id[1:]]]]
+    scattered = ti.ScenarioTree(tree.times, parent, tree.p_transition[new_id], tree.P[new_id],
+                                tree.delta[new_id], tree.r[new_id])
+    assert any(np.any(np.diff(scattered.parent[level]) < 0) for level in scattered.levels)
+    out.append(pytest.param(scattered, id="scattered"))
+    return out
+
+
+@pytest.mark.parametrize("tree", fold_trees())
+@pytest.mark.parametrize("shape", [(), (3,), (4, 4)])
+def test_fold_matches_reduceat_loop(tree, shape):
+    # Exact: the fold keeps reduceat's order, the first child plus the running sum of the others.
+    rng = np.random.default_rng(tree.n_nodes)
+    leaf_rows = rng.normal(0.0, 1.0, (tree.leaves.size,) + shape) * 10.0 ** rng.uniform(-4, 4, (tree.leaves.size,) + shape)
+    weight = rng.uniform(0.5, 2.0, tree.n_nodes)
+
+    def stepper(seen):
+        def step(sums, nodes):
+            seen.append(sums.copy())
+            return sums * weight[nodes].reshape((-1,) + (1,) * len(shape)) + sums[::-1]
+        return step
+
+    got, want = [], []
+    np.testing.assert_array_equal(tree.fold_up(leaf_rows, stepper(got)), ref_fold_up(tree, leaf_rows, stepper(want)))
+    assert len(got) == len(want) == tree.n_levels - 1
+    for g, w in zip(got, want):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("k", [9, 12])
+def test_wide_node_folds_as_running_sum(k):
+    # From nine children on, reduceat sums the others pairwise; the fold keeps the running sum.
+    tree = ti.ScenarioTree([0.0, 1.0], [-1] + [0] * k, [1.0] + [1.0 / k] * k, np.full(k + 1, 100.0),
+                           np.full(k + 1, 10.0), np.zeros(k + 1))
+    rng = np.random.default_rng(k)
+    rows = rng.normal(0.0, 1.0, (k, 3)) * 10.0 ** rng.uniform(-4, 4, (k, 3))
+    running = rows[1].copy()
+    for row in rows[2:]:
+        running = running + row
+    got = tree.fold_up(rows, lambda sums, nodes: sums)
+    np.testing.assert_array_equal(got, rows[0] + running)
+    bound = k * np.finfo(float).eps * np.abs(rows).sum(axis=0)
+    assert np.all(np.abs(got - ref_fold_up(tree, rows, lambda sums, nodes: sums)) <= bound)
+
+
 @pytest.mark.parametrize("tree", TREES)
 def test_conditional_expectation_and_martingale_check(tree):
     rng = np.random.default_rng(tree.n_nodes + 1)
@@ -618,6 +693,68 @@ def test_ascent_sign_scan_matches_two_sign_scan(tree, market, H, options):
 # ---------------------------------------------------------------------------
 # Tree-sparse Newton direction against the dense KKT system
 # ---------------------------------------------------------------------------
+
+
+def ref_cholesky(pivot):
+    """The generic Cholesky loop that the closed-form 1x1 and 2x2 pivots replaced."""
+    low = np.zeros_like(pivot)
+    for i in range(pivot.shape[1]):
+        for j in range(i + 1):
+            acc = pivot[:, i, j] - np.sum(low[:, i, :j] * low[:, j, :j], axis=1)
+            if i > j:
+                low[:, i, j] = acc / low[:, j, j]
+            elif np.all(acc > 0.0):
+                low[:, i, i] = np.sqrt(acc)
+            else:
+                raise np.linalg.LinAlgError("a pivot is not positive definite")
+    return low
+
+
+def ref_cholesky_solve(low, rhs):
+    """The generic forward and backward substitution loops."""
+    x = rhs.copy()
+    own = low.shape[1]
+    for i in range(own):
+        x[:, i] -= np.einsum("nj,njc->nc", low[:, i, :i], x[:, :i])
+        x[:, i] /= low[:, i, i, None]
+    for i in reversed(range(own)):
+        x[:, i] -= np.einsum("nj,njc->nc", low[:, i + 1 :, i], x[:, i + 1 :])
+        x[:, i] /= low[:, i, i, None]
+    return x
+
+
+@pytest.mark.parametrize("own", [1, 2])
+@pytest.mark.parametrize("seed", range(4))
+def test_closed_form_pivots_match_loops(own, seed):
+    from transient_impact.solver import _cholesky, _cholesky_solve
+
+    rng = np.random.default_rng(seed)
+    n, cols = int(rng.integers(1, 200)), int(rng.integers(1, 20))
+    root = rng.normal(0.0, 1.0, (n, own, own)) * 10.0 ** rng.uniform(-3, 3, (n, 1, own))
+    pivot = root @ root.transpose(0, 2, 1) + 1e-3 * np.eye(own)
+    low = _cholesky(pivot)
+    np.testing.assert_array_equal(low, ref_cholesky(pivot))
+    rhs = rng.normal(0.0, 1.0, (n, own, cols)) * 10.0 ** rng.uniform(-3, 3, (n, own, cols))
+    np.testing.assert_array_equal(_cholesky_solve(low, rhs), ref_cholesky_solve(low, rhs))
+    # a strided right-hand side, as the factorisation passes a block's columns
+    block = rng.normal(0.0, 1.0, (n, own + 3, cols + 2))
+    np.testing.assert_array_equal(_cholesky_solve(low, block[:, 3:, :cols]), ref_cholesky_solve(low, block[:, 3:, :cols]))
+
+
+@pytest.mark.parametrize("pivot", [
+    [[0.0]], [[-1.0]], [[np.nan]],
+    [[0.0, 0.0], [0.0, 1.0]], [[-2.0, 1.0], [1.0, 3.0]], [[np.nan, 0.0], [0.0, 1.0]],
+    [[1.0, 2.0], [2.0, 4.0]], [[1.0, 2.0], [2.0, 3.0]],  # a11 - l10**2 is 0, then negative
+    [[1.0, np.nan], [np.nan, 2.0]], [[1.0, 0.0], [0.0, np.nan]],
+], ids=lambda p: repr(p).replace(" ", ""))
+def test_pivot_that_is_not_definite_raises(pivot):
+    from transient_impact.solver import _cholesky
+
+    good = np.eye(len(pivot))
+    batch = np.array([good, pivot, good], dtype=float)
+    for factor in (_cholesky, ref_cholesky):
+        with pytest.raises(np.linalg.LinAlgError):
+            factor(batch)
 
 
 def ref_kkt_direction(prob, it, target, bound_target):
