@@ -62,7 +62,9 @@ def load_tree(path, market: MarketSpec | None = None) -> ScenarioTree:
             times = data["times"]
             default_delta = default_r = None
         tree = ScenarioTree.from_node_dicts(times, nodes, default_delta, default_r)
-        levels = int(data.get("levels", tree.n_levels))
+        levels = data.get("levels", tree.n_levels)
+        if isinstance(levels, bool) or not isinstance(levels, int):
+            raise ValueError(f"levels must be an integer, got {levels!r}")
     except NonFiniteInput:
         raise  # readable, but outside the model's domain
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:

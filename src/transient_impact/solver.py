@@ -8,7 +8,11 @@ subject to ``v_l <= t`` per leaf, ``b, s >= 0`` per decision node and
 method (Mehrotra predictor–corrector from an infeasible start).  Each leaf's
 value depends only on the trades along its own path, so every Newton system
 is solved along the tree (``_TreeFactor``) in O(nodes * depth**2) without
-forming a dense matrix.  The leaf multipliers form a probability over leaves.
+forming a dense matrix.  A solve allocates its large arrays once, in a
+workspace of two buffers (``_Workspace``) that every Newton step writes into;
+the iterate is one flat vector, and each level's 2x2 pivots are kept as three
+columns, so a step makes few numpy calls and allocates no large array.  The
+leaf multipliers form a probability over leaves.
 The reported value is the exact cash requirement of the returned schedule,
 so feasibility never rests on the solver.
 
@@ -24,6 +28,7 @@ Everything is deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +46,7 @@ from .duality import (
 from .errors import InfeasibleInit, InstanceTooLarge, WeakDualityViolated
 from .market import MarketSpec
 from .strategy import TradeSchedule, normalize
-from .tree import NodeMeasure, ScenarioTree, conditional_expectation
+from .tree import NodeMeasure, ScenarioTree, _as_slice, conditional_expectation
 from .wealth import book_value, leaf_path_rows, spread_penalty, tree_wealth
 
 
@@ -116,8 +121,26 @@ class _PrimalProblem:
         self.mass = np.concatenate([self.w_path, self.kappa_leaf[:, None]], axis=1)
         depth = tree.n_levels - 1
         self.gross_of = np.repeat(np.arange(depth + 1), [2] * depth + [1])  # layout entry (t excluded) -> slot
-        self.net_sign = np.zeros(2 * depth + 2)  # d x_pre / d layout entry
-        self.net_sign[1:-1:2], self.net_sign[2:-1:2] = 1.0, -1.0
+        net_sign = np.zeros(2 * depth + 2)  # d x_pre / d layout entry
+        net_sign[1:-1:2], net_sign[2:-1:2] = 1.0, -1.0
+        # Constraint rows in the layout; only the leaf rows' gradient, rows[:, 0, 1:], changes.
+        self.rows = np.zeros((self.H.size, 3, net_sign.size))
+        self.rows[:, 0, 0] = -1.0
+        self.rows[:, 1] = net_sign
+        self.rows[:, 2] = -net_sign
+        self.rows[:, 1:, -1] = -1.0
+        self.trade_bins = (2 * self.var_idx[:, :, None] + np.arange(2)).ravel()  # (leaf, slot, side) -> trade
+        self.curvature_mass = np.maximum(self.mass, 0.0)
+        self.curvature_c = self.c_path[:, self.gross_of]
+        self.curvature_mask = self.gross_of <= np.arange(self.mass.shape[1])[:, None]
+        # Per decision level k: its own entries start at 2k + 1; its nodes' slots; their
+        # positions in level order, where the factor keeps its pivots.
+        starts = np.cumsum([0] + [level.size for level in tree.levels[:-1]]).tolist()
+        self.plans = [(2 * k + 1, _as_slice(self.slot_of[level]), slice(starts[k], starts[k + 1]))
+                      for k, level in enumerate(tree.levels[:-1])]
+        self.leaf_rows = _as_slice(tree.leaves)
+        own = 2 * tree.t_index[self.decision] + 1  # each decision node's first own entry
+        self.own_entries = (self.decision * net_sign.size + own)[:, None] + np.arange(2)
 
     def leaf_values(self, b, s, g=None):
         """Payoff plus cost per leaf, the position each closing trade faces, and the spread rows.
@@ -133,15 +156,21 @@ class _PrimalProblem:
         return self.H + pint + pen, x_pre, eta
 
     def gradients(self, eta) -> np.ndarray:
-        """Gradient rows of the leaf values at spread rows ``eta``, in the layout without ``t``."""
-        tail = np.cumsum((self.mass * eta)[:, ::-1], axis=1)[:, ::-1]
-        grad = (self.c_path * tail)[:, self.gross_of]
-        grad[:, :-1:2] += self.dprice
-        grad[:, 1:-1:2] -= self.dprice
+        """Gradient rows of the leaf values at spread rows ``eta``, in the layout without ``t``.
+
+        They are written into the leaf rows of ``self.rows``; the returned rows are a view.
+        """
+        tail = self.c_path * np.cumsum((self.mass * eta)[:, ::-1], axis=1)[:, ::-1]
+        grad = self.rows[:, 0, 1:]  # per slot: buy, sell, ..., then the closing trade
+        np.add(tail[:, :-1], self.dprice, out=grad[:, :-1:2])
+        np.subtract(tail[:, :-1], self.dprice, out=grad[:, 1:-1:2])
+        grad[:, -1] = tail[:, -1]
         return grad
 
-    def curvature_rows(self, lam) -> np.ndarray:
-        """Square-root rows ``R`` of the ``lam``-weighted curvature: each leaf's block is ``R.T @ R``.
+    def curvature_rows(self, lam, out) -> np.ndarray:
+        """Square-root rows ``R`` of the ``lam``-weighted curvature, written into ``out``.
+
+        Each leaf's block is ``R.T @ R``.
 
         The penalty is ``0.5 * sum_k mass_k * eta_k**2`` with ``eta_k`` linear in
         the gross trades up to slot ``k``, so row ``k`` is ``sqrt(lam * mass_k)``
@@ -149,13 +178,11 @@ class _PrimalProblem:
         gives some mass a negative sign; leaving it out keeps the Newton matrix
         definite, at the price of a slower (but still exact-cash) search.
         """
-        n_slots, m = self.mass.shape[1], self.gross_of.size + 1
-        rows = np.zeros((self.H.size, n_slots, m))
-        inner = rows[:, :, 1:]
-        np.multiply(np.sqrt(lam[:, None] * np.maximum(self.mass, 0.0))[:, :, None],
-                    self.c_path[:, self.gross_of][:, None, :], out=inner)
-        inner *= self.gross_of <= np.arange(n_slots)[:, None]
-        return rows
+        out[:, :, 0] = 0.0
+        inner = out[:, :, 1:]
+        np.multiply(np.sqrt(lam[:, None] * self.curvature_mass)[:, :, None], self.curvature_c[:, None, :], out=inner)
+        inner *= self.curvature_mask
+        return out
 
     def cash_requirement(self, u) -> tuple[float, TradeSchedule]:
         """Exact worst-leaf cash needed by the normalized schedule built from ``u``."""
@@ -178,33 +205,66 @@ class _PrimalProblem:
         return normalize(TradeSchedule(buys, sells, self.impact.x0))
 
 
-def _cholesky(pivot: np.ndarray) -> np.ndarray:
-    """Cholesky factors of a batch of 1x1 or 2x2 pivots; ``LinAlgError`` where one is not definite."""
-    low = np.zeros_like(pivot)
+class _Workspace:
+    """The large arrays of one solve's Newton steps, carved from two buffers allocated once.
+
+    The first buffer takes the leaves' square-root rows, then the leaf blocks,
+    then each level's Schur complement; the second takes the projected rows,
+    then each level's sums of its children's blocks, then a solve's rows.
+    Every array is dead before the next one in its buffer is written, so no
+    step allocates a large array, and the two buffers together are no larger
+    than the arrays that an allocating step held at once.
+    """
+
+    def __init__(self, prob: _PrimalProblem):
+        tree = prob.tree
+        L, slots, m = prob.H.size, prob.mass.shape[1], prob.rows.shape[2]
+        levels = [(level.size, 2 * k + 1) for k, level in enumerate(tree.levels[:-1])]
+        self.roots, self.blocks, *self.products = self._carve(
+            [(L, slots + 3, m), (L, m - 1, m - 1)] + [(n, a, a) for n, a in levels])
+        self.rest, self.sol, *sums = self._carve(
+            [(L, slots + 3, m - 1), (tree.n_nodes, m)] + [(n, a + 2, a + 2) for n, a in levels])
+        self.sums = sums[::-1]  # deepest level first, as the fold visits them
+
+    @staticmethod
+    def _carve(shapes) -> list[np.ndarray]:
+        """Arrays of the given shapes on one buffer, the size of the largest."""
+        buffer = np.empty(max(map(math.prod, shapes)))
+        return [buffer[: math.prod(shape)].reshape(shape) for shape in shapes]
+
+
+def _pivots(pivot: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Cholesky columns ``l00, l10, l11`` of a batch of 2x2 pivots ``(n, 2, 2)``, written into ``out`` ``(3, n)``.
+
+    ``LinAlgError`` where a pivot is not positive definite, checked before each square root.
+    """
+    l00, l10, l11 = out
     a00 = pivot[:, 0, 0]
-    if not np.all(a00 > 0.0):
+    if not a00.min() > 0.0:  # NaN fails too
         raise np.linalg.LinAlgError("a pivot is not positive definite")
-    low[:, 0, 0] = np.sqrt(a00)
-    if pivot.shape[1] == 2:
-        low[:, 1, 0] = l10 = pivot[:, 1, 0] / low[:, 0, 0]
-        a11 = pivot[:, 1, 1] - l10 * l10
-        if not np.all(a11 > 0.0):
-            raise np.linalg.LinAlgError("a pivot is not positive definite")
-        low[:, 1, 1] = np.sqrt(a11)
-    return low
+    np.sqrt(a00, out=l00)
+    np.divide(pivot[:, 1, 0], l00, out=l10)
+    a11 = pivot[:, 1, 1] - l10 * l10
+    if not a11.min() > 0.0:
+        raise np.linalg.LinAlgError("a pivot is not positive definite")
+    np.sqrt(a11, out=l11)
+    return out
 
 
-def _cholesky_solve(low: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``low @ low.T @ x = rhs`` for a batch of right-hand sides ``rhs`` of shape ``(n, own, cols)``."""
-    l00 = low[:, 0, 0, None]
-    x = np.empty_like(rhs)
-    np.divide(rhs[:, 0], l00, out=x[:, 0])  # forward: low @ y = rhs
-    if low.shape[1] == 2:
-        l10, l11 = low[:, 1, 0, None], low[:, 1, 1, None]
-        x[:, 1] = (rhs[:, 1] - l10 * x[:, 0]) / l11 / l11  # both substitutions of the last entry
-        x[:, 0] -= l10 * x[:, 1]  # backward: low.T @ x = y
-    x[:, 0] /= l00
-    return x
+def _substitute(l00, l10, l11, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Solve ``low @ low.T @ x = rhs`` for pivots given by their Cholesky columns, into ``out``.
+
+    Axis 1 of ``rhs`` and ``out`` holds each pivot's own entries, one (only
+    ``l00`` is read) or two; the columns broadcast against ``rhs[:, 0]``.
+    """
+    x0 = np.divide(rhs[:, 0], l00, out=out[:, 0])  # forward: low @ y = rhs
+    if rhs.shape[1] == 2:
+        x1 = np.subtract(rhs[:, 1], l10 * x0, out=out[:, 1])
+        x1 /= l11  # both substitutions of the last entry
+        x1 /= l11
+        x0 -= l10 * x1  # backward: low.T @ x = y
+    x0 /= l00
+    return out
 
 
 class _TreeFactor:
@@ -215,137 +275,138 @@ class _TreeFactor:
     closing trade, then each level's (buy, sell) pairs from the deepest level
     to the root, leaves fill only on ancestors and on ``t``, the border; what
     remains at the root is a scalar.  The leaves' step is done by the caller
-    (``leaf_blocks`` are its Schur complements, ``leaf_pivots`` its Cholesky
-    factors and couplings).  One factorisation serves any number of
-    right-hand sides.  Every pivot is 1x1 (a leaf's closing trade) or 2x2 (a
-    buy/sell pair), factored and solved in closed form; a solve writes each
-    level's entries into the parents' rows that ``down_sweep`` gathers.
+    (``leaf_blocks`` are its Schur complements, ``leaf_l00`` and
+    ``leaf_coupling`` its pivots and couplings).  One factorisation serves
+    any number of right-hand sides.  Every pivot is 1x1 (a leaf's closing
+    trade) or 2x2 (a buy/sell pair), factored and solved in closed form; the
+    2x2 pivots are kept as three columns ``l00``, ``l10``, ``l11`` over the
+    decision nodes in level order, so a solve substitutes all of them at once.
     """
 
-    def __init__(self, prob: _PrimalProblem, leaf_blocks: np.ndarray, leaf_pivots, diag: np.ndarray):
-        self.prob = prob
-        self.pivots = {prob.tree.n_levels - 1: leaf_pivots}
-
-        def step(block, nodes):
-            a = 2 * prob.tree.t_index[nodes[0]] + 1
-            own = diag[prob.slot_of[nodes]]
-            block[:, a, a] += own[:, 0]
-            block[:, a + 1, a + 1] += own[:, 1]
-            return self._eliminate(block, nodes)
-
-        self.border = float(prob.tree.fold_up(leaf_blocks, step)[0, 0])
+    def __init__(self, prob: _PrimalProblem, work: _Workspace, leaf_blocks, leaf_l00, leaf_coupling, diag):
+        self.prob, self.work, self.diag = prob, work, diag
+        self.leaf_l00, self.leaf_coupling = leaf_l00, leaf_coupling
+        self.pivots = np.empty((3, prob.n_dec))  # l00, l10, l11 per decision node, level order
+        self.couplings = [None] * len(prob.plans)
+        self.border = float(prob.tree.fold_up(leaf_blocks, self._eliminate, work.sums)[0, 0])
 
     def _eliminate(self, block: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Schur complement of the level's own entries onto the entries before them (in place)."""
-        k = int(self.prob.tree.t_index[nodes[0]])
-        a = 2 * k + 1
-        chol = _cholesky(block[:, a:, a:])
-        coupling = _cholesky_solve(chol, block[:, a:, :a])
-        self.pivots[k] = (chol, coupling)
-        reduced = block[:, :a, :a]
-        reduced -= block[:, :a, a:] @ coupling
-        return reduced
+        """Add the level's barrier diagonal, factor its pivots and take the Schur complement
+        onto the entries before them (in place)."""
+        n, k = block.shape[0], (block.shape[1] - 3) // 2
+        a, slots, pos = self.prob.plans[k]
+        block.reshape(n, -1)[:, a * (a + 3) :: a + 3] += self.diag[slots]  # entries (a, a) and (a+1, a+1)
+        l00, l10, l11 = _pivots(block[:, a:, a:], self.pivots[:, pos])[:, :, None]
+        coupling = self.couplings[k] = _substitute(l00, l10, l11, block[:, a:, :a], np.empty((n, 2, a)))
+        product = np.matmul(block[:, :a, a:], coupling, out=self.work.products[k])
+        return np.subtract(block[:, :a, :a], product, out=product)
 
     def solve(self, rows: np.ndarray, own: np.ndarray, t_rhs: float) -> np.ndarray:
         """Solution for leaf right-hand-side rows, decision-node terms ``own`` and ``t``'s own term.
 
         Returns one row per node in the layout of its level: ``t``, the
         ancestors' entries and the node's own, so a leaf's row is its whole path.
+        The rows are the workspace's, valid until the next Newton matrix.
         """
         prob, tree = self.prob, self.prob.tree
-        kept = {}  # each level's own right-hand sides, for the way back
+        kept = np.empty((prob.n_dec, 2))  # each decision node's own right-hand sides, level order
 
         def reduce(r, nodes):
-            k = int(tree.t_index[nodes[0]])
-            a = 2 * k + 1
-            if k < tree.n_levels - 1:
-                r[:, a:] += own[prob.slot_of[nodes]]
-            kept[k] = r[:, a:]
-            coupling = self.pivots[k][1]
-            folded = coupling[:, 0] * r[:, a, None]
-            if coupling.shape[1] == 2:
-                folded += coupling[:, 1] * r[:, a + 1, None]
+            k = (r.shape[1] - 3) // 2
+            a, slots, pos = prob.plans[k]
+            r_own = np.add(r[:, a:], own[slots], out=kept[pos])
+            coupling = self.couplings[k]
+            folded = coupling[:, 0] * r_own[:, :1]
+            folded += coupling[:, 1] * r_own[:, 1:]
             return r[:, :a] - folded
 
-        t_total = tree.fold_up(reduce(rows, tree.leaves), reduce)[0] + t_rhs
+        t_total = tree.fold_up(rows[:, :-1] - self.leaf_coupling * rows[:, -1:], reduce)[0] + t_rhs
+        # Every pivot's substitutions at once, before the ancestors' terms are known.
+        x = _substitute(*self.pivots, kept, np.empty_like(kept))
+        leaf_x = _substitute(self.leaf_l00, None, None, rows[:, -1:], np.empty((rows.shape[0], 1)))
 
         def back(upper, nodes):  # upper: the parents' rows, a fresh gather, zero from the nodes' entries on
             k = int(tree.t_index[nodes[0]])
-            a = 2 * k + 1
-            chol, coupling = self.pivots[k]
-            upper[:, a : a + chol.shape[1]] = (
-                _cholesky_solve(chol, kept[k][:, :, None])[:, :, 0] - np.einsum("nia,na->ni", coupling, upper[:, :a])
-            )
+            if k < len(prob.plans):
+                a, _, pos = prob.plans[k]
+                np.subtract(x[pos], np.einsum("nia,na->ni", self.couplings[k], upper[:, :a]), out=upper[:, a : a + 2])
+            else:
+                np.subtract(leaf_x, np.einsum("nia,na->ni", self.leaf_coupling[:, None, :], upper[:, :-1]),
+                            out=upper[:, -1:])
             return upper
 
         top = np.zeros((1, rows.shape[1]))
         top[0, 0] = t_total / self.border
-        return tree.down_sweep(back(top, np.zeros(1, dtype=int))[0], back)
+        return tree.down_sweep(back(top, np.zeros(1, dtype=int))[0], back, out=self.work.sol)
 
 
-@dataclass
 class _Iterate:
-    """Primal–dual point of the epigraph program.
+    """Primal–dual point of the epigraph program, held as one flat vector ``z``.
 
-    Per leaf, the three constraints are ``v_l - t <= 0`` and ``±x_pre - g <= 0``
-    (columns of ``slack`` and ``dual``); per decision node, the bounds
-    ``b, s >= 0`` (columns of ``trades`` and ``bound_dual``).
+    ``z`` is ``[t, close, trades, slack, dual, bound_dual]`` and the fields are
+    views of it.  Per leaf, the three constraints are ``v_l - t <= 0`` and
+    ``±x_pre - g <= 0`` (columns of ``slack`` and ``dual``); per decision
+    node, the bounds ``b, s >= 0`` (columns of ``trades`` and
+    ``bound_dual``).  Everything after ``close`` stays non-negative.
     """
 
-    t: float
-    trades: np.ndarray  # (n_dec, 2): buy and sell
-    close: np.ndarray  # (L,): gross closing trade g
-    slack: np.ndarray  # (L, 3)
-    dual: np.ndarray  # (L, 3): leaf multiplier and the two closing-trade multipliers
-    bound_dual: np.ndarray  # (n_dec, 2)
+    def __init__(self, z: np.ndarray, n_dec: int):
+        L = (z.size - 1 - 4 * n_dec) // 7
+        self.z = z
+        self.close = z[1 : 1 + L]  # (L,): gross closing trade g
+        self.trades = z[1 + L : 1 + L + 2 * n_dec].reshape(n_dec, 2)  # buy and sell
+        self.slack, self.dual = z[1 + L + 2 * n_dec : 1 + 7 * L + 2 * n_dec].reshape(2, L, 3)
+        self.bound_dual = z[1 + 7 * L + 2 * n_dec :].reshape(n_dec, 2)
+
+    @property
+    def t(self) -> float:
+        return float(self.z[0])
+
+    @property
+    def bounded(self) -> np.ndarray:
+        """The entries that stay non-negative: trades, slacks and multipliers."""
+        return self.z[1 + self.close.size :]
 
     def moved(self, step: "_Iterate", a: float) -> "_Iterate":
-        return _Iterate(*(x + a * dx for x, dx in zip(vars(self).values(), vars(step).values())))
+        return _Iterate(self.z + a * step.z, self.trades.shape[0])
 
     def mu(self) -> float:
         """Mean complementarity product over every inequality."""
-        products = float(np.sum(self.dual * self.slack)) + float(np.sum(self.bound_dual * self.trades))
+        products = float((self.dual * self.slack).sum()) + float((self.bound_dual * self.trades).sum())
         return products / (self.slack.size + self.trades.size)
 
 
 class _Residuals:
-    """Constraint rows, residuals and complementarity of the epigraph program at one iterate."""
+    """Constraint rows, residuals and complementarity of the epigraph program at one iterate.
 
-    def __init__(self, prob: _PrimalProblem, it: _Iterate):
-        vals, x_pre, eta = prob.leaf_values(it.trades[:, 0], it.trades[:, 1], it.close)
+    ``values`` are the leaf values at the iterate when the line search has them already.
+    """
+
+    def __init__(self, prob: _PrimalProblem, it: _Iterate, values=None):
+        vals, x_pre, eta = values or prob.leaf_values(it.trades[:, 0], it.trades[:, 1], it.close)
         grad = prob.gradients(eta)
-        L, m = grad.shape[0], grad.shape[1] + 1
-        rows = np.zeros((L, 3, m))  # constraint gradients in the layout
-        rows[:, 0, 0] = -1.0
-        rows[:, 0, 1:] = grad
-        rows[:, 1] = prob.net_sign
-        rows[:, 2] = -prob.net_sign
-        rows[:, 1:, -1] = -1.0
-        self.rows = rows
+        self.rows = prob.rows  # constraint gradients in the layout, until the next residuals rewrite them
         self.primal = np.stack([vals - it.t, x_pre - it.close, -x_pre - it.close], axis=1) + it.slack
-        stat = np.einsum("lk,lki->li", it.dual, rows)
+        stat = np.einsum("lk,lki->li", it.dual, self.rows)
         self.dual_t = 1.0 + stat[:, 0].sum()
-        self.dual_trades = -it.bound_dual.copy()
-        for side in (0, 1):
-            self.dual_trades[:, side] += np.bincount(
-                prob.var_idx.ravel(), stat[:, 1 + side : -1 : 2].ravel(), prob.n_dec
-            )
+        self.dual_trades = np.bincount(prob.trade_bins, stat[:, 1:-1].ravel(), 2 * prob.n_dec).reshape(-1, 2)
+        self.dual_trades -= it.bound_dual
         dual_close = stat[:, -1]
         self.n_ineq = it.slack.size + it.trades.size
         self.mu = it.mu()
         # Residuals relative to the problem's scale: values and trades for the constraints and
         # complementarity, gradient entries for stationarity.
-        scale = 1.0 + max(abs(it.t), float(np.max(np.abs(vals))), float(np.max(it.close)))
-        stationarity = max(abs(self.dual_t), float(np.max(np.abs(self.dual_trades), initial=0.0)),
-                           float(np.max(np.abs(dual_close))))
+        scale = 1.0 + max(abs(it.t), float(np.abs(vals).max()), float(it.close.max()))
+        stationarity = max(abs(self.dual_t), float(np.abs(self.dual_trades).max(initial=0.0)),
+                           float(np.abs(dual_close).max()))
         self.error = max(
-            float(np.max(np.abs(self.primal))) / scale,
-            stationarity / (1.0 + float(np.max(np.abs(grad)))),
+            float(np.abs(self.primal).max()) / scale,
+            stationarity / (1.0 + float(np.abs(grad).max())),
             self.n_ineq * self.mu / scale,
         )
 
 
-def _newton_matrix(prob: _PrimalProblem, it: _Iterate, res: _Residuals) -> _TreeFactor:
+def _newton_matrix(prob: _PrimalProblem, it: _Iterate, res: _Residuals, work: _Workspace) -> _TreeFactor:
     """Factor the condensed Newton matrix: curvature plus constraint rows weighted by dual/slack,
     and the bounds' barrier diagonal.
 
@@ -353,46 +414,39 @@ def _newton_matrix(prob: _PrimalProblem, it: _Iterate, res: _Residuals) -> _Tree
     the closing trade (the last column) leaves the Gram matrix of the rows
     projected off that column, so no leaf block is ever formed.
     """
-    roots = np.concatenate([prob.curvature_rows(it.dual[:, 0]),
-                            res.rows * np.sqrt(it.dual / it.slack)[:, :, None]], axis=1)
-    close, rest = roots[:, :, -1].copy(), roots[:, :, :-1]
+    slots = prob.mass.shape[1]
+    roots = work.roots
+    prob.curvature_rows(it.dual[:, 0], roots[:, :slots])
+    np.multiply(res.rows, np.sqrt(it.dual / it.slack)[:, :, None], out=roots[:, slots:])
+    close = roots[:, :, -1].copy()
     pivot = np.einsum("lr,lr->l", close, close)
-    coupling = np.einsum("lr,lra->la", close, rest) / pivot[:, None]
-    rest -= close[:, :, None] * coupling[:, None, :]
-    blocks = np.matmul(rest.transpose(0, 2, 1), rest)
-    del roots, rest  # while factoring, at most the blocks and one update of their size stay alive
-    return _TreeFactor(prob, blocks, (np.sqrt(pivot)[:, None, None], coupling[:, None, :]), it.bound_dual / it.trades)
+    coupling = np.einsum("lr,lra->la", close, roots[:, :, :-1]) / pivot[:, None]
+    rest = np.subtract(roots[:, :, :-1], np.einsum("lr,la->lra", close, coupling, out=work.rest), out=work.rest)
+    blocks = np.matmul(rest.transpose(0, 2, 1), rest, out=work.blocks)
+    return _TreeFactor(prob, work, blocks, np.sqrt(pivot), coupling, it.bound_dual / it.trades)
 
 
 def _direction(prob, it: _Iterate, res: _Residuals, factor: _TreeFactor, target, bound_target) -> _Iterate:
     """Newton direction towards complementarity ``target`` (per leaf constraint) and ``bound_target``."""
-    tree = prob.tree
     rho = (target - it.dual * (it.slack - res.primal)) / it.slack
     rows = -np.einsum("lk,lki->li", it.dual + rho, res.rows)
     sol = factor.solve(rows, bound_target / it.trades, -1.0)
-    path = sol[tree.leaves]
-    own = 2 * tree.t_index[prob.decision] + 1
-    trades = np.stack([sol[prob.decision, own], sol[prob.decision, own + 1]], axis=1)
-    slack = -res.primal - np.einsum("lki,li->lk", res.rows, path)
-    return _Iterate(
-        t=float(sol[0, 0]),
-        trades=trades,
-        close=path[:, -1],
-        slack=slack,
-        dual=(target - it.dual * (it.slack + slack)) / it.slack,
-        bound_dual=(bound_target - it.bound_dual * (it.trades + trades)) / it.trades,
-    )
+    path = sol[prob.leaf_rows]
+    step = _Iterate(np.empty_like(it.z), prob.n_dec)
+    step.z[0] = sol[0, 0]
+    step.close[:] = path[:, -1]
+    np.take(sol, prob.own_entries, out=step.trades, mode="clip")  # entries in range: clip skips a buffered copy
+    np.subtract(-res.primal, np.einsum("lki,li->lk", res.rows, path), out=step.slack)
+    np.divide(target - it.dual * (it.slack + step.slack), it.slack, out=step.dual)
+    np.divide(bound_target - it.bound_dual * (it.trades + step.trades), it.trades, out=step.bound_dual)
+    return step
 
 
 def _boundary_step(it: _Iterate, step: _Iterate) -> float:
     """Longest step in [0, 1] that keeps trades, slacks and multipliers non-negative."""
-    a = 1.0
-    for name in ("trades", "slack", "dual", "bound_dual"):
-        x, dx = getattr(it, name), getattr(step, name)
-        falling = dx < 0.0
-        if falling.any():
-            a = min(a, float(np.min(-x[falling] / dx[falling])))
-    return a
+    x, dx = it.bounded, step.bounded
+    falling = dx < 0.0
+    return min(1.0, float(np.min(-x[falling] / dx[falling]))) if falling.any() else 1.0
 
 
 def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate, int, bool]:
@@ -405,27 +459,30 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
     curve can leave the program without a minimum).
     """
     L, n = prob.H.size, prob.n_dec
-    trades = np.ones((n, 2))
-    x_pre = prob.leaf_values(trades[:, 0], trades[:, 1])[1]
-    close = np.abs(x_pre) + 1.0
-    vals, _, eta = prob.leaf_values(trades[:, 0], trades[:, 1], close)
-    t = float(vals.max())
-    slack = np.maximum(-np.stack([vals - t, x_pre - close, -x_pre - close], axis=1), 1.0)
+    work = _Workspace(prob)
+    it = _Iterate(np.empty(1 + 7 * L + 4 * n), n)
+    it.trades[:] = 1.0
+    x_pre = prob.leaf_values(it.trades[:, 0], it.trades[:, 1])[1]
+    np.add(np.abs(x_pre), 1.0, out=it.close)
+    values = prob.leaf_values(it.trades[:, 0], it.trades[:, 1], it.close)
+    vals, _, eta = values
+    it.z[0] = t = float(vals.max())
+    np.maximum(-np.stack([vals - t, x_pre - it.close, -x_pre - it.close], axis=1), 1.0, out=it.slack)
     # leaf multipliers on the simplex, bound multipliers on the gradients' scale
-    bound_dual = np.full((n, 2), 1.0 + float(np.max(np.abs(prob.gradients(eta)))))
-    it = _Iterate(t, trades, close, slack, np.full((L, 3), 1.0 / L), bound_dual)
+    it.dual[:] = 1.0 / L
+    it.bound_dual[:] = 1.0 + float(np.max(np.abs(prob.gradients(eta))))
 
     best, since_best = np.inf, 0
     budget = max(opts.max_iter, 0)
     for steps in range(budget + 1):
-        res = _Residuals(prob, it)
+        res = _Residuals(prob, it, values)
         if res.error <= opts.tol:
             return it, steps, True
         best, since_best = (res.error, 0) if res.error < best else (best, since_best + 1)
         if since_best >= STALL_STEPS or steps == budget:
             break
         try:
-            factor = _newton_matrix(prob, it, res)
+            factor = _newton_matrix(prob, it, res, work)
         except np.linalg.LinAlgError:  # a pivot lost definiteness to rounding
             break
         affine = _direction(prob, it, res, factor, np.zeros_like(it.slack), np.zeros_like(it.trades))
@@ -439,8 +496,8 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
         quad = float(np.linalg.norm(res.primal[:, 0]))
         while a > MIN_STEP:
             trial = it.moved(step, a)
-            vals = prob.leaf_values(trial.trades[:, 0], trial.trades[:, 1], trial.close)[0]
-            if np.linalg.norm(vals - trial.t + trial.slack[:, 0]) <= (1.0 - 0.5 * a) * quad + a * res.n_ineq * res.mu:
+            values = prob.leaf_values(trial.trades[:, 0], trial.trades[:, 1], trial.close)  # the next residuals'
+            if np.linalg.norm(values[0] - trial.t + trial.slack[:, 0]) <= (1 - 0.5 * a) * quad + a * res.n_ineq * res.mu:
                 break
             a *= 0.5
         else:

@@ -19,6 +19,7 @@ the children are evenly spaced.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,14 +69,15 @@ class ScenarioTree:
                 f"({self.grid.n_points} points)"
             )
 
-        n_children = self.child_sum(np.ones(n)).astype(int)
-        order = np.argsort(self.parent[1:], kind="stable") + 1
-        self.children: list[np.ndarray] = np.split(order, np.cumsum(n_children)[:-1])
-        self.is_leaf = n_children == 0
+        self._n_children = self.child_sum(np.ones(n)).astype(int)
+        self.is_leaf = self._n_children == 0
         if np.any(self.t_index[self.is_leaf] != self.n_levels - 1):
             raise ValueError("every leaf must sit at the terminal time")
         self.leaves = np.flatnonzero(self.is_leaf)
         self.levels = [np.flatnonzero(self.t_index == k) for k in range(self.n_levels)]
+        # down_sweep's writes and gathers per level below the root; a level stored contiguously is a slice
+        self._level_rows = [_as_slice(level) for level in self.levels[1:]]
+        self._level_parents = [self.parent[level] for level in self.levels[1:]]
         self._fold_layout = [self._child_layout(upper, lower)
                              for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1])]
         self._check_simplex(self.p_transition, "transition probabilities")
@@ -92,9 +94,16 @@ class ScenarioTree:
         # Smallest relative drop of the liquidity curve along an edge: negative where it rises.
         self.decay_margin = decay_margin(self.kappa[self.parent[1:]], self.kappa[1:])
 
+    @functools.cached_property
+    def children(self) -> list[np.ndarray]:
+        """Child ids of every node, in id order; slices of one sort of the parent pointers."""
+        order = np.argsort(self.parent[1:], kind="stable") + 1
+        ends = np.cumsum(self._n_children).tolist()
+        return [order[end - count : end] for end, count in zip(ends, self._n_children.tolist())]
+
     # -- sweeps ----------------------------------------------------------------
 
-    def down_sweep(self, root, step) -> np.ndarray:
+    def down_sweep(self, root, step, out=None) -> np.ndarray:
         """Forward recursion from the root, one vectorised ``step`` per level.
 
         ``out[0] = root``; then, level by level, ``out[nodes] =
@@ -102,13 +111,15 @@ class ScenarioTree:
         results with the nodes' own data, for example ``acc + v[nodes]`` for
         sums along paths or ``acc * q[nodes]`` for products.  ``root`` may be
         an array, giving one row per node.  The parents' results reach ``step``
-        as a fresh gather, so it may write into them.
+        as a fresh gather, so it may write into them.  ``out``, when given,
+        receives the rows instead of a new array.
         """
         root = np.asarray(root)
-        out = np.empty((self.n_nodes,) + root.shape, dtype=root.dtype)
+        if out is None:
+            out = np.empty((self.n_nodes,) + root.shape, dtype=root.dtype)
         out[0] = root
-        for level in self.levels[1:]:
-            out[level] = step(out[self.parent[level]], level)
+        for level, rows, parents in zip(self.levels[1:], self._level_rows, self._level_parents):
+            out[rows] = step(out[parents], level)
         return out
 
     def up_sweep(self, q, leaf_values, edge=None) -> np.ndarray:
@@ -124,7 +135,7 @@ class ScenarioTree:
             out[upper] = np.bincount(self.parent[lower], q[lower] * term, self.n_nodes)[upper]
         return out
 
-    def fold_up(self, leaf_rows, step):
+    def fold_up(self, leaf_rows, step, out=None):
         """Leaves-to-root recursion on per-node rows of any shape; returns the root's row.
 
         ``leaf_rows`` holds one row per leaf (leaf-id order).  Then, level by
@@ -132,19 +143,21 @@ class ScenarioTree:
         summed over each node's children and ``step(sums, nodes)`` turns those
         sums, one per node of the level in id order, into the level's rows.
         Each sum is the first child's row plus the running sum of the other
-        children's rows, children in id order.  The sums are fresh arrays, so
-        ``step`` may write into them.  Which rows to gather comes from a
-        layout computed with the tree.
+        children's rows, children in id order.  The sums are fresh arrays, or
+        the per-level arrays of ``out`` (deepest level first) when given and
+        of the sums' shape, so ``step`` may write into them.  Which rows to
+        gather comes from a layout computed with the tree.
         """
         rows = np.asarray(leaf_rows)
-        for upper, (first, seconds, later, two) in zip(self.levels[-2::-1], self._fold_layout):
+        for upper, (first, seconds, later, two), sums in zip(self.levels[-2::-1], self._fold_layout,
+                                                             out or [None] * len(self._fold_layout)):
             others = rows[seconds]
             for at, kids in later:
                 others[at] += rows[kids]
             if two is None:  # every node has a second child
-                sums = rows[first] + others
+                sums = np.add(rows[first], others, out=sums)
             else:
-                sums = rows[first]
+                sums = np.take(rows, first, axis=0, out=sums, mode="clip")  # first is in range: no buffering
                 sums[two] += others
             rows = step(sums, upper)
         return rows[0]
@@ -249,26 +262,49 @@ class ScenarioTree:
 
     @classmethod
     def from_node_dicts(cls, times, nodes, default_delta=None, default_r=None) -> "ScenarioTree":
-        """Build from records ``{id, parent, p_transition, P[, delta, r]}``.
+        """Build from records ``{id, parent, p_transition, P[, delta, r, t_index]}``.
 
-        Records must be supplied in id order starting at 0; missing depth or
-        resilience falls back to the per-time-index defaults (deterministic
-        curves broadcast onto the tree).
+        Records must be supplied in id order starting at 0, and ``id``,
+        ``parent`` and ``t_index`` must be integers (not bools, floats or
+        strings).  Missing depth or resilience falls back to the per-time-index
+        defaults (deterministic curves broadcast onto the tree).  The records
+        are read in one walk.
         """
-        if not all(isinstance(rec, dict) for rec in nodes):
-            raise ValueError("every node record must be a JSON object")
-        if any(int(rec.get("id", i)) != i for i, rec in enumerate(nodes)):
-            raise ValueError("node records must be listed in id order starting at 0")
-        parent = np.array([int(rec["parent"]) for rec in nodes], dtype=int)
-        t_index = _depths(parent)
+        parent, declared, p, price, delta, r = [], [], [], [], [], []
         for i, rec in enumerate(nodes):
-            if "t_index" in rec and int(rec["t_index"]) != t_index[i]:
+            if not isinstance(rec, dict):
+                raise ValueError(f"node record {i} must be a JSON object")
+            node, up = rec.get("id", i), rec["parent"]
+            if type(node) is not int or type(up) is not int:  # plain ints (not bools) skip the full check
+                node, up = _integer(node, i, "id"), _integer(up, i, "parent")
+            if node != i:
+                raise ValueError("node records must be listed in id order starting at 0")
+            parent.append(up)
+            if "t_index" in rec:
+                declared.append((i, _integer(rec["t_index"], i, "t_index")))
+            get = rec.get
+            p.append(get("p_transition", _MISSING))
+            price.append(get("P", _MISSING))
+            delta.append(get("delta", _MISSING))
+            r.append(get("r", _MISSING))
+        parent = np.array(parent, dtype=int)
+        t_index = _depths(parent)
+        for i, level in declared:
+            if level != t_index[i]:
                 raise ValueError(f"node {i}: declared t_index contradicts the parent structure")
-        p = _node_column(nodes, "p_transition", 1.0, t_index, "transition probability")
-        price = _node_column(nodes, "P", None, t_index, "price")
-        delta = _node_column(nodes, "delta", default_delta, t_index, "depth")
-        r = _node_column(nodes, "r", default_r, t_index, "resilience rate")
-        return cls(times, parent, p, price, delta, r)
+        return cls(times, parent, _node_column(p, 1.0, t_index, "transition probability"),
+                   _node_column(price, None, t_index, "price"), _node_column(delta, default_delta, t_index, "depth"),
+                   _node_column(r, default_r, t_index, "resilience rate"))
+
+
+_MISSING = object()  # a node record without the field
+
+
+def _integer(value, node: int, field: str) -> int:
+    """A node record's integer field: a JSON integer, not a bool, float or string."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"node {node}: {field} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_slice(idx: np.ndarray):
@@ -293,13 +329,13 @@ def _depths(parent: np.ndarray) -> np.ndarray:
     return depth
 
 
-def _node_column(nodes, key: str, default, t_index: np.ndarray, what: str) -> np.ndarray:
-    """Per-node ``key`` from the records; records without it take ``default`` at their time index."""
-    given = np.array([key in rec for rec in nodes], dtype=bool)
+def _node_column(column: list, default, t_index: np.ndarray, what: str) -> np.ndarray:
+    """Per-node values read from the records; records without one take ``default`` at their time index."""
+    given = np.array([value is not _MISSING for value in column], dtype=bool)
     if default is None and not given.all():
         raise ValueError(f"node {np.argmin(given)} has no {what} and no default was given")
     out = np.empty(given.size)
-    out[given] = [float(rec[key]) for rec in nodes if key in rec]
+    out[given] = [float(value) for value in column if value is not _MISSING]
     if not given.all():
         default = np.asarray(default, dtype=float)
         out[~given] = default.reshape(-1)[t_index[~given]] if default.ndim else default

@@ -176,3 +176,47 @@ def test_mutated_inputs_end_in_a_documented_exit_code(tmp_path, capsys, command)
         elif code == 0 and ("NaN" in out or "Infinity" in out):
             failures.append((case, "exit 0 with a non-finite number in the report"))
     assert not failures, "\n".join(f"{case}: {why}" for case, why in failures[:20])
+
+
+# Node ids, parents, declared time indices and the level count are JSON integers: a float,
+# a bool or a string in their place is refused with exit 2, naming the record.
+INTEGER_FAULTS = [
+    ({1: {"id": 1.9, "parent": 0.7}}, None, "node 1"),
+    ({1: {"parent": 0.7}}, None, "node 1"),
+    ({2: {"parent": "0"}}, None, "node 2"),
+    ({1: {"id": True}}, None, "node 1"),
+    ({2: {"parent": False}}, None, "node 2"),
+    ({1: {"id": 1.0}}, None, "node 1"),
+    ({1: {"t_index": 1.5}}, None, "node 1"),
+    ({1: {"t_index": "1"}}, None, "node 1"),
+    ({}, 2.9, "levels"),
+    ({}, "2", "levels"),
+    ({}, True, "levels"),
+]
+
+
+@pytest.mark.parametrize("changes, levels, named", INTEGER_FAULTS,
+                         ids=[f"{changes}-{levels}".replace(" ", "") for changes, levels, _ in INTEGER_FAULTS])
+def test_tree_integer_fields_must_be_json_integers(tmp_path, capsys, changes, levels, named):
+    tree = copy.deepcopy(INPUTS["tree"])
+    for i, fields in changes.items():
+        tree["nodes"][i].update(fields)
+    if levels is not None:
+        tree["levels"] = levels
+    files = write_inputs(tmp_path, {})
+    (tmp_path / "tree.json").write_text(json.dumps(tree), encoding="utf-8")
+    argv = [files.get(arg, arg) for arg in COMMANDS["price"]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert named in captured.err and "integer" in captured.err
+
+
+def test_tree_integer_fields_accept_integers(tmp_path, capsys):
+    tree = copy.deepcopy(INPUTS["tree"])
+    tree["nodes"][1]["t_index"] = 1
+    files = write_inputs(tmp_path, {})
+    (tmp_path / "tree.json").write_text(json.dumps(tree), encoding="utf-8")
+    assert main([files.get(arg, arg) for arg in COMMANDS["price"]]) == 0
+    assert capsys.readouterr().err == ""

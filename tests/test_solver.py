@@ -270,12 +270,27 @@ class TestGapReport:
             assert check.margin >= -1e-9 * scale
 
 
+# The ladder's trajectory: Newton steps, primal and dual value per depth.  A change to the
+# Newton arithmetic moves them; one that only changes how it is computed must not.
+LADDER_TRAJECTORY = {
+    2: (8, 2.6050565116169517, 2.605056510995112),
+    4: (10, 3.8889573937013897, 3.8889573926149503),
+    6: (10, 4.855871026846573, 4.855871026490052),
+    8: (13, 5.664055948905049, 5.6640559487357045),
+    10: (15, 6.373008779318671, 6.3730087790693375),
+}
+
+
 class TestCertificateFromPrimal:
     @pytest.mark.parametrize("depth", [2, 4, 6, 8, 10])
     def test_ladder_gap_closes(self, depth):
         report = ti.gap_report(*binomial_ladder(depth))
         assert report.primal_converged
         assert 0.0 <= report.gap <= 1e-6 * report.primal_value
+        steps, primal, dual = LADDER_TRAJECTORY[depth]
+        assert report.iterations == steps
+        assert report.primal_value == pytest.approx(primal, rel=1e-12, abs=0.0)
+        assert report.dual_value == pytest.approx(dual, rel=1e-12, abs=0.0)
 
     def test_gap_makes_no_search(self, monkeypatch):
         from transient_impact import solver

@@ -723,22 +723,40 @@ def ref_cholesky_solve(low, rhs):
     return x
 
 
+def lower_factor(columns):
+    """Lower-triangular factors ``(n, own, own)`` from Cholesky columns: ``(l00,)`` or ``(l00, l10, l11)``."""
+    own = 1 if len(columns) == 1 else 2
+    low = np.zeros((columns[0].size, own, own))
+    low[:, 0, 0] = columns[0]
+    if own == 2:
+        low[:, 1, 0], low[:, 1, 1] = columns[1], columns[2]
+    return low
+
+
 @pytest.mark.parametrize("own", [1, 2])
 @pytest.mark.parametrize("seed", range(4))
 def test_closed_form_pivots_match_loops(own, seed):
-    from transient_impact.solver import _cholesky, _cholesky_solve
+    # a buy/sell pivot is factored by _pivots; a leaf's 1x1 pivot is one square root
+    from transient_impact.solver import _pivots, _substitute
 
     rng = np.random.default_rng(seed)
     n, cols = int(rng.integers(1, 200)), int(rng.integers(1, 20))
     root = rng.normal(0.0, 1.0, (n, own, own)) * 10.0 ** rng.uniform(-3, 3, (n, 1, own))
     pivot = root @ root.transpose(0, 2, 1) + 1e-3 * np.eye(own)
-    low = _cholesky(pivot)
+    columns = _pivots(pivot, np.empty((3, n))) if own == 2 else np.sqrt(pivot[:, :1, 0].T)
+    low = lower_factor(columns)
     np.testing.assert_array_equal(low, ref_cholesky(pivot))
+    flat = list(columns) + [None] * (3 - len(columns))  # a 1x1 pivot has no l10 and l11
+    broadcast = [None if column is None else column[:, None] for column in flat]
     rhs = rng.normal(0.0, 1.0, (n, own, cols)) * 10.0 ** rng.uniform(-3, 3, (n, own, cols))
-    np.testing.assert_array_equal(_cholesky_solve(low, rhs), ref_cholesky_solve(low, rhs))
+    np.testing.assert_array_equal(_substitute(*broadcast, rhs, np.empty_like(rhs)), ref_cholesky_solve(low, rhs))
     # a strided right-hand side, as the factorisation passes a block's columns
     block = rng.normal(0.0, 1.0, (n, own + 3, cols + 2))
-    np.testing.assert_array_equal(_cholesky_solve(low, block[:, 3:, :cols]), ref_cholesky_solve(low, block[:, 3:, :cols]))
+    np.testing.assert_array_equal(_substitute(*broadcast, block[:, 3:, :cols], np.empty((n, own, cols))),
+                                  ref_cholesky_solve(low, block[:, 3:, :cols]))
+    # one right-hand side per pivot on 1-d columns, as a solve substitutes every pivot at once
+    np.testing.assert_array_equal(_substitute(*flat, rhs[:, :, 0], np.empty((n, own))),
+                                  ref_cholesky_solve(low, rhs[:, :, :1])[:, :, 0])
 
 
 @pytest.mark.parametrize("pivot", [
@@ -748,13 +766,119 @@ def test_closed_form_pivots_match_loops(own, seed):
     [[1.0, np.nan], [np.nan, 2.0]], [[1.0, 0.0], [0.0, np.nan]],
 ], ids=lambda p: repr(p).replace(" ", ""))
 def test_pivot_that_is_not_definite_raises(pivot):
-    from transient_impact.solver import _cholesky
+    # _pivots factors buy/sell pairs; a 1x1 pivot is tested as the leading entry of one
+    from transient_impact.solver import _pivots
 
     good = np.eye(len(pivot))
     batch = np.array([good, pivot, good], dtype=float)
-    for factor in (_cholesky, ref_cholesky):
-        with pytest.raises(np.linalg.LinAlgError):
-            factor(batch)
+    with pytest.raises(np.linalg.LinAlgError):
+        ref_cholesky(batch)
+    pair = np.tile(np.eye(2), (3, 1, 1))
+    pair[:, : len(pivot), : len(pivot)] = batch
+    with pytest.raises(np.linalg.LinAlgError):
+        _pivots(pair, np.empty((3, 3)))
+
+
+def ref_closed_cholesky(pivot):
+    """Closed-form Cholesky factors of a batch of 1x1 or 2x2 pivots, as 3-d arrays."""
+    low = np.zeros_like(pivot)
+    a00 = pivot[:, 0, 0]
+    if not np.all(a00 > 0.0):
+        raise np.linalg.LinAlgError("a pivot is not positive definite")
+    low[:, 0, 0] = np.sqrt(a00)
+    if pivot.shape[1] == 2:
+        low[:, 1, 0] = l10 = pivot[:, 1, 0] / low[:, 0, 0]
+        a11 = pivot[:, 1, 1] - l10 * l10
+        if not np.all(a11 > 0.0):
+            raise np.linalg.LinAlgError("a pivot is not positive definite")
+        low[:, 1, 1] = np.sqrt(a11)
+    return low
+
+
+def ref_closed_cholesky_solve(low, rhs):
+    """Solve ``low @ low.T @ x = rhs`` for a batch of right-hand sides ``rhs`` of shape ``(n, own, cols)``."""
+    l00 = low[:, 0, 0, None]
+    x = np.empty_like(rhs)
+    np.divide(rhs[:, 0], l00, out=x[:, 0])
+    if low.shape[1] == 2:
+        l10, l11 = low[:, 1, 0, None], low[:, 1, 1, None]
+        x[:, 1] = (rhs[:, 1] - l10 * x[:, 0]) / l11 / l11
+        x[:, 0] -= l10 * x[:, 1]
+    x[:, 0] /= l00
+    return x
+
+
+def ref_newton_leaves(prob, it, res):
+    """The leaves' step of the Newton matrix on freshly allocated arrays: leaf blocks, leaf pivots
+    (1x1 factors and couplings, as 3-d arrays) and the bounds' barrier diagonal."""
+    n_slots, m = prob.mass.shape[1], prob.gross_of.size + 1
+    curvature = np.zeros((prob.H.size, n_slots, m))
+    inner = curvature[:, :, 1:]
+    np.multiply(np.sqrt(it.dual[:, :1] * np.maximum(prob.mass, 0.0))[:, :, None],
+                prob.c_path[:, prob.gross_of][:, None, :], out=inner)
+    inner *= prob.gross_of <= np.arange(n_slots)[:, None]
+    roots = np.concatenate([curvature, res.rows * np.sqrt(it.dual / it.slack)[:, :, None]], axis=1)
+    close, rest = roots[:, :, -1].copy(), roots[:, :, :-1]
+    pivot = np.einsum("lr,lr->l", close, close)
+    coupling = np.einsum("lr,lra->la", close, rest) / pivot[:, None]
+    rest -= close[:, :, None] * coupling[:, None, :]
+    blocks = np.matmul(rest.transpose(0, 2, 1), rest)
+    return blocks, (np.sqrt(pivot)[:, None, None], coupling[:, None, :]), it.bound_dual / it.trades
+
+
+def ref_tree_factor(prob, leaf_blocks, leaf_pivots, diag):
+    """The tree factorisation on 3-d pivots: the border and, per level, the pivots' factors and couplings."""
+    tree = prob.tree
+    pivots = {tree.n_levels - 1: leaf_pivots}
+
+    def step(block, nodes):
+        k = int(tree.t_index[nodes[0]])
+        a = 2 * k + 1
+        own = diag[prob.slot_of[nodes]]
+        block[:, a, a] += own[:, 0]
+        block[:, a + 1, a + 1] += own[:, 1]
+        chol = ref_closed_cholesky(block[:, a:, a:])
+        coupling = ref_closed_cholesky_solve(chol, block[:, a:, :a])
+        pivots[k] = (chol, coupling)
+        reduced = block[:, :a, :a]
+        reduced -= block[:, :a, a:] @ coupling
+        return reduced
+
+    return float(tree.fold_up(leaf_blocks, step)[0, 0]), pivots
+
+
+def ref_tree_solve(prob, border, pivots, rows, own, t_rhs):
+    """Solve with :func:`ref_tree_factor`'s factors: one row per node, in the layout of its level."""
+    tree = prob.tree
+    kept = {}
+
+    def reduce(r, nodes):
+        k = int(tree.t_index[nodes[0]])
+        a = 2 * k + 1
+        if k < tree.n_levels - 1:
+            r[:, a:] += own[prob.slot_of[nodes]]
+        kept[k] = r[:, a:]
+        coupling = pivots[k][1]
+        folded = coupling[:, 0] * r[:, a, None]
+        if coupling.shape[1] == 2:
+            folded += coupling[:, 1] * r[:, a + 1, None]
+        return r[:, :a] - folded
+
+    t_total = tree.fold_up(reduce(rows, tree.leaves), reduce)[0] + t_rhs
+
+    def back(upper, nodes):
+        k = int(tree.t_index[nodes[0]])
+        a = 2 * k + 1
+        chol, coupling = pivots[k]
+        upper[:, a : a + chol.shape[1]] = (
+            ref_closed_cholesky_solve(chol, kept[k][:, :, None])[:, :, 0]
+            - np.einsum("nia,na->ni", coupling, upper[:, :a])
+        )
+        return upper
+
+    top = np.zeros((1, rows.shape[1]))
+    top[0, 0] = t_total / border
+    return tree.down_sweep(back(top, np.zeros(1, dtype=int))[0], back)
 
 
 def ref_kkt_direction(prob, it, target, bound_target):
@@ -861,6 +985,44 @@ def newton_instances():
         market = market_for_tree(rng, tree)
         out.append(pytest.param(tree, market, rng.uniform(0.0, 4.0, tree.leaves.size), id=f"random{k}"))
     return out
+
+
+def ladder_instances():
+    from test_solver import binomial_ladder
+
+    return [pytest.param(*binomial_ladder(depth), id=f"ladder{depth}") for depth in (2, 4, 6, 8)]
+
+
+@pytest.mark.parametrize("tree, market, H", ladder_instances() + newton_instances())
+def test_tree_factor_matches_reference(monkeypatch, tree, market, H):
+    # Exact: the workspace factor keeps the 3-d factorisation's operations and their order.
+    from transient_impact import solver
+
+    direction = solver._direction
+    factors = []
+
+    def checked(prob, it, res, factor, target, bound_target):
+        if not factors or factors[-1][0] is not factor:
+            blocks, leaf_pivots, diag = ref_newton_leaves(prob, it, res)
+            border, pivots = ref_tree_factor(prob, blocks, leaf_pivots, diag)
+            assert factor.border == border
+            for k, (_, _, pos) in enumerate(prob.plans):
+                np.testing.assert_array_equal(lower_factor(factor.pivots[:, pos]), pivots[k][0])
+                np.testing.assert_array_equal(factor.couplings[k], pivots[k][1])
+            np.testing.assert_array_equal(factor.leaf_l00, pivots[tree.n_levels - 1][0][:, 0, 0])
+            np.testing.assert_array_equal(factor.leaf_coupling, pivots[tree.n_levels - 1][1][:, 0])
+            factors.append((factor, border, pivots))
+        _, border, pivots = factors[-1]
+        rho = (target - it.dual * (it.slack - res.primal)) / it.slack
+        rows = -np.einsum("lk,lki->li", it.dual + rho, res.rows)
+        own = bound_target / it.trades
+        want = ref_tree_solve(prob, border, pivots, rows, own, -1.0)
+        np.testing.assert_array_equal(factor.solve(rows, own, -1.0), want)
+        return direction(prob, it, res, factor, target, bound_target)
+
+    monkeypatch.setattr(solver, "_direction", checked)
+    report = ti.primal_solve(tree, market, H)
+    assert len(factors) == report.iterations
 
 
 @pytest.mark.parametrize("tree, market, H", newton_instances())
