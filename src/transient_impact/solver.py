@@ -208,12 +208,22 @@ class _PrimalProblem:
 class _Workspace:
     """The large arrays of one solve's Newton steps, carved from two buffers allocated once.
 
-    The first buffer takes the leaves' square-root rows, then the leaf blocks,
-    then each level's Schur complement; the second takes the projected rows,
-    then each level's sums of its children's blocks, then a solve's rows.
-    Every array is dead before the next one in its buffer is written, so no
-    step allocates a large array, and the two buffers together are no larger
-    than the arrays that an allocating step held at once.
+    Every array starts at the front of its buffer, so writing one overwrites
+    the others in that buffer.  A Newton step writes them in this order, and
+    each is dead before the next one in its buffer is written:
+
+    - ``roots`` (first buffer), the leaves' square-root rows, and ``rest``
+      (second), those rows projected off the closing column (``_newton_matrix``);
+    - ``blocks`` (first), the leaf blocks, from ``rest``;
+    - per decision level ``k``, deepest first: ``sums[k]`` (second), the sums
+      of the children's blocks that ``fold_up`` gathers from the level below,
+      then ``products[k]`` (first), the Schur complement that
+      ``_TreeFactor._eliminate`` takes from ``sums[k]`` and hands up;
+    - ``sol`` (second), a solve's node rows (``down_sweep``), which
+      ``_direction`` copies out before the next solve.
+
+    So no step allocates a large array, and the two buffers together are no
+    larger than the arrays that an allocating step held at once.
     """
 
     def __init__(self, prob: _PrimalProblem):
@@ -222,9 +232,8 @@ class _Workspace:
         levels = [(level.size, 2 * k + 1) for k, level in enumerate(tree.levels[:-1])]
         self.roots, self.blocks, *self.products = self._carve(
             [(L, slots + 3, m), (L, m - 1, m - 1)] + [(n, a, a) for n, a in levels])
-        self.rest, self.sol, *sums = self._carve(
+        self.rest, self.sol, *self.sums = self._carve(
             [(L, slots + 3, m - 1), (tree.n_nodes, m)] + [(n, a + 2, a + 2) for n, a in levels])
-        self.sums = sums[::-1]  # deepest level first, as the fold visits them
 
     @staticmethod
     def _carve(shapes) -> list[np.ndarray]:
@@ -291,11 +300,11 @@ class _TreeFactor:
         self.border = float(prob.tree.fold_up(leaf_blocks, self._eliminate, work.sums)[0, 0])
 
     def _eliminate(self, block: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Add the level's barrier diagonal, factor its pivots and take the Schur complement
-        onto the entries before them (in place)."""
+        """Add the level's barrier diagonal to ``block``, factor its pivots and return the Schur
+        complement onto the entries before them, in the workspace's ``products[k]``."""
         n, k = block.shape[0], (block.shape[1] - 3) // 2
         a, slots, pos = self.prob.plans[k]
-        block.reshape(n, -1)[:, a * (a + 3) :: a + 3] += self.diag[slots]  # entries (a, a) and (a+1, a+1)
+        block[:, [a, a + 1], [a, a + 1]] += self.diag[slots]
         l00, l10, l11 = _pivots(block[:, a:, a:], self.pivots[:, pos])[:, :, None]
         coupling = self.couplings[k] = _substitute(l00, l10, l11, block[:, a:, :a], np.empty((n, 2, a)))
         product = np.matmul(block[:, :a, a:], coupling, out=self.work.products[k])
@@ -306,7 +315,7 @@ class _TreeFactor:
 
         Returns one row per node in the layout of its level: ``t``, the
         ancestors' entries and the node's own, so a leaf's row is its whole path.
-        The rows are the workspace's, valid until the next Newton matrix.
+        The rows are the workspace's, valid until the next solve.
         """
         prob, tree = self.prob, self.prob.tree
         kept = np.empty((prob.n_dec, 2))  # each decision node's own right-hand sides, level order
@@ -379,11 +388,11 @@ class _Iterate:
 class _Residuals:
     """Constraint rows, residuals and complementarity of the epigraph program at one iterate.
 
-    ``values`` are the leaf values at the iterate when the line search has them already.
+    ``values`` are ``prob.leaf_values`` at the iterate, which the line search has computed already.
     """
 
-    def __init__(self, prob: _PrimalProblem, it: _Iterate, values=None):
-        vals, x_pre, eta = values or prob.leaf_values(it.trades[:, 0], it.trades[:, 1], it.close)
+    def __init__(self, prob: _PrimalProblem, it: _Iterate, values):
+        vals, x_pre, eta = values
         grad = prob.gradients(eta)
         self.rows = prob.rows  # constraint gradients in the layout, until the next residuals rewrite them
         self.primal = np.stack([vals - it.t, x_pre - it.close, -x_pre - it.close], axis=1) + it.slack

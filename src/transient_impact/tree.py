@@ -143,14 +143,14 @@ class ScenarioTree:
         summed over each node's children and ``step(sums, nodes)`` turns those
         sums, one per node of the level in id order, into the level's rows.
         Each sum is the first child's row plus the running sum of the other
-        children's rows, children in id order.  The sums are fresh arrays, or
-        the per-level arrays of ``out`` (deepest level first) when given and
-        of the sums' shape, so ``step`` may write into them.  Which rows to
-        gather comes from a layout computed with the tree.
+        children's rows, children in id order.  The sums are fresh arrays, so
+        ``step`` may write into them; ``out[k]``, when given, receives the sums
+        of level ``k`` instead.  Which rows to gather comes from a layout
+        computed with the tree.
         """
         rows = np.asarray(leaf_rows)
-        for upper, (first, seconds, later, two), sums in zip(self.levels[-2::-1], self._fold_layout,
-                                                             out or [None] * len(self._fold_layout)):
+        sums_out = [None] * len(self._fold_layout) if out is None else reversed(out)
+        for upper, (first, seconds, later, two), sums in zip(self.levels[-2::-1], self._fold_layout, sums_out):
             others = rows[seconds]
             for at, kids in later:
                 others[at] += rows[kids]
@@ -274,12 +274,9 @@ class ScenarioTree:
         for i, rec in enumerate(nodes):
             if not isinstance(rec, dict):
                 raise ValueError(f"node record {i} must be a JSON object")
-            node, up = rec.get("id", i), rec["parent"]
-            if type(node) is not int or type(up) is not int:  # plain ints (not bools) skip the full check
-                node, up = _integer(node, i, "id"), _integer(up, i, "parent")
-            if node != i:
+            if _integer(rec.get("id", i), i, "id") != i:
                 raise ValueError("node records must be listed in id order starting at 0")
-            parent.append(up)
+            parent.append(_integer(rec["parent"], i, "parent"))
             if "t_index" in rec:
                 declared.append((i, _integer(rec["t_index"], i, "t_index")))
             get = rec.get
@@ -302,9 +299,11 @@ _MISSING = object()  # a node record without the field
 
 def _integer(value, node: int, field: str) -> int:
     """A node record's integer field: a JSON integer, not a bool, float or string."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"node {node}: {field} must be an integer, got {value!r}")
-    return int(value)
+    if type(value) is int:  # a bool's type is bool, not int
+        return value
+    if isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"node {node}: {field} must be an integer, got {value!r}")
 
 
 def _as_slice(idx: np.ndarray):

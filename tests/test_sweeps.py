@@ -510,6 +510,24 @@ def test_fold_matches_reduceat_loop(tree, shape):
         np.testing.assert_array_equal(g, w)
 
 
+@pytest.mark.parametrize("tree", fold_trees())
+def test_fold_writes_each_level_sums_into_out(tree):
+    rng = np.random.default_rng(tree.n_nodes)
+    leaf_rows = rng.normal(0.0, 1.0, (tree.leaves.size, 3))
+    out = [np.empty((level.size, 3)) for level in tree.levels[:-1]]
+    visited = []
+
+    def step(sums, nodes):
+        k = int(tree.t_index[nodes[0]])
+        assert sums is out[k]
+        visited.append(k)
+        return sums * 2.0 + 1.0
+
+    np.testing.assert_array_equal(tree.fold_up(leaf_rows, step, out),
+                                  tree.fold_up(leaf_rows, lambda sums, nodes: sums * 2.0 + 1.0))
+    assert visited == list(range(tree.n_levels - 2, -1, -1))
+
+
 @pytest.mark.parametrize("k", [9, 12])
 def test_wide_node_folds_as_running_sum(k):
     # From nine children on, reduceat sums the others pairwise; the fold keeps the running sum.
