@@ -12,8 +12,9 @@ along a tree edge in ``gap``, ``dual-search`` and ``dual-eval``), 3 when a
 solver stops before its tolerance (for ``price``: the primal's Newton budget
 ran out or its search stalled; for ``gap``: the same, unless the certificate
 it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
-proves the value optimal; for ``dual-search``: the ascent budget ran out).
-``gap`` runs no dual search, so its ``--max-iter`` counts Newton steps only.
+proves the value optimal; for ``dual-search``: the same, with the gap of the
+certificate it reports).  Neither ``gap`` nor ``dual-search`` runs a dual
+search, so their ``--max-iter`` counts the primal's Newton steps only.
 Identical inputs produce byte-identical output.
 """
 
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "primal":
                 p.add_argument("--tol", type=_finite_float, help="primal solver tolerance (relative residual)")
             elif flag == "max-iter":
-                p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget (Newton steps for the primal)")
+                p.add_argument("--max-iter", type=int, dest="max_iter", help="Newton-step budget of the primal")
             elif flag == "format":
                 p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: per-node series instead of the report")
         p.add_argument("--out", help="output path (default: stdout)")
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("price", cmd_price, "primal super-replication price", "market", "tree", "payoff", "primal", "max-iter")
     add("gap", cmd_gap, "primal and dual values with their gap", "market", "tree", "payoff", "primal", "max-iter")
     add("dual-eval", cmd_dual_eval, "evaluate a certificate: feasibility, bound, objective", "market", "tree", "certificate", "payoff", "format")
-    add("dual-search", cmd_dual_search, "improve a certificate by monotone ascent", "market", "tree", "payoff", "certificate-opt", "max-iter")
+    add("dual-search", cmd_dual_search, "the better of a certificate and the one read off the primal", "market", "tree", "payoff", "certificate-opt", "max-iter")
     c = add("call", cmd_call, "closed-form call price and buy-and-hold identity", "market", "paths-opt")
     c.add_argument("--strike", type=_finite_float, default=0.0)
     c.add_argument("--p0", type=_finite_float, help="initial price (used when no paths are given)")

@@ -8,8 +8,9 @@ certificate can never exceed any super-replicating initial cash; the verifier
 returns that margin together with the exact slack decomposition that makes the
 inequality an identity.  :func:`certificate_from` reads a certificate off a
 solved primal by complementary slackness: the measure from its leaf
-multipliers, the spread process from its spread, and a band martingale that
-touches the band where the schedule trades.
+multipliers, the spread process from its spread, and the martingale from its
+closing trades' multipliers, which puts it on the band's edge where the
+schedule trades (or, without them, any martingale inside the band).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import InfeasibleCertificate, SuperReplicationViolated, TerminalNotZero
 from .market import MarketSpec, as_curve, finite
 from .strategy import TradeSchedule, check_terminal_zero
-from .tree import NodeMeasure, ScenarioTree, is_martingale
+from .tree import NodeMeasure, ScenarioTree, conditional_expectation, is_martingale
 from .wealth import tree_wealth
 
 FEASIBILITY_RTOL = 1e-10
@@ -225,29 +226,47 @@ def band_pins(tree: ScenarioTree, schedule: TradeSchedule, lam) -> dict[int, flo
     return pin
 
 
-def certificate_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSchedule, leaf_weights) -> DualCertificate:
-    """Feasible certificate read off a schedule and leaf weights (the primal's multipliers).
+def certificate_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSchedule, leaf_weights,
+                     closing=None) -> DualCertificate:
+    """Feasible certificate read off a schedule and the primal's multipliers.
 
-    The measure is :func:`leaf_measure` of the weights, the spread process
-    the schedule's spread, and the martingale a band martingale: touching the
-    band at :func:`band_pins`, else anywhere inside it, else inside the band
-    widened by its deficit.  Adding ``c`` to the spread on a node's subtree
-    widens that node's band by ``c / rho`` and, on a decaying liquidity
-    curve, narrows none; so raising each node's spread by the largest
-    discounted violation on its path from the root repairs every violation,
-    and :func:`restore_feasibility` confirms it.
+    The measure is :func:`leaf_measure` of the leaf weights and the spread
+    process the schedule's spread.  Given the closing-trade multipliers
+    ``closing`` (per leaf, ``y+`` and ``y-`` on ``±x_pre - g <= 0``), the
+    martingale is read off them: ``M_T = P_T - B_T (y+ - y-) / (y+ + y-)``
+    on each leaf's band width ``B_T`` (``M_T = P_T`` where both are zero),
+    and ``M`` its conditional expectation.  At an optimum, stationarity in
+    the closing trade makes ``y+ + y-`` the leaf weight times ``B_T``, so
+    ``M_T`` is ``P_T - (y+ - y-) / weight``, and stationarity in the buys
+    and sells then puts ``M`` inside every band, on its edge where the
+    schedule trades.  The ratio, unlike a division by the weight, stays in
+    the band on leaves that carry no weight.  Without ``closing``, ``M`` is
+    a band martingale: anywhere inside the band, else inside the band
+    widened by its deficit.
+
+    Adding ``c`` to the spread on a node's subtree widens that node's band
+    by ``c / rho`` and, on a decaying liquidity curve, narrows none; so
+    raising each node's spread by the largest discounted violation on its
+    path from the root repairs every violation, and
+    :func:`restore_feasibility` confirms it.
     """
     q = leaf_measure(tree, leaf_weights)
     alpha = tree_wealth(tree, schedule, market.impact).eta
     lam = constraint_bound(tree, DualCertificate(q=q, M=np.zeros(tree.n_nodes), alpha=alpha), market)
-    band = shadow_band_feasibility(tree, q, lam, pin=band_pins(tree, schedule, lam))
-    if not band.feasible:
+    if closing is None:
         band = shadow_band_feasibility(tree, q, lam)
-    if not band.feasible:
-        band = shadow_band_feasibility(tree, q, lam + band.deficit)
-    violation = np.maximum(np.abs(tree.P - band.M) - lam, 0.0) * tree.rho
+        if not band.feasible:
+            band = shadow_band_feasibility(tree, q, lam + band.deficit)
+        M = band.M
+    else:
+        y_long, y_short = np.asarray(closing, dtype=float).T
+        total = y_long + y_short
+        share = np.divide(y_long - y_short, total, out=np.zeros(total.size), where=total > 0.0)
+        leaves = tree.leaves
+        M = conditional_expectation(tree, q, tree.P[leaves] - lam[leaves] * share)
+    violation = np.maximum(np.abs(tree.P - M) - lam, 0.0) * tree.rho
     raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
-    return restore_feasibility(tree, DualCertificate(q=q, M=band.M, alpha=alpha + raise_by), market)
+    return restore_feasibility(tree, DualCertificate(q=q, M=M, alpha=alpha + raise_by), market)
 
 
 def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec, H) -> float:

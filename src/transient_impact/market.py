@@ -36,8 +36,8 @@ def finite(values, what: str):
 def as_curve(values, n_points: int, name: str = "curve") -> np.ndarray:
     """Coerce a scalar or sequence to a length-``n_points`` float array.
 
-    Finiteness is left to the model types: checked here, it would scan every
-    dual trial and turn a NaN martingale's ``InfeasibleCertificate`` into ``NonFiniteInput``.
+    Finiteness is left to the model types: checked here, it would turn a NaN
+    martingale's ``InfeasibleCertificate`` into ``NonFiniteInput``.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:

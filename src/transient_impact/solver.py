@@ -1,4 +1,4 @@
-"""Super-replication pricing on scenario trees: primal, oracle, certificates and dual search.
+"""Super-replication pricing on scenario trees: primal, oracle and certificates.
 
 The primal program minimises, over non-negative buy/sell quantities at every
 non-terminal node, the worst-leaf sum of payoff and cost functional; each leaf
@@ -16,14 +16,13 @@ leaf multipliers form a probability over leaves.
 The reported value is the exact cash requirement of the returned schedule,
 so feasibility never rests on the solver.
 
-``gap_report`` does not search: it reads the certificate off the primal's
-leaf multipliers and spread (:func:`~transient_impact.duality.certificate_from`)
-and keeps it or the default certificate, whichever is worth more.  The dual
-search (``dual_ascent``) performs monotone projected-gradient ascent over
-(measure logits, terminal martingale values, spread process) with feasibility
-restored after every trial step, so each emitted certificate is exactly
-feasible.  The gap between both sides is reported, never assumed zero.
-Everything is deterministic.
+No dual search runs.  ``gap_report`` reads certificates off the primal's
+multipliers and spread (:func:`~transient_impact.duality.certificate_from`):
+one whose martingale comes from the closing trades' multipliers, one with a
+band martingale, and keeps the best of them and the default certificate.
+``dual_ascent`` returns the better of that certificate and a given one.
+Every emitted certificate is exactly feasible.  The gap between both sides
+is reported, never assumed zero.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ from .duality import (
     check_feasibility,
     dual_objective,
     leaf_payoff,
-    node_penalty_weights,
     restore_feasibility,
 )
 from .errors import InfeasibleInit, InstanceTooLarge, WeakDualityViolated
@@ -58,9 +56,9 @@ MIN_STEP = 1e-12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs: the primal's relative residual tolerance, and the budget of both searches.
+    """Tuning knobs: the primal's relative residual tolerance and its budget of Newton steps.
 
-    ``max_iter`` caps the primal's Newton steps and ``dual_ascent``'s iterations.
+    ``dual_ascent`` solves the primal too, so the same budget caps its steps.
     """
 
     tol: float = 1e-9
@@ -72,7 +70,9 @@ class PriceReport:
     """Primal value, optimizing schedule, best certificate value and their gap.
 
     ``leaf_weights`` are the primal's leaf multipliers (leaf-id order), a
-    probability over leaves.  ``primal_converged`` says the primal value is
+    probability over leaves, and ``closing_multipliers`` the multipliers of
+    ``x_pre - g <= 0`` and ``-x_pre - g <= 0`` on each leaf's closing trade
+    (one row per leaf).  ``primal_converged`` says the primal value is
     optimal to tolerance: its Newton search met ``tol``, or, in
     :func:`gap_report`, a certificate closes the gap to ``tol * (1 + |primal|)``.
     """
@@ -80,6 +80,7 @@ class PriceReport:
     primal_value: float | None = None
     strategy: TradeSchedule | None = None
     leaf_weights: np.ndarray | None = None
+    closing_multipliers: np.ndarray | None = None
     dual_value: float | None = None
     certificate: DualCertificate | None = None
     gap: float | None = None
@@ -525,8 +526,8 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
     prob = _PrimalProblem(tree, market, H)
     it, steps, converged = _interior_point(prob, options or SolverOptions())
     value, schedule = prob.cash_requirement(it.trades.T.ravel())
-    return PriceReport(primal_value=value, strategy=schedule, leaf_weights=it.dual[:, 0].copy(), iterations=steps,
-                       primal_converged=converged)
+    return PriceReport(primal_value=value, strategy=schedule, leaf_weights=it.dual[:, 0].copy(),
+                       closing_multipliers=it.dual[:, 1:].copy(), iterations=steps, primal_converged=converged)
 
 
 def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) -> float:
@@ -592,63 +593,6 @@ def default_certificate(tree: ScenarioTree, market: MarketSpec) -> DualCertifica
     return restore_feasibility(tree, cert, market)
 
 
-class _DualProblem:
-    """Differentiable parametrisation of the certificate objective."""
-
-    def __init__(self, tree: ScenarioTree, market: MarketSpec, H):
-        self.tree = tree
-        self.market = market
-        self.H = leaf_payoff(tree, H)
-        self.free = tree.p_transition > 0.0
-        self.free[0] = False
-
-    def measure(self, logits: np.ndarray) -> np.ndarray:
-        """Softmax of the logits over each node's free children; null branches get zero."""
-        tree = self.tree
-        kids = np.flatnonzero(self.free)
-        par = tree.parent[kids]
-        top = np.full(tree.n_nodes, -np.inf)
-        np.maximum.at(top, par, logits[kids])
-        w = np.zeros(tree.n_nodes)
-        w[kids] = np.exp(logits[kids] - top[par])
-        q = np.zeros(tree.n_nodes)
-        q[0] = 1.0
-        q[kids] = w[kids] / tree.child_sum(w)[par]
-        return q
-
-    def build(self, params) -> DualCertificate:
-        logits, m_terminal, alpha = params
-        q = NodeMeasure(self.measure(logits))
-        M = conditional_expectation(self.tree, q, m_terminal)
-        cert = DualCertificate(q=q, M=M, alpha=alpha.copy())
-        return restore_feasibility(self.tree, cert, self.market)
-
-    def value_and_gradients(self, params):
-        """Objective of the unrepaired certificate and its parameter gradients."""
-        logits, m_terminal, alpha = params
-        tree = self.tree
-        imp = self.market.impact
-        q = self.measure(logits)
-        reach = tree.reach_probabilities(q)
-        dev = alpha - imp.zeta0
-
-        leaves = tree.leaves
-        leaf_val = self.H - imp.x0 * m_terminal - 0.5 * dev[leaves] ** 2 * tree.kappa[leaves]
-        edge = -0.5 * dev[tree.parent] ** 2 * tree.edge_weight  # value attached to each edge
-        val = tree.up_sweep(q, leaf_val, edge)
-        objective = float(val[0] - 0.5 * imp.iota * imp.x0**2)
-
-        g_alpha = node_penalty_weights(tree, reach) * -dev
-
-        g_m = -imp.x0 * reach[leaves]
-
-        g_logits = np.zeros(tree.n_nodes)
-        idx = np.flatnonzero(self.free)
-        par = tree.parent[idx]
-        g_logits[idx] = reach[par] * q[idx] * (edge[idx] + val[idx] - val[par])
-        return objective, (g_logits, g_m, g_alpha)
-
-
 def dual_ascent(
     tree: ScenarioTree,
     market: MarketSpec,
@@ -656,102 +600,72 @@ def dual_ascent(
     init_cert: DualCertificate,
     options: SolverOptions | None = None,
 ) -> PriceReport:
-    """Monotone certificate improvement from a feasible start.
+    """The better of a feasible certificate and the one :func:`gap_report` reads off the primal.
 
-    Projected-gradient ascent on (measure logits, terminal martingale values,
-    spread process); each trial step along the gradient is repaired by raising
-    the spread process and accepted only if the repaired certificate improves
-    the objective.  The returned certificate is exactly feasible and never
-    worse than the initial one.  A liquidity curve that rises along an edge
-    gives the penalty a negative weight and the objective no bound, so it is refused.
+    No search runs: the certificate read off the primal's multipliers leaves
+    a gap no larger than the primal's own tolerance, so by weak duality no
+    ascent from it could gain more.  ``iterations`` are the primal's Newton
+    steps, and ``dual_converged`` (like ``primal_converged``) says the primal
+    met ``tol`` or the gap is within ``tol * (1 + |primal|)``.  The returned
+    certificate is exactly feasible and never worse than the initial one.  A
+    liquidity curve that rises along an edge gives the penalty a negative
+    weight and the objective no bound, so it is refused.
     """
     tree.require_decay()
-    opts = options or SolverOptions()
     report = check_feasibility(tree, init_cert, market)
     if not report.feasible:
         raise InfeasibleInit(
             f"initial certificate violates the band by {report.worst_violation:.3e} at node {report.worst_node}"
         )
-    prob = _DualProblem(tree, market, H)
-    best_value = dual_objective(tree, init_cert, market, prob.H)
-    best_cert = init_cert
+    opts = options or SolverOptions()
+    found = gap_report(tree, market, H, opts)
+    value = dual_objective(tree, init_cert, market, H)
+    if value > found.dual_value:
+        gap = found.primal_value - value
+        found = replace(found, dual_value=value, certificate=init_cert, gap=gap,
+                        primal_converged=found.primal_converged or gap <= opts.tol * (1.0 + abs(found.primal_value)))
+    return replace(found, dual_converged=found.primal_converged)
 
-    q0 = init_cert.q.transitions
-    logits = np.where(prob.free, np.log(np.clip(q0, 1e-12, None)), 0.0)
-    m_terminal = np.asarray(init_cert.M, dtype=float)[tree.leaves].copy()
-    alpha = init_cert.alpha_or_default(tree, market.impact.zeta0).copy()
-    params = (logits, m_terminal, alpha)
 
-    start = prob.build(params)
-    current = dual_objective(tree, start, market, prob.H)
-    if current > best_value:
-        best_value, best_cert = current, start
+def _reached_primal(tree: ScenarioTree, market: MarketSpec, H, opts: SolverOptions) -> PriceReport:
+    """The primal on the nodes that the tree's probabilities reach, lifted back to the whole tree.
 
-    obj_scale = 1.0 + abs(best_value) + float(np.max(prob.H, initial=0.0))
-    step = 1.0
-    iterations = 0
-    converged = False
-    while iterations < opts.max_iter:
-        iterations += 1
-        _, (g_logits, g_m, g_alpha) = prob.value_and_gradients(params)
-        norm = max(
-            float(np.max(np.abs(g_logits), initial=0.0)),
-            float(np.max(np.abs(g_m), initial=0.0)),
-            float(np.max(np.abs(g_alpha), initial=0.0)),
-            1e-12,
-        )
-        # The repair is invisible to the gradient, so scan the full step and each block
-        # over 18 halvings (72 trials) and keep the best improving one.  Ascent sign only:
-        # a step against the gradient loses to first order and never won on a tested tree.
-        blocks = ((1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        best_trial = None
-        best_trial_value = current + 1e-15 * obj_scale
-        for w_logits, w_m, w_alpha in blocks:
-            s = step
-            for _ in range(18):
-                trial = (
-                    params[0] + s / norm * w_logits * g_logits,
-                    params[1] + s / norm * w_m * g_m,
-                    params[2] + s / norm * w_alpha * g_alpha,
-                )
-                cert = prob.build(trial)
-                value = dual_objective(tree, cert, market, prob.H)
-                if value > best_trial_value:
-                    best_trial, best_trial_value, best_step = (trial, cert), value, s
-                s *= 0.5
-        if best_trial is None:
-            converged = True
-            break
-        trial, cert = best_trial
-        # Rebase the spread process onto its repaired value so the next
-        # gradient sees the true penalty.
-        params = (trial[0], trial[1], np.asarray(cert.alpha, dtype=float).copy())
-        current = best_trial_value
-        if current > best_value:
-            best_value, best_cert = current, cert
-        step = min(best_step * 2.0, 1e3)
-
-    return PriceReport(
-        dual_value=best_value,
-        certificate=best_cert,
-        iterations=iterations,
-        dual_converged=converged,
-    )
+    No measure may charge a leaf behind a zero-probability branch, so a
+    certificate must be read off a primal that ignores those leaves.  Lifted
+    back, the unreached nodes trade nothing and carry no multipliers.
+    """
+    reached = tree.reach_probabilities() > 0.0
+    ids = np.cumsum(reached) - 1
+    parent = np.where(tree.parent[reached] >= 0, ids[tree.parent[reached]], -1)
+    sub = ScenarioTree(tree.times, parent, tree.p_transition[reached], tree.P[reached], tree.delta[reached],
+                       tree.r[reached])
+    on_leaf = reached[tree.leaves]
+    report = primal_solve(sub, market, leaf_payoff(tree, H)[on_leaf], opts)
+    buys, sells = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
+    buys[reached], sells[reached] = report.strategy.buys, report.strategy.sells
+    weights, closing = np.zeros(on_leaf.size), np.zeros((on_leaf.size, 2))
+    weights[on_leaf], closing[on_leaf] = report.leaf_weights, report.closing_multipliers
+    return replace(report, strategy=TradeSchedule(buys, sells, report.strategy.x0), leaf_weights=weights,
+                   closing_multipliers=closing)
 
 
 def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None) -> PriceReport:
     """Solve the primal, certify it without a search, and report the gap (weak duality enforced).
 
-    Two certificates are built: one read off the primal's leaf multipliers and
-    schedule, and the default one; the report keeps the one worth more.  A gap
+    Three certificates are built: two read off the primal's multipliers and
+    schedule (:func:`~transient_impact.duality.certificate_from`, with and
+    without the closing trades' multipliers), and the default one; the report
+    keeps the one worth most, the first on a tie.  A gap
     within ``tol * (1 + |primal|)`` proves the primal optimal, so the report
     then counts as converged even where the Newton search stalled.
     """
     opts = options or SolverOptions()
     tree.require_decay()
     primal = primal_solve(tree, market, H, opts)
+    source = primal if np.all(tree.p_transition > 0.0) else _reached_primal(tree, market, H, opts)
     candidates = (
-        certificate_from(tree, market, primal.strategy, primal.leaf_weights),
+        certificate_from(tree, market, source.strategy, source.leaf_weights),
+        certificate_from(tree, market, source.strategy, source.leaf_weights, source.closing_multipliers),
         default_certificate(tree, market),
     )
     values = [dual_objective(tree, cert, market, H) for cert in candidates]

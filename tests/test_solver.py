@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -349,6 +351,53 @@ class TestCertificateFromPrimal:
         np.testing.assert_array_equal(recovered.q.transitions, tree.p_transition)
 
 
+class TestReadOffCertificate:
+    """The certificate whose martingale is read off the closing trades' multipliers."""
+
+    @staticmethod
+    def assert_gap_closes(tree, market, H):
+        report = ti.gap_report(tree, market, H)
+        scale = 1.0 + abs(report.primal_value)
+        assert -1e-9 * scale <= report.gap <= 1e-6 * scale
+        band = ti.certificate_from(tree, market, report.strategy, report.leaf_weights)
+        read_off = ti.certificate_from(tree, market, report.strategy, report.leaf_weights,
+                                       report.closing_multipliers)
+        # never worse than the band martingale beyond weak-duality rounding
+        assert ti.dual_objective(tree, read_off, market, H) >= ti.dual_objective(tree, band, market, H) - 1e-9 * scale
+        # each leaf's value stays in its band before any repair, weight or none
+        eta = ti.tree_wealth(tree, report.strategy, market.impact).eta
+        bound = ti.constraint_bound(tree, replace(read_off, alpha=eta), market)
+        leaves = tree.leaves
+        assert np.all(np.abs(tree.P - read_off.M)[leaves] <= bound[leaves] + 1e-12 * scale)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gap_closes_on_random_trees(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, depth=3, max_branch=5, stochastic_liquidity=True)
+        self.assert_gap_closes(tree, market_for_tree(rng, tree), np.maximum(tree.P[tree.leaves] - 100.0, 0.0))
+
+    @pytest.mark.parametrize("depth", [2, 3, 4])
+    def test_gap_closes_on_uneven_trinomial_trees(self, depth):
+        self.assert_gap_closes(*binomial_ladder(depth, moves=(6.0, 1.0, -4.0)))
+
+    def test_null_branch_dual_is_the_reached_primal(self):
+        # no measure charges the leaf behind the zero-probability branch (node 3, then 9), so
+        # the best certificate is worth the primal of the tree without that branch
+        times = [0.0, 0.5, 1.0]
+        parent = [-1, 0, 0, 0, 1, 1, 2, 2, 3]
+        p = [1.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5, 0.5, 1.0]
+        P = [100.0, 110.0, 90.0, 95.0, 120.0, 100.0, 100.0, 80.0, 95.0]
+        tree = ti.ScenarioTree(times, parent, p, P, np.full(9, 10.0), np.full(9, 0.5))
+        reached = ti.ScenarioTree(times, parent[:3] + parent[4:8], p[:3] + p[4:8], P[:3] + P[4:8],
+                                  np.full(7, 10.0), np.full(7, 0.5))
+        market = ti.MarketSpec.build(times, 10.0, 0.5, zeta0=0.1, x0=0.5)
+        H = np.array([20.0, 0.0, 0.0, 0.0, 50.0])
+        report = ti.gap_report(tree, market, H)
+        best = ti.primal_solve(reached, market, H[:-1]).primal_value
+        assert report.dual_value == pytest.approx(best, rel=1e-8)
+        assert report.primal_value > best + 30.0  # the structural gap
+
+
 class TestNonFinitePayoff:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_every_entry_point_refuses_it(self, bad):
@@ -408,16 +457,19 @@ class TestRisingLiquidityCurve:
         assert stalled >= 1
 
 
-def binomial_ladder(depth):
-    """Binomial call ladder: +-5 additive steps from 100, times on [0, 1], delta 10, r 0.5, strike 100."""
+def binomial_ladder(depth, moves=(5.0, -5.0)):
+    """Binomial call ladder: +-5 additive steps from 100, times on [0, 1], delta 10, r 0.5, strike 100.
+
+    Other ``moves`` give a tree with one equally likely child per move.
+    """
     times = np.linspace(0.0, 1.0, depth + 1)
     nodes = [dict(parent=-1, p_transition=1.0, P=100.0)]
     level = [0]
     for _ in range(depth):
         new = []
         for par in level:
-            for move in (5.0, -5.0):
-                nodes.append(dict(parent=par, p_transition=0.5, P=nodes[par]["P"] + move))
+            for move in moves:
+                nodes.append(dict(parent=par, p_transition=1.0 / len(moves), P=nodes[par]["P"] + move))
                 new.append(len(nodes) - 1)
         level = new
     tree = ti.ScenarioTree.from_node_dicts(times, nodes, default_delta=10.0, default_r=0.5)

@@ -4,9 +4,10 @@ The reference functions below are the plain loop versions, kept as oracles.
 They read only ``tree.parent`` and the per-node data, and derive children and
 levels themselves, so they do not share the sweep primitives under test.  The
 tree wealth oracles are the node-wise ``accumulate`` versions that the
-leaf-path spread/penalty kernel replaced.  The dual-search oracles are the
-scan over both step signs and the four-pass repair that the ascent-sign scan
-and the one-bump repair replaced; certificates and values must agree exactly.
+leaf-path spread/penalty kernel replaced.  The repair oracle is the
+four-pass loop that the one-bump repair replaced; certificates must agree
+exactly.  ``dual_ascent`` must never return less than its start or the
+default certificate.
 The primal's tree-sparse Newton direction is checked at every step against
 the perturbed KKT system assembled densely from per-leaf loops.  The fold
 over a cached child layout must reproduce the ``argsort`` + ``reduceat`` fold
@@ -29,7 +30,7 @@ import pytest
 import transient_impact as ti
 from transient_impact.duality import node_penalty_weights
 from transient_impact.errors import InfeasibleCertificate
-from transient_impact.solver import _DualProblem, _PrimalProblem
+from transient_impact.solver import _PrimalProblem
 from transient_impact.wealth import book_value
 
 from conftest import market_for_tree, random_tree_schedule
@@ -248,49 +249,6 @@ def ref_node_penalty_weights(tree, q):
     return w
 
 
-def ref_measure(tree, free, logits):
-    children = ref_children(tree)
-    q = np.zeros(tree.n_nodes)
-    q[0] = 1.0
-    for node in np.flatnonzero(~tree.is_leaf):
-        kids = children[node]
-        kids = kids[free[kids]]
-        z = logits[kids] - logits[kids].max()
-        w = np.exp(z)
-        q[kids] = w / w.sum()
-    return q
-
-
-def ref_value_and_gradients(tree, market, H, free, params):
-    logits, m_terminal, alpha = params
-    children = ref_children(tree)
-    imp = market.impact
-    q = ref_measure(tree, free, logits)
-    reach = ref_reach(tree, q)
-    dev = alpha - imp.zeta0
-
-    val = np.zeros(tree.n_nodes)
-    leaves = tree.leaves
-    val[leaves] = H - imp.x0 * m_terminal - 0.5 * dev[leaves] ** 2 * tree.kappa[leaves]
-    edge = -0.5 * dev[tree.parent] ** 2 * tree.edge_weight
-    for level in reversed(ref_levels(tree)[:-1]):
-        for node in level:
-            kids = children[node]
-            val[node] = float(np.dot(q[kids], edge[kids] + val[kids]))
-    objective = float(val[0] - 0.5 * imp.iota * imp.x0**2)
-
-    g_alpha = np.zeros(tree.n_nodes)
-    np.add.at(g_alpha, tree.parent[1:], reach[1:] * tree.edge_weight[1:])
-    g_alpha[leaves] += reach[leaves] * tree.kappa[leaves]
-    g_alpha *= -dev
-    g_m = -imp.x0 * reach[leaves]
-    g_logits = np.zeros(tree.n_nodes)
-    idx = np.flatnonzero(free)
-    par = tree.parent[idx]
-    g_logits[idx] = reach[par] * q[idx] * (edge[idx] + val[idx] - val[par])
-    return objective, (g_logits, g_m, g_alpha)
-
-
 def ref_tree_wealth(tree, schedule, impact):
     gross = schedule.gross()
     eta = tree.accumulate(tree.rho / tree.delta * gross, initial=impact.zeta0)
@@ -387,59 +345,6 @@ def ref_default_certificate(tree, market):
     M = ti.conditional_expectation(tree, q, tree.P[tree.leaves])
     cert = ti.DualCertificate(q=q, M=M, alpha=np.full(tree.n_nodes, market.impact.zeta0))
     return ref_restore_feasibility(tree, cert, market)
-
-
-def ref_dual_ascent(tree, market, H, init_cert, options):
-    """The pattern scan over both signs, with the starting certificate built twice."""
-    prob = _DualProblem(tree, market, H)
-
-    def build(params):
-        logits, m_terminal, alpha = params
-        q = ti.NodeMeasure(prob.measure(logits))
-        M = ti.conditional_expectation(tree, q, m_terminal)
-        return ref_restore_feasibility(tree, ti.DualCertificate(q=q, M=M, alpha=alpha.copy()), market)
-
-    best_value = ti.dual_objective(tree, init_cert, market, prob.H)
-    best_cert = init_cert
-    logits = np.where(prob.free, np.log(np.clip(init_cert.q.transitions, 1e-12, None)), 0.0)
-    m_terminal = np.asarray(init_cert.M, dtype=float)[tree.leaves].copy()
-    alpha = init_cert.alpha_or_default(tree, market.impact.zeta0).copy()
-    params = (logits, m_terminal, alpha)
-    current = ti.dual_objective(tree, build(params), market, prob.H)
-    if current > best_value:
-        best_value, best_cert = current, build(params)
-
-    obj_scale = 1.0 + abs(best_value) + float(np.max(prob.H, initial=0.0))
-    step = 1.0
-    iterations = 0
-    converged = False
-    while iterations < options.max_iter:
-        iterations += 1
-        _, grads = prob.value_and_gradients(params)
-        norm = max(max(float(np.max(np.abs(g), initial=0.0)) for g in grads), 1e-12)
-        blocks = ((1.0, 1.0, 1.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0))
-        best_trial = None
-        best_trial_value = current + 1e-15 * obj_scale
-        for weights in blocks:
-            for sign in (1.0, -1.0):
-                s = sign * step
-                for _ in range(18):
-                    trial = tuple(p + s / norm * w * g for p, w, g in zip(params, weights, grads))
-                    cert = build(trial)
-                    value = ti.dual_objective(tree, cert, market, prob.H)
-                    if value > best_trial_value:
-                        best_trial, best_trial_value, best_step = (trial, cert), value, abs(s)
-                    s *= 0.5
-        if best_trial is None:
-            converged = True
-            break
-        trial, cert = best_trial
-        params = (trial[0], trial[1], np.asarray(cert.alpha, dtype=float).copy())
-        current = best_trial_value
-        if current > best_value:
-            best_value, best_cert = current, cert
-        step = min(best_step * 2.0, 1e3)
-    return best_value, best_cert, iterations, converged
 
 
 # ---------------------------------------------------------------------------
@@ -571,23 +476,6 @@ def test_constraint_bound_and_penalty_weights(tree):
     assert_close(node_penalty_weights(tree, tree.reach_probabilities(q)), ref_node_penalty_weights(tree, q.transitions))
 
 
-@pytest.mark.parametrize("tree", TREES)
-def test_dual_measure_and_gradients(tree):
-    rng = np.random.default_rng(tree.n_nodes + 3)
-    market = market_for_tree(rng, tree)
-    H = np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
-    prob = _DualProblem(tree, market, H)
-    logits = rng.normal(0.0, 2.0, tree.n_nodes)
-    params = (logits, rng.uniform(60.0, 140.0, tree.leaves.size), rng.uniform(0.0, 1.0, tree.n_nodes))
-
-    assert_close(prob.measure(logits), ref_measure(tree, prob.free, logits))
-    value, grads = prob.value_and_gradients(params)
-    ref_value, ref_grads = ref_value_and_gradients(tree, market, H, prob.free, params)
-    assert_close(value, ref_value)
-    for got, want in zip(grads, ref_grads):
-        assert_close(got, want)
-
-
 def test_shadow_band_feasibility_with_and_without_pins():
     rng = np.random.default_rng(7)
     outcomes = set()
@@ -675,10 +563,11 @@ def test_one_bump_repair_matches_four_pass_loop(tree):
 
 
 def dual_instances():
-    """The binary reference instance and nine seeded trees, all but one run to convergence.
+    """The binary reference instance and nine seeded trees, all but one solved to convergence.
 
     Depth is made constant on each tree, so the liquidity curve decays along
-    every edge (positive resilience), as the model requires.
+    every edge (positive resilience), as the model requires.  All seeded
+    trees but one have zero-probability branches.
     """
     binary = ti.ScenarioTree([0.0, 1.0], [-1, 0, 0], [1.0, 0.5, 0.5], [100.0, 110.0, 90.0], np.full(3, 10.0), np.zeros(3))
     binary_market = ti.MarketSpec.build([0.0, 1.0], 10.0, 0.0)
@@ -695,17 +584,22 @@ def dual_instances():
 
 
 @pytest.mark.parametrize("tree, market, H, options", dual_instances())
-def test_ascent_sign_scan_matches_two_sign_scan(tree, market, H, options):
-    init = ti.default_certificate(tree, market)
-    ref_init = ref_default_certificate(tree, market)
-    assert_same_certificate(init, ref_init)
-
-    got = ti.dual_ascent(tree, market, H, init, options)
-    value, cert, iterations, converged = ref_dual_ascent(tree, market, H, ref_init, options)
-    assert got.dual_value == value
-    assert got.iterations == iterations
-    assert got.dual_converged == converged == (options.max_iter > 20)
-    assert_same_certificate(got.certificate, cert)
+def test_dual_ascent_never_loses_to_its_start(tree, market, H, options):
+    default = ti.default_certificate(tree, market)
+    assert_same_certificate(default, ref_default_certificate(tree, market))
+    rng = np.random.default_rng(tree.n_nodes + 8)
+    q = random_measure(rng, tree)
+    M = ti.conditional_expectation(tree, q, tree.P[tree.leaves] * rng.uniform(0.9, 1.1, tree.leaves.size))
+    spread = market.impact.zeta0 + rng.uniform(0.0, 1.0, tree.n_nodes)
+    drawn = ti.restore_feasibility(tree, ti.DualCertificate(q=q, M=M, alpha=spread), market)
+    # after one Newton step the certificate read off the primal is poor, so a converged one must win
+    converged = ti.gap_report(tree, market, H).certificate
+    for init, opts in ((default, options), (drawn, options), (converged, ti.SolverOptions(max_iter=1))):
+        report = ti.dual_ascent(tree, market, H, init, opts)
+        assert ti.check_feasibility(tree, report.certificate, market).feasible
+        assert report.dual_value == ti.dual_objective(tree, report.certificate, market, H)
+        for start in (init, default):
+            assert report.dual_value >= ti.dual_objective(tree, start, market, H)
 
 
 # ---------------------------------------------------------------------------
