@@ -5,17 +5,19 @@ writes a JSON report (``dual-eval``, ``tilt`` and ``shadow-check`` write
 per-node CSV series instead with ``--format csv``) and maps failures to exit
 codes: 2 when an input is unreadable (including bytes that are not UTF-8) or
 breaks its schema (a malformed tree structure, transitions that do not sum to
-one, a NaN, infinite or unknown flag value), 1 when any readable input file
-(market, tree, payoff, strategy, certificate, price paths) holds NaN/inf or
-the operation fails in its domain (including a liquidity curve that rises
-along a tree edge in ``gap``, ``dual-search`` and ``dual-eval``), 3 when a
-solver stops before its tolerance (for ``price``: the primal's Newton budget
-ran out or its search stalled; for ``gap``: the same, unless the certificate
-it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
-proves the value optimal; for ``dual-search``: the same, with the gap of the
-certificate it reports).  Neither ``gap`` nor ``dual-search`` runs a dual
-search, so their ``--max-iter`` counts the primal's Newton steps only.
-Identical inputs produce byte-identical output.
+one, a number too large for a float, a NaN, infinite or unknown flag value, a
+``--tol`` that is not positive, a negative ``--max-iter``), 1 when any
+readable input file (market, tree, payoff, strategy, certificate, price paths)
+holds NaN/inf or the operation fails in its domain (including a liquidity
+curve that rises along a tree edge in ``gap``, ``dual-search`` and
+``dual-eval``), 3 when a solver stops before its tolerance (for ``price``: the
+primal's Newton budget ran out or its search stalled; for ``gap``: the same,
+unless the certificate it reads off the primal closes the gap to
+``tol * (1 + |primal|)``, which proves the value optimal; for ``dual-search``:
+the same, since it is ``gap`` with the ``--certificate`` it is given as one
+more candidate, kept only when it is strictly better).  Neither ``gap`` nor
+``dual-search`` runs a dual search, so their ``--max-iter`` counts the
+primal's Newton steps only.  Identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -62,6 +64,20 @@ def _finite_float(text: str) -> float:
     if not np.isfinite(value):
         raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
     return value
+
+
+def _positive_float(text: str) -> float:
+    """Flag value parser: a finite float above zero (a tolerance)."""
+    if _finite_float(text) <= 0.0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive number")
+    return float(text)
+
+
+def _count(text: str) -> int:
+    """Flag value parser: a non-negative integer (a step budget)."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a non-negative integer")
+    return int(text)
 
 
 def _finite_list(text: str) -> tuple[float, ...]:
@@ -200,10 +216,7 @@ def cmd_dual_search(args) -> int:
     market = formats.load_market(args.market)
     tr = formats.load_tree(args.tree, market)
     H = formats.load_payoff(args.payoff, tr)
-    if args.certificate:
-        init = formats.load_certificate(args.certificate, tr)
-    else:
-        init = solver.default_certificate(tr, market)
+    init = formats.load_certificate(args.certificate, tr) if args.certificate else None
     report = solver.dual_ascent(tr, market, H, init, _options(args))
     payload = {
         "dual_value": report.dual_value,
@@ -336,9 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
             elif flag == "paths-opt":
                 p.add_argument("--paths", help="price paths CSV, one column per scenario")
             elif flag == "primal":
-                p.add_argument("--tol", type=_finite_float, help="primal solver tolerance (relative residual)")
+                p.add_argument("--tol", type=_positive_float, help="primal solver tolerance (relative residual)")
             elif flag == "max-iter":
-                p.add_argument("--max-iter", type=int, dest="max_iter", help="Newton-step budget of the primal")
+                p.add_argument("--max-iter", type=_count, dest="max_iter", help="Newton-step budget of the primal")
             elif flag == "format":
                 p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: per-node series instead of the report")
         p.add_argument("--out", help="output path (default: stdout)")

@@ -30,7 +30,7 @@ class InfeasibleCertificate(TransientImpactError):
 
 
 class InfeasibleInit(TransientImpactError):
-    """Dual search was started from an infeasible certificate."""
+    """A certificate given to the gap report (``dual-search --certificate``) breaks the price band."""
 
 
 class InstanceTooLarge(TransientImpactError):

@@ -6,6 +6,7 @@ import csv
 import json
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +33,26 @@ def _read_json(path) -> dict:
     return data
 
 
-def market_from_dict(data: dict) -> MarketSpec:
+@contextmanager
+def _schema(what: str):
+    """Map a schema breach inside the block to :class:`FormatError`, prefixed by ``what``.
+
+    A missing key, a wrong type, an unparsable value or a number too large
+    for a float is a schema breach; a NaN or infinite value is readable, but
+    outside the model's domain, so :class:`NonFiniteInput` passes through.
+    """
     try:
+        yield
+    except NonFiniteInput:
+        raise
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise FormatError(f"{what}: {exc}") from exc
+
+
+def market_from_dict(data: dict) -> MarketSpec:
+    with _schema("bad market spec"):
         scalars = {k: float(data.get(k, 0.0)) for k in ("iota", "zeta0", "x0", "xi0")}
         return MarketSpec.build(data["grid"], data["delta"], data["r"], **scalars)
-    except NonFiniteInput:
-        raise  # readable, but outside the model's domain
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad market spec: {exc}") from exc
 
 
 def load_market(path) -> MarketSpec:
@@ -53,7 +66,7 @@ def load_tree(path, market: MarketSpec | None = None) -> ScenarioTree:
     file must carry a ``"times"`` array and per-node depth/resilience.
     """
     data = _read_json(path)
-    try:
+    with _schema("bad tree file"):
         nodes = data["nodes"]
         if market is not None:
             times = market.grid.times
@@ -65,10 +78,6 @@ def load_tree(path, market: MarketSpec | None = None) -> ScenarioTree:
         levels = data.get("levels", tree.n_levels)
         if isinstance(levels, bool) or not isinstance(levels, int):
             raise ValueError(f"levels must be an integer, got {levels!r}")
-    except NonFiniteInput:
-        raise  # readable, but outside the model's domain
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise FormatError(f"bad tree file: {exc}") from exc
     if levels != tree.n_levels:
         raise FormatError(f"tree file declares {levels} levels but has {tree.n_levels}")
     return tree
@@ -76,17 +85,13 @@ def load_tree(path, market: MarketSpec | None = None) -> ScenarioTree:
 
 def load_schedule(path, x0_default: float = 0.0) -> TradeSchedule:
     data = _read_json(path)
-    try:
+    with _schema("bad strategy file"):
         return TradeSchedule(data["buys"], data["sells"], data.get("x0", x0_default))
-    except NonFiniteInput:
-        raise  # readable, but outside the model's domain
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad strategy file: {exc}") from exc
 
 
 def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
     data = _read_json(path)
-    try:
+    with _schema("bad certificate file"):
         q = NodeMeasure.for_tree(tree, np.asarray(data["q_transitions"], dtype=float))
         M = finite(np.asarray(data["M"], dtype=float), "certificate M")
         if M.shape != (tree.n_nodes,):
@@ -94,10 +99,6 @@ def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
         alpha = data.get("alpha")
         alpha = None if alpha is None else finite(np.asarray(alpha, dtype=float), "certificate alpha")
         return DualCertificate(q=q, M=M, alpha=alpha)
-    except NonFiniteInput:
-        raise  # readable, but outside the model's domain
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad certificate file: {exc}") from exc
 
 
 def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
@@ -107,7 +108,7 @@ def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
     """
     data = _read_json(path)
     kind = data.get("type", "values")
-    try:
+    with _schema("bad payoff file"):
         if kind == "call":
             strike = finite(float(data["strike"]), "payoff strike")
             return np.maximum(tree.P[tree.leaves] - strike, 0.0)
@@ -116,10 +117,6 @@ def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
             if values.shape != (tree.leaves.size,):
                 raise FormatError(f"payoff must list {tree.leaves.size} leaf values")
             return finite(values, "payoff values")
-    except NonFiniteInput:
-        raise  # readable, but outside the model's domain
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad payoff file: {exc}") from exc
     raise FormatError(f"unknown payoff type {kind!r}")
 
 

@@ -16,11 +16,11 @@ leaf multipliers form a probability over leaves.
 The reported value is the exact cash requirement of the returned schedule,
 so feasibility never rests on the solver.
 
-No dual search runs.  ``gap_report`` reads certificates off the primal's
-multipliers and spread (:func:`~transient_impact.duality.certificate_from`):
-one whose martingale comes from the closing trades' multipliers, one with a
-band martingale, and keeps the best of them and the default certificate.
-``dual_ascent`` returns the better of that certificate and a given one.
+No dual search runs.  ``gap_report`` alone chooses and certifies the
+certificate: it reads two off the primal's multipliers and spread
+(:func:`~transient_impact.duality.certificate_from`), one whose martingale
+comes from the closing trades' multipliers and one with a band martingale,
+and keeps the best of them, the default one and an optional given one.
 Every emitted certificate is exactly feasible.  The gap between both sides
 is reported, never assumed zero.  Everything is deterministic.
 """
@@ -58,7 +58,7 @@ MIN_STEP = 1e-12
 class SolverOptions:
     """Tuning knobs: the primal's relative residual tolerance and its budget of Newton steps.
 
-    ``dual_ascent`` solves the primal too, so the same budget caps its steps.
+    ``tol`` also sets the gap that certifies the primal optimal in :func:`gap_report`.
     """
 
     tol: float = 1e-9
@@ -75,6 +75,7 @@ class PriceReport:
     (one row per leaf).  ``primal_converged`` says the primal value is
     optimal to tolerance: its Newton search met ``tol``, or, in
     :func:`gap_report`, a certificate closes the gap to ``tol * (1 + |primal|)``.
+    ``dual_converged`` is the same flag.
     """
 
     primal_value: float | None = None
@@ -86,7 +87,10 @@ class PriceReport:
     gap: float | None = None
     iterations: int = 0
     primal_converged: bool = True
-    dual_converged: bool = True
+
+    @property
+    def dual_converged(self) -> bool:
+        return self.primal_converged
 
 
 # ---------------------------------------------------------------------------
@@ -593,38 +597,14 @@ def default_certificate(tree: ScenarioTree, market: MarketSpec) -> DualCertifica
     return restore_feasibility(tree, cert, market)
 
 
-def dual_ascent(
-    tree: ScenarioTree,
-    market: MarketSpec,
-    H,
-    init_cert: DualCertificate,
-    options: SolverOptions | None = None,
-) -> PriceReport:
-    """The better of a feasible certificate and the one :func:`gap_report` reads off the primal.
+def dual_ascent(tree: ScenarioTree, market: MarketSpec, H, init_cert: DualCertificate | None,
+                options: SolverOptions | None = None) -> PriceReport:
+    """:func:`gap_report` with ``init_cert`` as one more candidate; no search runs.
 
-    No search runs: the certificate read off the primal's multipliers leaves
-    a gap no larger than the primal's own tolerance, so by weak duality no
-    ascent from it could gain more.  ``iterations`` are the primal's Newton
-    steps, and ``dual_converged`` (like ``primal_converged``) says the primal
-    met ``tol`` or the gap is within ``tol * (1 + |primal|)``.  The returned
-    certificate is exactly feasible and never worse than the initial one.  A
-    liquidity curve that rises along an edge gives the penalty a negative
-    weight and the objective no bound, so it is refused.
+    The certificate read off the primal leaves a gap within the primal's own
+    tolerance, so by weak duality no ascent from it could gain more.
     """
-    tree.require_decay()
-    report = check_feasibility(tree, init_cert, market)
-    if not report.feasible:
-        raise InfeasibleInit(
-            f"initial certificate violates the band by {report.worst_violation:.3e} at node {report.worst_node}"
-        )
-    opts = options or SolverOptions()
-    found = gap_report(tree, market, H, opts)
-    value = dual_objective(tree, init_cert, market, H)
-    if value > found.dual_value:
-        gap = found.primal_value - value
-        found = replace(found, dual_value=value, certificate=init_cert, gap=gap,
-                        primal_converged=found.primal_converged or gap <= opts.tol * (1.0 + abs(found.primal_value)))
-    return replace(found, dual_converged=found.primal_converged)
+    return gap_report(tree, market, H, options, certificate=init_cert)
 
 
 def _reached_primal(tree: ScenarioTree, market: MarketSpec, H, opts: SolverOptions) -> PriceReport:
@@ -649,24 +629,32 @@ def _reached_primal(tree: ScenarioTree, market: MarketSpec, H, opts: SolverOptio
                    closing_multipliers=closing)
 
 
-def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None) -> PriceReport:
+def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None,
+               certificate: DualCertificate | None = None) -> PriceReport:
     """Solve the primal, certify it without a search, and report the gap (weak duality enforced).
 
-    Three certificates are built: two read off the primal's multipliers and
-    schedule (:func:`~transient_impact.duality.certificate_from`, with and
-    without the closing trades' multipliers), and the default one; the report
-    keeps the one worth most, the first on a tie.  A gap
-    within ``tol * (1 + |primal|)`` proves the primal optimal, so the report
-    then counts as converged even where the Newton search stalled.
+    The candidates are two certificates read off the primal's multipliers
+    and schedule (:func:`~transient_impact.duality.certificate_from`, with
+    and without the closing trades' multipliers), the default one and a
+    given ``certificate``, which must be feasible (else :class:`InfeasibleInit`,
+    before any solve).  The report keeps the one worth most, the first on a
+    tie.  A gap within ``tol * (1 + |primal|)`` proves the primal optimal, so
+    the report then counts as converged even where the Newton search stalled.
     """
     opts = options or SolverOptions()
     tree.require_decay()
+    if certificate is not None:
+        feas = check_feasibility(tree, certificate, market)
+        if not feas.feasible:
+            raise InfeasibleInit(
+                f"given certificate violates the band by {feas.worst_violation:.3e} at node {feas.worst_node}")
     primal = primal_solve(tree, market, H, opts)
     source = primal if np.all(tree.p_transition > 0.0) else _reached_primal(tree, market, H, opts)
     candidates = (
         certificate_from(tree, market, source.strategy, source.leaf_weights),
         certificate_from(tree, market, source.strategy, source.leaf_weights, source.closing_multipliers),
         default_certificate(tree, market),
+        *(() if certificate is None else (certificate,)),
     )
     values = [dual_objective(tree, cert, market, H) for cert in candidates]
     best = int(np.argmax(values))

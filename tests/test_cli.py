@@ -404,6 +404,23 @@ class TestDualSearch:
         report = json.loads(out)
         assert report["dual_value"] >= 5.0 - 1e-9
 
+    def test_without_a_certificate_reports_the_gap_certificate(self, capsys, binary_files):
+        market, tree, payoff = binary_files
+        common = ["--market", market, "--tree", tree, "--payoff", payoff]
+        search = json.loads(run(capsys, "dual-search", *common)[1])
+        gap = json.loads(run(capsys, "gap", *common)[1])
+        assert search["dual_value"] == gap["dual_value"]
+        assert search["certificate"] == gap["certificate"]
+
+    def test_fed_its_own_certificate_writes_the_same_bytes(self, tmp_path, capsys, binary_files):
+        market, tree, payoff = binary_files
+        argv = ["dual-search", "--market", market, "--tree", tree, "--payoff", payoff]
+        code, first = run(capsys, *argv)
+        cert = write_json(tmp_path / "own.json", json.loads(first)["certificate"])
+        again, second = run(capsys, *argv, "--certificate", cert)
+        assert code == again == 0
+        assert second == first
+
 
 class TestWealthOnTree:
     def test_node_indexed_schedule(self, tmp_path, capsys):
@@ -500,6 +517,10 @@ class TestOptions:
         ("price", ["--tol", "inf"]),
         ("gap", ["--tol", "abc"]),
         ("gap", ["--max-iter", "1e3"]),
+        ("gap", ["--tol", "-1"]),
+        ("gap", ["--tol", "0"]),
+        ("price", ["--max-iter", "-5"]),
+        ("dual-search", ["--max-iter", "-1"]),
     ])
     def test_unknown_or_bad_flag_is_a_usage_error(self, capsys, binary_files, command, extra):
         market, tree, payoff = binary_files

@@ -62,7 +62,7 @@ COMMANDS = {
     "tilt": ["tilt", "--tree", "tree", "--market", "market", "--g", "0.5,0.0"],
 }
 
-BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), "abc", None, [1.0])
+BAD_NUMBERS = (float("nan"), float("inf"), float("-inf"), "abc", None, [1.0], 10**400)
 BAD_CELLS = ("nan", "inf", "abc", "")
 
 

@@ -214,6 +214,53 @@ class TestDualAscent:
         assert r1.dual_value == r2.dual_value
 
 
+class TestGivenCertificate:
+    def test_infeasible_one_is_refused_before_the_primal(self, monkeypatch):
+        from transient_impact import solver
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("primal solved")
+
+        monkeypatch.setattr(solver, "primal_solve", refuse)
+        tree, market, H = binary_instance()
+        bad = ti.DualCertificate(ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), np.zeros(3), np.zeros(3))
+        with pytest.raises(InfeasibleInit):
+            ti.gap_report(tree, market, H, certificate=bad)
+
+    def test_a_tie_keeps_the_certificate_read_off_the_primal(self):
+        tree, market, H = binomial_ladder(2)
+        read_off = ti.gap_report(tree, market, H)
+        given = ti.DualCertificate(read_off.certificate.q, read_off.certificate.M + 0.0, read_off.certificate.alpha)
+        report = ti.gap_report(tree, market, H, certificate=given)
+        assert report.certificate is not given
+        assert report.dual_value == read_off.dual_value
+
+    def test_a_strictly_better_one_is_kept_and_certifies_the_primal(self, monkeypatch):
+        # the read-off is replaced by the default certificate and the Newton search reports
+        # no convergence, so only the given certificate can prove the primal optimal
+        from dataclasses import replace
+
+        from transient_impact import solver
+
+        tree, market, H = binomial_ladder(2)
+        best = ti.gap_report(tree, market, H).certificate
+        primal_solve = solver.primal_solve
+        monkeypatch.setattr(solver, "primal_solve", lambda *args: replace(primal_solve(*args), primal_converged=False))
+        monkeypatch.setattr(solver, "certificate_from", lambda tree, market, *rest: ti.default_certificate(tree, market))
+        weak = ti.gap_report(tree, market, H)
+        report = ti.gap_report(tree, market, H, certificate=best)
+        assert not weak.primal_converged and weak.gap > 1e-3
+        assert report.certificate is best
+        assert report.primal_converged and report.dual_converged
+        assert 0.0 <= report.gap <= 1e-6 * report.primal_value
+
+    def test_dual_converged_is_primal_converged(self):
+        report = ti.gap_report(*binomial_ladder(2), ti.SolverOptions(max_iter=1))
+        assert not report.primal_converged
+        assert report.dual_converged is False
+        assert report.gap > 1.0
+
+
 class TestGapReport:
     def test_binary_reference_instance(self):
         tree, market, H = binary_instance()
