@@ -2,8 +2,8 @@
 
 Evaluates wealth of bounded-variation schedules under depth/resilience spread
 dynamics, prices super-replication of exogenous payoffs on finite scenario
-trees, evaluates and searches dual certificates, and verifies the closed-form
-call price and shadow-price optimality conditions.
+trees, reads dual certificates off the primal and evaluates given ones, and
+verifies the closed-form call price and shadow-price optimality conditions.
 """
 
 from .applications import (

@@ -12,7 +12,7 @@ to find one is reported as inconclusive, never as suboptimal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,6 +93,8 @@ def make_utility(kind: str, param: float | None = None):
     if kind == "power":
         return PowerUtility(param if param is not None else 0.5)
     if kind == "log":
+        if param is not None:
+            raise ValueError("log utility takes no parameter")
         return LogUtility()
     raise ValueError(f"unknown utility family: {kind!r}")
 
@@ -182,15 +184,7 @@ def verify_call_superreplication(market: MarketSpec, P, strike: float) -> CallVe
 
     price = call_price_formula(market, p0)
     imp = market.impact
-    funded = MarketSpec.build(
-        market.grid.times,
-        market.liquidity.delta,
-        market.liquidity.r,
-        iota=imp.iota,
-        zeta0=imp.zeta0,
-        x0=imp.x0,
-        xi0=price,
-    )
+    funded = replace(market, impact=replace(imp, xi0=price))
     schedule = buy_and_hold(market)
     cash = np.atleast_1d(terminal_cash_direct(schedule, funded, P2))
     terminal = P2[:, -1]

@@ -1,23 +1,28 @@
 """Command-line entry point.
 
-One subcommand per operation family; every command reads JSON/CSV inputs,
-writes a JSON report (``dual-eval``, ``tilt`` and ``shadow-check`` write
-per-node CSV series instead with ``--format csv``) and maps failures to exit
-codes: 2 when an input is unreadable (including bytes that are not UTF-8) or
-breaks its schema (a malformed tree structure, transitions that do not sum to
-one, a number too large for a float, a NaN, infinite or unknown flag value, a
-``--tol`` that is not positive, a negative ``--max-iter``), 1 when any
+One subcommand per operation family; :func:`build_parser` alone says which
+flags each one takes: the shared flags come from one table, ``wealth`` takes
+exactly one of ``--paths`` and ``--tree``, and ``call`` exactly one of
+``--p0`` and ``--paths``.  Every command reads JSON/CSV inputs, writes a JSON
+report (``dual-eval``, ``tilt`` and ``shadow-check`` write per-node CSV series
+instead with ``--format csv``) and maps failures to exit codes: 2 when an input
+is unreadable (including bytes that are not UTF-8) or breaks its schema (a
+malformed tree structure, transitions that do not sum to one, a number too
+large for a float, a certificate ``M`` or ``alpha`` of the wrong shape, a NaN,
+infinite or unknown flag value, a ``--tol`` that is not positive, a negative
+``--max-iter``, both or neither of two alternative inputs), 1 when any
 readable input file (market, tree, payoff, strategy, certificate, price paths)
 holds NaN/inf or the operation fails in its domain (including a liquidity
 curve that rises along a tree edge in ``gap``, ``dual-search`` and
-``dual-eval``), 3 when a solver stops before its tolerance (for ``price``: the
-primal's Newton budget ran out or its search stalled; for ``gap``: the same,
-unless the certificate it reads off the primal closes the gap to
-``tol * (1 + |primal|)``, which proves the value optimal; for ``dual-search``:
-the same, since it is ``gap`` with the ``--certificate`` it is given as one
-more candidate, kept only when it is strictly better).  Neither ``gap`` nor
-``dual-search`` runs a dual search, so their ``--max-iter`` counts the
-primal's Newton steps only.  Identical inputs produce byte-identical output.
+``dual-eval``, and a ``--utility-param`` given to the log utility), 3 when a
+solver stops before its tolerance (for ``price``: the primal's Newton budget
+ran out or its search stalled; for ``gap``: the same, unless the certificate
+it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
+proves the value optimal; for ``dual-search``: the same, since it is ``gap``
+with the ``--certificate`` it is given as one more candidate, kept only when
+it is strictly better).  Neither ``gap`` nor ``dual-search`` runs a dual
+search, so their ``--max-iter`` counts the primal's Newton steps only.
+Identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -39,11 +44,6 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_IO = 2
 EXIT_NONCONVERGED = 3
-
-
-def _with_units(payload: dict, units: dict) -> dict:
-    payload["units"] = units
-    return payload
 
 
 def _emit(args, payload, tree=None, series=None) -> None:
@@ -85,6 +85,17 @@ def _finite_list(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(v) for v in text.split(","))
 
 
+_STRATEGY_UNITS = {"strategy.buys": "shares", "strategy.sells": "shares"}
+_CERTIFICATE_UNITS = {"certificate.M": "price", "certificate.alpha": "price", "certificate.q_transitions": "probability"}
+
+
+def _priced_tree(args):
+    """The market, the tree on its grid and the payoff on the tree's leaves."""
+    market = formats.load_market(args.market)
+    tr = formats.load_tree(args.tree, market)
+    return market, tr, formats.load_payoff(args.payoff, tr)
+
+
 def _options(args) -> SolverOptions:
     kwargs = {}
     if getattr(args, "tol", None) is not None:
@@ -102,11 +113,9 @@ def _options(args) -> SolverOptions:
 def cmd_validate(args) -> int:
     market = formats.load_market(args.market)
     report = validate_assumptions(market.grid, market.liquidity)
-    payload = _with_units(
-        {k: getattr(report, k) for k in report.__dataclass_fields__},
-        {"delta_over_rho_min": "shares/price", "delta_over_rho_max": "shares/price",
-         "kappa_relative_margin": "dimensionless"},
-    )
+    payload = {k: getattr(report, k) for k in report.__dataclass_fields__}
+    payload["units"] = {"delta_over_rho_min": "shares/price", "delta_over_rho_max": "shares/price",
+                        "kappa_relative_margin": "dimensionless"}
     _emit(args, payload)
     return EXIT_OK if report.passed else EXIT_DOMAIN
 
@@ -114,33 +123,29 @@ def cmd_validate(args) -> int:
 def cmd_wealth(args) -> int:
     market = formats.load_market(args.market)
     schedule = formats.load_schedule(args.strategy, x0_default=market.impact.x0)
-    if args.paths:
+    if args.paths is not None:
         paths = formats.load_price_paths(args.paths)
         direct = wealth.terminal_cash_direct(schedule, market, paths)
         breakdown = wealth.lambda_functional(schedule, market, paths)
         liquidates = strategy.check_terminal_zero(schedule)
         terminal_position = float(strategy.position_path(schedule)[-1])
-    elif args.tree:
+    else:
         tr = formats.load_tree(args.tree, market)
         direct = wealth.tree_terminal_cash_direct(tr, schedule, market.impact)
         tw = wealth.tree_wealth(tr, schedule, market.impact)
         breakdown = wealth.WealthBreakdown(tw.xi_T, tw.lambda_T, tw.v0, tw.p_integral, tw.eta_penalty)
         liquidates = bool(np.all(strategy.check_terminal_zero(schedule, tr)))
         terminal_position = tw.position[tr.leaves]
-    else:
-        raise FormatError("wealth command needs --paths or --tree")
     payload = {
         "terminal_cash_direct": direct,
         "breakdown": breakdown,
         "liquidates": liquidates,
         "terminal_position": terminal_position,
+        "units": {"terminal_cash_direct": "currency", "breakdown": "currency",
+                  "terminal_position": "shares", "consistency_gap": "currency"},
     }
     if liquidates:
         payload["consistency_gap"] = float(np.max(np.abs(direct - breakdown.xi_T)))
-    _with_units(payload, {
-        "terminal_cash_direct": "currency", "breakdown": "currency",
-        "terminal_position": "shares", "consistency_gap": "currency",
-    })
     _emit(args, payload)
     if args.require_liquidation and not liquidates:
         return EXIT_DOMAIN
@@ -148,25 +153,21 @@ def cmd_wealth(args) -> int:
 
 
 def cmd_price(args) -> int:
-    market = formats.load_market(args.market)
-    tr = formats.load_tree(args.tree, market)
-    H = formats.load_payoff(args.payoff, tr)
+    market, tr, H = _priced_tree(args)
     report = solver.primal_solve(tr, market, H, _options(args))
     payload = {
         "primal_value": report.primal_value,
         "iterations": report.iterations,
         "converged": report.primal_converged,
-        "strategy": formats.schedule_to_dict(report.strategy),
+        "strategy": report.strategy,
+        "units": {"primal_value": "currency", **_STRATEGY_UNITS},
     }
-    _with_units(payload, {"primal_value": "currency", "strategy.buys": "shares", "strategy.sells": "shares"})
     _emit(args, payload)
     return EXIT_OK if report.primal_converged else EXIT_NONCONVERGED
 
 
 def cmd_gap(args) -> int:
-    market = formats.load_market(args.market)
-    tr = formats.load_tree(args.tree, market)
-    H = formats.load_payoff(args.payoff, tr)
+    market, tr, H = _priced_tree(args)
     report = solver.gap_report(tr, market, H, _options(args))
     payload = {
         "primal_value": report.primal_value,
@@ -174,15 +175,11 @@ def cmd_gap(args) -> int:
         "gap": report.gap,
         "iterations": report.iterations,
         "converged": report.primal_converged,
-        "strategy": formats.schedule_to_dict(report.strategy),
+        "strategy": report.strategy,
         "certificate": formats.certificate_to_dict(report.certificate),
+        "units": {"primal_value": "currency", "dual_value": "currency", "gap": "currency",
+                  **_STRATEGY_UNITS, **_CERTIFICATE_UNITS},
     }
-    _with_units(payload, {
-        "primal_value": "currency", "dual_value": "currency", "gap": "currency",
-        "strategy.buys": "shares", "strategy.sells": "shares",
-        "certificate.M": "price", "certificate.alpha": "price",
-        "certificate.q_transitions": "probability",
-    })
     _emit(args, payload)
     return EXIT_OK if report.primal_converged else EXIT_NONCONVERGED
 
@@ -201,11 +198,8 @@ def cmd_dual_eval(args) -> int:
         "objective": duality.dual_objective(tr, cert, market, H),
         "bound": feas.bound,
         "band_slack": slack,
+        "units": {"worst_violation": "price", "objective": "currency", "bound": "price", "band_slack": "price"},
     }
-    _with_units(payload, {
-        "worst_violation": "price", "objective": "currency",
-        "bound": "price", "band_slack": "price",
-    })
     alpha = cert.alpha_or_default(tr, market.impact.zeta0)
     series = {"P": tr.P, "M": cert.M, "bound": feas.bound, "alpha": alpha, "band_slack": slack}
     _emit(args, payload, tree=tr, series=series)
@@ -213,9 +207,7 @@ def cmd_dual_eval(args) -> int:
 
 
 def cmd_dual_search(args) -> int:
-    market = formats.load_market(args.market)
-    tr = formats.load_tree(args.tree, market)
-    H = formats.load_payoff(args.payoff, tr)
+    market, tr, H = _priced_tree(args)
     init = formats.load_certificate(args.certificate, tr) if args.certificate else None
     report = solver.dual_ascent(tr, market, H, init, _options(args))
     payload = {
@@ -223,23 +215,18 @@ def cmd_dual_search(args) -> int:
         "iterations": report.iterations,
         "converged": report.dual_converged,
         "certificate": formats.certificate_to_dict(report.certificate),
+        "units": {"dual_value": "currency", **_CERTIFICATE_UNITS},
     }
-    _with_units(payload, {
-        "dual_value": "currency", "certificate.M": "price",
-        "certificate.alpha": "price", "certificate.q_transitions": "probability",
-    })
     _emit(args, payload)
     return EXIT_OK if report.dual_converged else EXIT_NONCONVERGED
 
 
 def cmd_call(args) -> int:
     market = formats.load_market(args.market)
-    if args.paths:
+    if args.paths is not None:
         paths = formats.load_price_paths(args.paths)
-    elif args.p0 is not None:
-        paths = np.full((1, market.grid.n_points), args.p0)
     else:
-        raise FormatError("call command needs --paths or --p0")
+        paths = np.full((1, market.grid.n_points), args.p0)
     verification = applications.verify_call_superreplication(market, paths, args.strike)
     payload = {
         "closed_form_price": verification.price,
@@ -249,12 +236,9 @@ def cmd_call(args) -> int:
         "dominates_payoff": verification.dominates_payoff,
         "terminal_cash": verification.terminal_cash,
         "terminal_price": verification.terminal_price,
+        "units": {"closed_form_price": "currency", "strike": "price", "max_identity_error": "currency",
+                  "terminal_cash": "currency", "terminal_price": "price"},
     }
-    _with_units(payload, {
-        "closed_form_price": "currency", "strike": "price",
-        "max_identity_error": "currency", "terminal_cash": "currency",
-        "terminal_price": "price",
-    })
     _emit(args, payload)
     return EXIT_OK if verification.identity_holds else EXIT_DOMAIN
 
@@ -264,16 +248,14 @@ def cmd_tilt(args) -> int:
     tr = formats.load_tree(args.tree, market)
     g = np.zeros(tr.n_levels) if args.g is None else np.asarray(args.g)
     result = tree_mod.tilt_to_martingale(tr, g, eps=args.eps)
-    payload = _with_units(
-        {
-            "max_abs_gap": result.max_abs_gap,
-            "tail_probability": result.tail_probability,
-            "q_transitions": result.measure.transitions,
-            "M": result.martingale,
-        },
-        {"max_abs_gap": "price", "tail_probability": "probability",
-         "q_transitions": "probability", "M": "price"},
-    )
+    payload = {
+        "max_abs_gap": result.max_abs_gap,
+        "tail_probability": result.tail_probability,
+        "q_transitions": result.measure.transitions,
+        "M": result.martingale,
+        "units": {"max_abs_gap": "price", "tail_probability": "probability", "q_transitions": "probability",
+                  "M": "price"},
+    }
     series = {"P": tr.P, "M": result.martingale, "q": result.measure.transitions}
     _emit(args, payload, tree=tr, series=series)
     return EXIT_OK
@@ -299,12 +281,9 @@ def cmd_shadow_check(args) -> int:
         "expected_utility": verdict.expected_utility,
         "lambda_hat": verdict.lambda_hat,
         "M_hat": verdict.M_hat,
+        "units": {"martingale_defect": "price", "band_violation": "price", "flat_off_violation": "price",
+                  "expected_utility": "utility", "lambda_hat": "price", "M_hat": "price"},
     }
-    _with_units(payload, {
-        "martingale_defect": "price", "band_violation": "price",
-        "flat_off_violation": "price", "expected_utility": "utility",
-        "lambda_hat": "price", "M_hat": "price",
-    })
     series = {
         "P": tr.P,
         "lambda": verdict.lambda_hat,
@@ -319,6 +298,22 @@ def cmd_shadow_check(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The flags that subcommands share, by kind: (flag, add_argument keywords).
+_FLAGS = {
+    "market": ("--market", {"required": True, "help": "market spec JSON"}),
+    "market-opt": ("--market", {"help": "market spec JSON"}),
+    "tree": ("--tree", {"required": True, "help": "scenario tree JSON"}),
+    "strategy": ("--strategy", {"required": True, "help": "trade schedule JSON"}),
+    "certificate": ("--certificate", {"required": True, "help": "dual certificate JSON"}),
+    "certificate-opt": ("--certificate", {"help": "dual certificate JSON"}),
+    "payoff": ("--payoff", {"required": True, "help": "payoff JSON (call strike or leaf values)"}),
+    "primal": ("--tol", {"type": _positive_float, "help": "primal solver tolerance (relative residual)"}),
+    "max-iter": ("--max-iter", {"type": _count, "help": "Newton-step budget of the primal"}),
+    "format": ("--format", {"choices": ("json", "csv"), "default": "json",
+                            "help": "csv: per-node series instead of the report"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transient-impact",
@@ -326,48 +321,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_, *flags):
+    def add(name, handler, help_, *kinds, one_of=()):
+        """A subcommand taking the flags of ``kinds`` and exactly one of the ``one_of`` inputs."""
         p = sub.add_parser(name, help=help_)
         p.set_defaults(handler=handler.__name__)  # looked up at call time, so rebinding a handler takes effect
-        for flag in flags:
-            if flag == "market":
-                p.add_argument("--market", required=True, help="market spec JSON")
-            elif flag == "market-opt":
-                p.add_argument("--market", help="market spec JSON")
-            elif flag == "tree":
-                p.add_argument("--tree", required=True, help="scenario tree JSON")
-            elif flag == "strategy":
-                p.add_argument("--strategy", required=True, help="trade schedule JSON")
-            elif flag == "certificate":
-                p.add_argument("--certificate", required=True, help="dual certificate JSON")
-            elif flag == "certificate-opt":
-                p.add_argument("--certificate", help="dual certificate JSON")
-            elif flag == "payoff":
-                p.add_argument("--payoff", required=True, help="payoff JSON (call strike or leaf values)")
-            elif flag == "paths":
-                p.add_argument("--paths", required=True, help="price paths CSV, one column per scenario")
-            elif flag == "paths-opt":
-                p.add_argument("--paths", help="price paths CSV, one column per scenario")
-            elif flag == "primal":
-                p.add_argument("--tol", type=_positive_float, help="primal solver tolerance (relative residual)")
-            elif flag == "max-iter":
-                p.add_argument("--max-iter", type=_count, dest="max_iter", help="Newton-step budget of the primal")
-            elif flag == "format":
-                p.add_argument("--format", choices=("json", "csv"), default="json", help="csv: per-node series instead of the report")
+        for flag, kwargs in (_FLAGS[kind] for kind in kinds):
+            p.add_argument(flag, **kwargs)
+        if one_of:
+            inputs = p.add_mutually_exclusive_group(required=True)
+            for flag, kwargs in one_of:
+                inputs.add_argument(flag, **kwargs)
         p.add_argument("--out", help="output path (default: stdout)")
         return p
 
+    paths = ("--paths", {"help": "price paths CSV, one column per scenario"})
     add("validate", cmd_validate, "check market regularity conditions", "market")
-    w = add("wealth", cmd_wealth, "terminal cash, both computations", "market", "strategy", "paths-opt")
-    w.add_argument("--tree", help="scenario tree JSON (node-indexed schedule evaluation)")
+    w = add("wealth", cmd_wealth, "terminal cash, both computations", "market", "strategy",
+            one_of=(paths, ("--tree", {"help": "scenario tree JSON (node-indexed schedule evaluation)"})))
     w.add_argument("--require-liquidation", action="store_true")
     add("price", cmd_price, "primal super-replication price", "market", "tree", "payoff", "primal", "max-iter")
     add("gap", cmd_gap, "primal and dual values with their gap", "market", "tree", "payoff", "primal", "max-iter")
     add("dual-eval", cmd_dual_eval, "evaluate a certificate: feasibility, bound, objective", "market", "tree", "certificate", "payoff", "format")
     add("dual-search", cmd_dual_search, "the better of a certificate and the one read off the primal", "market", "tree", "payoff", "certificate-opt", "max-iter")
-    c = add("call", cmd_call, "closed-form call price and buy-and-hold identity", "market", "paths-opt")
+    c = add("call", cmd_call, "closed-form call price and buy-and-hold identity", "market",
+            one_of=(("--p0", {"type": _finite_float, "help": "initial price of a single constant path"}), paths))
     c.add_argument("--strike", type=_finite_float, default=0.0)
-    c.add_argument("--p0", type=_finite_float, help="initial price (used when no paths are given)")
     t = add("tilt", cmd_tilt, "drift-removing measure tilt on a tree", "tree", "market-opt", "format")
     t.add_argument("--g", type=_finite_list, help="comma-separated non-increasing offset per time index (default zero)")
     t.add_argument("--eps", type=_finite_float, default=1e-3, help="tail threshold to report")

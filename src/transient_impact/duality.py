@@ -90,9 +90,6 @@ class FeasibilityReport:
     worst_node: int
     bound: np.ndarray
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.feasible
-
 
 def check_feasibility(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> FeasibilityReport:
     """Check the price stays within the certificate's band at every node.

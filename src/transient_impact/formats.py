@@ -97,7 +97,10 @@ def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
         if M.shape != (tree.n_nodes,):
             raise FormatError(f"certificate M must list {tree.n_nodes} node values")
         alpha = data.get("alpha")
-        alpha = None if alpha is None else finite(np.asarray(alpha, dtype=float), "certificate alpha")
+        if alpha is not None:
+            alpha = finite(np.asarray(alpha, dtype=float), "certificate alpha")
+            if alpha.ndim and alpha.shape != (tree.n_nodes,):
+                raise FormatError(f"certificate alpha must be a scalar or list {tree.n_nodes} node values")
         return DualCertificate(q=q, M=M, alpha=alpha)
 
 
@@ -169,7 +172,7 @@ def jsonify(obj):
         return obj
     if hasattr(obj, "__dataclass_fields__"):
         return {k: jsonify(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    return str(obj)
+    raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
 
 
 def dump_json(obj, stream) -> None:
@@ -186,10 +189,6 @@ def write_node_series_csv(tree: ScenarioTree, columns: dict[str, np.ndarray], st
         row = [node, int(tree.parent[node]), int(tree.t_index[node]), repr(float(tree.times[tree.t_index[node]]))]
         row += [repr(float(columns[name][node])) for name in names]
         writer.writerow(row)
-
-
-def schedule_to_dict(schedule: TradeSchedule) -> dict:
-    return {"buys": schedule.buys, "sells": schedule.sells, "x0": schedule.x0}
 
 
 def certificate_to_dict(cert: DualCertificate) -> dict:

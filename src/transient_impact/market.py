@@ -229,9 +229,6 @@ class ValidationReport:
     delta_over_rho_max: float
     kappa_relative_margin: float
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.passed
-
 
 def validate_assumptions(grid: TimeGrid, liquidity: LiquiditySpec) -> ValidationReport:
     """Check the regularity conditions required by the pricing theory.

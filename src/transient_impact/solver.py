@@ -58,11 +58,16 @@ MIN_STEP = 1e-12
 class SolverOptions:
     """Tuning knobs: the primal's relative residual tolerance and its budget of Newton steps.
 
-    ``tol`` also sets the gap that certifies the primal optimal in :func:`gap_report`.
+    ``tol`` also sets the gap that certifies the primal optimal in :func:`gap_report`;
+    it must be positive and finite.  A negative budget acts as zero.
     """
 
     tol: float = 1e-9
     max_iter: int = 12000
+
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0.0):
+            raise ValueError(f"tol must be positive and finite, got {self.tol!r}")
 
 
 @dataclass(frozen=True)

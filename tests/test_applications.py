@@ -174,6 +174,8 @@ class TestUtilities:
             ti.ExponentialUtility(0.0)
         with pytest.raises(ValueError):
             ti.PowerUtility(1.5)
+        with pytest.raises(ValueError):
+            ti.make_utility("log", 2.0)
 
 
 class TestShadowPriceCheck:

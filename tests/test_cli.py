@@ -323,6 +323,30 @@ class TestDualEval:
             assert "must be finite" in captured.err
 
 
+    @pytest.mark.parametrize("alpha", [[0.1, 0.2], [[0.1, 0.2, 0.3]]])
+    def test_misshapen_alpha_is_a_schema_breach(self, tmp_path, capsys, binary_files, alpha):
+        market, tree, payoff = binary_files
+        cert = {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 110.0, 90.0], "alpha": alpha}
+        certificate = write_json(tmp_path / "c.json", cert)
+        for command in ("dual-eval", "dual-search"):
+            code = main([command, "--market", market, "--tree", tree,
+                         "--certificate", certificate, "--payoff", payoff])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert "certificate alpha must be a scalar or list 3 node values" in captured.err
+
+    @pytest.mark.parametrize("alpha", [None, 0.0, [0.0, 0.0, 0.0]])
+    def test_alpha_may_be_null_a_scalar_or_one_value_per_node(self, tmp_path, capsys, binary_files, alpha):
+        market, tree, payoff = binary_files
+        cert = {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 110.0, 90.0], "alpha": alpha}
+        certificate = write_json(tmp_path / "c.json", cert)
+        code, out = run(capsys, "dual-eval", "--market", market, "--tree", tree,
+                        "--certificate", certificate, "--payoff", payoff)
+        assert code == 0
+        assert json.loads(out)["feasible"] is True
+
+
 class TestCall:
     def test_reference_instance(self, tmp_path, capsys):
         market = write_json(tmp_path / "m.json", {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.0})
@@ -536,6 +560,49 @@ class TestOptions:
             main(["tilt", "--tree", tree, "--market", market, "--g", g])
         assert exit_info.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+class TestInputGrammar:
+    """Alternative inputs exclude each other, one is required, and no flag goes unread."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path, market_file):
+        strategy = write_json(tmp_path / "s.json", {"buys": [1.0, 0.0], "sells": [0.0, 1.0]})
+        paths = tmp_path / "p.csv"
+        paths.write_text("100.0,100.0\n99.0,103.0\n", encoding="utf-8")
+        tree = write_json(tmp_path / "t.json", {"nodes": [
+            {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+            {"id": 1, "parent": 0, "p_transition": 1.0, "P": 100.0},
+        ]})
+        return {"market": market_file, "strategy": strategy, "paths": str(paths), "tree": tree}
+
+    @pytest.mark.parametrize("argv", [
+        ["wealth", "--market", "{market}", "--strategy", "{strategy}", "--paths", "{paths}", "--tree", "{tree}"],
+        ["call", "--market", "{market}", "--paths", "{paths}", "--p0", "100"],
+        ["wealth", "--market", "{market}", "--strategy", "{strategy}"],
+        ["call", "--market", "{market}"],
+    ], ids=["wealth-both", "call-both", "wealth-neither", "call-neither"])
+    def test_exactly_one_input_or_a_usage_error(self, capsys, inputs, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            main([arg.format(**inputs) for arg in argv])
+        captured = capsys.readouterr()
+        assert exit_info.value.code == 2
+        assert captured.out == ""
+        assert "not allowed with" in captured.err or "is required" in captured.err
+
+    def test_parameter_given_to_log_utility_exits_one(self, tmp_path, capsys):
+        market = write_json(tmp_path / "m.json", {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.0, "zeta0": 0.3, "xi0": 5.0})
+        tree = write_json(tmp_path / "t.json", {"nodes": [
+            {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+            {"id": 1, "parent": 0, "p_transition": 0.5, "P": 100.2},
+            {"id": 2, "parent": 0, "p_transition": 0.5, "P": 99.8},
+        ]})
+        strategy = write_json(tmp_path / "s.json", {"buys": [0.0, 0.0, 0.0], "sells": [0.0, 0.0, 0.0]})
+        argv = ["shadow-check", "--market", market, "--tree", tree, "--strategy", strategy, "--utility", "log"]
+        assert run(capsys, *argv)[0] == 0
+        code, out = run(capsys, *argv, "--utility-param", "3")
+        assert code == 1
+        assert out == ""
 
 
 class TestModelRules:

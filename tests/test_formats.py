@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from transient_impact.errors import NonFiniteInput
-from transient_impact.formats import FormatError, dump_json, load_price_paths
+from transient_impact.formats import FormatError, dump_json, jsonify, load_price_paths
 from transient_impact.market import finite
 
 
@@ -244,3 +244,8 @@ def test_jsonify_numeric_arrays_byte_identical(array):
     json.dump(ref_jsonify(payload), want, indent=2, sort_keys=True)
     want.write("\n")
     assert got.getvalue() == want.getvalue()
+
+
+def test_jsonify_refuses_an_unknown_object():
+    with pytest.raises(TypeError, match="cannot serialise object"):
+        jsonify({"report": [object()]})

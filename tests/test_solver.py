@@ -107,6 +107,12 @@ class TestPrimalSolve:
         tw = ti.tree_wealth(tree, report.strategy, replace(market.impact, xi0=report.primal_value))
         assert np.min(tw.xi_T - H) >= -1e-9 * (1.0 + abs(report.primal_value))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+    def test_tolerance_must_be_positive_and_finite(self, tol):
+        # 0, -1 and nan could never be met (15 steps, unconverged at a closed gap); inf took 0 steps
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            ti.SolverOptions(tol=tol)
+
     def test_deterministic(self):
         tree, market, H = binary_instance()
         r1 = ti.primal_solve(tree, market, H)
