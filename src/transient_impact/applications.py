@@ -18,7 +18,7 @@ import numpy as np
 
 from .duality import DualCertificate, band_pins, constraint_bound, leaf_measure, shadow_band_feasibility
 from .errors import NotApplicable, TerminalNotZero
-from .market import MarketSpec, as_curve
+from .market import MarketSpec, as_curve, finite
 from .strategy import TradeSchedule, check_terminal_zero, normalize
 from .tree import NodeMeasure, ScenarioTree, is_martingale
 from .wealth import terminal_cash_direct, tree_wealth
@@ -271,7 +271,7 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
             reasons.append(f"no band martingale with the required boundary contacts (empty at node {band.empty_node})")
         M_hat = band.M
     else:
-        M_hat = as_curve(M_hat, tree.n_nodes, "M_hat")
+        M_hat = finite(as_curve(M_hat, tree.n_nodes, "M_hat"), "M_hat")
 
     defect = band_violation = flat_violation = None
     if M_hat is not None:

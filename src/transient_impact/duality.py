@@ -145,29 +145,30 @@ class BandFeasibility:
 def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | None = None) -> BandFeasibility:
     """Search for a martingale under ``q`` inside the band ``[P - lam, P + lam]``.
 
-    Backward interval recursion: a node's admissible values are the
-    intersection of its own band with the expectations of admissible child
-    selections; pinned nodes are forced to a single value.  Infeasibility is a
-    result, not an error.
+    One ``fold_up`` over ``(lo, hi)`` rows: a node's admissible interval is its
+    own band (a single value where pinned) intersected with the q-weighted sums
+    of its children's, the range of expectations of admissible child values.
+    Infeasibility is a result; non-finite widths or pins raise ``NonFiniteInput``.
     """
-    lam = as_curve(lam, tree.n_nodes, "lam")
+    lam = finite(as_curve(lam, tree.n_nodes, "lam"), "band widths")
     if np.any(lam < 0.0):
         raise ValueError("band widths must be >= 0")
-    qt = q.transitions if isinstance(q, NodeMeasure) else as_curve(q, tree.n_nodes, "q")
-    pin = pin or {}
     slack = 1e-12 * (1.0 + float(np.max(np.abs(tree.P)) + np.max(lam)))
 
-    own_lo = tree.P - lam
-    own_hi = tree.P + lam
-    for node, value in pin.items():
-        own_lo[node] = max(own_lo[node], value - slack)
-        own_hi[node] = min(own_hi[node], value + slack)
-    # After k passes every node within k levels of the leaves holds its final
-    # interval: each pass reads only the children's values.
-    lo, hi = own_lo, own_hi
-    for _ in range(tree.n_levels - 1):
-        lo = np.where(tree.is_leaf, own_lo, np.maximum(own_lo, tree.child_sum(qt * lo)))
-        hi = np.where(tree.is_leaf, own_hi, np.minimum(own_hi, tree.child_sum(qt * hi)))
+    band = np.column_stack((tree.P - lam, tree.P + lam))  # own interval, then the admissible one
+    for node, value in (pin or {}).items():
+        value = float(finite(value, "pinned values"))
+        band[node] = max(band[node, 0], value - slack), min(band[node, 1], value + slack)
+    expected = np.zeros_like(band)  # the children's expected interval ends, zero at leaves
+
+    def intersect(sums, nodes):
+        expected[nodes] = sums
+        band[nodes, 0] = np.maximum(band[nodes, 0], sums[:, 0])
+        band[nodes, 1] = np.minimum(band[nodes, 1], sums[:, 1])
+        return q.transitions[nodes, None] * band[nodes]
+
+    tree.fold_up(q.transitions[tree.leaves, None] * band[tree.leaves], intersect)
+    lo, hi = band.T
     empty = np.flatnonzero(lo > hi + slack)
     if empty.size:
         # the first empty node a leaves-up pass meets: deepest, then lowest id
@@ -179,8 +180,8 @@ def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | 
 
     # Every child takes the same fraction of its interval, chosen so the
     # children's expectation is the parent's value.
-    exp_lo = tree.child_sum(qt * lo)
-    span = tree.child_sum(qt * hi) - exp_lo
+    exp_lo = expected[:, 0]
+    span = expected[:, 1] - exp_lo
 
     def place(m_parent, nodes):
         par = tree.parent[nodes]

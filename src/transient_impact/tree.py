@@ -5,16 +5,16 @@ and resilience at its time slot together with the transition probability from
 its parent under the reference measure.  A re-weighted measure is represented
 the same way: one transition probability per node.
 
-Every recursion over the tree goes through four primitives of
+Every recursion over the tree goes through three primitives of
 :class:`ScenarioTree`: ``down_sweep`` (root to leaves, one vectorised step per
-level), ``up_sweep`` (leaves to root, one ``np.bincount`` per level),
-``fold_up`` (leaves to root on rows of any shape, one children-sum and one
-caller step per level) and ``child_sum`` (one ``np.bincount`` over all
-edges).  They are the only code that walks the tree levels, so the level
-layout stays inside this module.  ``fold_up`` carries the primal's Newton
-steps, so where each child sits, by rank under its parent, is worked out once
-with the tree: a fold is then a few gathers and adds per level, views where
-the children are evenly spaced.
+level) and ``fold_up`` (leaves to root on rows of any shape, one children-sum
+and one caller step per level), the only walks over the levels, and
+``child_sum`` (each node's sum over its children, one ``np.bincount``).
+``up_sweep``, the backward expectation, is a fold.  ``fold_up`` carries the
+primal's Newton steps, so where each child sits, by rank under its parent, is
+worked out once with the tree: a fold is then a few gathers and adds per
+level, views where the children are evenly spaced.  ``solver.py`` also reads
+``tree.levels``, to place and size the primal's per-level pivots.
 """
 
 from __future__ import annotations
@@ -126,13 +126,16 @@ class ScenarioTree:
         """Backward recursion ``out[node] = sum_c q[c] * (edge[c] + out[c])`` over children ``c``.
 
         Leaves take ``leaf_values`` (leaf-id order); ``edge`` defaults to zero.
-        Each level is one ``np.bincount`` over the edges into it.
+        A ``fold_up`` whose step writes each level's sums into ``out`` and
+        hands ``q * (edge + sums)`` up to the next level.
         """
-        out = np.zeros(self.n_nodes)
-        out[self.leaves] = leaf_values
-        for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1]):
-            term = out[lower] if edge is None else edge[lower] + out[lower]
-            out[upper] = np.bincount(self.parent[lower], q[lower] * term, self.n_nodes)[upper]
+        out = np.empty(self.n_nodes)
+
+        def step(sums, nodes):
+            out[nodes] = sums
+            return q[nodes] * (sums if edge is None else edge[nodes] + sums)
+
+        self.fold_up(step(np.asarray(leaf_values, dtype=float), self.leaves), step)
         return out
 
     def fold_up(self, leaf_rows, step, out=None):
@@ -223,9 +226,9 @@ class ScenarioTree:
         own[np.arange(self.n_nodes), self.t_index] = np.arange(self.n_nodes)
         return self.down_sweep(own[0], lambda rows, nodes: rows + own[nodes])[self.leaves]
 
-    def reach_probabilities(self, transitions=None) -> np.ndarray:
-        """Probability of passing through each node (products of edge weights)."""
-        q = self.p_transition if transitions is None else _transition_array(self, transitions)
+    def reach_probabilities(self, measure=None) -> np.ndarray:
+        """Probability of passing through each node under a ``NodeMeasure``, by default the reference one."""
+        q = self.p_transition if measure is None else measure.transitions
         return self.down_sweep(q[0], lambda acc, nodes: acc * q[nodes])
 
     def validate_assumptions_pathwise(self) -> tuple[bool, float]:
@@ -367,12 +370,6 @@ class NodeMeasure:
         return cls(tree.p_transition.copy())
 
 
-def _transition_array(tree: ScenarioTree, q) -> np.ndarray:
-    if isinstance(q, NodeMeasure):
-        return q.transitions
-    return as_curve(q, tree.n_nodes, "transitions")
-
-
 # ---------------------------------------------------------------------------
 # Expectations and martingales
 # ---------------------------------------------------------------------------
@@ -393,14 +390,13 @@ def conditional_expectation(tree: ScenarioTree, q, values) -> np.ndarray:
     ``values`` fixes the leaves (given per leaf in leaf-id order, or per node).
     Returns one value per node.
     """
-    return tree.up_sweep(_transition_array(tree, q), _leaf_values(tree, values))
+    return tree.up_sweep(q.transitions, _leaf_values(tree, values))
 
 
 def is_martingale(tree: ScenarioTree, q, M) -> tuple[bool, float]:
     """Largest one-step drift of ``M`` under ``q``; true when below tolerance."""
-    qt = _transition_array(tree, q)
     M = as_curve(M, tree.n_nodes, "M")
-    drift = np.abs(tree.child_sum(qt * M) - M)[~tree.is_leaf]
+    drift = np.abs(tree.child_sum(q.transitions * M) - M)[~tree.is_leaf]
     defect = float(np.max(drift, initial=0.0))
     scale = 1.0 + float(np.max(np.abs(M)))
     return defect <= MARTINGALE_RTOL * scale, defect

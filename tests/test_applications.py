@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import NotApplicable, TerminalNotZero
+from transient_impact.errors import NonFiniteInput, NotApplicable, TerminalNotZero
 
 from conftest import market_for_tree, random_market, random_paths, random_tree
 
@@ -151,6 +151,17 @@ class TestBandFeasibility:
         if result.feasible:
             assert result.M[leaf] == pytest.approx(tree.P[leaf] - 5.0, abs=1e-9)
 
+    @pytest.mark.parametrize("lam", [[np.nan, 20.0, 20.0], [20.0, np.inf, 20.0]])
+    def test_non_finite_width_rejected(self, lam):
+        tree = one_step([104.0, 96.0])
+        with pytest.raises(NonFiniteInput, match="band widths"):
+            ti.shadow_band_feasibility(tree, ti.NodeMeasure.reference(tree), lam)
+
+    def test_nan_pin_rejected(self):
+        tree = one_step([104.0, 96.0])
+        with pytest.raises(NonFiniteInput, match="pinned values"):
+            ti.shadow_band_feasibility(tree, ti.NodeMeasure.reference(tree), np.full(3, 20.0), pin={1: np.nan})
+
 
 class TestUtilities:
     def test_families_are_increasing_and_concave(self):
@@ -207,6 +218,15 @@ class TestShadowPriceCheck:
         verdict = ti.shadow_price_check(tree, market, inp)
         assert verdict.verdict == "inconclusive"
         assert verdict.reasons
+
+    @pytest.mark.parametrize("M_hat", [[np.nan, np.nan, np.nan], [100.0, np.nan, 90.0]])
+    def test_non_finite_martingale_rejected(self, M_hat):
+        tree = one_step([106.0, 107.0])
+        market = ti.MarketSpec.build([0.0, 1.0], 10.0, 0.0, zeta0=0.5, x0=0.0, xi0=5.0)
+        inp = ti.ShadowCheckInput(schedule=ti.TradeSchedule.zero(3), utility=ti.ExponentialUtility(1.0),
+                                  M_hat=np.array(M_hat))
+        with pytest.raises(NonFiniteInput, match="M_hat"):
+            ti.shadow_price_check(tree, market, inp)
 
     def test_requires_liquidation(self, rng):
         tree = random_tree(rng, depth=2)

@@ -497,6 +497,24 @@ def test_shadow_band_feasibility_with_and_without_pins():
     assert outcomes == {(True, False), (True, True), (False, False), (False, True)}
 
 
+def test_band_deficit_is_the_widening_that_empties_no_interval():
+    rng = np.random.default_rng(11)
+    infeasible = 0
+    for tree in TREES:
+        q = random_measure(rng, tree)
+        for _ in range(6):
+            lam = rng.uniform(0.0, 6.0, tree.n_nodes)
+            band = ti.shadow_band_feasibility(tree, q, lam)
+            if band.feasible:
+                assert band.deficit == 0.0
+                continue
+            infeasible += 1
+            assert band.deficit > 0.0
+            assert ti.shadow_band_feasibility(tree, q, lam + band.deficit).feasible
+            assert not ti.shadow_band_feasibility(tree, q, lam + 0.9 * band.deficit).feasible
+    assert 0 < infeasible < 6 * len(TREES)
+
+
 @pytest.mark.parametrize("tree", TREES)
 def test_tree_wealth_kernels(tree):
     rng = np.random.default_rng(tree.n_nodes + 4)
