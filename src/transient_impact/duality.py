@@ -148,7 +148,8 @@ def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | 
     One ``fold_up`` over ``(lo, hi)`` rows: a node's admissible interval is its
     own band (a single value where pinned) intersected with the q-weighted sums
     of its children's, the range of expectations of admissible child values.
-    Infeasibility is a result; non-finite widths or pins raise ``NonFiniteInput``.
+    Infeasibility is a result; non-finite widths or pins raise ``NonFiniteInput``,
+    and a pin on anything but a node id in ``[0, n_nodes)`` raises ``ValueError``.
     """
     lam = finite(as_curve(lam, tree.n_nodes, "lam"), "band widths")
     if np.any(lam < 0.0):
@@ -157,6 +158,8 @@ def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | 
 
     band = np.column_stack((tree.P - lam, tree.P + lam))  # own interval, then the admissible one
     for node, value in (pin or {}).items():
+        if not (isinstance(node, (int, np.integer)) and 0 <= node < tree.n_nodes):
+            raise ValueError(f"pinned node must be a node id in [0, {tree.n_nodes}), got {node!r}")
         value = float(finite(value, "pinned values"))
         band[node] = max(band[node, 0], value - slack), min(band[node, 1], value + slack)
     expected = np.zeros_like(band)  # the children's expected interval ends, zero at leaves

@@ -5,14 +5,14 @@ non-terminal node, the worst-leaf sum of payoff and cost functional; each leaf
 closes the running position.  It is solved in epigraph form: minimise ``t``
 subject to ``v_l <= t`` per leaf, ``b, s >= 0`` per decision node and
 ``g_l >= |x_pre,l|`` for each closing trade, by a primal–dual interior-point
-method (Mehrotra predictor–corrector from an infeasible start).  Each leaf's
-value depends only on the trades along its own path, so every Newton system
-is solved along the tree (``_TreeFactor``) in O(nodes * depth**2) without
-forming a dense matrix.  A solve allocates its large arrays once, in a
-workspace of two buffers (``_Workspace``) that every Newton step writes into;
-the iterate is one flat vector, and each level's 2x2 pivots are kept as three
-columns, so a step makes few numpy calls and allocates no large array.  The
-leaf multipliers form a probability over leaves.
+method (Mehrotra predictor–corrector from an infeasible start).  The spread
+is Markov and the wealth a price integral, so a leaf's constraints reach its
+path only through its parent's state: spread, position and the running
+value of the constraint.  Every Newton system is solved on these node states
+(``_TreeFactor``): one fixed 5x5 elimination per decision node, O(nodes) per
+step, without forming a dense matrix.  The iterate is one flat vector, and
+each level's 2x2 pivots are kept as three columns, so a solve substitutes
+them all at once.  The leaf multipliers form a probability over leaves.
 The reported value is the exact cash requirement of the returned schedule,
 so feasibility never rests on the solver.
 
@@ -104,14 +104,19 @@ class PriceReport:
 
 
 class _PrimalProblem:
-    """The epigraph program on leaf-path rows: leaf values, their gradients and curvature.
+    """The epigraph program: leaf values and gradients on leaf-path rows, Newton data on node states.
 
-    Per leaf, Newton quantities use the layout ``[t, b_0, s_0, ..., b_{D-1},
-    s_{D-1}, g]``: the bound ``t``, the buy and sell at each decision node on
-    the path, root first, and the closing trade's gross size ``g``.  So a node
-    at level ``k`` owns the entries from ``2k + 1`` on, two for a decision
-    node and one for a leaf, and ``t`` and its ancestors fill the entries
-    before them.
+    Per leaf, values and gradients use the layout ``[t, b_0, s_0, ...,
+    b_{D-1}, s_{D-1}, g]``: the bound ``t``, the buy and sell at each decision
+    node on the path, root first, and the closing trade's gross size ``g``.
+
+    The Newton step works on node states instead (:class:`_TreeFactor`).  A
+    node's state is its spread ``eta``, its position ``X`` and the running
+    value ``W`` of the leaf constraint, the price integral ``∫X dP`` plus the
+    penalty so far, less ``t``.  Per decision node, in level order, ``lift``
+    maps its parent's state and its own buy and sell to its state; per leaf,
+    ``leaf_jac`` writes the three constraints over its parent's state and its
+    closing trade.  Only the entries that hold a spread change with the iterate.
     """
 
     def __init__(self, tree: ScenarioTree, market: MarketSpec, H):
@@ -124,13 +129,12 @@ class _PrimalProblem:
         self.slot_of = np.full(tree.n_nodes, -1)
         self.slot_of[self.decision] = np.arange(self.n_dec)
 
-        paths, self.c_path, self.w_path, self.kappa_leaf = leaf_path_rows(tree)  # (L, n_levels) rows
-        self.var_idx = self.slot_of[paths[:, :-1]]
-        self.P_path = tree.P[paths]
+        self.paths, self.c_path, self.w_path, self.kappa_leaf = leaf_path_rows(tree)  # (L, n_levels) rows
+        self.var_idx = self.slot_of[self.paths[:, :-1]]
+        self.P_path = tree.P[self.paths]
         self.dprice = self.P_path[:, :-1] - self.P_path[:, -1:]
         self.mass = np.concatenate([self.w_path, self.kappa_leaf[:, None]], axis=1)
         depth = tree.n_levels - 1
-        self.gross_of = np.repeat(np.arange(depth + 1), [2] * depth + [1])  # layout entry (t excluded) -> slot
         net_sign = np.zeros(2 * depth + 2)  # d x_pre / d layout entry
         net_sign[1:-1:2], net_sign[2:-1:2] = 1.0, -1.0
         # Constraint rows in the layout; only the leaf rows' gradient, rows[:, 0, 1:], changes.
@@ -140,17 +144,28 @@ class _PrimalProblem:
         self.rows[:, 2] = -net_sign
         self.rows[:, 1:, -1] = -1.0
         self.trade_bins = (2 * self.var_idx[:, :, None] + np.arange(2)).ravel()  # (leaf, slot, side) -> trade
-        self.curvature_mass = np.maximum(self.mass, 0.0)
-        self.curvature_c = self.c_path[:, self.gross_of]
-        self.curvature_mask = self.gross_of <= np.arange(self.mass.shape[1])[:, None]
-        # Per decision level k: its own entries start at 2k + 1; its nodes' slots; their
-        # positions in level order, where the factor keeps its pivots.
-        starts = np.cumsum([0] + [level.size for level in tree.levels[:-1]]).tolist()
-        self.plans = [(2 * k + 1, _as_slice(self.slot_of[level]), slice(starts[k], starts[k + 1]))
-                      for k, level in enumerate(tree.levels[:-1])]
         self.leaf_rows = _as_slice(tree.leaves)
-        own = 2 * tree.t_index[self.decision] + 1  # each decision node's first own entry
-        self.own_entries = (self.decision * net_sign.size + own)[:, None] + np.arange(2)
+        self.decision_rows = _as_slice(self.decision)
+
+        # Node states.  The root's parent is the root itself: it carries no mass and no price step.
+        order = np.concatenate(tree.levels[:-1])  # decision nodes in level order
+        self.level_slots = _as_slice(self.slot_of[order])
+        starts = np.cumsum([0] + [level.size for level in tree.levels[:-1]]).tolist()
+        self.spans = [slice(a, b) for a, b in zip(starts, starts[1:])]  # each decision level's positions
+        parent = np.maximum(tree.parent, 0)
+        c, dP = tree.rho / tree.delta, tree.P - tree.P[parent]
+        self.parent_of = parent[order]
+        self.edge_mass = tree.edge_weight[order]
+        self.convex_mass = np.maximum(self.edge_mass, 0.0)  # the curvature keeps no negative mass
+        self.lift = np.zeros((order.size, 3, 5))  # [d eta, dX, dW] <- [parent's d eta, dX, dW, db, ds]
+        self.lift[:, [0, 1, 2], [0, 1, 2]] = 1.0
+        self.lift[:, 0, 3:] = c[order, None]
+        self.lift[:, 1, 3:] = 1.0, -1.0
+        self.lift[:, 2, 1] = -dP[order]  # W gains the price increment times the parent's position
+        self.leaf_jac = np.zeros((self.H.size, 3, 4))  # constraints <- [parent's d eta, dX, dW, dg]
+        self.leaf_jac[:, 0, 1] = -dP[tree.leaves]
+        self.leaf_jac[:, 0, 2] = 1.0
+        self.leaf_jac[:, 1:, 1:] = [[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0]]
 
     def leaf_values(self, b, s, g=None):
         """Payoff plus cost per leaf, the position each closing trade faces, and the spread rows.
@@ -177,23 +192,6 @@ class _PrimalProblem:
         grad[:, -1] = tail[:, -1]
         return grad
 
-    def curvature_rows(self, lam, out) -> np.ndarray:
-        """Square-root rows ``R`` of the ``lam``-weighted curvature, written into ``out``.
-
-        Each leaf's block is ``R.T @ R``.
-
-        The penalty is ``0.5 * sum_k mass_k * eta_k**2`` with ``eta_k`` linear in
-        the gross trades up to slot ``k``, so row ``k`` is ``sqrt(lam * mass_k)``
-        times ``c`` on those trades (``t`` column zero).  A rising liquidity curve
-        gives some mass a negative sign; leaving it out keeps the Newton matrix
-        definite, at the price of a slower (but still exact-cash) search.
-        """
-        out[:, :, 0] = 0.0
-        inner = out[:, :, 1:]
-        np.multiply(np.sqrt(lam[:, None] * self.curvature_mass)[:, :, None], self.curvature_c[:, None, :], out=inner)
-        inner *= self.curvature_mask
-        return out
-
     def cash_requirement(self, u) -> tuple[float, TradeSchedule]:
         """Exact worst-leaf cash needed by the normalized schedule built from ``u``."""
         schedule = self.schedule(u)
@@ -213,43 +211,6 @@ class _PrimalProblem:
         buys[leaves] = np.maximum(-close, 0.0)
         sells[leaves] = np.maximum(close, 0.0)
         return normalize(TradeSchedule(buys, sells, self.impact.x0))
-
-
-class _Workspace:
-    """The large arrays of one solve's Newton steps, carved from two buffers allocated once.
-
-    Every array starts at the front of its buffer, so writing one overwrites
-    the others in that buffer.  A Newton step writes them in this order, and
-    each is dead before the next one in its buffer is written:
-
-    - ``roots`` (first buffer), the leaves' square-root rows, and ``rest``
-      (second), those rows projected off the closing column (``_newton_matrix``);
-    - ``blocks`` (first), the leaf blocks, from ``rest``;
-    - per decision level ``k``, deepest first: ``sums[k]`` (second), the sums
-      of the children's blocks that ``fold_up`` gathers from the level below,
-      then ``products[k]`` (first), the Schur complement that
-      ``_TreeFactor._eliminate`` takes from ``sums[k]`` and hands up;
-    - ``sol`` (second), a solve's node rows (``down_sweep``), which
-      ``_direction`` copies out before the next solve.
-
-    So no step allocates a large array, and the two buffers together are no
-    larger than the arrays that an allocating step held at once.
-    """
-
-    def __init__(self, prob: _PrimalProblem):
-        tree = prob.tree
-        L, slots, m = prob.H.size, prob.mass.shape[1], prob.rows.shape[2]
-        levels = [(level.size, 2 * k + 1) for k, level in enumerate(tree.levels[:-1])]
-        self.roots, self.blocks, *self.products = self._carve(
-            [(L, slots + 3, m), (L, m - 1, m - 1)] + [(n, a, a) for n, a in levels])
-        self.rest, self.sol, *self.sums = self._carve(
-            [(L, slots + 3, m - 1), (tree.n_nodes, m)] + [(n, a + 2, a + 2) for n, a in levels])
-
-    @staticmethod
-    def _carve(shapes) -> list[np.ndarray]:
-        """Arrays of the given shapes on one buffer, the size of the largest."""
-        buffer = np.empty(max(map(math.prod, shapes)))
-        return [buffer[: math.prod(shape)].reshape(shape) for shape in shapes]
 
 
 def _pivots(pivot: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -287,76 +248,92 @@ def _substitute(l00, l10, l11, rhs: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _TreeFactor:
-    """The condensed Newton matrix, factored along the tree without forming it.
+    """The condensed Newton matrix, factored on node states without forming it.
 
-    The matrix is a sum of one block per leaf, on the leaf's layout, plus a
-    diagonal on every decision node's buy and sell.  Eliminating each leaf's
-    closing trade, then each level's (buy, sell) pairs from the deepest level
-    to the root, leaves fill only on ancestors and on ``t``, the border; what
-    remains at the root is a scalar.  The leaves' step is done by the caller
-    (``leaf_blocks`` are its Schur complements, ``leaf_l00`` and
-    ``leaf_coupling`` its pivots and couplings).  One factorisation serves
-    any number of right-hand sides.  Every pivot is 1x1 (a leaf's closing
-    trade) or 2x2 (a buy/sell pair), factored and solved in closed form; the
-    2x2 pivots are kept as three columns ``l00``, ``l10``, ``l11`` over the
+    Each leaf's curvature row and three constraint rows involve only its
+    closing trade and its parent's state.  Eliminating the closing trade (a
+    1x1 pivot, done by the caller: ``leaf_blocks``, ``leaf_l00`` and
+    ``leaf_coupling``) leaves a 3x3 block on the parent's state.  At each
+    level, deepest first, a node's children's blocks are summed; the node's
+    state update lifts the sum to a 5x5 block on its parent's state and its
+    own buy and sell; the barrier diagonal joins the pair, and eliminating the
+    pair (a 2x2 pivot) leaves a 3x3 block on the parent's state.  The root's
+    parent state is ``(0, 0, -dt)``, so a scalar on ``t`` remains.
+
+    The curvature of the penalty's mass on the edge into a node, ``max(m,
+    0)`` times the leaf multipliers below it, falls on its parent's spread.
+    The multipliers are summed up the tree in the same fold, in row 3 of each
+    ``(4, 3)`` row.  A rising liquidity curve gives some mass a negative
+    sign; leaving it out keeps the matrix definite, at the price of a slower
+    (but still exact-cash) search.
+
+    One factorisation serves any number of right-hand sides.  The 2x2
+    pivots are kept as three columns ``l00``, ``l10``, ``l11`` over the
     decision nodes in level order, so a solve substitutes all of them at once.
     """
 
-    def __init__(self, prob: _PrimalProblem, work: _Workspace, leaf_blocks, leaf_l00, leaf_coupling, diag):
-        self.prob, self.work, self.diag = prob, work, diag
-        self.leaf_l00, self.leaf_coupling = leaf_l00, leaf_coupling
+    def __init__(self, prob: _PrimalProblem, leaf_blocks, leaf_l00, leaf_coupling, diag):
+        self.prob, self.leaf_l00, self.leaf_coupling = prob, leaf_l00, leaf_coupling
+        self.diag = diag[prob.level_slots]
         self.pivots = np.empty((3, prob.n_dec))  # l00, l10, l11 per decision node, level order
-        self.couplings = [None] * len(prob.plans)
-        self.border = float(prob.tree.fold_up(leaf_blocks, self._eliminate, work.sums)[0, 0])
+        self.couplings = [None] * len(prob.spans)
+        self.border = float(prob.tree.fold_up(leaf_blocks, self._eliminate)[2, 2])
 
-    def _eliminate(self, block: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-        """Add the level's barrier diagonal to ``block``, factor its pivots and return the Schur
-        complement onto the entries before them, in the workspace's ``products[k]``."""
-        n, k = block.shape[0], (block.shape[1] - 3) // 2
-        a, slots, pos = self.prob.plans[k]
-        block[:, [a, a + 1], [a, a + 1]] += self.diag[slots]
-        l00, l10, l11 = _pivots(block[:, a:, a:], self.pivots[:, pos])[:, :, None]
-        coupling = self.couplings[k] = _substitute(l00, l10, l11, block[:, a:, :a], np.empty((n, 2, a)))
-        product = np.matmul(block[:, :a, a:], coupling, out=self.work.products[k])
-        return np.subtract(block[:, :a, :a], product, out=product)
+    def _eliminate(self, sums: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+        """Lift the children's summed blocks, add the barrier diagonal, factor the buy/sell pivots
+        and write the Schur complement on the parents' states into ``sums``."""
+        k = int(self.prob.tree.t_index[nodes[0]])
+        span = self.prob.spans[k]
+        lift = self.prob.lift[span]
+        block = np.matmul(lift.transpose(0, 2, 1), np.matmul(sums[:, :3], lift))
+        block[:, [3, 4], [3, 4]] += self.diag[span]
+        l00, l10, l11 = _pivots(block[:, 3:, 3:], self.pivots[:, span])[:, :, None]
+        coupling = self.couplings[k] = _substitute(l00, l10, l11, block[:, 3:, :3], np.empty((nodes.size, 2, 3)))
+        np.subtract(block[:, :3, :3], np.matmul(block[:, :3, 3:], coupling), out=sums[:, :3])
+        sums[:, 0, 0] += self.prob.convex_mass[span] * sums[:, 3, 0]  # the edge's mass meets the parent's spread
+        return sums
 
-    def solve(self, rows: np.ndarray, own: np.ndarray, t_rhs: float) -> np.ndarray:
-        """Solution for leaf right-hand-side rows, decision-node terms ``own`` and ``t``'s own term.
+    def solve(self, weights: np.ndarray, own: np.ndarray, t_rhs: float) -> tuple[float, np.ndarray]:
+        """Solution for the leaf constraints' weights ``(L, 3)``, decision-node terms ``own`` and ``t``'s own term.
 
-        Returns one row per node in the layout of its level: ``t``, the
-        ancestors' entries and the node's own, so a leaf's row is its whole path.
-        The rows are the workspace's, valid until the next solve.
+        The right-hand side is ``weights`` times the constraint rows, plus
+        ``own`` on the buys and sells and ``t_rhs`` on ``t``.  Returns the
+        change of ``t`` and one row of five per node: a decision node's state
+        change and its buy and sell; a leaf's change of its three constraints
+        and its closing trade.
         """
         prob, tree = self.prob, self.prob.tree
+        own = own[prob.level_slots]
         kept = np.empty((prob.n_dec, 2))  # each decision node's own right-hand sides, level order
+        leaf_rhs = np.einsum("lk,lki->li", weights, prob.leaf_jac)
 
         def reduce(r, nodes):
-            k = (r.shape[1] - 3) // 2
-            a, slots, pos = prob.plans[k]
-            r_own = np.add(r[:, a:], own[slots], out=kept[pos])
-            coupling = self.couplings[k]
-            folded = coupling[:, 0] * r_own[:, :1]
-            folded += coupling[:, 1] * r_own[:, 1:]
-            return r[:, :a] - folded
-
-        t_total = tree.fold_up(rows[:, :-1] - self.leaf_coupling * rows[:, -1:], reduce)[0] + t_rhs
-        # Every pivot's substitutions at once, before the ancestors' terms are known.
-        x = _substitute(*self.pivots, kept, np.empty_like(kept))
-        leaf_x = _substitute(self.leaf_l00, None, None, rows[:, -1:], np.empty((rows.shape[0], 1)))
-
-        def back(upper, nodes):  # upper: the parents' rows, a fresh gather, zero from the nodes' entries on
             k = int(tree.t_index[nodes[0]])
-            if k < len(prob.plans):
-                a, _, pos = prob.plans[k]
-                np.subtract(x[pos], np.einsum("nia,na->ni", self.couplings[k], upper[:, :a]), out=upper[:, a : a + 2])
+            span = prob.spans[k]
+            lifted = np.einsum("nij,ni->nj", prob.lift[span], r)
+            r_own = np.add(lifted[:, 3:], own[span], out=kept[span])
+            return lifted[:, :3] - np.einsum("nij,ni->nj", self.couplings[k], r_own)
+
+        root = tree.fold_up(leaf_rhs[:, :3] - self.leaf_coupling * leaf_rhs[:, 3:], reduce)  # on the root's parent
+        dt = (t_rhs - root[2]) / self.border
+        # Every pivot's substitutions at once, before the parents' states are known.
+        x = _substitute(*self.pivots, kept, np.empty_like(kept))
+        leaf_x = _substitute(self.leaf_l00, None, None, leaf_rhs[:, 3:], np.empty((leaf_rhs.shape[0], 1)))
+
+        def back(upper, nodes):  # upper: the parents' rows, a fresh gather, state first
+            k = int(tree.t_index[nodes[0]])
+            if k < len(prob.spans):
+                span = prob.spans[k]
+                np.subtract(x[span], np.einsum("nij,nj->ni", self.couplings[k], upper[:, :3]), out=upper[:, 3:])
+                upper[:, :3] = np.einsum("nij,nj->ni", prob.lift[span], upper)
             else:
-                np.subtract(leaf_x, np.einsum("nia,na->ni", self.leaf_coupling[:, None, :], upper[:, :-1]),
-                            out=upper[:, -1:])
+                np.subtract(leaf_x[:, 0], np.einsum("li,li->l", self.leaf_coupling, upper[:, :3]), out=upper[:, 3])
+                upper[:, :3] = np.einsum("lij,lj->li", prob.leaf_jac, upper[:, :4])
             return upper
 
-        top = np.zeros((1, rows.shape[1]))
-        top[0, 0] = t_total / self.border
-        return tree.down_sweep(back(top, np.zeros(1, dtype=int))[0], back, out=self.work.sol)
+        top = np.zeros((1, 5))
+        top[0, 2] = -dt
+        return dt, tree.down_sweep(back(top, np.zeros(1, dtype=int))[0], back)
 
 
 class _Iterate:
@@ -425,37 +402,52 @@ class _Residuals:
         )
 
 
-def _newton_matrix(prob: _PrimalProblem, it: _Iterate, res: _Residuals, work: _Workspace) -> _TreeFactor:
-    """Factor the condensed Newton matrix: curvature plus constraint rows weighted by dual/slack,
-    and the bounds' barrier diagonal.
 
-    Each leaf's block is ``R.T @ R`` for its square-root rows ``R``.  Eliminating
-    the closing trade (the last column) leaves the Gram matrix of the rows
-    projected off that column, so no leaf block is ever formed.
+
+def _newton_matrix(prob: _PrimalProblem, it: _Iterate, eta) -> _TreeFactor:
+    """Factor the condensed Newton matrix at spread rows ``eta``: curvature plus constraint rows
+    weighted by dual/slack, and the bounds' barrier diagonal.
+
+    The penalty's mass on an edge meets the spread at its upper end, so ``W``
+    gains ``mass * eta_parent * d eta_parent`` on the edge, and a leaf's value
+    ``kappa * eta_leaf * d eta_leaf``.  Per leaf, the square-root rows ``R``
+    are its curvature row and its three weighted constraint rows over its
+    parent's state and its closing trade.  Eliminating the closing trade (the
+    last column) leaves the Gram matrix of the rows projected off that column,
+    so no 4x4 block is ever formed.
     """
-    slots = prob.mass.shape[1]
-    roots = work.roots
-    prob.curvature_rows(it.dual[:, 0], roots[:, :slots])
-    np.multiply(res.rows, np.sqrt(it.dual / it.slack)[:, :, None], out=roots[:, slots:])
+    node_eta = np.empty(prob.tree.n_nodes)
+    node_eta[prob.paths] = eta
+    np.multiply(prob.edge_mass, node_eta[prob.parent_of], out=prob.lift[:, 2, 0])
+    slope = prob.kappa_leaf * eta[:, -1]
+    np.add(prob.w_path[:, -1] * eta[:, -2], slope, out=prob.leaf_jac[:, 0, 0])
+    np.multiply(slope, prob.c_path[:, -1], out=prob.leaf_jac[:, 0, 3])
+    lam = it.dual[:, 0]
+    roots = np.zeros((lam.size, 4, 4))
+    roots[:, 0, 0] = np.sqrt(lam * np.maximum(prob.kappa_leaf, 0.0))
+    roots[:, 0, 3] = roots[:, 0, 0] * prob.c_path[:, -1]
+    np.multiply(prob.leaf_jac, np.sqrt(it.dual / it.slack)[:, :, None], out=roots[:, 1:])
     close = roots[:, :, -1].copy()
     pivot = np.einsum("lr,lr->l", close, close)
     coupling = np.einsum("lr,lra->la", close, roots[:, :, :-1]) / pivot[:, None]
-    rest = np.subtract(roots[:, :, :-1], np.einsum("lr,la->lra", close, coupling, out=work.rest), out=work.rest)
-    blocks = np.matmul(rest.transpose(0, 2, 1), rest, out=work.blocks)
-    return _TreeFactor(prob, work, blocks, np.sqrt(pivot), coupling, it.bound_dual / it.trades)
+    rest = roots[:, :, :-1] - close[:, :, None] * coupling[:, None, :]
+    blocks = np.zeros((lam.size, 4, 3))  # the block on the parent's state, then the multiplier
+    np.matmul(rest.transpose(0, 2, 1), rest, out=blocks[:, :3])
+    blocks[:, 0, 0] += np.maximum(prob.w_path[:, -1], 0.0) * lam
+    blocks[:, 3, 0] = lam
+    return _TreeFactor(prob, blocks, np.sqrt(pivot), coupling, it.bound_dual / it.trades)
 
 
 def _direction(prob, it: _Iterate, res: _Residuals, factor: _TreeFactor, target, bound_target) -> _Iterate:
     """Newton direction towards complementarity ``target`` (per leaf constraint) and ``bound_target``."""
     rho = (target - it.dual * (it.slack - res.primal)) / it.slack
-    rows = -np.einsum("lk,lki->li", it.dual + rho, res.rows)
-    sol = factor.solve(rows, bound_target / it.trades, -1.0)
-    path = sol[prob.leaf_rows]
+    dt, sol = factor.solve(-(it.dual + rho), bound_target / it.trades, -1.0)
+    leaf = sol[prob.leaf_rows]
     step = _Iterate(np.empty_like(it.z), prob.n_dec)
-    step.z[0] = sol[0, 0]
-    step.close[:] = path[:, -1]
-    np.take(sol, prob.own_entries, out=step.trades, mode="clip")  # entries in range: clip skips a buffered copy
-    np.subtract(-res.primal, np.einsum("lki,li->lk", res.rows, path), out=step.slack)
+    step.z[0] = dt
+    step.close[:] = leaf[:, 3]
+    step.trades[:] = sol[prob.decision_rows, 3:]
+    np.subtract(-res.primal, leaf[:, :3], out=step.slack)
     np.divide(target - it.dual * (it.slack + step.slack), it.slack, out=step.dual)
     np.divide(bound_target - it.bound_dual * (it.trades + step.trades), it.trades, out=step.bound_dual)
     return step
@@ -478,7 +470,6 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
     curve can leave the program without a minimum).
     """
     L, n = prob.H.size, prob.n_dec
-    work = _Workspace(prob)
     it = _Iterate(np.empty(1 + 7 * L + 4 * n), n)
     it.trades[:] = 1.0
     x_pre = prob.leaf_values(it.trades[:, 0], it.trades[:, 1])[1]
@@ -501,7 +492,7 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
         if since_best >= STALL_STEPS or steps == budget:
             break
         try:
-            factor = _newton_matrix(prob, it, res, work)
+            factor = _newton_matrix(prob, it, values[2])
         except np.linalg.LinAlgError:  # a pivot lost definiteness to rounding
             break
         affine = _direction(prob, it, res, factor, np.zeros_like(it.slack), np.zeros_like(it.trades))
@@ -531,10 +522,14 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
     Deterministic interior-point solve of the epigraph program; the returned
     value is the exact worst-leaf cash requirement of the returned schedule,
     so it is always sufficient (feasible) whatever the convergence flag says.
+    Holding ``x0`` and liquidating at the leaves is priced too, and the
+    cheaper schedule is returned, the solver's on a tie: where doing nothing
+    is optimal, its exact cash carries no rounding of the search.
     """
     prob = _PrimalProblem(tree, market, H)
     it, steps, converged = _interior_point(prob, options or SolverOptions())
-    value, schedule = prob.cash_requirement(it.trades.T.ravel())
+    value, schedule = min(prob.cash_requirement(it.trades.T.ravel()), prob.cash_requirement(np.zeros(2 * prob.n_dec)),
+                          key=lambda priced: priced[0])
     return PriceReport(primal_value=value, strategy=schedule, leaf_weights=it.dual[:, 0].copy(),
                        closing_multipliers=it.dual[:, 1:].copy(), iterations=steps, primal_converged=converged)
 

@@ -103,7 +103,7 @@ class ScenarioTree:
 
     # -- sweeps ----------------------------------------------------------------
 
-    def down_sweep(self, root, step, out=None) -> np.ndarray:
+    def down_sweep(self, root, step) -> np.ndarray:
         """Forward recursion from the root, one vectorised ``step`` per level.
 
         ``out[0] = root``; then, level by level, ``out[nodes] =
@@ -111,12 +111,10 @@ class ScenarioTree:
         results with the nodes' own data, for example ``acc + v[nodes]`` for
         sums along paths or ``acc * q[nodes]`` for products.  ``root`` may be
         an array, giving one row per node.  The parents' results reach ``step``
-        as a fresh gather, so it may write into them.  ``out``, when given,
-        receives the rows instead of a new array.
+        as a fresh gather, so it may write into them.
         """
         root = np.asarray(root)
-        if out is None:
-            out = np.empty((self.n_nodes,) + root.shape, dtype=root.dtype)
+        out = np.empty((self.n_nodes,) + root.shape, dtype=root.dtype)
         out[0] = root
         for level, rows, parents in zip(self.levels[1:], self._level_rows, self._level_parents):
             out[rows] = step(out[parents], level)
@@ -138,7 +136,7 @@ class ScenarioTree:
         self.fold_up(step(np.asarray(leaf_values, dtype=float), self.leaves), step)
         return out
 
-    def fold_up(self, leaf_rows, step, out=None):
+    def fold_up(self, leaf_rows, step):
         """Leaves-to-root recursion on per-node rows of any shape; returns the root's row.
 
         ``leaf_rows`` holds one row per leaf (leaf-id order).  Then, level by
@@ -147,20 +145,18 @@ class ScenarioTree:
         sums, one per node of the level in id order, into the level's rows.
         Each sum is the first child's row plus the running sum of the other
         children's rows, children in id order.  The sums are fresh arrays, so
-        ``step`` may write into them; ``out[k]``, when given, receives the sums
-        of level ``k`` instead.  Which rows to gather comes from a layout
+        ``step`` may write into them.  Which rows to gather comes from a layout
         computed with the tree.
         """
         rows = np.asarray(leaf_rows)
-        sums_out = [None] * len(self._fold_layout) if out is None else reversed(out)
-        for upper, (first, seconds, later, two), sums in zip(self.levels[-2::-1], self._fold_layout, sums_out):
+        for upper, (first, seconds, later, two) in zip(self.levels[-2::-1], self._fold_layout):
             others = rows[seconds]
             for at, kids in later:
                 others[at] += rows[kids]
             if two is None:  # every node has a second child
-                sums = np.add(rows[first], others, out=sums)
+                sums = rows[first] + others
             else:
-                sums = np.take(rows, first, axis=0, out=sums, mode="clip")  # first is in range: no buffering
+                sums = rows[first]
                 sums[two] += others
             rows = step(sums, upper)
         return rows[0]

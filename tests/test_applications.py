@@ -162,6 +162,13 @@ class TestBandFeasibility:
         with pytest.raises(NonFiniteInput, match="pinned values"):
             ti.shadow_band_feasibility(tree, ti.NodeMeasure.reference(tree), np.full(3, 20.0), pin={1: np.nan})
 
+    @pytest.mark.parametrize("node", [-1, 3, 1.0])
+    def test_pin_on_no_node_rejected(self, node):
+        # -1 would pin the last node and 3 is past the end of this 3-node tree
+        tree = one_step([104.0, 96.0])
+        with pytest.raises(ValueError, match="pinned node"):
+            ti.shadow_band_feasibility(tree, ti.NodeMeasure.reference(tree), np.full(3, 20.0), pin={node: 80.0})
+
 
 class TestUtilities:
     def test_families_are_increasing_and_concave(self):

@@ -327,21 +327,22 @@ class TestGapReport:
 
 # The ladder's trajectory: Newton steps, primal and dual value per depth.  A change to the
 # Newton arithmetic moves them; one that only changes how it is computed must not.  The pins
-# assume the rounding of the BLAS that numpy 2.4 ships (the batched matmuls of the leaf Gram
-# blocks and Schur products go through it) and have not been run on the numpy 1.24 floor.  A
-# failure there with no change to the code is rounding drift, to be recorded as a fault of
-# the pins, not a reason to loosen them.
+# assume the rounding of the BLAS that numpy 2.4 ships (the batched matmuls of the node-state
+# factor's 5x5 lifts, leaf blocks and Schur products go through it) and have not been run on
+# the numpy 1.24 floor.  A failure there with no change to the code is rounding drift, to be
+# recorded as a fault of the pins, not a reason to loosen them.
 LADDER_TRAJECTORY = {
     2: (8, 2.6050565116169517, 2.605056510995112),
     4: (10, 3.8889573937013897, 3.8889573926149503),
     6: (10, 4.855871026846573, 4.855871026490052),
     8: (13, 5.664055948905049, 5.6640559487357045),
     10: (15, 6.373008779318671, 6.3730087790693375),
+    12: (17, 7.012486907800983, 7.012486907745779),
 }
 
 
 class TestCertificateFromPrimal:
-    @pytest.mark.parametrize("depth", [2, 4, 6, 8, 10])
+    @pytest.mark.parametrize("depth", [2, 4, 6, 8, 10, 12])
     def test_ladder_gap_closes(self, depth):
         report = ti.gap_report(*binomial_ladder(depth))
         assert report.primal_converged
@@ -561,6 +562,16 @@ class TestInteriorPoint:
             assert report.primal_converged, name
             assert report.iterations <= 60, name
 
+    def test_doing_nothing_is_priced(self):
+        # zero payoff, position and spread on a martingale price: doing nothing costs exactly 0,
+        # which one Newton step's schedule (0.105 here) and a full search (3e-12) only approach
+        rng = np.random.default_rng(0)
+        tree = random_tree(rng, depth=2, martingale=True)
+        market = market_for_tree(rng, tree, x0=0.0, zeta0=0.0)
+        report = ti.primal_solve(tree, market, np.zeros(tree.leaves.size), ti.SolverOptions(max_iter=1))
+        assert report.primal_value == 0.0
+        assert not np.any(report.strategy.buys) and not np.any(report.strategy.sells)
+
     def test_leaf_multipliers_sum_to_one(self):
         from transient_impact.solver import _interior_point, _PrimalProblem
 
@@ -581,3 +592,17 @@ class TestInteriorPoint:
         finally:
             tracemalloc.stop()
         assert peak <= 3 * 2**20
+
+    def test_depth_twelve_memory_peak(self):
+        # a Newton step holds O(nodes) node-state blocks: 12.4 MiB peak here, where dense
+        # leaf-path blocks, (2 * depth + 1)**2 per leaf, peaked at 46.6 MiB
+        import tracemalloc
+
+        instance = binomial_ladder(12)
+        tracemalloc.start()
+        try:
+            ti.primal_solve(*instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20

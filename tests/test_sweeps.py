@@ -9,7 +9,8 @@ four-pass loop that the one-bump repair replaced; certificates must agree
 exactly.  ``dual_ascent`` must never return less than its start or the
 default certificate.
 The primal's tree-sparse Newton direction is checked at every step against
-the perturbed KKT system assembled densely from per-leaf loops.  The fold
+the perturbed KKT system assembled densely from per-leaf loops, and its
+node-state factor against the leaf-path factorisation it replaced.  The fold
 over a cached child layout must reproduce the ``argsort`` + ``reduceat`` fold
 exactly where a node has at most eight children (beyond that ``reduceat``
 sums pairwise), and the closed-form 1x1 and 2x2 pivots the generic Cholesky
@@ -415,24 +416,6 @@ def test_fold_matches_reduceat_loop(tree, shape):
         np.testing.assert_array_equal(g, w)
 
 
-@pytest.mark.parametrize("tree", fold_trees())
-def test_fold_writes_each_level_sums_into_out(tree):
-    rng = np.random.default_rng(tree.n_nodes)
-    leaf_rows = rng.normal(0.0, 1.0, (tree.leaves.size, 3))
-    out = [np.empty((level.size, 3)) for level in tree.levels[:-1]]
-    visited = []
-
-    def step(sums, nodes):
-        k = int(tree.t_index[nodes[0]])
-        assert sums is out[k]
-        visited.append(k)
-        return sums * 2.0 + 1.0
-
-    np.testing.assert_array_equal(tree.fold_up(leaf_rows, step, out),
-                                  tree.fold_up(leaf_rows, lambda sums, nodes: sums * 2.0 + 1.0))
-    assert visited == list(range(tree.n_levels - 2, -1, -1))
-
-
 @pytest.mark.parametrize("k", [9, 12])
 def test_wide_node_folds_as_running_sum(k):
     # From nine children on, reduceat sums the others pairwise; the fold keeps the running sum.
@@ -741,12 +724,13 @@ def ref_closed_cholesky_solve(low, rhs):
 def ref_newton_leaves(prob, it, res):
     """The leaves' step of the Newton matrix on freshly allocated arrays: leaf blocks, leaf pivots
     (1x1 factors and couplings, as 3-d arrays) and the bounds' barrier diagonal."""
-    n_slots, m = prob.mass.shape[1], prob.gross_of.size + 1
-    curvature = np.zeros((prob.H.size, n_slots, m))
+    n_slots = prob.mass.shape[1]
+    gross_of = np.repeat(np.arange(n_slots), [2] * (n_slots - 1) + [1])  # layout entry (t excluded) -> slot
+    curvature = np.zeros((prob.H.size, n_slots, gross_of.size + 1))
     inner = curvature[:, :, 1:]
     np.multiply(np.sqrt(it.dual[:, :1] * np.maximum(prob.mass, 0.0))[:, :, None],
-                prob.c_path[:, prob.gross_of][:, None, :], out=inner)
-    inner *= prob.gross_of <= np.arange(n_slots)[:, None]
+                prob.c_path[:, gross_of][:, None, :], out=inner)
+    inner *= gross_of <= np.arange(n_slots)[:, None]
     roots = np.concatenate([curvature, res.rows * np.sqrt(it.dual / it.slack)[:, :, None]], axis=1)
     close, rest = roots[:, :, -1].copy(), roots[:, :, :-1]
     pivot = np.einsum("lr,lr->l", close, close)
@@ -923,31 +907,56 @@ def ladder_instances():
     return [pytest.param(*binomial_ladder(depth), id=f"ladder{depth}") for depth in (2, 4, 6, 8)]
 
 
+def path_rows(prob, t, trades, close):
+    """Each leaf's entries of a solution ``(t, trades, close)``, in the leaf-path layout."""
+    return np.concatenate([np.full((close.size, 1), t), trades[prob.var_idx].reshape(close.size, -1), close[:, None]],
+                          axis=1)
+
+
+def ref_newton_product(prob, leaves, solution, absolute=False):
+    """The condensed Newton matrix of :func:`ref_newton_leaves`' output times a solution ``(t, trades, close)``.
+
+    Each leaf's closing-trade pivot and coupling restore its full block from
+    the eliminated one.  With ``absolute``, every entry is replaced by its
+    absolute value, which bounds ``|K| @ |x|``.
+    """
+    f = np.abs if absolute else (lambda a: a)
+    blocks, (l00, coupling), diag = leaves
+    l00, coupling, path = l00[:, 0, 0], f(coupling[:, 0]), f(path_rows(prob, *solution))
+    closing = l00**2 * (np.einsum("la,la->l", coupling, path[:, :-1]) + path[:, -1])
+    rows = np.einsum("lab,lb->la", f(blocks), path[:, :-1]) + closing[:, None] * coupling
+    on_trades = np.bincount(prob.trade_bins, rows[:, 1:].ravel(), 2 * prob.n_dec).reshape(-1, 2)
+    return np.concatenate([[rows[:, 0].sum()], (on_trades + f(diag * solution[1])).ravel(), closing])
+
+
 @pytest.mark.parametrize("tree, market, H", ladder_instances() + newton_instances())
 def test_tree_factor_matches_reference(monkeypatch, tree, market, H):
-    # Exact: the workspace factor keeps the 3-d factorisation's operations and their order.
+    # The node-state factor and the leaf-path factorisation solve the same Newton systems.  Both are
+    # backward stable, so they are compared through the reference matrix: near convergence the
+    # systems are too ill-conditioned for their solutions to agree entry by entry.
     from transient_impact import solver
 
     direction = solver._direction
     factors = []
+    own_entries = 2 * tree.t_index[~tree.is_leaf, None] + [1, 2]  # each decision node's buy and sell
 
     def checked(prob, it, res, factor, target, bound_target):
         if not factors or factors[-1][0] is not factor:
-            blocks, leaf_pivots, diag = ref_newton_leaves(prob, it, res)
-            border, pivots = ref_tree_factor(prob, blocks, leaf_pivots, diag)
-            assert factor.border == border
-            for k, (_, _, pos) in enumerate(prob.plans):
-                np.testing.assert_array_equal(lower_factor(factor.pivots[:, pos]), pivots[k][0])
-                np.testing.assert_array_equal(factor.couplings[k], pivots[k][1])
-            np.testing.assert_array_equal(factor.leaf_l00, pivots[tree.n_levels - 1][0][:, 0, 0])
-            np.testing.assert_array_equal(factor.leaf_coupling, pivots[tree.n_levels - 1][1][:, 0])
-            factors.append((factor, border, pivots))
-        _, border, pivots = factors[-1]
+            leaves = ref_newton_leaves(prob, it, res)
+            factors.append((factor, leaves, *ref_tree_factor(prob, *leaves)))
+        _, leaves, border, pivots = factors[-1]
         rho = (target - it.dual * (it.slack - res.primal)) / it.slack
-        rows = -np.einsum("lk,lki->li", it.dual + rho, res.rows)
-        own = bound_target / it.trades
-        want = ref_tree_solve(prob, border, pivots, rows, own, -1.0)
-        np.testing.assert_array_equal(factor.solve(rows, own, -1.0), want)
+        weights, own = -(it.dual + rho), bound_target / it.trades
+        want = ref_tree_solve(prob, border, pivots, np.einsum("lk,lki->li", weights, res.rows), own, -1.0)
+        want = want[0, 0], np.take_along_axis(want[prob.decision], own_entries, axis=1), want[tree.leaves, -1]
+        dt, got = factor.solve(weights, own, -1.0)
+        solution = dt, got[prob.decision, 3:], got[tree.leaves, 3]
+        difference = ref_newton_product(prob, leaves, [a - b for a, b in zip(solution, want)])
+        assert np.max(np.abs(difference)) <= 1e-12 * np.max(ref_newton_product(prob, leaves, want, absolute=True))
+        # the constraints' changes it returns are the constraint rows times its own solution
+        path = path_rows(prob, *solution)
+        error = np.abs(got[tree.leaves, :3] - np.einsum("lki,li->lk", res.rows, path))
+        assert np.all(error <= 1e-12 * np.einsum("lki,li->lk", np.abs(res.rows), np.abs(path)))
         return direction(prob, it, res, factor, target, bound_target)
 
     monkeypatch.setattr(solver, "_direction", checked)
