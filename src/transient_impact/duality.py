@@ -96,15 +96,18 @@ def check_feasibility(tree: ScenarioTree, cert: DualCertificate, market: MarketS
 
     The band is defined on any tree; what a rising liquidity curve breaks is
     the value's meaning, so :func:`dual_objective` holds that guard.
+    ``worst_node`` is the lowest node within the feasibility tolerance of
+    the worst, not the argmax among rounding-level ties (the argmax for NaN).
     """
     B = constraint_bound(tree, cert, market)
     violation = np.abs(tree.P - cert.M) - B
-    worst = int(np.argmax(violation))
-    scale = 1.0 + float(np.max(np.abs(tree.P)) + np.max(np.abs(cert.M)) + np.max(np.abs(B)))
+    worst = float(np.max(violation))
+    tol = FEASIBILITY_RTOL * (1.0 + float(np.max(np.abs(tree.P)) + np.max(np.abs(cert.M)) + np.max(np.abs(B))))
+    near = violation >= worst - tol
     return FeasibilityReport(
-        feasible=bool(violation[worst] <= FEASIBILITY_RTOL * scale),
-        worst_violation=float(violation[worst]),
-        worst_node=worst,
+        feasible=bool(worst <= tol),
+        worst_violation=worst,
+        worst_node=int(np.argmax(near if near.any() else violation)),
         bound=B,
     )
 

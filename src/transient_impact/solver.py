@@ -8,9 +8,11 @@ subject to ``v_l <= t`` per leaf, ``b, s >= 0`` per decision node and
 method (Mehrotra predictor–corrector from an infeasible start).  The spread
 is Markov and the wealth a price integral, so a leaf's constraints reach its
 path only through its parent's state: spread, position and the running
-value of the constraint.  Every Newton system is solved on these node states
-(``_TreeFactor``): one fixed 5x5 elimination per decision node, O(nodes) per
-step, without forming a dense matrix.  The iterate is one flat vector, and
+value of the constraint.  Everything runs on these node states, O(nodes)
+per Newton step: the leaf values are one down-sweep, stationarity one fold
+of the multipliers through the constraints' Jacobian, and the Newton system
+is factored (``_TreeFactor``) by one fixed 5x5 elimination per decision
+node, without forming a dense matrix.  The iterate is one flat vector, and
 each level's 2x2 pivots are kept as three columns, so a solve substitutes
 them all at once.  The leaf multipliers form a probability over leaves.
 The reported value is the exact cash requirement of the returned schedule,
@@ -45,7 +47,7 @@ from .errors import InfeasibleInit, InstanceTooLarge, WeakDualityViolated
 from .market import MarketSpec
 from .strategy import TradeSchedule, normalize
 from .tree import NodeMeasure, ScenarioTree, _as_slice, conditional_expectation
-from .wealth import book_value, leaf_path_rows, spread_penalty, tree_wealth
+from .wealth import book_value, tree_states, tree_wealth
 
 
 # The primal search stops when its relative residual sets no new best in this many
@@ -104,19 +106,15 @@ class PriceReport:
 
 
 class _PrimalProblem:
-    """The epigraph program: leaf values and gradients on leaf-path rows, Newton data on node states.
+    """The epigraph program on node states: values, constraint derivatives and Newton data.
 
-    Per leaf, values and gradients use the layout ``[t, b_0, s_0, ...,
-    b_{D-1}, s_{D-1}, g]``: the bound ``t``, the buy and sell at each decision
-    node on the path, root first, and the closing trade's gross size ``g``.
-
-    The Newton step works on node states instead (:class:`_TreeFactor`).  A
-    node's state is its spread ``eta``, its position ``X`` and the running
+    A node's state is its spread ``eta``, its position ``X`` and the running
     value ``W`` of the leaf constraint, the price integral ``∫X dP`` plus the
     penalty so far, less ``t``.  Per decision node, in level order, ``lift``
     maps its parent's state and its own buy and sell to its state; per leaf,
     ``leaf_jac`` writes the three constraints over its parent's state and its
-    closing trade.  Only the entries that hold a spread change with the iterate.
+    closing trade.  They hold every constraint derivative; :meth:`leaf_values`
+    refreshes the entries that hold a spread, the only ones that change.
     """
 
     def __init__(self, tree: ScenarioTree, market: MarketSpec, H):
@@ -128,22 +126,6 @@ class _PrimalProblem:
         self.n_dec = self.decision.size
         self.slot_of = np.full(tree.n_nodes, -1)
         self.slot_of[self.decision] = np.arange(self.n_dec)
-
-        self.paths, self.c_path, self.w_path, self.kappa_leaf = leaf_path_rows(tree)  # (L, n_levels) rows
-        self.var_idx = self.slot_of[self.paths[:, :-1]]
-        self.P_path = tree.P[self.paths]
-        self.dprice = self.P_path[:, :-1] - self.P_path[:, -1:]
-        self.mass = np.concatenate([self.w_path, self.kappa_leaf[:, None]], axis=1)
-        depth = tree.n_levels - 1
-        net_sign = np.zeros(2 * depth + 2)  # d x_pre / d layout entry
-        net_sign[1:-1:2], net_sign[2:-1:2] = 1.0, -1.0
-        # Constraint rows in the layout; only the leaf rows' gradient, rows[:, 0, 1:], changes.
-        self.rows = np.zeros((self.H.size, 3, net_sign.size))
-        self.rows[:, 0, 0] = -1.0
-        self.rows[:, 1] = net_sign
-        self.rows[:, 2] = -net_sign
-        self.rows[:, 1:, -1] = -1.0
-        self.trade_bins = (2 * self.var_idx[:, :, None] + np.arange(2)).ravel()  # (leaf, slot, side) -> trade
         self.leaf_rows = _as_slice(tree.leaves)
         self.decision_rows = _as_slice(self.decision)
 
@@ -153,44 +135,71 @@ class _PrimalProblem:
         starts = np.cumsum([0] + [level.size for level in tree.levels[:-1]]).tolist()
         self.spans = [slice(a, b) for a, b in zip(starts, starts[1:])]  # each decision level's positions
         parent = np.maximum(tree.parent, 0)
-        c, dP = tree.rho / tree.delta, tree.P - tree.P[parent]
+        self.c, dP = tree.rho / tree.delta, tree.P - tree.P[parent]
         self.parent_of = parent[order]
         self.edge_mass = tree.edge_weight[order]
         self.convex_mass = np.maximum(self.edge_mass, 0.0)  # the curvature keeps no negative mass
         self.lift = np.zeros((order.size, 3, 5))  # [d eta, dX, dW] <- [parent's d eta, dX, dW, db, ds]
         self.lift[:, [0, 1, 2], [0, 1, 2]] = 1.0
-        self.lift[:, 0, 3:] = c[order, None]
+        self.lift[:, 0, 3:] = self.c[order, None]
         self.lift[:, 1, 3:] = 1.0, -1.0
         self.lift[:, 2, 1] = -dP[order]  # W gains the price increment times the parent's position
         self.leaf_jac = np.zeros((self.H.size, 3, 4))  # constraints <- [parent's d eta, dX, dW, dg]
         self.leaf_jac[:, 0, 1] = -dP[tree.leaves]
         self.leaf_jac[:, 0, 2] = 1.0
         self.leaf_jac[:, 1:, 1:] = [[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0]]
+        # Each decision node's largest price move to a leaf below it, level order: the price part of a
+        # trade's gradient.
+        paths = tree.leaf_paths()
+        price_range = np.zeros(tree.n_nodes)
+        np.maximum.at(price_range, paths, np.abs(tree.P[paths] - tree.P[tree.leaves, None]))
+        self.price_range = price_range[order]
 
     def leaf_values(self, b, s, g=None):
-        """Payoff plus cost per leaf, the position each closing trade faces, and the spread rows.
+        """Payoff plus cost per leaf and the position each closing trade faces.
 
-        ``g`` is the closing trades' gross size, at least ``|x_pre|``; by default exactly that.
+        ``g`` is the closing trades' gross size, at least ``|x_pre|``; by
+        default exactly that.  The spread entries of ``lift`` and ``leaf_jac``
+        are refreshed to this point.
         """
-        bp, sp = b[self.var_idx], s[self.var_idx]
-        nu = bp - sp
-        x_pre = self.impact.x0 + nu.sum(axis=1)
-        gross = np.concatenate([bp + sp, (np.abs(x_pre) if g is None else g)[:, None]], axis=1)
-        eta, pen = spread_penalty(self.impact.zeta0, self.c_path, gross, self.w_path, self.kappa_leaf)
-        pint = (self.P_path[:, :-1] * nu).sum(axis=1) - self.P_path[:, -1] * x_pre
-        return self.H + pint + pen, x_pre, eta
+        tree, leaves = self.tree, self.leaf_rows
+        net, gross = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
+        net[self.decision_rows], gross[self.decision_rows] = b - s, b + s
+        states = tree_states(tree, net, gross, self.impact.x0, self.impact.zeta0)
+        x_pre, eta_pre, p_run, pen_run = states[leaves].T  # a leaf's own trade is the closing one
+        eta = eta_pre + self.c[leaves] * (np.abs(x_pre) if g is None else g)
+        np.multiply(self.edge_mass, states[self.parent_of, 1], out=self.lift[:, 2, 0])
+        slope = tree.kappa[leaves] * eta
+        np.add(tree.edge_weight[leaves] * eta_pre, slope, out=self.leaf_jac[:, 0, 0])
+        np.multiply(slope, self.c[leaves], out=self.leaf_jac[:, 0, 3])
+        return self.H + (p_run - tree.P[leaves] * x_pre) + 0.5 * (pen_run + slope * eta), x_pre
 
-    def gradients(self, eta) -> np.ndarray:
-        """Gradient rows of the leaf values at spread rows ``eta``, in the layout without ``t``.
+    def pullback(self, dual):
+        """The leaf multipliers ``dual`` ``(L, 3)`` times the constraints' Jacobian, and the gradient scale.
 
-        They are written into the leaf rows of ``self.rows``; the returned rows are a view.
+        One fold of ``leaf_jac.T @ dual`` up through each node's ``lift.T``
+        gives the entries on ``t``, on each decision node's buy and sell (slot
+        order) and on each closing trade.  Its spread and running-value entries
+        at a node are ``A``, the multiplier-weighted sum of the tails of the
+        leaves below, and ``Λ``, their multipliers' mass.  The scale of the
+        values' gradients is the largest ``c * |A / Λ| + price_range`` over
+        decision nodes and ``c * kappa * eta`` over leaves.
         """
-        tail = self.c_path * np.cumsum((self.mass * eta)[:, ::-1], axis=1)[:, ::-1]
-        grad = self.rows[:, 0, 1:]  # per slot: buy, sell, ..., then the closing trade
-        np.add(tail[:, :-1], self.dprice, out=grad[:, :-1:2])
-        np.subtract(tail[:, :-1], self.dprice, out=grad[:, 1:-1:2])
-        grad[:, -1] = tail[:, -1]
-        return grad
+        leaf = np.einsum("lk,lki->li", dual, self.leaf_jac)
+        below, rows = np.empty((self.n_dec, 3)), np.empty((self.n_dec, 5))  # level order
+
+        def step(sums, nodes):
+            span = self.spans[int(self.tree.t_index[nodes[0]])]
+            below[span] = sums
+            return np.einsum("nij,ni->nj", self.lift[span], sums, out=rows[span])[:, :3]
+
+        root = self.tree.fold_up(leaf[:, :3], step)  # on the root's parent state, where W holds -t
+        trades = np.empty((self.n_dec, 2))
+        trades[self.level_slots] = rows[:, 3:]
+        c = self.lift[:, 0, 3]  # rho / delta, level order
+        scale = max(float(np.abs(self.leaf_jac[:, 0, 3]).max()),
+                    float(np.max(c * np.abs(below[:, 0] / below[:, 2]) + self.price_range)))
+        return -float(root[2]), trades, leaf[:, 3], scale
 
     def cash_requirement(self, u) -> tuple[float, TradeSchedule]:
         """Exact worst-leaf cash needed by the normalized schedule built from ``u``."""
@@ -373,40 +382,34 @@ class _Iterate:
 
 
 class _Residuals:
-    """Constraint rows, residuals and complementarity of the epigraph program at one iterate.
+    """Residuals and complementarity of the epigraph program at one iterate.
 
-    ``values`` are ``prob.leaf_values`` at the iterate, which the line search has computed already.
+    ``values`` are ``prob.leaf_values`` at the iterate, which the line search has computed
+    already.  Stationarity is :meth:`_PrimalProblem.pullback` of the leaf multipliers.
     """
 
     def __init__(self, prob: _PrimalProblem, it: _Iterate, values):
-        vals, x_pre, eta = values
-        grad = prob.gradients(eta)
-        self.rows = prob.rows  # constraint gradients in the layout, until the next residuals rewrite them
+        vals, x_pre = values
         self.primal = np.stack([vals - it.t, x_pre - it.close, -x_pre - it.close], axis=1) + it.slack
-        stat = np.einsum("lk,lki->li", it.dual, self.rows)
-        self.dual_t = 1.0 + stat[:, 0].sum()
-        self.dual_trades = np.bincount(prob.trade_bins, stat[:, 1:-1].ravel(), 2 * prob.n_dec).reshape(-1, 2)
-        self.dual_trades -= it.bound_dual
-        dual_close = stat[:, -1]
+        on_t, on_trades, self.dual_close, grad_scale = prob.pullback(it.dual)
+        self.dual_t, self.dual_trades = 1.0 + on_t, on_trades - it.bound_dual
         self.n_ineq = it.slack.size + it.trades.size
         self.mu = it.mu()
         # Residuals relative to the problem's scale: values and trades for the constraints and
         # complementarity, gradient entries for stationarity.
         scale = 1.0 + max(abs(it.t), float(np.abs(vals).max()), float(it.close.max()))
         stationarity = max(abs(self.dual_t), float(np.abs(self.dual_trades).max(initial=0.0)),
-                           float(np.abs(dual_close).max()))
+                           float(np.abs(self.dual_close).max()))
         self.error = max(
             float(np.abs(self.primal).max()) / scale,
-            stationarity / (1.0 + float(np.abs(grad).max())),
+            stationarity / (1.0 + grad_scale),
             self.n_ineq * self.mu / scale,
         )
 
 
-
-
-def _newton_matrix(prob: _PrimalProblem, it: _Iterate, eta) -> _TreeFactor:
-    """Factor the condensed Newton matrix at spread rows ``eta``: curvature plus constraint rows
-    weighted by dual/slack, and the bounds' barrier diagonal.
+def _newton_matrix(prob: _PrimalProblem, it: _Iterate) -> _TreeFactor:
+    """Factor the condensed Newton matrix at the last point ``prob.leaf_values`` saw: curvature
+    plus constraint rows weighted by dual/slack, and the bounds' barrier diagonal.
 
     The penalty's mass on an edge meets the spread at its upper end, so ``W``
     gains ``mass * eta_parent * d eta_parent`` on the edge, and a leaf's value
@@ -416,16 +419,11 @@ def _newton_matrix(prob: _PrimalProblem, it: _Iterate, eta) -> _TreeFactor:
     last column) leaves the Gram matrix of the rows projected off that column,
     so no 4x4 block is ever formed.
     """
-    node_eta = np.empty(prob.tree.n_nodes)
-    node_eta[prob.paths] = eta
-    np.multiply(prob.edge_mass, node_eta[prob.parent_of], out=prob.lift[:, 2, 0])
-    slope = prob.kappa_leaf * eta[:, -1]
-    np.add(prob.w_path[:, -1] * eta[:, -2], slope, out=prob.leaf_jac[:, 0, 0])
-    np.multiply(slope, prob.c_path[:, -1], out=prob.leaf_jac[:, 0, 3])
+    tree, leaves = prob.tree, prob.leaf_rows
     lam = it.dual[:, 0]
     roots = np.zeros((lam.size, 4, 4))
-    roots[:, 0, 0] = np.sqrt(lam * np.maximum(prob.kappa_leaf, 0.0))
-    roots[:, 0, 3] = roots[:, 0, 0] * prob.c_path[:, -1]
+    roots[:, 0, 0] = np.sqrt(lam * np.maximum(tree.kappa[leaves], 0.0))
+    roots[:, 0, 3] = roots[:, 0, 0] * prob.c[leaves]
     np.multiply(prob.leaf_jac, np.sqrt(it.dual / it.slack)[:, :, None], out=roots[:, 1:])
     close = roots[:, :, -1].copy()
     pivot = np.einsum("lr,lr->l", close, close)
@@ -433,7 +431,7 @@ def _newton_matrix(prob: _PrimalProblem, it: _Iterate, eta) -> _TreeFactor:
     rest = roots[:, :, :-1] - close[:, :, None] * coupling[:, None, :]
     blocks = np.zeros((lam.size, 4, 3))  # the block on the parent's state, then the multiplier
     np.matmul(rest.transpose(0, 2, 1), rest, out=blocks[:, :3])
-    blocks[:, 0, 0] += np.maximum(prob.w_path[:, -1], 0.0) * lam
+    blocks[:, 0, 0] += np.maximum(tree.edge_weight[leaves], 0.0) * lam
     blocks[:, 3, 0] = lam
     return _TreeFactor(prob, blocks, np.sqrt(pivot), coupling, it.bound_dual / it.trades)
 
@@ -475,12 +473,11 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
     x_pre = prob.leaf_values(it.trades[:, 0], it.trades[:, 1])[1]
     np.add(np.abs(x_pre), 1.0, out=it.close)
     values = prob.leaf_values(it.trades[:, 0], it.trades[:, 1], it.close)
-    vals, _, eta = values
-    it.z[0] = t = float(vals.max())
-    np.maximum(-np.stack([vals - t, x_pre - it.close, -x_pre - it.close], axis=1), 1.0, out=it.slack)
+    it.z[0] = t = float(values[0].max())
+    np.maximum(-np.stack([values[0] - t, x_pre - it.close, -x_pre - it.close], axis=1), 1.0, out=it.slack)
     # leaf multipliers on the simplex, bound multipliers on the gradients' scale
     it.dual[:] = 1.0 / L
-    it.bound_dual[:] = 1.0 + float(np.max(np.abs(prob.gradients(eta))))
+    it.bound_dual[:] = 1.0 + prob.pullback(it.dual)[3]
 
     best, since_best = np.inf, 0
     budget = max(opts.max_iter, 0)
@@ -492,7 +489,7 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
         if since_best >= STALL_STEPS or steps == budget:
             break
         try:
-            factor = _newton_matrix(prob, it, values[2])
+            factor = _newton_matrix(prob, it)
         except np.linalg.LinAlgError:  # a pivot lost definiteness to rounding
             break
         affine = _direction(prob, it, res, factor, np.zeros_like(it.slack), np.zeros_like(it.trades))

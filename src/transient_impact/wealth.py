@@ -1,12 +1,11 @@
 """Spread state, terminal cash and its convex decomposition.
 
-Two routes to the same terminal cash, each written once on rows of slots
-(slots along the last axis, independent paths along the leading axes): the
-direct midpoint-execution rule :func:`midpoint_cash`, and the decomposition
-``cash = v0 - (price integral + spread penalty)`` whose convex penalty and
-spread recursion live in :func:`spread_penalty`.  Both agree to rounding
-whenever the terminal position is zero.  A deterministic grid is one row; a
-scenario tree is gathered onto its root-to-leaf paths, one row per leaf.
+Two routes to the same terminal cash: the direct midpoint-execution rule
+:func:`midpoint_cash`, and the decomposition ``cash = v0 - (price integral +
+spread penalty)``.  Both agree to rounding whenever the terminal position is
+zero.  A deterministic grid is a row of slots, one spread and penalty per
+schedule.  A scenario tree is node states: the spread is Markov, so
+:func:`tree_states` gives every node's state in one down-sweep.
 """
 
 from __future__ import annotations
@@ -81,17 +80,6 @@ def _pre(post: np.ndarray, first) -> np.ndarray:
     return np.concatenate([np.full(post.shape[:-1] + (1,), first), post[..., :-1]], axis=-1)
 
 
-def spread_penalty(zeta0, c, gross, w, atom):
-    """Scaled spread ``eta = zeta0 + cumsum(c * gross)`` and its penalty on rows of slots.
-
-    ``c`` is ``rho / delta`` per slot.  The penalty is ``0.5 * (sum(w *
-    eta[..., :-1]**2) + atom * eta[..., -1]**2)``: each interval mass in ``w``
-    pairs with the spread at its left slot, the ``atom`` with the last slot.
-    """
-    eta = _running(zeta0, c * gross)
-    return eta, 0.5 * ((w * eta[..., :-1] ** 2).sum(axis=-1) + atom * eta[..., -1] ** 2)
-
-
 def midpoint_cash(impact, x0: float, p_integral, net, gross, eta, rho):
     """Terminal cash of midpoint-rule execution on rows of slots, from position ``x0``.
 
@@ -107,12 +95,17 @@ def midpoint_cash(impact, x0: float, p_integral, net, gross, eta, rho):
 
 
 def _grid_spread(schedule: TradeSchedule, market: MarketSpec, zeta0: float):
-    """Spread row and penalty of a schedule on the market grid, starting from ``zeta0``."""
+    """Scaled spread ``eta = zeta0 + cumsum(rho / delta * gross)`` of a schedule on the grid, and its penalty.
+
+    The penalty is ``0.5 * (sum(w * eta[:-1]**2) + atom * eta[-1]**2)``:
+    each interval mass ``w`` pairs with the spread at its left slot, the
+    ``atom`` with the last slot.
+    """
     if schedule.n_slots != market.grid.n_points:
         raise GridMismatch(f"schedule has {schedule.n_slots} slots but the grid has {market.grid.n_points} points")
     mu = market.mu(require_strict=False)
-    c = market.rho() / market.liquidity.delta
-    return spread_penalty(zeta0, c, schedule.gross(), mu.interior, mu.atom)
+    eta = _running(zeta0, market.rho() / market.liquidity.delta * schedule.gross())
+    return eta, 0.5 * ((mu.interior * eta[:-1] ** 2).sum() + mu.atom * eta[-1] ** 2)
 
 
 def eta_path(schedule: TradeSchedule, market: MarketSpec) -> SpreadState:
@@ -136,7 +129,7 @@ def lambda_functional(schedule: TradeSchedule, market: MarketSpec, P) -> WealthB
     """Convex decomposition of terminal cash.
 
     ``p_integral`` integrates the unaffected price against the net trades;
-    ``eta_penalty`` is the spread penalty of :func:`spread_penalty`.
+    ``eta_penalty`` is the spread penalty of the schedule.
     ``xi_T = v0 - lambda_T`` is the terminal cash whenever the schedule
     liquidates.
     """
@@ -251,32 +244,37 @@ class TreeWealth:
     v0: float
 
 
-def leaf_path_rows(tree):
-    """Root-to-leaf rows of a tree: node ids, ``rho / delta``, interval masses and terminal atoms."""
-    paths = tree.leaf_paths()
-    return paths, (tree.rho / tree.delta)[paths], tree.edge_weight[paths[:, 1:]], tree.kappa[paths[:, -1]]
+def tree_states(tree, net, gross, x0: float, zeta0: float) -> np.ndarray:
+    """Per node, after its trade ``net``/``gross``: position, spread, price integral and interval penalty.
 
-
-def _tree_spread(tree, schedule: TradeSchedule, impact):
-    """Leaf-path rows of a node-indexed schedule: node ids, spread, penalty and price integral."""
-    if schedule.n_slots != tree.n_nodes:
+    The last two run along the path: ``sum(P * net)`` and ``sum(w *
+    eta_parent**2)``, each interval mass ``w`` met by the spread at its upper
+    end.  A leaf's atom ``kappa * eta**2`` is the caller's.
+    """
+    if np.shape(net) != (tree.n_nodes,):
         raise GridMismatch("schedule must have one slot per tree node")
-    paths, c, w, atom = leaf_path_rows(tree)
-    eta, penalty = spread_penalty(impact.zeta0, c, schedule.gross()[paths], w, atom)
-    return paths, eta, penalty, np.einsum("ij,ij->i", tree.P[paths], schedule.net()[paths])
+    step = np.stack([net, tree.rho / tree.delta * gross, tree.P * net, tree.edge_weight], axis=1)
+
+    def down(acc, nodes):
+        add = step[nodes]
+        add[:, 3] *= acc[:, 1] ** 2  # the interval's mass meets the parent's spread
+        acc += add
+        return acc
+
+    return tree.down_sweep(step[0] + (x0, zeta0, 0.0, 0.0), down)  # the root's mass is 0
 
 
 def tree_wealth(tree, schedule: TradeSchedule, impact) -> TreeWealth:
     """Evaluate the cash decomposition of a node-indexed schedule on a tree."""
-    paths, eta_rows, eta_penalty, p_integral = _tree_spread(tree, schedule, impact)
-    eta = np.empty(tree.n_nodes)
-    eta[paths] = eta_rows  # exact: every path through a node sums the same prefix
-    lam = p_integral + eta_penalty
+    position, eta, p_run, pen_run = tree_states(tree, schedule.net(), schedule.gross(), schedule.x0, impact.zeta0).T
+    leaves = tree.leaves
+    eta_penalty = 0.5 * (pen_run[leaves] + tree.kappa[leaves] * eta[leaves] ** 2)
+    lam = p_run[leaves] + eta_penalty
     v0 = impact.xi0 + book_value(impact, float(tree.delta[0]))
     return TreeWealth(
         eta=eta,
-        position=tree.accumulate(schedule.net(), initial=schedule.x0),
-        p_integral=p_integral,
+        position=position,
+        p_integral=p_run[leaves],
         eta_penalty=eta_penalty,
         lambda_T=lam,
         xi_T=v0 - lam,
@@ -286,6 +284,7 @@ def tree_wealth(tree, schedule: TradeSchedule, impact) -> TreeWealth:
 
 def tree_terminal_cash_direct(tree, schedule: TradeSchedule, impact) -> np.ndarray:
     """Midpoint-rule terminal cash per leaf for a node-indexed schedule."""
-    paths, eta, _, p_integral = _tree_spread(tree, schedule, impact)
-    net, gross = schedule.net()[paths], schedule.gross()[paths]
-    return midpoint_cash(impact, schedule.x0, p_integral, net, gross, eta, tree.rho[paths])
+    net, gross = schedule.net(), schedule.gross()
+    _, eta, p_run, _ = tree_states(tree, net, gross, schedule.x0, impact.zeta0).T
+    paths = tree.leaf_paths()
+    return midpoint_cash(impact, schedule.x0, p_run[tree.leaves], net[paths], gross[paths], eta[paths], tree.rho[paths])

@@ -116,6 +116,24 @@ class TestFeasibility:
         assert report.worst_violation == pytest.approx(110.0)
         assert report.worst_node == 1
 
+    def test_worst_node_ignores_rounding_ties(self):
+        # M = P - B touches the band at every node, so each violation is a rounding-level zero and
+        # the argmax among them moves with a few ulps of M; the lowest node within tolerance does not
+        from test_solver import binomial_ladder
+
+        tree, market, _ = binomial_ladder(2)
+        cert = flat_alpha_cert(tree, 1.0)
+        touching = tree.P - ti.constraint_bound(tree, cert, market)
+        rng = np.random.default_rng(5)
+        named = set()
+        for _ in range(20):
+            M = touching + rng.integers(-4, 5, tree.n_nodes) * np.spacing(touching)
+            report = ti.check_feasibility(tree, flat_alpha_cert(tree, 1.0, M=M), market)
+            assert report.feasible
+            assert report.worst_violation == np.max(np.abs(tree.P - M) - report.bound)
+            named.add(report.worst_node)
+        assert named == {0}
+
     def test_restore_feasibility_always_succeeds(self, rng):
         for _ in range(30):
             tree = random_tree(rng, depth=3, stochastic_liquidity=True)

@@ -581,28 +581,18 @@ class TestInteriorPoint:
             assert np.all(it.dual > 0.0)
             assert it.dual[:, 0].sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_depth_eight_memory_peak(self):
+    @pytest.mark.parametrize("depth, cap_mib", [(8, 3), (12, 16), (14, 32)])
+    def test_memory_peak(self, depth, cap_mib):
+        # values, residuals and Newton steps hold O(nodes) node states and no (leaves x depth)
+        # array: 6.1 MiB at depth 12 and 24 MiB at depth 14; an array per leaf and level would
+        # double them
         import tracemalloc
 
-        instance = binomial_ladder(8)
+        instance = binomial_ladder(depth)
         tracemalloc.start()
         try:
             ti.primal_solve(*instance)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * 2**20
-
-    def test_depth_twelve_memory_peak(self):
-        # a Newton step holds O(nodes) node-state blocks: 12.4 MiB peak here, where dense
-        # leaf-path blocks, (2 * depth + 1)**2 per leaf, peaked at 46.6 MiB
-        import tracemalloc
-
-        instance = binomial_ladder(12)
-        tracemalloc.start()
-        try:
-            ti.primal_solve(*instance)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16 * 2**20
+        assert peak <= cap_mib * 2**20

@@ -3,14 +3,16 @@
 The reference functions below are the plain loop versions, kept as oracles.
 They read only ``tree.parent`` and the per-node data, and derive children and
 levels themselves, so they do not share the sweep primitives under test.  The
-tree wealth oracles are the node-wise ``accumulate`` versions that the
-leaf-path spread/penalty kernel replaced.  The repair oracle is the
-four-pass loop that the one-bump repair replaced; certificates must agree
-exactly.  ``dual_ascent`` must never return less than its start or the
-default certificate.
+tree wealth oracles run one ``accumulate`` per quantity, where the node-state
+kernel runs one down-sweep; the primal's leaf values are checked against
+them too.  The repair oracle is the four-pass loop that the one-bump repair
+replaced; certificates must agree exactly.  ``dual_ascent`` must never
+return less than its start or the default certificate.
 The primal's tree-sparse Newton direction is checked at every step against
-the perturbed KKT system assembled densely from per-leaf loops, and its
-node-state factor against the leaf-path factorisation it replaced.  The fold
+the perturbed KKT system assembled densely from per-leaf loops, its
+node-state factor against the leaf-path factorisation it replaced (rebuilt
+here from ``ref_leaf_paths``), and its stationarity fold and gradient scale
+against the loop-built Jacobian and the scale's definition.  The fold
 over a cached child layout must reproduce the ``argsort`` + ``reduceat`` fold
 exactly where a node has at most eight children (beyond that ``reduceat``
 sums pairwise), and the closed-form 1x1 and 2x2 pivots the generic Cholesky
@@ -531,7 +533,7 @@ def test_primal_leaf_values_match_tree_wealth(tree):
     buy = rng.random(prob.n_dec) < 0.5
     u = np.concatenate([np.where(buy, size, 0.0), np.where(buy, 0.0, size)])
     vals = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :])[0]
-    tw = ti.tree_wealth(tree, prob.schedule(u), market.impact)
+    tw = ref_tree_wealth(tree, prob.schedule(u), market.impact)
     assert_close(vals, H + tw.lambda_T)
 
 
@@ -721,17 +723,46 @@ def ref_closed_cholesky_solve(low, rhs):
     return x
 
 
-def ref_newton_leaves(prob, it, res):
+def ref_path_layout(prob, it):
+    """The leaf-path layout that node states replaced, rebuilt from ``ref_leaf_paths`` at an iterate.
+
+    Per leaf, the entries are ``[t, b_0, s_0, ..., b_{D-1}, s_{D-1}, g]``:
+    the bound, the buy and sell of each decision node on its path, root
+    first, and its closing trade.  Returns each path's decision slots, its
+    ``rho / delta`` and penalty mass per slot (the leaf's atom last), and
+    the three constraint rows in the layout: the leaf value's gradient less
+    ``t``, then ``±x_pre - g``.
+    """
+    tree = prob.tree
+    paths = ref_leaf_paths(tree)
+    slots = prob.slot_of[paths[:, :-1]]
+    c = tree.rho[paths] / tree.delta[paths]
+    mass = np.concatenate([tree.edge_weight[paths[:, 1:]], tree.kappa[paths[:, -1:]]], axis=1)
+    spread = c * np.concatenate([it.trades.sum(axis=1)[slots], it.close[:, None]], axis=1)
+    spread[:, 0] += prob.impact.zeta0
+    eta = np.cumsum(spread, axis=1)
+    tail = c * np.cumsum((mass * eta)[:, ::-1], axis=1)[:, ::-1]  # d value / d gross, per slot
+    dprice = tree.P[paths[:, :-1]] - tree.P[paths[:, -1:]]
+    rows = np.zeros((paths.shape[0], 3, 2 * paths.shape[1]))
+    rows[:, 0, 0] = -1.0
+    rows[:, 0, 1:-1:2], rows[:, 0, 2:-1:2], rows[:, 0, -1] = tail[:, :-1] + dprice, tail[:, :-1] - dprice, tail[:, -1]
+    rows[:, 1, 1:-1:2], rows[:, 1, 2:-1:2] = 1.0, -1.0
+    rows[:, 2] = -rows[:, 1]
+    rows[:, 1:, -1] = -1.0
+    return slots, c, mass, rows
+
+
+def ref_newton_leaves(it, layout):
     """The leaves' step of the Newton matrix on freshly allocated arrays: leaf blocks, leaf pivots
     (1x1 factors and couplings, as 3-d arrays) and the bounds' barrier diagonal."""
-    n_slots = prob.mass.shape[1]
+    _, c, mass, rows = layout
+    n_slots = mass.shape[1]
     gross_of = np.repeat(np.arange(n_slots), [2] * (n_slots - 1) + [1])  # layout entry (t excluded) -> slot
-    curvature = np.zeros((prob.H.size, n_slots, gross_of.size + 1))
+    curvature = np.zeros((mass.shape[0], n_slots, gross_of.size + 1))
     inner = curvature[:, :, 1:]
-    np.multiply(np.sqrt(it.dual[:, :1] * np.maximum(prob.mass, 0.0))[:, :, None],
-                prob.c_path[:, gross_of][:, None, :], out=inner)
+    np.multiply(np.sqrt(it.dual[:, :1] * np.maximum(mass, 0.0))[:, :, None], c[:, gross_of][:, None, :], out=inner)
     inner *= gross_of <= np.arange(n_slots)[:, None]
-    roots = np.concatenate([curvature, res.rows * np.sqrt(it.dual / it.slack)[:, :, None]], axis=1)
+    roots = np.concatenate([curvature, rows * np.sqrt(it.dual / it.slack)[:, :, None]], axis=1)
     close, rest = roots[:, :, -1].copy(), roots[:, :, :-1]
     pivot = np.einsum("lr,lr->l", close, close)
     coupling = np.einsum("lr,lra->la", close, rest) / pivot[:, None]
@@ -795,12 +826,13 @@ def ref_tree_solve(prob, border, pivots, rows, own, t_rhs):
     return tree.down_sweep(back(top, np.zeros(1, dtype=int))[0], back)
 
 
-def ref_kkt_direction(prob, it, target, bound_target):
-    """Newton direction of the perturbed KKT conditions, assembled densely leaf by leaf.
+def ref_kkt_blocks(prob, it):
+    """Constraint Jacobian, constraint values and curvature at an iterate, assembled densely leaf by leaf.
 
-    Unknowns: ``x = (t, b, s, g)``, then per leaf the three slacks and three
-    multipliers, then the bound multipliers of ``b`` and ``s``.  Values,
-    gradients and curvature of each leaf come from loops over its path.
+    The variables are ``x = (t, b, s, g)``; the constraints ``c(x) <= 0``
+    are all leaves' ``v_l - t``, then all ``x_pre - g``, then all ``-x_pre -
+    g``.  Values, gradients and curvature of each leaf come from loops over
+    its path.
     """
     tree, imp = prob.tree, prob.impact
     n, L = prob.n_dec, tree.leaves.size
@@ -846,7 +878,19 @@ def ref_kkt_direction(prob, it, target, bound_target):
                 jac[r, i], jac[r, n + i] = sign, -sign
             jac[r, g_col] = -1.0
             cons[r] = sign * x_pre - it.close[row]
+    return jac, cons, hess
 
+
+def ref_kkt_direction(prob, it, target, bound_target):
+    """Newton direction of the perturbed KKT conditions, assembled densely from :func:`ref_kkt_blocks`.
+
+    Unknowns: ``x = (t, b, s, g)``, then per leaf the three slacks and three
+    multipliers, then the bound multipliers of ``b`` and ``s``.
+    """
+    n, L = prob.n_dec, prob.tree.leaves.size
+    nx = 1 + 2 * n + L
+    b, s = it.trades[:, 0], it.trades[:, 1]
+    jac, cons, hess = ref_kkt_blocks(prob, it)
     u = it.slack.T.ravel()  # constraint order: all leaf rows, then all x_pre - g, then all -x_pre - g
     nu = it.dual.T.ravel()
     tau = target.T.ravel()
@@ -907,13 +951,24 @@ def ladder_instances():
     return [pytest.param(*binomial_ladder(depth), id=f"ladder{depth}") for depth in (2, 4, 6, 8)]
 
 
-def path_rows(prob, t, trades, close):
+def rising_instance():
+    from test_solver import rising_instance
+
+    return pytest.param(*rising_instance(), id="rising")
+
+
+def liquidation_instance():
+    """A position of 10 sold down a flat chain: at some steps a closing trade's gradient sets the scale."""
+    market = ti.MarketSpec.build([0.0, 1.0, 2.0], 10.0, 0.5, x0=10.0, zeta0=0.0)
+    return pytest.param(ti.ScenarioTree.single_path(market, np.full(3, 100.0)), market, np.zeros(1), id="liquidation")
+
+
+def path_rows(slots, t, trades, close):
     """Each leaf's entries of a solution ``(t, trades, close)``, in the leaf-path layout."""
-    return np.concatenate([np.full((close.size, 1), t), trades[prob.var_idx].reshape(close.size, -1), close[:, None]],
-                          axis=1)
+    return np.concatenate([np.full((close.size, 1), t), trades[slots].reshape(close.size, -1), close[:, None]], axis=1)
 
 
-def ref_newton_product(prob, leaves, solution, absolute=False):
+def ref_newton_product(slots, leaves, solution, absolute=False):
     """The condensed Newton matrix of :func:`ref_newton_leaves`' output times a solution ``(t, trades, close)``.
 
     Each leaf's closing-trade pivot and coupling restore its full block from
@@ -922,10 +977,11 @@ def ref_newton_product(prob, leaves, solution, absolute=False):
     """
     f = np.abs if absolute else (lambda a: a)
     blocks, (l00, coupling), diag = leaves
-    l00, coupling, path = l00[:, 0, 0], f(coupling[:, 0]), f(path_rows(prob, *solution))
+    l00, coupling, path = l00[:, 0, 0], f(coupling[:, 0]), f(path_rows(slots, *solution))
     closing = l00**2 * (np.einsum("la,la->l", coupling, path[:, :-1]) + path[:, -1])
     rows = np.einsum("lab,lb->la", f(blocks), path[:, :-1]) + closing[:, None] * coupling
-    on_trades = np.bincount(prob.trade_bins, rows[:, 1:].ravel(), 2 * prob.n_dec).reshape(-1, 2)
+    trade_bins = (2 * slots[:, :, None] + np.arange(2)).ravel()  # (leaf, slot, side) -> trade
+    on_trades = np.bincount(trade_bins, rows[:, 1:].ravel(), diag.size).reshape(-1, 2)
     return np.concatenate([[rows[:, 0].sum()], (on_trades + f(diag * solution[1])).ravel(), closing])
 
 
@@ -942,26 +998,83 @@ def test_tree_factor_matches_reference(monkeypatch, tree, market, H):
 
     def checked(prob, it, res, factor, target, bound_target):
         if not factors or factors[-1][0] is not factor:
-            leaves = ref_newton_leaves(prob, it, res)
-            factors.append((factor, leaves, *ref_tree_factor(prob, *leaves)))
-        _, leaves, border, pivots = factors[-1]
+            layout = ref_path_layout(prob, it)
+            leaves = ref_newton_leaves(it, layout)
+            factors.append((factor, layout, leaves, *ref_tree_factor(prob, *leaves)))
+        _, (slots, _, _, rows), leaves, border, pivots = factors[-1]
         rho = (target - it.dual * (it.slack - res.primal)) / it.slack
         weights, own = -(it.dual + rho), bound_target / it.trades
-        want = ref_tree_solve(prob, border, pivots, np.einsum("lk,lki->li", weights, res.rows), own, -1.0)
+        want = ref_tree_solve(prob, border, pivots, np.einsum("lk,lki->li", weights, rows), own, -1.0)
         want = want[0, 0], np.take_along_axis(want[prob.decision], own_entries, axis=1), want[tree.leaves, -1]
         dt, got = factor.solve(weights, own, -1.0)
         solution = dt, got[prob.decision, 3:], got[tree.leaves, 3]
-        difference = ref_newton_product(prob, leaves, [a - b for a, b in zip(solution, want)])
-        assert np.max(np.abs(difference)) <= 1e-12 * np.max(ref_newton_product(prob, leaves, want, absolute=True))
+        difference = ref_newton_product(slots, leaves, [a - b for a, b in zip(solution, want)])
+        assert np.max(np.abs(difference)) <= 1e-12 * np.max(ref_newton_product(slots, leaves, want, absolute=True))
         # the constraints' changes it returns are the constraint rows times its own solution
-        path = path_rows(prob, *solution)
-        error = np.abs(got[tree.leaves, :3] - np.einsum("lki,li->lk", res.rows, path))
-        assert np.all(error <= 1e-12 * np.einsum("lki,li->lk", np.abs(res.rows), np.abs(path)))
+        path = path_rows(slots, *solution)
+        error = np.abs(got[tree.leaves, :3] - np.einsum("lki,li->lk", rows, path))
+        assert np.all(error <= 1e-12 * np.einsum("lki,li->lk", np.abs(rows), np.abs(path)))
         return direction(prob, it, res, factor, target, bound_target)
 
     monkeypatch.setattr(solver, "_direction", checked)
     report = ti.primal_solve(tree, market, H)
     assert len(factors) == report.iterations
+
+
+def ref_gradient_scale(prob, it):
+    """The gradient scale by its definition, from loops over each leaf's path.
+
+    Below each decision node, ``A`` sums the leaves' tails ``d v_l / d eta``
+    weighted by their multipliers and ``Λ`` sums the multipliers; ``Π`` is the
+    largest price move to a leaf below.  The scale is the largest ``c * |A /
+    Λ| + Π`` over decision nodes and ``c * kappa * eta`` over leaves.
+    """
+    tree = prob.tree
+    A, mass_below, price_range = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
+    gross = np.zeros(tree.n_nodes)
+    gross[prob.decision] = it.trades.sum(axis=1)
+    gross[tree.leaves] = it.close
+    c = tree.rho / tree.delta
+    scale = 0.0
+    for path, nu in zip(ref_leaf_paths(tree), it.dual[:, 0]):
+        eta, acc = [], prob.impact.zeta0
+        for node in path:
+            acc += c[node] * gross[node]
+            eta.append(acc)
+        mass = [tree.edge_weight[node] for node in path[1:]] + [tree.kappa[path[-1]]]
+        for k, node in enumerate(path[:-1]):
+            A[node] += nu * sum(mass[j] * eta[j] for j in range(k, path.size))
+            mass_below[node] += nu
+            price_range[node] = max(price_range[node], abs(tree.P[node] - tree.P[path[-1]]))
+        scale = max(scale, c[path[-1]] * tree.kappa[path[-1]] * eta[-1])
+    for node in prob.decision:
+        scale = max(scale, c[node] * abs(A[node] / mass_below[node]) + price_range[node])
+    return scale
+
+
+@pytest.mark.parametrize("tree, market, H",
+                         ladder_instances() + newton_instances() + [rising_instance(), liquidation_instance()])
+def test_stationarity_fold_matches_dense_jacobian(monkeypatch, tree, market, H):
+    # The multipliers folded up through the factor's own Jacobian give the entries of jac.T @ nu, the
+    # Jacobian built leaf by leaf; the rising tree has negative edge mass.
+    from transient_impact import solver
+
+    residuals = solver._Residuals
+    seen = []
+
+    def checked(prob, it, values):
+        on_t, on_trades, on_close, scale = prob.pullback(it.dual)
+        jac = ref_kkt_blocks(prob, it)[0]
+        nu = it.dual.T.ravel()
+        got = np.concatenate([[on_t], on_trades.T.ravel(), on_close])
+        assert np.all(np.abs(got - jac.T @ nu) <= 1e-12 * (np.abs(jac.T) @ nu))
+        assert scale == pytest.approx(ref_gradient_scale(prob, it), rel=1e-12, abs=0.0)
+        seen.append(scale)
+        return residuals(prob, it, values)
+
+    monkeypatch.setattr(solver, "_Residuals", checked)
+    report = ti.primal_solve(tree, market, H)
+    assert len(seen) == report.iterations + 1
 
 
 @pytest.mark.parametrize("tree, market, H", newton_instances())
