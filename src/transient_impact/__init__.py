@@ -72,6 +72,7 @@ from .tree import (
     tilt_to_martingale,
 )
 from .wealth import (
+    PathSums,
     SpreadState,
     TreeWealth,
     WealthBreakdown,
@@ -79,6 +80,7 @@ from .wealth import (
     convexity_gap,
     eta_path,
     lambda_functional,
+    path_sums,
     quadratic_scaling,
     terminal_cash_direct,
     tree_terminal_cash_direct,

@@ -21,7 +21,7 @@ from .errors import NotApplicable, TerminalNotZero
 from .market import MarketSpec, as_curve, finite
 from .strategy import TradeSchedule, check_terminal_zero, normalize
 from .tree import NodeMeasure, ScenarioTree, is_martingale
-from .wealth import terminal_cash_direct, tree_wealth
+from .wealth import path_sums, terminal_cash_direct, tree_wealth
 
 SHADOW_RTOL = 1e-8
 CALL_IDENTITY_RTOL = 1e-10
@@ -147,12 +147,16 @@ def buy_and_hold(market: MarketSpec) -> TradeSchedule:
     """Take the position to one unit immediately, unwind it at maturity."""
     if market.impact.x0 > 1.0:
         raise NotApplicable("buy-and-hold construction requires x0 <= 1")
+    return TradeSchedule(*_buy_and_hold_trades(market), market.impact.x0)
+
+
+def _buy_and_hold_trades(market: MarketSpec) -> tuple[np.ndarray, np.ndarray]:
     n = market.grid.n_points
     buys = np.zeros(n)
     sells = np.zeros(n)
     buys[0] = 1.0 - market.impact.x0
     sells[-1] = 1.0
-    return TradeSchedule(buys, sells, market.impact.x0)
+    return buys, sells
 
 
 @dataclass(frozen=True)
@@ -172,22 +176,23 @@ def verify_call_superreplication(market: MarketSpec, P, strike: float) -> CallVe
     """Check the funded buy-and-hold ends with cash equal to the terminal price.
 
     Exact (to rounding) on every path; domination of the call payoff then
-    follows from non-negativity of the price, which is validated here.
+    follows from non-negativity of the price, which is validated here.  ``P``
+    is one path ``(N+1,)``, scenario rows ``(S, N+1)`` or an iterator of
+    time-row blocks ``(k, S)``, read once.
     """
-    P = np.asarray(P, dtype=float)
-    P2 = P[np.newaxis, :] if P.ndim == 1 else P
-    if np.any(P2 < 0.0):
+    buys, sells = _buy_and_hold_trades(market)
+    sums = path_sums(P, buys - sells)  # first, so a fault in a price file outranks the position check
+    if sums.low < 0.0:
         raise ValueError("price paths must be non-negative")
-    p0 = float(P2[0, 0])
-    if np.max(np.abs(P2[:, 0] - p0)) > 1e-12 * (1.0 + abs(p0)):
+    p0 = float(sums.first[0])
+    if np.max(np.abs(sums.first - p0)) > 1e-12 * (1.0 + abs(p0)):
         raise ValueError("all scenario paths must start from the same price")
 
     price = call_price_formula(market, p0)
     imp = market.impact
     funded = replace(market, impact=replace(imp, xi0=price))
-    schedule = buy_and_hold(market)
-    cash = np.atleast_1d(terminal_cash_direct(schedule, funded, P2))
-    terminal = P2[:, -1]
+    cash = np.atleast_1d(terminal_cash_direct(buy_and_hold(market), funded, sums))
+    terminal = sums.last
     payoff = CallSpec(strike).payoff(terminal)
     err = float(np.max(np.abs(cash - terminal)))
     scale = 1.0 + float(np.max(np.abs(terminal)))

@@ -124,9 +124,9 @@ def cmd_wealth(args) -> int:
     market = formats.load_market(args.market)
     schedule = formats.load_schedule(args.strategy, x0_default=market.impact.x0)
     if args.paths is not None:
-        paths = formats.load_price_paths(args.paths)
-        direct = wealth.terminal_cash_direct(schedule, market, paths)
-        breakdown = wealth.lambda_functional(schedule, market, paths)
+        sums = wealth.path_sums(formats.price_path_blocks(args.paths), schedule.net())  # the one read of the file
+        direct = wealth.terminal_cash_direct(schedule, market, sums)
+        breakdown = wealth.lambda_functional(schedule, market, sums)
         liquidates = strategy.check_terminal_zero(schedule)
         terminal_position = float(strategy.position_path(schedule)[-1])
     else:
@@ -224,7 +224,7 @@ def cmd_dual_search(args) -> int:
 def cmd_call(args) -> int:
     market = formats.load_market(args.market)
     if args.paths is not None:
-        paths = formats.load_price_paths(args.paths)
+        paths = formats.price_path_blocks(args.paths)
     else:
         paths = np.full((1, market.grid.n_points), args.p0)
     verification = applications.verify_call_superreplication(market, paths, args.strike)

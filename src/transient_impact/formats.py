@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 import sys
 import warnings
 from contextlib import contextmanager
@@ -123,28 +124,75 @@ def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
     raise FormatError(f"unknown payoff type {kind!r}")
 
 
+# Time rows per block of a streamed price-path CSV: a block of 5000 scenarios stays under a megabyte.
+PATH_BLOCK_ROWS = 16
+
+
 def load_price_paths(path) -> np.ndarray:
     """CSV with one column per scenario; returns scenario rows ``(S, N+1)``.
 
-    A first record with a cell that is not a number is a header and is skipped;
-    numpy's C reader parses the rest, so Python-only syntax such as ``1_0`` fails.
+    The whole file as one block of :func:`price_path_blocks`.
     """
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
+    [table] = price_path_blocks(path, None)
+    return table.T
+
+
+def price_path_blocks(path, max_rows: int | None = PATH_BLOCK_ROWS):
+    """Yield a price-path CSV (one column per scenario) as time-row blocks ``(k, S)``.
+
+    A first record with a cell that is not a number is a header and is skipped;
+    numpy's C reader parses the rest, ``max_rows`` data rows at a time (all of
+    them for ``None``), so Python-only syntax such as ``1_0`` fails.  Each
+    block is checked for its width and for finiteness before it is yielded: a
+    bad row raises when the reader reaches it.
+    """
+    with _csv_errors(path):
+        fh = open(path, newline="", encoding="utf-8")
+    with fh:
+        with _csv_errors(path):
             if not _is_header(next(csv.reader(fh), [])):
                 fh.seek(0)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)  # no data: refused below
-                table = np.loadtxt(fh, delimiter=",", ndmin=2, comments=None, quotechar='"')
+        lines, rows, width = iter(fh), 0, None
+        while True:
+            with _csv_errors(path, rows, width), warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no data: the end, or refused below
+                block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"', max_rows=max_rows)
+            if block.size == 0:
+                if rows == 0:
+                    raise FormatError(f"{path}: need a rectangular numeric table")
+                return
+            if width is not None and block.shape[1] != width:
+                raise FormatError(f"{path}: need a rectangular numeric table: "
+                                  f"the number of columns changed from {width} to {block.shape[1]} at row {rows + 1}")
+            width, rows = block.shape[1], rows + block.shape[0]
+            yield finite(block, f"{path}: price paths")
+            if max_rows is None or block.shape[0] < max_rows:
+                return
+
+
+@contextmanager
+def _csv_errors(path, rows_before: int = 0, width: int | None = None):
+    """Map a failure to read or parse the CSV at ``path`` to :class:`FormatError`.
+
+    numpy numbers rows from the start of the lines it was given; adding
+    ``rows_before``, the data rows read before them, makes that a row of the file.
+    A block whose first row is ragged against the ``width`` of the rows before
+    it makes numpy blame the row after; the message names the first row instead.
+    """
+    try:
+        yield
     except OSError as exc:
         raise FormatError(f"{path}: {exc}") from exc
     except UnicodeDecodeError:
         raise  # undecodable bytes exit as they do from the JSON readers
     except ValueError as exc:  # ragged rows, text or empty cells; numpy's hint at `usecols` is cut
-        raise FormatError(f"{path}: need a rectangular numeric table: {str(exc).split(';')[0]}") from exc
-    if table.size == 0:
-        raise FormatError(f"{path}: need a rectangular numeric table")
-    return finite(table, f"{path}: price paths").T
+        reason = str(exc).split(";")[0]
+        ragged = re.match(r"the number of columns changed from (\d+) to", reason)
+        if ragged and width is not None and int(ragged[1]) != width:
+            reason = f"the number of columns changed from {width} to {ragged[1]} at row {rows_before + 1}"
+        else:
+            reason = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + rows_before}", reason)
+        raise FormatError(f"{path}: need a rectangular numeric table: {reason}") from exc
 
 
 def _is_header(record: list[str]) -> bool:

@@ -385,13 +385,13 @@ class _Residuals:
     """Residuals and complementarity of the epigraph program at one iterate.
 
     ``values`` are ``prob.leaf_values`` at the iterate, which the line search has computed
-    already.  Stationarity is :meth:`_PrimalProblem.pullback` of the leaf multipliers.
+    already, and ``pulled`` is ``prob.pullback`` of its leaf multipliers: stationarity.
     """
 
-    def __init__(self, prob: _PrimalProblem, it: _Iterate, values):
+    def __init__(self, it: _Iterate, values, pulled):
         vals, x_pre = values
         self.primal = np.stack([vals - it.t, x_pre - it.close, -x_pre - it.close], axis=1) + it.slack
-        on_t, on_trades, self.dual_close, grad_scale = prob.pullback(it.dual)
+        on_t, on_trades, self.dual_close, grad_scale = pulled
         self.dual_t, self.dual_trades = 1.0 + on_t, on_trades - it.bound_dual
         self.n_ineq = it.slack.size + it.trades.size
         self.mu = it.mu()
@@ -470,19 +470,20 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
     L, n = prob.H.size, prob.n_dec
     it = _Iterate(np.empty(1 + 7 * L + 4 * n), n)
     it.trades[:] = 1.0
-    x_pre = prob.leaf_values(it.trades[:, 0], it.trades[:, 1])[1]
-    np.add(np.abs(x_pre), 1.0, out=it.close)
+    it.close[:] = abs(prob.impact.x0) + 1.0  # equal buys and sells leave every leaf facing x0
     values = prob.leaf_values(it.trades[:, 0], it.trades[:, 1], it.close)
+    x_pre = values[1]
     it.z[0] = t = float(values[0].max())
     np.maximum(-np.stack([values[0] - t, x_pre - it.close, -x_pre - it.close], axis=1), 1.0, out=it.slack)
     # leaf multipliers on the simplex, bound multipliers on the gradients' scale
     it.dual[:] = 1.0 / L
-    it.bound_dual[:] = 1.0 + prob.pullback(it.dual)[3]
+    pulled = prob.pullback(it.dual)
+    it.bound_dual[:] = 1.0 + pulled[3]
 
     best, since_best = np.inf, 0
     budget = max(opts.max_iter, 0)
     for steps in range(budget + 1):
-        res = _Residuals(prob, it, values)
+        res = _Residuals(it, values, pulled)
         if res.error <= opts.tol:
             return it, steps, True
         best, since_best = (res.error, 0) if res.error < best else (best, since_best + 1)
@@ -510,6 +511,7 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
         else:
             break
         it = trial
+        pulled = prob.pullback(it.dual)
     return it, steps, False
 
 

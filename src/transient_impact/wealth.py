@@ -4,12 +4,15 @@ Two routes to the same terminal cash: the direct midpoint-execution rule
 :func:`midpoint_cash`, and the decomposition ``cash = v0 - (price integral +
 spread penalty)``.  Both agree to rounding whenever the terminal position is
 zero.  A deterministic grid is a row of slots, one spread and penalty per
-schedule.  A scenario tree is node states: the spread is Markov, so
-:func:`tree_states` gives every node's state in one down-sweep.
+schedule; of each price path the grid kernels need only its integral against
+the trades and its first and last price, which :func:`path_sums` gathers in
+one pass over time-row blocks.  A scenario tree is node states: the spread is
+Markov, so :func:`tree_states` gives every node's state in one down-sweep.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +51,83 @@ class WealthBreakdown:
     v0: float
     p_integral: np.ndarray | float
     eta_penalty: np.ndarray | float
+
+
+@dataclass(frozen=True)
+class PathSums:
+    """What the grid kernels read of each price path, gathered in one pass over its rows.
+
+    Per scenario: the price integral ``p_integral = sum(P * net)`` against the
+    trades ``net`` it was taken with, and the first and last price.  ``low`` is
+    the lowest price of all, ``n_points`` the number of grid points read and
+    ``was_1d`` whether ``P`` was one path.
+    """
+
+    net: np.ndarray
+    p_integral: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+    low: float
+    n_points: int
+    was_1d: bool
+
+
+def _time_blocks(P):
+    """``P`` as time-row blocks ``(k, S)``, and whether it was one path.
+
+    An iterator of blocks, as :func:`formats.price_path_blocks` yields, passes
+    through; one path ``(N+1,)`` or scenario rows ``(S, N+1)`` is one block.
+    """
+    if isinstance(P, Iterator):
+        return P, False
+    P = np.asarray(P, dtype=float)
+    if P.ndim not in (1, 2):
+        raise ValueError("price paths must be one path or scenario rows")
+    return [np.atleast_2d(P).T], P.ndim == 1
+
+
+def path_sums(P, net) -> PathSums:
+    """Read ``P`` once, block by block, into its :class:`PathSums` against the trades ``net``.
+
+    ``P`` is one path ``(N+1,)``, scenario rows ``(S, N+1)``, an iterator of
+    time-row blocks ``(k, S)``, or the sums of an earlier pass against equal
+    trades, which come back as they are.  Memory stays O(scenarios) on top of
+    one block.  A path longer than ``net`` is read to its end, so a fault
+    further down a price file still surfaces, but gets no integral.
+    """
+    net = np.asarray(net, dtype=float)
+    if isinstance(P, PathSums):
+        if not np.array_equal(P.net, net):
+            raise ValueError("path sums were taken against other trades")
+        return P
+    blocks, was_1d = _time_blocks(P)
+    rows, low, integral, first, last = 0, np.inf, None, np.empty(0), np.empty(0)
+    for block in blocks:
+        k = block.shape[0]
+        if k == 0:  # scenario rows of no grid points: refused by the row count
+            continue
+        if rows == 0:
+            first = block[0].copy()
+        if rows + k <= net.size:
+            part = block.T @ net[rows : rows + k]
+            integral = part if integral is None else integral + part
+        rows, low, last = rows + k, min(low, float(block.min(initial=np.inf))), block[-1]
+    if integral is None:
+        integral = np.zeros(first.size)
+    return PathSums(net, integral, first, last.copy(), low, rows, was_1d)
+
+
+def _grid_sums(schedule: TradeSchedule, market: MarketSpec, P):
+    """The :func:`path_sums` of ``P`` against the schedule, then its spread and penalty on the grid.
+
+    The prices are read first, so a fault in a price file outranks a schedule
+    that does not fit the grid, which outranks paths that do not.
+    """
+    sums = path_sums(P, schedule.net())
+    eta, penalty = _grid_spread(schedule, market, market.impact.zeta0)
+    if sums.n_points != market.grid.n_points:
+        raise ValueError(f"price paths must have {market.grid.n_points} grid points, got {sums.n_points}")
+    return sums, eta, penalty
 
 
 def _prices(P, n_points: int) -> np.ndarray:
@@ -117,33 +197,29 @@ def eta_path(schedule: TradeSchedule, market: MarketSpec) -> SpreadState:
 
 
 def terminal_cash_direct(schedule: TradeSchedule, market: MarketSpec, P):
-    """Midpoint-rule terminal cash against one price path ``(N+1,)`` or scenario rows ``(S, N+1)``."""
-    eta, _ = _grid_spread(schedule, market, market.impact.zeta0)
-    P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
-    net = schedule.net()
-    cash = midpoint_cash(market.impact, schedule.x0, P2 @ net, net, schedule.gross(), eta, market.rho())
-    return _collapse(cash, was_1d)
+    """Midpoint-rule terminal cash against ``P``: any form :func:`path_sums` reads, in one pass."""
+    sums, eta, _ = _grid_sums(schedule, market, P)
+    cash = midpoint_cash(market.impact, schedule.x0, sums.p_integral, sums.net, schedule.gross(), eta, market.rho())
+    return _collapse(cash, sums.was_1d)
 
 
 def lambda_functional(schedule: TradeSchedule, market: MarketSpec, P) -> WealthBreakdown:
-    """Convex decomposition of terminal cash.
+    """Convex decomposition of terminal cash against ``P``: any form :func:`path_sums` reads, in one pass.
 
     ``p_integral`` integrates the unaffected price against the net trades;
     ``eta_penalty`` is the spread penalty of the schedule.
     ``xi_T = v0 - lambda_T`` is the terminal cash whenever the schedule
     liquidates.
     """
-    eta_penalty = float(_grid_spread(schedule, market, market.impact.zeta0)[1])
-    P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
-
-    p_integral = P2 @ schedule.net()
-    lam = p_integral + eta_penalty
+    sums, _, eta_penalty = _grid_sums(schedule, market, P)
+    eta_penalty = float(eta_penalty)
+    lam = sums.p_integral + eta_penalty
     v0 = market.impact.xi0 + book_value(market.impact, float(market.liquidity.delta[0]))
     return WealthBreakdown(
-        xi_T=_collapse(v0 - lam, was_1d),
-        lambda_T=_collapse(lam, was_1d),
+        xi_T=_collapse(v0 - lam, sums.was_1d),
+        lambda_T=_collapse(lam, sums.was_1d),
         v0=v0,
-        p_integral=_collapse(p_integral, was_1d),
+        p_integral=_collapse(sums.p_integral, sums.was_1d),
         eta_penalty=eta_penalty,
     )
 
@@ -152,7 +228,8 @@ def consistency_check(schedule: TradeSchedule, market: MarketSpec, P) -> float:
     """Largest gap between the two cash computations across scenarios.
 
     Requires a liquidating schedule; contract: the gap stays below
-    ``1e-10 * (1 + |v0| + |lambda|)``.
+    ``1e-10 * (1 + |v0| + |lambda|)``.  ``P`` is read twice, so it is one
+    path ``(N+1,)`` or scenario rows ``(S, N+1)``.
     """
     if not check_terminal_zero(schedule):
         raise TerminalNotZero("consistency check requires a schedule with zero terminal position")
@@ -168,7 +245,8 @@ def tv_bound(market: MarketSpec, P, level: float):
     with ``C = 2 / (kappa_T * min(rho/delta)**2)``, and ``bound`` solves
     ``x**2 = C * (max|P| * x + level**2)``: every schedule whose cost
     functional stays below ``level**2`` has total variation at most ``bound``
-    (one bound per scenario row of ``P``).
+    (one bound per scenario row of ``P``, one path ``(N+1,)`` or scenario rows
+    ``(S, N+1)``).
     """
     P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
     rho = market.rho()
@@ -187,7 +265,8 @@ def convexity_gap(s0: TradeSchedule, s1: TradeSchedule, market: MarketSpec, P):
     is costed through its canonical buy/sell decomposition, so the gap is the
     convexity surplus of the cost functional as a functional of the position
     path: non-negative on every scenario, strictly positive whenever the two
-    canonical spread states differ.
+    canonical spread states differ.  ``P`` is read three times, so it is one
+    path ``(N+1,)`` or scenario rows ``(S, N+1)``.
     """
     mid = normalize(convex_combine(s0, s1, 0.5))
     lam0 = lambda_functional(normalize(s0), market, P).lambda_T
@@ -207,7 +286,8 @@ def quadratic_scaling(schedule: TradeSchedule, market: MarketSpec, P):
     ``a + b*c + q*c**2`` with ``q = 0.5 * integral of (eta - zeta0)**2``
     against the liquidity weights, hence ``q >= 0`` with equality only for the
     empty schedule.  The polynomial identity is re-verified internally at
-    ``c in {0, 1, 2}``.
+    ``c in {0, 1, 2}``, so ``P`` is one path ``(N+1,)`` or scenario rows
+    ``(S, N+1)``.
     """
     zeta0 = market.impact.zeta0
     a = float(_grid_spread(_scale_schedule(schedule, 0.0), market, zeta0)[1])

@@ -3,11 +3,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from transient_impact import formats
 from transient_impact.cli import build_parser, main
+from transient_impact.formats import PATH_BLOCK_ROWS, load_market, load_price_paths, load_schedule
+from transient_impact.wealth import lambda_functional, terminal_cash_direct
 
 LN2 = float(np.log(2.0))
 
@@ -373,6 +377,122 @@ class TestCall:
         assert code == 0
         report = json.loads(out)
         np.testing.assert_allclose(report["terminal_cash"], report["terminal_price"], atol=1e-10)
+
+
+def write_paths_case(directory, table, header=True):
+    """A market on ``table``'s grid, a liquidating schedule and the table as a paths CSV (one column per scenario)."""
+    n_points, n_scenarios = table.shape
+    rng = np.random.default_rng(n_points)
+    market = write_json(directory / "market.json", {"grid": np.linspace(0.0, 1.0, n_points).tolist(), "delta": 10.0,
+                                                    "r": 0.5, "iota": 0.1, "zeta0": 0.05, "x0": 0.0, "xi0": 0.0})
+    buys, sells = rng.uniform(0.0, 1.0, (2, n_points)) * (rng.random((2, n_points)) < 0.5)
+    buys[-1], sells[-1] = 0.0, 0.0
+    net = buys.sum() - sells.sum()
+    buys[-1], sells[-1] = max(-net, 0.0), max(net, 0.0)
+    strategy = write_json(directory / "strategy.json", {"buys": buys.tolist(), "sells": sells.tolist(), "x0": 0.0})
+    rows = [",".join(f"s{j}" for j in range(n_scenarios))] if header else []
+    rows += [",".join(repr(float(v)) for v in row) for row in table]
+    paths = directory / "paths.csv"
+    paths.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return market, strategy, paths
+
+
+def price_table(n_points, n_scenarios, seed=0):
+    """Positive paths from a common first price: time rows ``(n_points, n_scenarios)``."""
+    rng = np.random.default_rng(seed)
+    steps = rng.normal(0.0, 0.01, (n_points - 1, n_scenarios))
+    return 100.0 * np.exp(np.vstack([np.zeros((1, n_scenarios)), np.cumsum(steps, axis=0)]))
+
+
+class TestStreamedPaths:
+    """``wealth --paths`` and ``call --paths`` read their CSV once, a block of time rows at a time."""
+
+    N_POINTS = 3 * PATH_BLOCK_ROWS + 5
+
+    @pytest.fixture
+    def case(self, tmp_path):
+        return write_paths_case(tmp_path, price_table(self.N_POINTS, 7))
+
+    def test_wealth_matches_the_table_kernels(self, tmp_path, capsys, case):
+        market_path, strategy_path, paths = case
+        code, out = run(capsys, "wealth", "--market", market_path, "--strategy", strategy_path, "--paths", str(paths))
+        assert code == 0
+        report = json.loads(out)
+        market, schedule = load_market(market_path), load_schedule(strategy_path)
+        table = load_price_paths(paths)
+        direct, breakdown = terminal_cash_direct(schedule, market, table), lambda_functional(schedule, market, table)
+        # only the summation order of the price integral differs: rounding relative to the cash's scale
+        tol = 1e-12 * (1.0 + np.max(np.abs(breakdown.lambda_T)))
+        np.testing.assert_allclose(report["terminal_cash_direct"], direct, rtol=0.0, atol=tol)
+        for field in ("xi_T", "lambda_T", "p_integral"):
+            np.testing.assert_allclose(report["breakdown"][field], getattr(breakdown, field), rtol=0.0, atol=tol)
+        assert report["breakdown"]["eta_penalty"] == breakdown.eta_penalty
+        assert report["breakdown"]["v0"] == breakdown.v0
+
+    def test_call_is_byte_identical_to_the_table_route(self, tmp_path, monkeypatch, case):
+        market_path, _, paths = case
+        argv = ["call", "--market", market_path, "--paths", str(paths), "--strike", "100"]
+        assert main(argv + ["--out", str(tmp_path / "streamed.json")]) == 0
+        table = load_price_paths(paths)
+        monkeypatch.setattr(formats, "price_path_blocks", lambda path: table)  # the whole table, as one argument
+        assert main(argv + ["--out", str(tmp_path / "table.json")]) == 0
+        assert (tmp_path / "streamed.json").read_bytes() == (tmp_path / "table.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["wealth", "call"])
+    def test_the_file_is_opened_and_parsed_once(self, monkeypatch, capsys, case, command):
+        market_path, strategy_path, paths = case
+        opened, parsed = [], []
+        monkeypatch.setattr(formats, "open", lambda *a, **k: opened.append(a[0]) or open(*a, **k), raising=False)
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(formats.np, "loadtxt", lambda *a, **k: parsed.append(k["max_rows"]) or loadtxt(*a, **k))
+        extra = ["--strategy", strategy_path] if command == "wealth" else []
+        code, _ = run(capsys, command, "--market", market_path, *extra, "--paths", str(paths))
+        assert code == 0
+        assert opened.count(str(paths)) == 1
+        assert parsed == [PATH_BLOCK_ROWS] * 4  # 53 rows: three full blocks and the last one
+
+    def test_memory_stays_below_half_the_table(self, tmp_path, capsys):
+        table = price_table(201, 2000)
+        market, strategy, paths = write_paths_case(tmp_path, table)
+        for argv in (["wealth", "--strategy", strategy], ["call"]):
+            argv = [*argv, "--market", market, "--paths", str(paths), "--out", str(tmp_path / "report.json")]
+            assert main(argv) == 0  # warm: first-call allocations are not the command's
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 0.5 * table.nbytes, (argv[0], peak)
+
+    @pytest.mark.parametrize("command, last_row, code", [
+        ("wealth", "nan,{p}", 1), ("call", "nan,{p}", 1),
+        ("wealth", "{p}", 2), ("call", "{p}", 2),
+        ("call", "-1.0,{p}", 1),
+    ])
+    def test_a_fault_in_the_last_block_writes_no_report(self, tmp_path, capsys, command, last_row, code):
+        table = price_table(self.N_POINTS, 2)
+        market, strategy, paths = write_paths_case(tmp_path, table)
+        lines = paths.read_text(encoding="utf-8").splitlines()
+        lines[-1] = last_row.format(p=repr(float(table[-1, 1])))
+        paths.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        extra = ["--strategy", strategy] if command == "wealth" else []
+        report = tmp_path / "report.json"
+        assert main([command, "--market", market, *extra, "--paths", str(paths), "--out", str(report)]) == code
+        assert not report.exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["wealth", "call"])
+    @pytest.mark.parametrize("rows", [N_POINTS - 1, N_POINTS + 1, PATH_BLOCK_ROWS])
+    def test_a_row_count_off_the_grid_exits_one(self, tmp_path, capsys, command, rows):
+        market, strategy, _ = write_paths_case(tmp_path, price_table(self.N_POINTS, 3))
+        paths = tmp_path / "other.csv"
+        paths.write_text("\n".join(",".join(map(repr, row)) for row in price_table(rows, 3).tolist()) + "\n",
+                         encoding="utf-8")
+        extra = ["--strategy", strategy] if command == "wealth" else []
+        code = main([command, "--market", market, *extra, "--paths", str(paths)])
+        assert code == 1
+        assert "grid points" in capsys.readouterr().err
 
 
 class TestTilt:

@@ -20,7 +20,8 @@ import numpy as np
 import pytest
 
 from transient_impact.errors import NonFiniteInput
-from transient_impact.formats import FormatError, dump_json, jsonify, load_price_paths
+from transient_impact.formats import (PATH_BLOCK_ROWS, FormatError, dump_json, jsonify, load_price_paths,
+                                      price_path_blocks)
 from transient_impact.market import finite
 
 
@@ -52,8 +53,13 @@ def outcome(loader, path):
         return type(exc)
 
 
-def assert_same_outcome(path):
-    got, want = outcome(load_price_paths, path), outcome(ref_load_price_paths, path)
+def load_in_blocks(path) -> np.ndarray:
+    """The streamed reader's blocks stacked into scenario rows, as :func:`load_price_paths` returns them."""
+    return np.vstack(list(price_path_blocks(path))).T
+
+
+def assert_same_outcome(path, loader=load_price_paths):
+    got, want = outcome(loader, path), outcome(ref_load_price_paths, path)
     if isinstance(want, type):
         assert got is want
     else:
@@ -119,6 +125,82 @@ def test_loader_matches_reference_on_edge_cases(tmp_path, name):
     path = tmp_path / "paths.csv"
     path.write_bytes(EDGE_CASES[name])
     assert_same_outcome(path)
+
+
+def _rows(n: int, newline: str = "\n", **edits) -> bytes:
+    """``n`` two-column data rows joined by ``newline``; ``edits`` maps ``r<index>`` to a replacement row."""
+    rows = [edits.get(f"r{i}", f"{100 + i},{200 - i}.5") for i in range(n)]
+    return (newline.join(rows) + newline).encode()
+
+
+B = PATH_BLOCK_ROWS
+# Files longer than one block: the fault or the odd line sits in a later block or at a boundary.
+BLOCK_CASES = {
+    "one full block": _rows(B),
+    "two full blocks": _rows(2 * B),
+    "several blocks": _rows(3 * B + 5),
+    "header then several blocks": b"s0,s1\n" + _rows(3 * B + 1),
+    "quoted header with newline then blocks": b'"s\n0",s1\n' + _rows(2 * B + 3),
+    "ragged short in a later block": _rows(3 * B, **{f"r{2 * B + 5}": "99.5"}),
+    "ragged long in a later block": _rows(3 * B, **{f"r{B + 3}": "99.5,102,103"}),
+    "ragged row opens a block": _rows(3 * B, **{f"r{B}": "99.5"}),
+    "ragged row ends a block": _rows(3 * B, **{f"r{B - 1}": "99.5"}),
+    "narrow last block": _rows(B) + b"1\n2\n",
+    "wide last block": _rows(B) + b"1,2,3\n",
+    "text in a later block": _rows(3 * B, **{f"r{2 * B + 1}": "abc,102"}),
+    "empty cell in a later block": _rows(2 * B, **{f"r{B + 7}": ",102"}),
+    "nan in a later block": _rows(3 * B, **{f"r{2 * B + 2}": "nan,102"}),
+    "inf in the last row": _rows(2 * B + 1, **{f"r{2 * B}": "100,-inf"}),
+    "overflow in a later block": _rows(3 * B, **{f"r{B + 9}": "1e400,102"}),
+    "blank lines at a boundary": _rows(B) + b"\n\n" + _rows(B) + b"\n",
+    "blank lines inside a later block": _rows(B + 2) + b"\n   \n" + _rows(B),
+    "crlf across blocks": b"s0,s1\r\n" + _rows(2 * B + 3, "\r\n"),
+    "lone cr across blocks": _rows(2 * B + 3, "\r"),
+    "quoted rows at a boundary": _rows(B - 1) + b'"1","2"\n"3",4\n' + _rows(B),
+    "quoted newline in a later block": _rows(B + 1) + b'"1\n0",2\n' + _rows(3),
+    "no final newline after blocks": _rows(2 * B + 1)[:-1],
+    "hash row in a later block": _rows(2 * B, **{f"r{B + 2}": "#99,102"}),
+    "bad utf-8 in a later block": _rows(2 * B) + b"\xff,1\n",
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_block_reader_matches_reference_across_blocks(tmp_path, name):
+    path = tmp_path / "paths.csv"
+    path.write_bytes(BLOCK_CASES[name])
+    assert_same_outcome(path, load_in_blocks)
+    assert_same_outcome(path)
+
+
+@pytest.mark.parametrize("name", [n for n in BLOCK_CASES if n.startswith(("ragged", "text", "empty"))])
+def test_block_reader_names_the_row_in_the_file(tmp_path, name):
+    # numpy numbers the rows of each block from the block's first; the message must number them from the top
+    # of the file, as the one-block read does, also where the ragged row opens its block
+    path = tmp_path / "paths.csv"
+    path.write_bytes(BLOCK_CASES[name])
+    with pytest.raises(FormatError) as streamed:
+        load_in_blocks(path)
+    with pytest.raises(FormatError) as whole:
+        load_price_paths(path)
+    assert str(streamed.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("name", ["narrow last block", "wide last block"])
+def test_block_reader_checks_the_width_across_blocks(tmp_path, name):
+    path = tmp_path / "paths.csv"
+    path.write_bytes(BLOCK_CASES[name])
+    with pytest.raises(FormatError, match=f"changed from 2 to . at row {B + 1}$"):
+        load_in_blocks(path)
+
+
+def test_block_reader_yields_good_blocks_before_a_fault(tmp_path):
+    path = tmp_path / "paths.csv"
+    path.write_bytes(BLOCK_CASES["nan in a later block"])
+    blocks = price_path_blocks(path)
+    first, second = next(blocks), next(blocks)
+    assert first.shape == second.shape == (B, 2)
+    with pytest.raises(NonFiniteInput):  # a ValueError, but never mapped to FormatError
+        next(blocks)
 
 
 @pytest.mark.parametrize("cell, value", [("1_0", 10.0), ("1_000.5", 1000.5), ("١", 1.0)])

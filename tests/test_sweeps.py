@@ -1062,17 +1062,19 @@ def test_stationarity_fold_matches_dense_jacobian(monkeypatch, tree, market, H):
     residuals = solver._Residuals
     seen = []
 
-    def checked(prob, it, values):
-        on_t, on_trades, on_close, scale = prob.pullback(it.dual)
+    def checked(it, values, pulled):
+        on_t, on_trades, on_close, scale = pulled
         jac = ref_kkt_blocks(prob, it)[0]
         nu = it.dual.T.ravel()
         got = np.concatenate([[on_t], on_trades.T.ravel(), on_close])
         assert np.all(np.abs(got - jac.T @ nu) <= 1e-12 * (np.abs(jac.T) @ nu))
         assert scale == pytest.approx(ref_gradient_scale(prob, it), rel=1e-12, abs=0.0)
         seen.append(scale)
-        return residuals(prob, it, values)
+        return residuals(it, values, pulled)
 
     monkeypatch.setattr(solver, "_Residuals", checked)
+    prob = solver._PrimalProblem(tree, market, H)
+    monkeypatch.setattr(solver, "_PrimalProblem", lambda *args: prob)
     report = ti.primal_solve(tree, market, H)
     assert len(seen) == report.iterations + 1
 

@@ -125,6 +125,70 @@ class TestConsistency:
             ti.consistency_check(s, flat_market, np.array([100.0, 100.0]))
 
 
+def time_blocks(P, rows):
+    """Scenario rows ``(S, N+1)`` as an iterator of time-row blocks ``(rows, S)``, as the CSV reader yields."""
+    return (np.ascontiguousarray(P.T[i : i + rows]) for i in range(0, P.shape[1], rows))
+
+
+class TestPathSums:
+    @pytest.mark.parametrize("rows", [1, 3, 16, 100])
+    def test_block_stream_matches_the_table(self, rng, rows):
+        for _ in range(20):
+            m = random_market(rng, max_steps=40)
+            s = random_schedule(rng, m.grid.n_points, x0=m.impact.x0)
+            P = random_paths(rng, m.grid.n_points, n_scenarios=4)
+            direct = ti.terminal_cash_direct(s, m, time_blocks(P, rows))
+            bd = ti.lambda_functional(s, m, time_blocks(P, rows))
+            want_direct, want = ti.terminal_cash_direct(s, m, P), ti.lambda_functional(s, m, P)
+            tol = 1e-12 * (1.0 + np.max(np.abs(want.lambda_T)))
+            np.testing.assert_allclose(direct, want_direct, rtol=0.0, atol=tol)
+            np.testing.assert_allclose(bd.p_integral, want.p_integral, rtol=0.0, atol=tol)
+            assert bd.eta_penalty == want.eta_penalty
+
+    def test_one_pass_serves_both_kernels(self, rng):
+        m = random_market(rng, max_steps=20)
+        s = random_schedule(rng, m.grid.n_points, x0=m.impact.x0)
+        P = random_paths(rng, m.grid.n_points, n_scenarios=3)
+        sums = ti.path_sums(time_blocks(P, 4), s.net())
+        assert sums.n_points == m.grid.n_points and not sums.was_1d
+        np.testing.assert_array_equal(sums.first, P[:, 0])
+        np.testing.assert_array_equal(sums.last, P[:, -1])
+        assert sums.low == P.min()
+        streamed = ti.terminal_cash_direct(s, m, time_blocks(P, 4))
+        np.testing.assert_array_equal(ti.terminal_cash_direct(s, m, sums), streamed)
+        np.testing.assert_array_equal(ti.lambda_functional(s, m, sums).p_integral, sums.p_integral)
+
+    def test_table_is_one_block(self, rng):
+        m = random_market(rng, max_steps=20)
+        s = random_schedule(rng, m.grid.n_points, x0=m.impact.x0)
+        P = random_paths(rng, m.grid.n_points, n_scenarios=3)
+        np.testing.assert_array_equal(ti.path_sums(P, s.net()).p_integral, P @ s.net())
+        one = ti.path_sums(P[1], s.net())
+        assert one.was_1d and ti.lambda_functional(s, m, P[1]).p_integral == float(P[1] @ s.net())
+
+    def test_no_scenarios_give_empty_results(self, rng):
+        m = random_market(rng, max_steps=5)
+        s = random_schedule(rng, m.grid.n_points, x0=m.impact.x0)
+        assert ti.terminal_cash_direct(s, m, np.zeros((0, m.grid.n_points))).shape == (0,)
+        assert ti.lambda_functional(s, m, np.zeros((0, m.grid.n_points))).xi_T.shape == (0,)
+
+    def test_sums_of_other_trades_rejected(self, rng):
+        m = random_market(rng, max_steps=20, min_steps=2)
+        s = random_schedule(rng, m.grid.n_points, x0=m.impact.x0)
+        sums = ti.path_sums(random_paths(rng, m.grid.n_points, n_scenarios=2), np.zeros(m.grid.n_points))
+        with pytest.raises(ValueError, match="other trades"):
+            ti.terminal_cash_direct(s, m, sums)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_row_count_off_the_grid_rejected(self, rng, extra):
+        m = random_market(rng, max_steps=20, min_steps=2)
+        s = random_schedule(rng, m.grid.n_points, x0=m.impact.x0)
+        P = random_paths(rng, m.grid.n_points + extra, n_scenarios=2)
+        for paths in (P, time_blocks(P, 3)):
+            with pytest.raises(ValueError, match="grid points"):
+                ti.lambda_functional(s, m, paths)
+
+
 class TestTvBound:
     def test_reference_instance_is_finite(self, decaying_market):
         C, bound = ti.tv_bound(decaying_market, np.full(2, 100.0), level=1.0)
