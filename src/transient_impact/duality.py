@@ -202,12 +202,13 @@ def leaf_measure(tree: ScenarioTree, leaf_weights) -> NodeMeasure:
     """Measure whose leaf probabilities are proportional to ``leaf_weights`` (leaf-id order).
 
     Each transition is the node's share of its parent's weight (the reference
-    transition where the parent has none).  Weight on a leaf behind a
-    zero-probability branch is dropped, since no measure may charge it; with
-    no weight left the measure is the reference one.
+    transition where the parent has none); with no weight at all the measure
+    is the reference one.  The weights must be finite and non-negative, and
+    weight on a leaf behind a zero-probability branch is refused, not dropped.
     """
-    reach = tree.reach_probabilities()
-    leaf_mass = np.where(reach[tree.leaves] > 0.0, as_curve(leaf_weights, tree.leaves.size, "leaf_weights"), 0.0)
+    leaf_mass = finite(as_curve(leaf_weights, tree.leaves.size, "leaf_weights"), "leaf weights")
+    if np.any(leaf_mass < 0.0):
+        raise ValueError("leaf weights must be >= 0")
     total = float(np.sum(leaf_mass))
     if not total > 0.0:
         return NodeMeasure.reference(tree)
@@ -234,19 +235,20 @@ def certificate_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSche
                      closing=None) -> DualCertificate:
     """Feasible certificate read off a schedule and the primal's multipliers.
 
-    The measure is :func:`leaf_measure` of the leaf weights and the spread
-    process the schedule's spread.  Given the closing-trade multipliers
-    ``closing`` (per leaf, ``y+`` and ``y-`` on ``±x_pre - g <= 0``), the
-    martingale is read off them: ``M_T = P_T - B_T (y+ - y-) / (y+ + y-)``
-    on each leaf's band width ``B_T`` (``M_T = P_T`` where both are zero),
-    and ``M`` its conditional expectation.  At an optimum, stationarity in
-    the closing trade makes ``y+ + y-`` the leaf weight times ``B_T``, so
-    ``M_T`` is ``P_T - (y+ - y-) / weight``, and stationarity in the buys
-    and sells then puts ``M`` inside every band, on its edge where the
-    schedule trades.  The ratio, unlike a division by the weight, stays in
-    the band on leaves that carry no weight.  Without ``closing``, ``M`` is
-    a band martingale: anywhere inside the band, else inside the band
-    widened by its deficit.
+    The measure is :func:`leaf_measure` of the leaf weights, none of them on
+    a leaf behind a zero-probability branch, and the spread process the
+    schedule's spread.  Given the closing-trade multipliers ``closing`` (per
+    leaf, ``y+`` and ``y-`` on ``±x_pre - g <= 0``), the martingale is read
+    off them: ``M_T = P_T - B_T (y+ - y-) / (y+ + y-)`` on each leaf's band
+    width ``B_T`` (``M_T = P_T`` where both are zero), and ``M`` its
+    conditional expectation.  At an optimum, stationarity in the closing
+    trade makes ``y+ + y-`` the leaf weight times ``B_T``, so ``M_T`` is
+    ``P_T - (y+ - y-) / weight``, and stationarity in the buys and sells
+    then puts ``M`` inside every band, on its edge where the schedule
+    trades.  The ratio, unlike a division by the weight, stays in the band
+    on leaves that carry no weight.  Without ``closing``, ``M`` is a band
+    martingale: anywhere inside the band, else inside the band widened by
+    its deficit.
 
     Adding ``c`` to the spread on a node's subtree widens that node's band
     by ``c / rho`` and, on a decaying liquidity curve, narrows none; so
@@ -316,9 +318,10 @@ def weak_duality_check(
 ) -> WeakDualityReport:
     """Verify a (cash, schedule) pair dominates a certificate's value.
 
-    Requires the schedule to liquidate and super-replicate the payoff from
-    ``xi0`` and the certificate to be feasible with a true martingale; returns
-    the margin (never materially negative) and its slack decomposition.
+    Requires the schedule to liquidate and to super-replicate the payoff from
+    ``xi0`` almost surely, and the certificate to be feasible with a true
+    martingale under an absolutely continuous measure; returns the margin
+    (never materially negative) and its slack decomposition.
     """
     tree.require_decay()
     H = leaf_payoff(tree, H)
@@ -329,10 +332,11 @@ def weak_duality_check(
 
     scale = 1.0 + abs(xi0) + float(np.max(np.abs(H)) + np.max(np.abs(tree.P)))
     tol = WEAK_DUALITY_RTOL * scale
-    shortfall = float(np.min(tw.xi_T - H))
+    shortfall = float(np.min((tw.xi_T - H)[tree.reached_part()[1][tree.leaves]]))
     if shortfall < -tol:
         raise SuperReplicationViolated(f"terminal cash falls {-shortfall:.3e} short of the payoff")
 
+    NodeMeasure.for_tree(tree, cert.q.transitions)  # a measure charging an unreached leaf would bound nothing
     ok_mart, defect = is_martingale(tree, cert.q, cert.M)
     if not ok_mart:
         raise InfeasibleCertificate(f"certificate martingale has drift {defect:.3e}")

@@ -2,11 +2,13 @@
 
 The primal program minimises, over non-negative buy/sell quantities at every
 non-terminal node, the worst-leaf sum of payoff and cost functional; each leaf
-closes the running position.  It is solved in epigraph form: minimise ``t``
-subject to ``v_l <= t`` per leaf, ``b, s >= 0`` per decision node and
-``g_l >= |x_pre,l|`` for each closing trade, by a primal–dual interior-point
-method (Mehrotra predictor–corrector from an infeasible start).  The spread
-is Markov and the wealth a price integral, so a leaf's constraints reach its
+closes the running position.  Super-replication holds almost surely: a leaf
+behind a zero-probability branch, which no certificate may charge, constrains
+nothing.  The program is solved in epigraph form: minimise ``t`` subject to
+``v_l <= t`` per leaf, ``b, s >= 0`` per decision node and ``g_l >=
+|x_pre,l|`` for each closing trade, by a primal–dual interior-point method
+(Mehrotra predictor–corrector from an infeasible start).  The spread is
+Markov and the wealth a price integral, so a leaf's constraints reach its
 path only through its parent's state: spread, position and the running
 value of the constraint.  Everything runs on these node states, O(nodes)
 per Newton step: the leaf values are one down-sweep, stationarity one fold
@@ -77,10 +79,10 @@ class PriceReport:
     """Primal value, optimizing schedule, best certificate value and their gap.
 
     ``leaf_weights`` are the primal's leaf multipliers (leaf-id order), a
-    probability over leaves, and ``closing_multipliers`` the multipliers of
-    ``x_pre - g <= 0`` and ``-x_pre - g <= 0`` on each leaf's closing trade
-    (one row per leaf).  ``primal_converged`` says the primal value is
-    optimal to tolerance: its Newton search met ``tol``, or, in
+    probability over the reached leaves, and ``closing_multipliers`` the
+    multipliers of ``x_pre - g <= 0`` and ``-x_pre - g <= 0`` on each leaf's
+    closing trade (one row per leaf).  ``primal_converged`` says the primal
+    value is optimal to tolerance: its Newton search met ``tol``, or, in
     :func:`gap_report`, a certificate closes the gap to ``tol * (1 + |primal|)``.
     ``dual_converged`` is the same flag.
     """
@@ -120,7 +122,7 @@ class _PrimalProblem:
     def __init__(self, tree: ScenarioTree, market: MarketSpec, H):
         self.tree = tree
         self.impact = market.impact
-        self.H = leaf_payoff(tree, H)
+        self.H = H  # one value per leaf, checked by primal_solve
 
         self.decision = np.flatnonzero(~tree.is_leaf)
         self.n_dec = self.decision.size
@@ -202,24 +204,21 @@ class _PrimalProblem:
         return -float(root[2]), trades, leaf[:, 3], scale
 
     def cash_requirement(self, u) -> tuple[float, TradeSchedule]:
-        """Exact worst-leaf cash needed by the normalized schedule built from ``u``."""
-        schedule = self.schedule(u)
+        """Exact worst-leaf cash needed by the normalized schedule built from ``u``, and that schedule."""
+        schedule = _liquidating(self.tree, self.decision, u[: self.n_dec], u[self.n_dec :], self.impact.x0)
         tw = tree_wealth(self.tree, schedule, replace(self.impact, xi0=0.0))
         return float(np.max(self.H - tw.xi_T)), schedule
 
-    def schedule(self, u) -> TradeSchedule:
-        """Node-indexed schedule with the forced closing trade at each leaf."""
-        b, s = u[: self.n_dec], u[self.n_dec :]
-        buys = np.zeros(self.tree.n_nodes)
-        sells = np.zeros(self.tree.n_nodes)
-        buys[self.decision] = b
-        sells[self.decision] = s
-        pos = self.tree.accumulate(buys - sells, initial=self.impact.x0)
-        leaves = self.tree.leaves
-        close = pos[leaves]  # position carried into the terminal trade
-        buys[leaves] = np.maximum(-close, 0.0)
-        sells[leaves] = np.maximum(close, 0.0)
-        return normalize(TradeSchedule(buys, sells, self.impact.x0))
+
+def _liquidating(tree: ScenarioTree, nodes, buys, sells, x0: float) -> TradeSchedule:
+    """Normalized schedule of ``buys`` and ``sells`` at ``nodes``; each leaf instead closes its position."""
+    b, s = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
+    b[nodes], s[nodes] = buys, sells
+    leaves = tree.leaves
+    b[leaves] = s[leaves] = 0.0
+    close = tree.accumulate(b - s, initial=x0)[leaves]  # position carried into the terminal trade
+    b[leaves], s[leaves] = np.maximum(-close, 0.0), np.maximum(close, 0.0)
+    return normalize(TradeSchedule(b, s, x0))
 
 
 def _pivots(pivot: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -516,30 +515,39 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
 
 
 def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None) -> PriceReport:
-    """Least initial cash whose forced-liquidation schedule dominates the payoff.
+    """Least initial cash whose forced-liquidation schedule dominates the payoff almost surely.
 
-    Deterministic interior-point solve of the epigraph program; the returned
-    value is the exact worst-leaf cash requirement of the returned schedule,
-    so it is always sufficient (feasible) whatever the convergence flag says.
-    Holding ``x0`` and liquidating at the leaves is priced too, and the
-    cheaper schedule is returned, the solver's on a tie: where doing nothing
-    is optimal, its exact cash carries no rounding of the search.
+    Deterministic interior-point solve of the epigraph program on the tree's
+    reached part, where unreached nodes only close the position; the returned
+    value is the exact worst-reached-leaf cash requirement of the returned
+    schedule, so it is always sufficient (feasible) whatever the convergence
+    flag says.  Holding ``x0`` and liquidating at the leaves is priced too,
+    and the cheaper schedule is returned, the solver's on a tie: where doing
+    nothing is optimal, its exact cash carries no rounding of the search.
     """
-    prob = _PrimalProblem(tree, market, H)
+    H = leaf_payoff(tree, H)
+    sub, reached = tree.reached_part()
+    on_leaf = reached[tree.leaves]
+    prob = _PrimalProblem(sub, market, H[on_leaf])
     it, steps, converged = _interior_point(prob, options or SolverOptions())
     value, schedule = min(prob.cash_requirement(it.trades.T.ravel()), prob.cash_requirement(np.zeros(2 * prob.n_dec)),
                           key=lambda priced: priced[0])
-    return PriceReport(primal_value=value, strategy=schedule, leaf_weights=it.dual[:, 0].copy(),
-                       closing_multipliers=it.dual[:, 1:].copy(), iterations=steps, primal_converged=converged)
+    if sub is not tree:
+        schedule = _liquidating(tree, reached, schedule.buys, schedule.sells, schedule.x0)
+    weights, closing = np.zeros(on_leaf.size), np.zeros((on_leaf.size, 2))
+    weights[on_leaf], closing[on_leaf] = it.dual[:, 0], it.dual[:, 1:]
+    return PriceReport(primal_value=value, strategy=schedule, leaf_weights=weights, closing_multipliers=closing,
+                       iterations=steps, primal_converged=converged)
 
 
 def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) -> float:
     """Exhaustive minimisation of the worst-leaf cash requirement on a trade lattice.
 
     Every non-terminal node picks its net trade from ``trade_grid``; leaves
-    liquidate.  The result is an upper bound on the true optimum and, by
-    convexity, within one lattice step of it.  Only tiny instances are
-    accepted (at most 3 periods, 3 branches per node, 1000 lattice points).
+    liquidate, and those behind a zero-probability branch constrain nothing.
+    The result is an upper bound on the true optimum and, by convexity,
+    within one lattice step of it.  Only tiny instances are accepted (at
+    most 3 periods, 3 branches per node, 1000 lattice points).
     """
     grid = np.asarray(trade_grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0:
@@ -571,7 +579,7 @@ def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) ->
             eta = eta_pre + c[node] * abs(net)
             pint_next = pint + tree.P[node] * net
             worst = -np.inf
-            for child in tree.children[node]:
+            for child in tree.children[node][tree.p_transition[tree.children[node]] > 0.0]:
                 worst = max(
                     worst,
                     visit(int(child), x_pre + net, eta, pint_next, pen + tree.edge_weight[child] * eta**2),
@@ -606,31 +614,9 @@ def dual_ascent(tree: ScenarioTree, market: MarketSpec, H, init_cert: DualCertif
     return gap_report(tree, market, H, options, certificate=init_cert)
 
 
-def _reached_primal(tree: ScenarioTree, market: MarketSpec, H, opts: SolverOptions) -> PriceReport:
-    """The primal on the nodes that the tree's probabilities reach, lifted back to the whole tree.
-
-    No measure may charge a leaf behind a zero-probability branch, so a
-    certificate must be read off a primal that ignores those leaves.  Lifted
-    back, the unreached nodes trade nothing and carry no multipliers.
-    """
-    reached = tree.reach_probabilities() > 0.0
-    ids = np.cumsum(reached) - 1
-    parent = np.where(tree.parent[reached] >= 0, ids[tree.parent[reached]], -1)
-    sub = ScenarioTree(tree.times, parent, tree.p_transition[reached], tree.P[reached], tree.delta[reached],
-                       tree.r[reached])
-    on_leaf = reached[tree.leaves]
-    report = primal_solve(sub, market, leaf_payoff(tree, H)[on_leaf], opts)
-    buys, sells = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
-    buys[reached], sells[reached] = report.strategy.buys, report.strategy.sells
-    weights, closing = np.zeros(on_leaf.size), np.zeros((on_leaf.size, 2))
-    weights[on_leaf], closing[on_leaf] = report.leaf_weights, report.closing_multipliers
-    return replace(report, strategy=TradeSchedule(buys, sells, report.strategy.x0), leaf_weights=weights,
-                   closing_multipliers=closing)
-
-
 def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None,
                certificate: DualCertificate | None = None) -> PriceReport:
-    """Solve the primal, certify it without a search, and report the gap (weak duality enforced).
+    """Solve the primal once, certify it without a search, and report the gap (weak duality enforced).
 
     The candidates are two certificates read off the primal's multipliers
     and schedule (:func:`~transient_impact.duality.certificate_from`, with
@@ -648,10 +634,9 @@ def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions
             raise InfeasibleInit(
                 f"given certificate violates the band by {feas.worst_violation:.3e} at node {feas.worst_node}")
     primal = primal_solve(tree, market, H, opts)
-    source = primal if np.all(tree.p_transition > 0.0) else _reached_primal(tree, market, H, opts)
     candidates = (
-        certificate_from(tree, market, source.strategy, source.leaf_weights),
-        certificate_from(tree, market, source.strategy, source.leaf_weights, source.closing_multipliers),
+        certificate_from(tree, market, primal.strategy, primal.leaf_weights),
+        certificate_from(tree, market, primal.strategy, primal.leaf_weights, primal.closing_multipliers),
         default_certificate(tree, market),
         *(() if certificate is None else (certificate,)),
     )

@@ -227,6 +227,16 @@ class ScenarioTree:
         q = self.p_transition if measure is None else measure.transitions
         return self.down_sweep(q[0], lambda acc, nodes: acc * q[nodes])
 
+    def reached_part(self) -> tuple["ScenarioTree", np.ndarray]:
+        """The subtree of the nodes that no zero-probability branch cuts off, the only ones a measure may
+        charge, renumbered in id order, and their mask; the tree itself when that is every node."""
+        reached = self.down_sweep(True, lambda acc, nodes: acc & (self.p_transition[nodes] > 0.0))
+        if reached.all():
+            return self, reached
+        parent = np.where(self.parent[reached] >= 0, (np.cumsum(reached) - 1)[self.parent[reached]], -1)
+        return ScenarioTree(self.times, parent, self.p_transition[reached], self.P[reached], self.delta[reached],
+                            self.r[reached]), reached
+
     def validate_assumptions_pathwise(self) -> tuple[bool, float]:
         """Edge-wise check that the liquidity curve strictly decreases on every path."""
         return self.decay_margin > EPS_MONO, self.decay_margin

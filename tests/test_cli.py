@@ -566,6 +566,54 @@ class TestDualSearch:
         assert second == first
 
 
+class TestNullBranchTree:
+    """A tree file whose third root branch has probability 0: its leaf constrains nothing."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        def tree_file(name, parent, p, prices):
+            nodes = [{"id": i, "parent": a, "p_transition": b, "P": c}
+                     for i, (a, b, c) in enumerate(zip(parent, p, prices))]
+            return write_json(tmp_path / name, {"nodes": nodes})
+
+        prices = [100.0, 110.0, 90.0, 95.0, 120.0, 100.0, 100.0, 80.0, 120.0]
+        p = [1.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5, 0.5, 1.0]
+        kept = [0, 1, 2, 4, 5, 6, 7]  # the nodes the reference measure reaches
+        market = {"grid": [0.0, 0.5, 1.0], "delta": 10.0, "r": 0.5, "zeta0": 0.1, "x0": 0.5}
+        return {
+            "market": write_json(tmp_path / "m.json", market),
+            "tree": tree_file("t.json", [-1, 0, 0, 0, 1, 1, 2, 2, 3], p, prices),
+            "reached": tree_file("r.json", [-1, 0, 0, 1, 1, 2, 2], [p[k] for k in kept], [prices[k] for k in kept]),
+            "payoff": write_json(tmp_path / "h.json", {"type": "values", "values": [20.0, 0.0, 0.0, 0.0, 100.0]}),
+            "reached_payoff": write_json(tmp_path / "rh.json", {"type": "values", "values": [20.0, 0.0, 0.0, 0.0]}),
+        }
+
+    def test_gap_and_price_give_the_reached_trees_value(self, capsys, files):
+        priced = ["--market", files["market"], "--payoff", files["payoff"], "--tree", files["tree"]]
+        code, out = run(capsys, "price", "--market", files["market"], "--payoff", files["reached_payoff"],
+                        "--tree", files["reached"])
+        assert code == 0
+        best = json.loads(out)["primal_value"]
+        code, out = run(capsys, "price", *priced)
+        assert code == 0 and json.loads(out)["primal_value"] == best
+        code, out = run(capsys, "gap", *priced)
+        report = json.loads(out)
+        assert code == 0 and report["converged"] is True
+        assert report["primal_value"] == best
+        assert report["gap"] <= 1e-9 * (1.0 + abs(best))
+
+    def test_wealth_and_shadow_check_take_the_price_strategy(self, tmp_path, capsys, files):
+        _, out = run(capsys, "price", "--market", files["market"], "--payoff", files["payoff"], "--tree", files["tree"])
+        strategy = write_json(tmp_path / "s.json", json.loads(out)["strategy"])
+        common = ["--market", files["market"], "--tree", files["tree"], "--strategy", strategy]
+        code, out = run(capsys, "wealth", *common)
+        report = json.loads(out)
+        assert code == 0 and report["liquidates"] is True  # the null leaf closes its position too
+        assert report["consistency_gap"] <= 1e-12 * (1.0 + np.max(np.abs(report["terminal_cash_direct"])))
+        code, out = run(capsys, "shadow-check", *common, "--utility", "exp")
+        assert code == 0 and json.loads(out)["verdict"] in ("optimal", "inconclusive")
+
+
 class TestWealthOnTree:
     def test_node_indexed_schedule(self, tmp_path, capsys):
         market = write_json(tmp_path / "m.json", {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.0})

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import InfeasibleInit, InstanceTooLarge, MonotonicityViolation, NonFiniteInput
+from transient_impact.errors import (
+    InfeasibleInit,
+    InstanceTooLarge,
+    MonotonicityViolation,
+    NonFiniteInput,
+    SuperReplicationViolated,
+)
 
 from conftest import market_for_tree, random_tree
 
@@ -34,6 +40,24 @@ def rising_instance():
         r=np.zeros(7),
     )
     return tree, market, np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
+
+
+def null_branch_instance():
+    """The binary instance's tree and market with the down branch at probability 0."""
+    tree = ti.ScenarioTree([0.0, 1.0], [-1, 0, 0], [1.0, 1.0, 0.0], [100.0, 110.0, 90.0], np.full(3, 10.0), np.zeros(3))
+    return tree, ti.MarketSpec.build([0.0, 1.0], 10.0, 0.0)
+
+
+def slack_leaf_instance(last_price):
+    """Two-period tree whose third root branch (node 3, then leaf 8 at ``last_price``) has probability 0.
+
+    Depth 10, r 0.5, ``zeta0`` 0.1 and ``x0`` 0.5.
+    """
+    times = [0.0, 0.5, 1.0]
+    tree = ti.ScenarioTree(times, [-1, 0, 0, 0, 1, 1, 2, 2, 3], [1.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5, 0.5, 1.0],
+                           [100.0, 110.0, 90.0, 95.0, 120.0, 100.0, 100.0, 80.0, last_price],
+                           np.full(9, 10.0), np.full(9, 0.5))
+    return tree, ti.MarketSpec.build(times, 10.0, 0.5, zeta0=0.1, x0=0.5)
 
 
 def single_scenario(P_values, delta=10.0, r=0.5):
@@ -144,6 +168,13 @@ class TestBruteForceOracle:
         small = random_tree(rng, depth=2, max_branch=2)
         with pytest.raises(InstanceTooLarge):
             ti.brute_force_oracle(small, market_for_tree(rng, small), np.zeros(small.leaves.size), np.linspace(-1, 1, 1001))
+
+    def test_null_branch_constrains_nothing(self):
+        # the null leaf pays 50 and is not dominated: as in the primal, only the sure move to 110 is priced
+        tree, market = null_branch_instance()
+        value = ti.brute_force_oracle(tree, market, [0.0, 50.0], np.arange(0.0, 40.0, 0.05))
+        primal = ti.primal_solve(tree, market, [0.0, 50.0]).primal_value
+        assert primal <= value + 1e-9 and value - primal <= 1e-2 * (1.0 + abs(primal))
 
     def test_primal_close_to_oracle_on_random_instances(self, rng):
         # martingale prices keep the optimal trades hedge-sized, so a modest
@@ -392,17 +423,33 @@ class TestCertificateFromPrimal:
 
     @pytest.mark.parametrize("H, searched", [([0.0, 50.0], -500.0), ([10.0, 0.0], -490.0)])
     def test_null_branch_mass_is_dropped(self, H, searched):
-        # the interior-point method weights the leaf behind the zero-probability branch too
-        tree = ti.ScenarioTree([0.0, 1.0], [-1, 0, 0], [1.0, 1.0, 0.0], [100.0, 110.0, 90.0],
-                               np.full(3, 10.0), np.zeros(3))
-        market = ti.MarketSpec.build([0.0, 1.0], 10.0, 0.0)
+        # the primal weights only the reached leaf; weight on the leaf behind the zero-probability
+        # branch is refused, since no measure may charge it
+        tree, market = null_branch_instance()
         report = ti.gap_report(tree, market, H)
+        assert report.leaf_weights[1] == 0.0
         assert ti.check_feasibility(tree, report.certificate, market).feasible
         check = ti.weak_duality_check(tree, market, report.strategy, report.primal_value, report.certificate, H)
         assert check.margin >= 0.0
         assert report.dual_value >= searched
-        recovered = ti.certificate_from(tree, market, report.strategy, [0.0, 1.0])  # all weight on the null leaf
+        with pytest.raises(ValueError, match="zero reference probability"):
+            ti.certificate_from(tree, market, report.strategy, [0.0, 1.0])  # all weight on the null leaf
+
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.inf, 1.0]])
+    def test_non_finite_leaf_weights_are_refused(self, weights):
+        tree, market, H = binary_instance()
+        schedule = ti.primal_solve(tree, market, H).strategy
+        with pytest.raises(NonFiniteInput, match="leaf weights must be finite"):
+            ti.certificate_from(tree, market, schedule, weights)
+
+    def test_zero_leaf_weights_give_the_reference_measure_and_negative_ones_are_refused(self):
+        tree, market, H = binary_instance()
+        schedule = ti.primal_solve(tree, market, H).strategy
+        recovered = ti.certificate_from(tree, market, schedule, [0.0, 0.0])
         np.testing.assert_array_equal(recovered.q.transitions, tree.p_transition)
+        for weights in ([-1.0, 2.0], [1.0, -1.0]):
+            with pytest.raises(ValueError, match="leaf weights must be >= 0"):
+                ti.certificate_from(tree, market, schedule, weights)
 
 
 class TestReadOffCertificate:
@@ -435,21 +482,77 @@ class TestReadOffCertificate:
         self.assert_gap_closes(*binomial_ladder(depth, moves=(6.0, 1.0, -4.0)))
 
     def test_null_branch_dual_is_the_reached_primal(self):
-        # no measure charges the leaf behind the zero-probability branch (node 3, then 9), so
-        # the best certificate is worth the primal of the tree without that branch
-        times = [0.0, 0.5, 1.0]
-        parent = [-1, 0, 0, 0, 1, 1, 2, 2, 3]
-        p = [1.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5, 0.5, 1.0]
-        P = [100.0, 110.0, 90.0, 95.0, 120.0, 100.0, 100.0, 80.0, 95.0]
-        tree = ti.ScenarioTree(times, parent, p, P, np.full(9, 10.0), np.full(9, 0.5))
-        reached = ti.ScenarioTree(times, parent[:3] + parent[4:8], p[:3] + p[4:8], P[:3] + P[4:8],
-                                  np.full(7, 10.0), np.full(7, 0.5))
-        market = ti.MarketSpec.build(times, 10.0, 0.5, zeta0=0.1, x0=0.5)
+        # no measure charges the leaf behind the zero-probability branch (node 3, then 9), and
+        # that leaf constrains no primal, so both sides are the program of the tree without it
+        tree, market = slack_leaf_instance(95.0)
+        kept = [0, 1, 2, 4, 5, 6, 7]
+        reached = ti.ScenarioTree(tree.times, [-1, 0, 0, 1, 1, 2, 2], tree.p_transition[kept], tree.P[kept],
+                                  tree.delta[kept], tree.r[kept])
         H = np.array([20.0, 0.0, 0.0, 0.0, 50.0])
         report = ti.gap_report(tree, market, H)
         best = ti.primal_solve(reached, market, H[:-1]).primal_value
         assert report.dual_value == pytest.approx(best, rel=1e-8)
-        assert report.primal_value > best + 30.0  # the structural gap
+        assert report.primal_value == best  # the same program: the null leaf constrains nothing
+        assert report.primal_converged and report.gap <= 1e-9 * (1.0 + abs(best))
+
+
+class TestAlmostSure:
+    """A leaf behind a zero-probability branch constrains nothing: it only liquidates."""
+
+    @pytest.mark.parametrize("last_price", [95.0, 120.0, 150.0, 200.0])
+    def test_slack_leaf_family_certifies_in_one_solve(self, monkeypatch, last_price):
+        # dominating the payoff on every leaf, these took 114 (stalled), 6472, 883 (stalled) and 669 Newton steps
+        from transient_impact import solver
+
+        solves = []
+        interior_point = solver._interior_point
+
+        def counted(*args):
+            solves.append(args)
+            return interior_point(*args)
+
+        monkeypatch.setattr(solver, "_interior_point", counted)
+        tree, market = slack_leaf_instance(last_price)
+        H = np.array([20.0, 0.0, 0.0, 0.0, 100.0])
+        report = ti.gap_report(tree, market, H)
+        assert len(solves) == 1
+        assert report.primal_converged and report.iterations <= 30
+        assert -1e-9 <= report.gap <= 1e-9 * (1.0 + abs(report.primal_value))
+        assert report.leaf_weights[-1] == 0.0 and np.all(report.closing_multipliers[-1] == 0.0)
+        assert np.all(ti.check_terminal_zero(report.strategy, tree))
+        check = ti.weak_duality_check(tree, market, report.strategy, report.primal_value, report.certificate, H)
+        assert check.margin == pytest.approx(report.gap, abs=1e-12)
+        with pytest.raises(SuperReplicationViolated):  # a shortfall on the reached leaves still counts
+            ti.weak_duality_check(tree, market, report.strategy, report.primal_value - 1e-3, report.certificate, H)
+
+    def test_decaying_sweep_trees_with_a_null_branch_certify(self):
+        # dominating the payoff on every leaf, these kept gaps of 3.81 and 0.124 times 1 + |primal|
+        from test_sweeps import TREES
+
+        cases = [tree for tree in TREES if tree.decay_margin >= 0.0 and np.any(tree.p_transition == 0.0)]
+        assert len(cases) == 2
+        for tree in cases:
+            market = market_for_tree(np.random.default_rng(tree.n_nodes + 5), tree)
+            report = ti.gap_report(tree, market, np.maximum(tree.P[tree.leaves] - 100.0, 0.0))
+            scale = 1.0 + abs(report.primal_value)
+            assert report.primal_converged
+            assert -1e-9 * scale <= report.gap <= 1e-9 * scale
+
+    def test_non_finite_payoff_on_a_null_leaf_is_refused(self):
+        tree, market = slack_leaf_instance(120.0)
+        H = np.array([20.0, 0.0, 0.0, 0.0, np.nan])
+        for call in (ti.primal_solve, ti.gap_report):
+            with pytest.raises(NonFiniteInput, match="payoff must be finite"):
+                call(tree, market, H)
+
+    def test_weak_duality_refuses_a_measure_on_a_null_leaf(self):
+        # the schedule need not dominate the payoff there, so such a measure's value bounds nothing
+        tree, market = null_branch_instance()
+        H = [0.0, 50.0]
+        report = ti.gap_report(tree, market, H)
+        cert = ti.DualCertificate(ti.NodeMeasure(np.array([1.0, 0.0, 1.0])), np.full(3, 100.0), np.full(3, 10.0))
+        with pytest.raises(ValueError, match="zero reference probability"):
+            ti.weak_duality_check(tree, market, report.strategy, report.primal_value, cert, H)
 
 
 class TestNonFinitePayoff:
@@ -507,7 +610,8 @@ class TestRisingLiquidityCurve:
             report = ti.primal_solve(tree, market, H)
             stalled += not report.primal_converged
             tw = ti.tree_wealth(tree, report.strategy, replace(market.impact, xi0=report.primal_value))
-            assert np.min(tw.xi_T - H) >= -1e-9 * (1.0 + abs(report.primal_value))
+            reached = tree.reached_part()[1][tree.leaves]  # almost surely: null-branch leaves only liquidate
+            assert np.min((tw.xi_T - H)[reached]) >= -1e-9 * (1.0 + abs(report.primal_value))
         assert stalled >= 1
 
 

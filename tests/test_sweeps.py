@@ -533,7 +533,7 @@ def test_primal_leaf_values_match_tree_wealth(tree):
     buy = rng.random(prob.n_dec) < 0.5
     u = np.concatenate([np.where(buy, size, 0.0), np.where(buy, 0.0, size)])
     vals = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :])[0]
-    tw = ref_tree_wealth(tree, prob.schedule(u), market.impact)
+    tw = ref_tree_wealth(tree, prob.cash_requirement(u)[1], market.impact)
     assert_close(vals, H + tw.lambda_T)
 
 
@@ -994,7 +994,8 @@ def test_tree_factor_matches_reference(monkeypatch, tree, market, H):
 
     direction = solver._direction
     factors = []
-    own_entries = 2 * tree.t_index[~tree.is_leaf, None] + [1, 2]  # each decision node's buy and sell
+    sub = tree.reached_part()[0]  # the solve sees the reached subtree
+    own_entries = 2 * sub.t_index[~sub.is_leaf, None] + [1, 2]  # each decision node's buy and sell
 
     def checked(prob, it, res, factor, target, bound_target):
         if not factors or factors[-1][0] is not factor:
@@ -1005,14 +1006,14 @@ def test_tree_factor_matches_reference(monkeypatch, tree, market, H):
         rho = (target - it.dual * (it.slack - res.primal)) / it.slack
         weights, own = -(it.dual + rho), bound_target / it.trades
         want = ref_tree_solve(prob, border, pivots, np.einsum("lk,lki->li", weights, rows), own, -1.0)
-        want = want[0, 0], np.take_along_axis(want[prob.decision], own_entries, axis=1), want[tree.leaves, -1]
+        want = want[0, 0], np.take_along_axis(want[prob.decision], own_entries, axis=1), want[sub.leaves, -1]
         dt, got = factor.solve(weights, own, -1.0)
-        solution = dt, got[prob.decision, 3:], got[tree.leaves, 3]
+        solution = dt, got[prob.decision, 3:], got[sub.leaves, 3]
         difference = ref_newton_product(slots, leaves, [a - b for a, b in zip(solution, want)])
         assert np.max(np.abs(difference)) <= 1e-12 * np.max(ref_newton_product(slots, leaves, want, absolute=True))
         # the constraints' changes it returns are the constraint rows times its own solution
         path = path_rows(slots, *solution)
-        error = np.abs(got[tree.leaves, :3] - np.einsum("lki,li->lk", rows, path))
+        error = np.abs(got[sub.leaves, :3] - np.einsum("lki,li->lk", rows, path))
         assert np.all(error <= 1e-12 * np.einsum("lki,li->lk", np.abs(rows), np.abs(path)))
         return direction(prob, it, res, factor, target, bound_target)
 
@@ -1073,7 +1074,8 @@ def test_stationarity_fold_matches_dense_jacobian(monkeypatch, tree, market, H):
         return residuals(it, values, pulled)
 
     monkeypatch.setattr(solver, "_Residuals", checked)
-    prob = solver._PrimalProblem(tree, market, H)
+    sub, reached = tree.reached_part()  # the solve sees the reached subtree
+    prob = solver._PrimalProblem(sub, market, H[reached[tree.leaves]])
     monkeypatch.setattr(solver, "_PrimalProblem", lambda *args: prob)
     report = ti.primal_solve(tree, market, H)
     assert len(seen) == report.iterations + 1
