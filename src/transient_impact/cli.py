@@ -8,20 +8,23 @@ report (``dual-eval``, ``tilt`` and ``shadow-check`` write per-node CSV series
 instead with ``--format csv``) and maps failures to exit codes: 2 when an input
 is unreadable (including bytes that are not UTF-8) or breaks its schema (a
 malformed tree structure, transitions that do not sum to one, a number too
-large for a float, a certificate ``M`` or ``alpha`` of the wrong shape, a NaN,
-infinite or unknown flag value, a ``--tol`` that is not positive, a negative
-``--max-iter``, both or neither of two alternative inputs), 1 when any
-readable input file (market, tree, payoff, strategy, certificate, price paths)
-holds NaN/inf or the operation fails in its domain (including a liquidity
-curve that rises along a tree edge in ``gap``, ``dual-search`` and
-``dual-eval``, and a ``--utility-param`` given to the log utility), 3 when a
+large for a float, a certificate ``M`` or ``alpha`` of the wrong shape or
+measure on a zero-probability branch, a NaN, infinite or unknown flag value, a
+``--tol`` that is not positive, a negative ``--max-iter``, both or neither of
+two alternative inputs), 1 when any readable input file (market, tree,
+payoff, strategy, certificate, price paths) holds NaN/inf or the operation
+fails in its domain (including a liquidity curve that rises along a tree edge
+in ``gap``, ``dual-search`` and ``dual-eval``, a given certificate whose ``M``
+drifts under its measure or leaves the band, refused before the primal is
+solved, and a ``--utility-param`` given to the log utility), 3 when a
 solver stops before its tolerance (for ``price``: the primal's Newton budget
 ran out or its search stalled; for ``gap``: the same, unless the certificate
 it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
 proves the value optimal; for ``dual-search``: the same, since it is ``gap``
 with the ``--certificate`` it is given as one more candidate, kept only when
-it is strictly better).  Neither ``gap`` nor ``dual-search`` runs a dual
-search, so their ``--max-iter`` counts the primal's Newton steps only.
+it is strictly better, and at the default ``tol`` 1e-9: it takes no
+``--tol``).  Neither ``gap`` nor ``dual-search`` runs a dual search, so their
+``--max-iter`` counts the primal's Newton steps only.
 Identical inputs produce byte-identical output.
 """
 

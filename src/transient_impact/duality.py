@@ -10,7 +10,8 @@ inequality an identity.  :func:`certificate_from` reads a certificate off a
 solved primal by complementary slackness: the measure from its leaf
 multipliers, the spread process from its spread, and the martingale from its
 closing trades' multipliers, which puts it on the band's edge where the
-schedule trades (or, without them, any martingale inside the band).
+schedule trades (or, without them, any martingale inside the band).  The one
+repair is :func:`restore_feasibility`, the one validity rule :func:`require_certificate`.
 """
 
 from __future__ import annotations
@@ -113,22 +114,37 @@ def check_feasibility(tree: ScenarioTree, cert: DualCertificate, market: MarketS
 
 
 def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> DualCertificate:
-    """Raise the spread process just enough to re-establish feasibility.
+    """Raise each node's spread by the largest ``max(|P - M| - B, 0) * rho`` on its path from the root.
 
-    Adding a constant ``c`` to the spread process widens the band by exactly
-    ``c / rho`` at every node, so one bump by the worst discounted violation,
-    confirmed by a second check, repairs any certificate with finite entries.
+    Adding ``c`` to the spread on a node's subtree widens that node's band by
+    ``c / rho`` and, on a decaying liquidity curve, narrows none, so every
+    positive violation is repaired (none: the spread comes back unchanged).
+    One check confirms it, else :class:`InfeasibleCertificate` is raised.
     """
     cert = replace(cert, alpha=cert.alpha_or_default(tree, market.impact.zeta0))
-    report = check_feasibility(tree, cert, market)
-    if report.feasible:
-        return cert
-    bump = float(np.max((np.abs(tree.P - cert.M) - report.bound) * tree.rho))
-    cert = replace(cert, alpha=cert.alpha + bump * (1.0 + 1e-12) + 1e-15)
+    violation = np.maximum(np.abs(tree.P - cert.M) - constraint_bound(tree, cert, market), 0.0) * tree.rho
+    raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
+    cert = replace(cert, alpha=cert.alpha + raise_by)
     report = check_feasibility(tree, cert, market)
     if not report.feasible:
         raise InfeasibleCertificate(f"repair left the band violated at node {report.worst_node}")
     return cert
+
+
+def require_certificate(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> FeasibilityReport:
+    """Report the band of a certificate whose value bounds the price; refuse anything else.
+
+    The measure must pass :meth:`NodeMeasure.for_tree` (else ``ValueError``), and ``M``
+    be a martingale under it inside the band (else :class:`InfeasibleCertificate`).
+    """
+    NodeMeasure.for_tree(tree, cert.q.transitions)
+    ok_mart, defect = is_martingale(tree, cert.q, cert.M)
+    if not ok_mart:
+        raise InfeasibleCertificate(f"certificate martingale has drift {defect:.3e}")
+    feas = check_feasibility(tree, cert, market)
+    if not feas.feasible:
+        raise InfeasibleCertificate(f"band violated by {feas.worst_violation:.3e} at node {feas.worst_node}")
+    return feas
 
 
 @dataclass(frozen=True)
@@ -248,13 +264,8 @@ def certificate_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSche
     trades.  The ratio, unlike a division by the weight, stays in the band
     on leaves that carry no weight.  Without ``closing``, ``M`` is a band
     martingale: anywhere inside the band, else inside the band widened by
-    its deficit.
-
-    Adding ``c`` to the spread on a node's subtree widens that node's band
-    by ``c / rho`` and, on a decaying liquidity curve, narrows none; so
-    raising each node's spread by the largest discounted violation on its
-    path from the root repairs every violation, and
-    :func:`restore_feasibility` confirms it.
+    its deficit.  :func:`restore_feasibility` then raises the spread where
+    ``M`` leaves its band.
     """
     q = leaf_measure(tree, leaf_weights)
     alpha = tree_wealth(tree, schedule, market.impact).eta
@@ -270,9 +281,7 @@ def certificate_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSche
         share = np.divide(y_long - y_short, total, out=np.zeros(total.size), where=total > 0.0)
         leaves = tree.leaves
         M = conditional_expectation(tree, q, tree.P[leaves] - lam[leaves] * share)
-    violation = np.maximum(np.abs(tree.P - M) - lam, 0.0) * tree.rho
-    raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
-    return restore_feasibility(tree, DualCertificate(q=q, M=M, alpha=alpha + raise_by), market)
+    return restore_feasibility(tree, DualCertificate(q=q, M=M, alpha=alpha), market)
 
 
 def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec, H) -> float:
@@ -319,9 +328,9 @@ def weak_duality_check(
     """Verify a (cash, schedule) pair dominates a certificate's value.
 
     Requires the schedule to liquidate and to super-replicate the payoff from
-    ``xi0`` almost surely, and the certificate to be feasible with a true
-    martingale under an absolutely continuous measure; returns the margin
-    (never materially negative) and its slack decomposition.
+    ``xi0`` almost surely, and the certificate to pass
+    :func:`require_certificate`; returns the margin (never materially
+    negative) and its slack decomposition.
     """
     tree.require_decay()
     H = leaf_payoff(tree, H)
@@ -336,13 +345,7 @@ def weak_duality_check(
     if shortfall < -tol:
         raise SuperReplicationViolated(f"terminal cash falls {-shortfall:.3e} short of the payoff")
 
-    NodeMeasure.for_tree(tree, cert.q.transitions)  # a measure charging an unreached leaf would bound nothing
-    ok_mart, defect = is_martingale(tree, cert.q, cert.M)
-    if not ok_mart:
-        raise InfeasibleCertificate(f"certificate martingale has drift {defect:.3e}")
-    feas = check_feasibility(tree, cert, market)
-    if not feas.feasible:
-        raise InfeasibleCertificate(f"band violated by {feas.worst_violation:.3e} at node {feas.worst_node}")
+    feas = require_certificate(tree, cert, market)
 
     dual_value = dual_objective(tree, cert, market, H)
     margin = float(xi0) - dual_value

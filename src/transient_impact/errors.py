@@ -26,11 +26,7 @@ class SuperReplicationViolated(TransientImpactError):
 
 
 class InfeasibleCertificate(TransientImpactError):
-    """Dual certificate violates the price-band constraint."""
-
-
-class InfeasibleInit(TransientImpactError):
-    """A certificate given to the gap report (``dual-search --certificate``) breaks the price band."""
+    """Dual certificate is not one: its martingale drifts under its measure or leaves the price band."""
 
 
 class InstanceTooLarge(TransientImpactError):

@@ -40,12 +40,12 @@ from .duality import (
     WEAK_DUALITY_RTOL,
     DualCertificate,
     certificate_from,
-    check_feasibility,
     dual_objective,
     leaf_payoff,
+    require_certificate,
     restore_feasibility,
 )
-from .errors import InfeasibleInit, InstanceTooLarge, WeakDualityViolated
+from .errors import InstanceTooLarge, WeakDualityViolated
 from .market import MarketSpec
 from .strategy import TradeSchedule, normalize
 from .tree import NodeMeasure, ScenarioTree, _as_slice, conditional_expectation
@@ -597,7 +597,7 @@ def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) ->
 
 
 def default_certificate(tree: ScenarioTree, market: MarketSpec) -> DualCertificate:
-    """Feasible starting certificate: reference measure, projected price, flat spread."""
+    """Reference measure, projected price and flat spread, raised by :func:`restore_feasibility`."""
     q = NodeMeasure.reference(tree)
     M = conditional_expectation(tree, q, tree.P[tree.leaves])
     cert = DualCertificate(q=q, M=M, alpha=np.full(tree.n_nodes, market.impact.zeta0))
@@ -621,18 +621,16 @@ def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions
     The candidates are two certificates read off the primal's multipliers
     and schedule (:func:`~transient_impact.duality.certificate_from`, with
     and without the closing trades' multipliers), the default one and a
-    given ``certificate``, which must be feasible (else :class:`InfeasibleInit`,
-    before any solve).  The report keeps the one worth most, the first on a
-    tie.  A gap within ``tol * (1 + |primal|)`` proves the primal optimal, so
-    the report then counts as converged even where the Newton search stalled.
+    given ``certificate``, refused before any solve unless it passes
+    :func:`~transient_impact.duality.require_certificate`.  The report keeps
+    the one worth most, the first on a tie.  A gap within ``tol * (1 + |primal|)``
+    proves the primal optimal, so it then counts as converged even where the
+    Newton search stalled.
     """
     opts = options or SolverOptions()
     tree.require_decay()
     if certificate is not None:
-        feas = check_feasibility(tree, certificate, market)
-        if not feas.feasible:
-            raise InfeasibleInit(
-                f"given certificate violates the band by {feas.worst_violation:.3e} at node {feas.worst_node}")
+        require_certificate(tree, certificate, market)
     primal = primal_solve(tree, market, H, opts)
     candidates = (
         certificate_from(tree, market, primal.strategy, primal.leaf_weights),

@@ -566,6 +566,19 @@ class TestDualSearch:
         assert second == first
 
 
+    def test_a_drifting_certificate_exits_one_before_the_primal(self, tmp_path, capsys, binary_files, monkeypatch):
+        # 0.5 * 120 + 0.5 * 90 is not 100: however wide its band, M is no martingale under q
+        from transient_impact import solver
+
+        monkeypatch.setattr(solver, "primal_solve", lambda *args: pytest.fail("primal solved"))
+        market, tree, payoff = binary_files
+        drifting = {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 120.0, 90.0], "alpha": 50.0}
+        cert = write_json(tmp_path / "c.json", drifting)
+        code = main(["dual-search", "--market", market, "--tree", tree, "--payoff", payoff, "--certificate", cert])
+        assert code == 1
+        assert "drift" in capsys.readouterr().err
+
+
 class TestNullBranchTree:
     """A tree file whose third root branch has probability 0: its leaf constrains nothing."""
 

@@ -5,7 +5,7 @@ import pytest
 
 import transient_impact as ti
 from transient_impact.errors import (
-    InfeasibleInit,
+    InfeasibleCertificate,
     InstanceTooLarge,
     MonotonicityViolation,
     NonFiniteInput,
@@ -233,7 +233,7 @@ class TestDualAscent:
     def test_infeasible_init_rejected(self):
         tree, market, H = binary_instance()
         bad = ti.DualCertificate(ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), np.zeros(3), np.zeros(3))
-        with pytest.raises(InfeasibleInit):
+        with pytest.raises(InfeasibleCertificate):
             ti.dual_ascent(tree, market, H, bad)
 
     def test_rising_liquidity_curve_refused(self):
@@ -252,17 +252,42 @@ class TestDualAscent:
 
 
 class TestGivenCertificate:
-    def test_infeasible_one_is_refused_before_the_primal(self, monkeypatch):
+    @staticmethod
+    def refuse_the_primal(monkeypatch):
         from transient_impact import solver
 
         def refuse(*args, **kwargs):
             raise AssertionError("primal solved")
 
         monkeypatch.setattr(solver, "primal_solve", refuse)
+
+    def test_infeasible_one_is_refused_before_the_primal(self, monkeypatch):
+        self.refuse_the_primal(monkeypatch)
         tree, market, H = binary_instance()
         bad = ti.DualCertificate(ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), np.zeros(3), np.zeros(3))
-        with pytest.raises(InfeasibleInit):
+        with pytest.raises(InfeasibleCertificate):
             ti.gap_report(tree, market, H, certificate=bad)
+
+    def test_a_drifting_martingale_is_refused_before_the_primal(self, monkeypatch):
+        # inside its band, but M is no martingale under q, so its value bounds nothing
+        tree, market, H = binomial_ladder(2)
+        solved = ti.gap_report(tree, market, H).certificate
+        alpha, M = solved.alpha.copy(), solved.M.copy()
+        alpha[tree.leaves] += 0.01
+        M[tree.leaves[0]] += 0.005
+        drifting = ti.DualCertificate(solved.q, M, alpha)
+        assert ti.check_feasibility(tree, drifting, market).feasible
+        assert ti.is_martingale(tree, drifting.q, drifting.M)[1] == pytest.approx(2.668e-3, rel=1e-3)
+        self.refuse_the_primal(monkeypatch)
+        with pytest.raises(InfeasibleCertificate, match="drift 2.668e-03"):
+            ti.gap_report(tree, market, H, ti.SolverOptions(max_iter=0), certificate=drifting)
+
+    def test_a_measure_on_a_null_branch_is_refused_before_the_primal(self, monkeypatch):
+        tree, market = null_branch_instance()
+        cert = ti.DualCertificate(ti.NodeMeasure(np.array([1.0, 0.0, 1.0])), np.full(3, 100.0), np.full(3, 10.0))
+        self.refuse_the_primal(monkeypatch)
+        with pytest.raises(ValueError, match="zero reference probability"):
+            ti.gap_report(tree, market, [0.0, 50.0], certificate=cert)
 
     def test_a_tie_keeps_the_certificate_read_off_the_primal(self):
         tree, market, H = binomial_ladder(2)
@@ -393,21 +418,18 @@ class TestCertificateFromPrimal:
         report = ti.gap_report(*binary_instance())
         assert report.gap == pytest.approx(0.0, abs=1e-9)
 
-    def test_subtree_repair_leaves_nothing_to_bump(self, monkeypatch):
-        from transient_impact import duality
-
-        restore = duality.restore_feasibility
-        feasible_on_entry = []
-
-        def confirming(tree, cert, market):
-            feasible_on_entry.append(duality.check_feasibility(tree, cert, market).feasible)
-            return restore(tree, cert, market)
-
-        monkeypatch.setattr(duality, "restore_feasibility", confirming)
+    def test_subtree_repair_leaves_nothing_to_bump(self):
+        # certificate_from hands its un-raised spread to restore_feasibility, whose path raise
+        # must give the same bits as the raise certificate_from once made itself
         for _, tree, market, H in seeded_convex_trees():
             report = ti.primal_solve(tree, market, H)
-            ti.certificate_from(tree, market, report.strategy, report.leaf_weights)
-        assert feasible_on_entry == [True] * 24
+            got = ti.certificate_from(tree, market, report.strategy, report.leaf_weights)
+            eta = ti.tree_wealth(tree, report.strategy, market.impact).eta
+            lam = ti.constraint_bound(tree, ti.DualCertificate(q=got.q, M=np.zeros(tree.n_nodes), alpha=eta), market)
+            violation = np.maximum(np.abs(tree.P - got.M) - lam, 0.0) * tree.rho
+            raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
+            np.testing.assert_array_equal(got.alpha, eta + raise_by)
+            assert ti.check_feasibility(tree, got, market).feasible
 
     def test_degenerate_programs_are_certified_optimal(self):
         # zero payoff, position and spread on a martingale price: the Newton search stalls

@@ -5,9 +5,13 @@ They read only ``tree.parent`` and the per-node data, and derive children and
 levels themselves, so they do not share the sweep primitives under test.  The
 tree wealth oracles run one ``accumulate`` per quantity, where the node-state
 kernel runs one down-sweep; the primal's leaf values are checked against
-them too.  The repair oracle is the four-pass loop that the one-bump repair
-replaced; certificates must agree exactly.  ``dual_ascent`` must never
-return less than its start or the default certificate.
+them too.  The repair oracle raises each node's spread by the largest
+discounted violation found walking up its parent pointers; certificates must
+agree exactly.  The four-pass uniform bump that repair replaced stays as the
+old policy's oracle: no default certificate may be worth less than its.
+``dual_ascent`` must never return less than its start or the default
+certificate, and every certificate ``gap_report`` reports, at any Newton
+budget, must pass ``weak_duality_check``.
 The primal's tree-sparse Newton direction is checked at every step against
 the perturbed KKT system assembled densely from per-leaf loops, its
 node-state factor against the leaf-path factorisation it replaced (rebuilt
@@ -36,7 +40,7 @@ from transient_impact.errors import InfeasibleCertificate
 from transient_impact.solver import _PrimalProblem
 from transient_impact.wealth import book_value
 
-from conftest import market_for_tree, random_tree_schedule
+from conftest import market_for_tree, random_tree, random_tree_schedule
 
 RTOL = 1e-12
 
@@ -330,7 +334,25 @@ def ref_shadow_band_feasibility(tree, q, lam, pin):
 
 
 def ref_restore_feasibility(tree, cert, market):
-    """Up to four bumps of the spread process, each re-checked."""
+    """Per node, the spread raised by the largest discounted violation on its path from the root."""
+    cert = replace(cert, alpha=cert.alpha_or_default(tree, market.impact.zeta0))
+    bound = ti.check_feasibility(tree, cert, market).bound
+    violation = np.maximum(np.abs(tree.P - cert.M) - bound, 0.0) * tree.rho
+    alpha = cert.alpha.copy()
+    for node in range(tree.n_nodes):
+        worst, walk = violation[node], tree.parent[node]
+        while walk >= 0:
+            worst = np.maximum(worst, violation[walk])  # NaN-propagating, unlike max()
+            walk = tree.parent[walk]
+        alpha[node] += worst
+    cert = replace(cert, alpha=alpha)
+    if not ti.check_feasibility(tree, cert, market).feasible:
+        raise InfeasibleCertificate("could not restore feasibility")
+    return cert
+
+
+def four_pass_restore(tree, cert, market):
+    """The old policy: up to four uniform bumps of the spread process, each re-checked."""
     alpha = cert.alpha_or_default(tree, market.impact.zeta0)
     cert = replace(cert, alpha=alpha)
     for _ in range(4):
@@ -343,11 +365,11 @@ def ref_restore_feasibility(tree, cert, market):
     raise InfeasibleCertificate("could not restore feasibility")
 
 
-def ref_default_certificate(tree, market):
+def ref_default_certificate(tree, market, restore=ref_restore_feasibility):
     q = ti.NodeMeasure.reference(tree)
     M = ti.conditional_expectation(tree, q, tree.P[tree.leaves])
     cert = ti.DualCertificate(q=q, M=M, alpha=np.full(tree.n_nodes, market.impact.zeta0))
-    return ref_restore_feasibility(tree, cert, market)
+    return restore(tree, cert, market)
 
 
 # ---------------------------------------------------------------------------
@@ -603,6 +625,38 @@ def test_dual_ascent_never_loses_to_its_start(tree, market, H, options):
         assert report.dual_value == ti.dual_objective(tree, report.certificate, market, H)
         for start in (init, default):
             assert report.dual_value >= ti.dual_objective(tree, start, market, H)
+
+
+def budget_sweep():
+    """The ladder at depths 2-8 and 60 seeded trees whose liquidity decays, each with a payoff."""
+    from test_solver import binomial_ladder
+
+    out = [(f"ladder{depth}", *binomial_ladder(depth)) for depth in range(2, 9)]
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        tree = random_tree(rng, depth=int(rng.integers(2, 5)))
+        out.append((f"rand{k}", tree, market_for_tree(rng, tree), rng.uniform(0.0, 4.0, tree.leaves.size)))
+    return out
+
+
+BUDGET_SWEEP = budget_sweep()
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2, 5, None])
+def test_every_reported_certificate_passes_weak_duality(max_iter):
+    options = ti.SolverOptions() if max_iter is None else ti.SolverOptions(max_iter=max_iter)
+    for name, tree, market, H in BUDGET_SWEEP:
+        report = ti.gap_report(tree, market, H, options)
+        check = ti.weak_duality_check(tree, market, report.strategy, report.primal_value, report.certificate, H)
+        assert check.dual_value == report.dual_value, name
+        assert check.margin >= -1e-9 * (1.0 + abs(report.primal_value) + abs(report.dual_value)), name
+
+
+def test_default_certificate_is_worth_at_least_the_uniform_bump():
+    for name, tree, market, H in BUDGET_SWEEP:
+        default = ti.default_certificate(tree, market)
+        uniform = ref_default_certificate(tree, market, restore=four_pass_restore)
+        assert ti.dual_objective(tree, default, market, H) >= ti.dual_objective(tree, uniform, market, H), name
 
 
 # ---------------------------------------------------------------------------
