@@ -16,7 +16,8 @@ payoff, strategy, certificate, price paths) holds NaN/inf or the operation
 fails in its domain (including a liquidity curve that rises along a tree edge
 in ``gap``, ``dual-search`` and ``dual-eval``, a given certificate whose ``M``
 drifts under its measure or leaves the band, refused before the primal is
-solved, and a ``--utility-param`` given to the log utility), 3 when a
+solved (``dual-eval`` reports such a certificate as not ``feasible`` and
+exits 0), and a ``--utility-param`` given to the log utility), 3 when a
 solver stops before its tolerance (for ``price``: the primal's Newton budget
 ran out or its search stalled; for ``gap``: the same, unless the certificate
 it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
@@ -192,16 +193,19 @@ def cmd_dual_eval(args) -> int:
     tr = formats.load_tree(args.tree, market)
     cert = formats.load_certificate(args.certificate, tr)
     H = formats.load_payoff(args.payoff, tr)
-    feas = duality.check_feasibility(tr, cert, market)
+    check = duality.check_certificate(tr, cert, market)
+    feas = check.band
     slack = feas.bound - np.abs(tr.P - cert.M)
     payload = {
-        "feasible": feas.feasible,
+        "feasible": check.valid,
+        "martingale_drift": check.drift,
         "worst_violation": feas.worst_violation,
         "worst_node": feas.worst_node,
         "objective": duality.dual_objective(tr, cert, market, H),
         "bound": feas.bound,
         "band_slack": slack,
-        "units": {"worst_violation": "price", "objective": "currency", "bound": "price", "band_slack": "price"},
+        "units": {"martingale_drift": "price", "worst_violation": "price", "objective": "currency", "bound": "price",
+                  "band_slack": "price"},
     }
     alpha = cert.alpha_or_default(tr, market.impact.zeta0)
     series = {"P": tr.P, "M": cert.M, "bound": feas.bound, "alpha": alpha, "band_slack": slack}

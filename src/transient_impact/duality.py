@@ -11,7 +11,8 @@ solved primal by complementary slackness: the measure from its leaf
 multipliers, the spread process from its spread, and the martingale from its
 closing trades' multipliers, which puts it on the band's edge where the
 schedule trades (or, without them, any martingale inside the band).  The one
-repair is :func:`restore_feasibility`, the one validity rule :func:`require_certificate`.
+repair is :func:`restore_feasibility`, the one validity rule :func:`check_certificate`,
+which :func:`require_certificate` enforces.
 """
 
 from __future__ import annotations
@@ -131,20 +132,43 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
     return cert
 
 
+@dataclass(frozen=True)
+class CertificateCheck:
+    """What makes ``(q, M, alpha)`` a certificate: ``M`` a martingale under ``q``, inside the band.
+
+    ``drift`` is ``M``'s largest one-step drift under ``q`` and ``martingale``
+    whether it is within tolerance; ``band`` is the :func:`check_feasibility` report.
+    """
+
+    martingale: bool
+    drift: float
+    band: FeasibilityReport
+
+    @property
+    def valid(self) -> bool:
+        return self.martingale and self.band.feasible
+
+
+def check_certificate(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> CertificateCheck:
+    """Check ``M``'s drift under ``q`` and the band; :func:`require_certificate` refuses what fails."""
+    martingale, drift = is_martingale(tree, cert.q, cert.M)
+    return CertificateCheck(martingale, drift, check_feasibility(tree, cert, market))
+
+
 def require_certificate(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> FeasibilityReport:
     """Report the band of a certificate whose value bounds the price; refuse anything else.
 
-    The measure must pass :meth:`NodeMeasure.for_tree` (else ``ValueError``), and ``M``
-    be a martingale under it inside the band (else :class:`InfeasibleCertificate`).
+    The measure must pass :meth:`NodeMeasure.for_tree` (else ``ValueError``), and
+    :func:`check_certificate` find it valid (else :class:`InfeasibleCertificate`).
     """
     NodeMeasure.for_tree(tree, cert.q.transitions)
-    ok_mart, defect = is_martingale(tree, cert.q, cert.M)
-    if not ok_mart:
-        raise InfeasibleCertificate(f"certificate martingale has drift {defect:.3e}")
-    feas = check_feasibility(tree, cert, market)
-    if not feas.feasible:
-        raise InfeasibleCertificate(f"band violated by {feas.worst_violation:.3e} at node {feas.worst_node}")
-    return feas
+    check = check_certificate(tree, cert, market)
+    if not check.martingale:
+        raise InfeasibleCertificate(f"certificate martingale has drift {check.drift:.3e}")
+    band = check.band
+    if not band.feasible:
+        raise InfeasibleCertificate(f"band violated by {band.worst_violation:.3e} at node {band.worst_node}")
+    return band
 
 
 @dataclass(frozen=True)

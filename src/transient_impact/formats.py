@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 import sys
 import warnings
 from contextlib import contextmanager
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -164,10 +166,11 @@ def price_path_blocks(path, max_rows: int | None = PATH_BLOCK_ROWS):
             if width is not None and block.shape[1] != width:
                 raise FormatError(f"{path}: need a rectangular numeric table: "
                                   f"the number of columns changed from {width} to {block.shape[1]} at row {rows + 1}")
-            width, rows = block.shape[1], rows + block.shape[0]
+            width, rows, final = block.shape[1], rows + block.shape[0], max_rows is None or block.shape[0] < max_rows
             yield finite(block, f"{path}: price paths")
-            if max_rows is None or block.shape[0] < max_rows:
+            if final:
                 return
+            del block  # so that no earlier block is held while numpy parses the next
 
 
 @contextmanager
@@ -204,28 +207,60 @@ def _is_header(record: list[str]) -> bool:
     return False
 
 
-def jsonify(obj):
-    """Recursively convert report objects into JSON-serialisable values."""
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind in "biuf":
-            return obj.tolist()  # already nested lists of Python scalars
-        return [jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    if hasattr(obj, "__dataclass_fields__"):
-        return {k: jsonify(getattr(obj, k)) for k in obj.__dataclass_fields__}
-    raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
-
-
 def dump_json(obj, stream) -> None:
-    json.dump(jsonify(obj), stream, indent=2, sort_keys=True)
-    stream.write("\n")
+    """Write ``obj`` as ``json.dump(value, stream, indent=2, sort_keys=True)`` writes its JSON value, then a newline.
+
+    The JSON value of a report object: a dataclass is the dict of its fields, a
+    tuple a list, a numpy array its ``tolist()`` and a numpy number its
+    ``item()``; dict keys become ``str(key)``.  Anything else raises
+    ``TypeError`` before anything is written.  An all-finite 1-D float array,
+    the bulk of a report, is rendered with one ``join``; every other value as
+    ``json`` renders it (``NaN``, ``Infinity``, ASCII-escaped strings, ``[]``).
+    """
+    parts: list[str] = []
+    _render(obj, "\n", parts)
+    parts.append("\n")
+    stream.write("".join(parts))
+
+
+def _render(obj, newline: str, parts: list[str]) -> None:
+    """Append the JSON text of ``obj`` to ``parts``; ``newline`` starts a line at its depth."""
+    if isinstance(obj, np.ndarray):
+        if obj.ndim == 1 and obj.dtype == np.float64 and obj.size and np.isfinite(obj).all():
+            inner = newline + "  "
+            parts += ("[", inner, ("," + inner).join(map(float.__repr__, obj.tolist())), newline, "]")
+        else:
+            _render(obj.tolist(), newline, parts)
+    elif isinstance(obj, (np.floating, np.integer)):
+        _render(obj.item(), newline, parts)
+    elif isinstance(obj, str):
+        parts.append(encode_basestring_ascii(obj))
+    elif obj is None or isinstance(obj, bool):
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, float):
+        parts.append(float.__repr__(obj) if math.isfinite(obj) else "NaN" if obj != obj else
+                     "Infinity" if obj > 0 else "-Infinity")
+    elif isinstance(obj, (dict, list, tuple)):
+        if isinstance(obj, dict):
+            keyed = sorted({str(k): v for k, v in obj.items()}.items())
+            brackets, heads, values = "{}", [encode_basestring_ascii(k) + ": " for k, _ in keyed], [v for _, v in keyed]
+        else:
+            brackets, heads, values = "[]", [""] * len(obj), obj
+        if not values:
+            parts.append(brackets)
+            return
+        inner = newline + "  "
+        parts.append(brackets[0])
+        for i, (head, value) in enumerate(zip(heads, values)):
+            parts += ("," + inner if i else inner, head)
+            _render(value, inner, parts)
+        parts += (newline, brackets[1])
+    elif hasattr(obj, "__dataclass_fields__"):
+        _render({k: getattr(obj, k) for k in obj.__dataclass_fields__}, newline, parts)
+    else:
+        raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
 
 
 def write_node_series_csv(tree: ScenarioTree, columns: dict[str, np.ndarray], stream) -> None:

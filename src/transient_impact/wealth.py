@@ -111,10 +111,11 @@ def path_sums(P, net) -> PathSums:
         if rows + k <= net.size:
             part = block.T @ net[rows : rows + k]
             integral = part if integral is None else integral + part
-        rows, low, last = rows + k, min(low, float(block.min(initial=np.inf))), block[-1]
+        rows, low, last = rows + k, min(low, float(block.min(initial=np.inf))), block[-1].copy()
+        del block  # so that no earlier block is held while the next one is read
     if integral is None:
         integral = np.zeros(first.size)
-    return PathSums(net, integral, first, last.copy(), low, rows, was_1d)
+    return PathSums(net, integral, first, last, low, rows, was_1d)
 
 
 def _grid_sums(schedule: TradeSchedule, market: MarketSpec, P):

@@ -351,6 +351,28 @@ class TestDualEval:
         assert json.loads(out)["feasible"] is True
 
 
+    def test_a_drifting_martingale_is_no_certificate(self, tmp_path, capsys):
+        """0.5 * 120 + 0.5 * 90 is not 100: however wide the band, this ``M`` is no martingale under ``q``."""
+        market = write_json(tmp_path / "m.json", {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.5})
+        tree = write_json(tmp_path / "t.json", {"nodes": [
+            {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+            {"id": 1, "parent": 0, "p_transition": 0.5, "P": 110.0},
+            {"id": 2, "parent": 0, "p_transition": 0.5, "P": 90.0}]})
+        certificate = write_json(tmp_path / "c.json", {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 120.0, 90.0],
+                                                       "alpha": 50.0})
+        payoff = write_json(tmp_path / "h.json", {"type": "values", "values": [0.0, 50.0]})
+        common = ["--market", market, "--tree", tree, "--certificate", certificate, "--payoff", payoff]
+        code, out = run(capsys, "dual-eval", *common)
+        assert code == 0  # dual-eval evaluates; it does not refuse
+        report = json.loads(out)
+        assert report["feasible"] is False
+        assert report["martingale_drift"] == 5.0
+        assert report["worst_violation"] < 0.0  # the band alone holds
+        assert report["units"]["martingale_drift"] == "price"
+        assert main(["dual-search", *common]) == 1
+        assert "drift 5.000e+00" in capsys.readouterr().err
+
+
 class TestCall:
     def test_reference_instance(self, tmp_path, capsys):
         market = write_json(tmp_path / "m.json", {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.0})
@@ -464,6 +486,22 @@ class TestStreamedPaths:
             finally:
                 tracemalloc.stop()
             assert peak < 0.5 * table.nbytes, (argv[0], peak)
+
+    def test_memory_holds_one_block_in_flight(self, tmp_path):
+        """Under three blocks' worth: one block, numpy's parse of the next, O(scenarios) sums and the report text."""
+        n_scenarios = 4000
+        market, strategy, paths = write_paths_case(tmp_path, price_table(self.N_POINTS, n_scenarios))
+        block_bytes = PATH_BLOCK_ROWS * n_scenarios * 8
+        for argv in (["wealth", "--strategy", strategy], ["call"]):
+            argv = [*argv, "--market", market, "--paths", str(paths), "--out", str(tmp_path / "report.json")]
+            assert main(argv) == 0  # warm: first-call allocations are not the command's
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * block_bytes, (argv[0], peak / block_bytes)
 
     @pytest.mark.parametrize("command, last_row, code", [
         ("wealth", "nan,{p}", 1), ("call", "nan,{p}", 1),

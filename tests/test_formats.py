@@ -6,22 +6,25 @@ below the two must give equal arrays, or raise exceptions of the same class.
 The one permitted divergence is number syntax that only Python's ``float()``
 reads (digit underscores such as ``1_0``, non-ASCII digits): the oracle reads
 such a cell, the C reader refuses it with a ``FormatError`` (exit 2).
-``ref_jsonify`` is the per-element walk that ``formats.jsonify`` keeps for
-non-numeric arrays; numeric arrays must encode to the same bytes.
+``ref_jsonify`` is the per-element walk from report objects to plain JSON
+values that ``formats.dump_json`` replaced: ``dump_json`` must write the bytes
+``json.dump(..., indent=2, sort_keys=True)`` writes for its result.
 """
 
+import argparse
 import csv
 import io
 import json
 import tracemalloc
 import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from transient_impact import cli
 from transient_impact.errors import NonFiniteInput
-from transient_impact.formats import (PATH_BLOCK_ROWS, FormatError, dump_json, jsonify, load_price_paths,
-                                      price_path_blocks)
+from transient_impact.formats import PATH_BLOCK_ROWS, FormatError, dump_json, load_price_paths, price_path_blocks
 from transient_impact.market import finite
 
 
@@ -292,21 +295,37 @@ def test_loader_memory_peak(tmp_path):
 
 
 def ref_jsonify(obj):
-    """The per-element walk over ``ndarray.tolist()`` for every array."""
+    """The per-element walk: fields of a dataclass, ``tolist()`` of an array, ``item()`` of a numpy number."""
     if isinstance(obj, dict):
         return {str(k): ref_jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [ref_jsonify(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [ref_jsonify(v) for v in obj.tolist()]
+        return ref_jsonify(obj.tolist())
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
+    if hasattr(obj, "__dataclass_fields__"):
+        return {k: ref_jsonify(getattr(obj, k)) for k in obj.__dataclass_fields__}
     return str(obj)
 
 
-@pytest.mark.parametrize("array", [
+@dataclass(frozen=True)
+class Leg:
+    price: np.ndarray
+    label: str
+
+
+@dataclass(frozen=True)
+class Book:
+    zeta: float
+    legs: tuple
+    inner: Leg
+    note: None = None
+
+
+@pytest.mark.parametrize("value", [
     np.array([1.5, -0.0, 0.0, np.nan, 1e-300, 1.0 / 3.0, 1e300]),
     np.array([[np.nan, -0.0], [2.5, -1e-17]]),
     np.array([], dtype=float),
@@ -318,9 +337,29 @@ def ref_jsonify(obj):
     np.array([0.1, 2.0], dtype=np.float32),
     np.array(["a", "b"]),
     np.array([1.0, "x", None], dtype=object),
+    pytest.param(np.array([np.inf, 1.0, -np.inf]), id="infinities-1d"),
+    pytest.param(np.array([-0.0, 5e-324, 2.2250738585072014e-308 / 3, -1e-310]), id="subnormals-1d"),
+    pytest.param(np.array([np.nan]), id="nan-only-1d"),
+    pytest.param(np.array(2.5), id="float-0d"),
+    pytest.param(np.array(-7), id="int-0d"),
+    pytest.param(np.array(np.nan), id="nan-0d"),
+    pytest.param(np.zeros((2, 0)), id="empty-2d"),
+    pytest.param(np.zeros((0, 3)), id="empty-rows-2d"),
+    pytest.param(np.arange(6.0).reshape(2, 3) / 7.0, id="finite-2d"),
+    pytest.param([np.float64(0.1), np.float32(0.1), np.int64(-3), np.uint8(200), np.float64(-np.inf)],
+                 id="numpy-scalars"),
+    pytest.param(np.float64(np.nan), id="numpy-nan"),
+    pytest.param(Book(0.05, (Leg(np.array([100.0, 110.0]), "up"), Leg(np.array([]), "flat")),
+                      Leg(np.array([np.nan, -0.0]), "odd")), id="nested-dataclasses"),
+    pytest.param((1, (2.5, ()), "x", {}), id="tuples"),
+    pytest.param([True, False, None, 0, -1, 2**70, float("inf"), float("-inf"), float("nan"), -0.0, 1e16, 1e-7],
+                 id="python-scalars"),
+    pytest.param(["naïve € 😀", "tab\there\x00\x1f \"q\" \\ /", "\u2028\ud800", ""], id="strings"),
+    pytest.param({"b": 1, "a": {"d": [], "c": {}}, "10": 2, "9": [3], 1: "int key", "é": "non-ascii key", "\n": 0},
+                 id="unsorted-keys"),
 ], ids=lambda a: f"{a.dtype}-{a.ndim}d")
-def test_jsonify_numeric_arrays_byte_identical(array):
-    payload = {"values": array, "nested": [array, {"again": array}]}
+def test_jsonify_numeric_arrays_byte_identical(value):
+    payload = {"values": value, "nested": [value, {"again": value}]}
     got, want = io.StringIO(), io.StringIO()
     dump_json(payload, got)
     json.dump(ref_jsonify(payload), want, indent=2, sort_keys=True)
@@ -328,6 +367,13 @@ def test_jsonify_numeric_arrays_byte_identical(array):
     assert got.getvalue() == want.getvalue()
 
 
-def test_jsonify_refuses_an_unknown_object():
+def test_jsonify_refuses_an_unknown_object(tmp_path):
     with pytest.raises(TypeError, match="cannot serialise object"):
-        jsonify({"report": [object()]})
+        dump_json({"report": [object()]}, io.StringIO())
+    report = tmp_path / "report.json"
+    report.write_text("an earlier report\n", encoding="utf-8")
+    args = argparse.Namespace(format="json", out=str(report))
+    for unknown in (object(), np.bool_(True), 1j):
+        with pytest.raises(TypeError, match="cannot serialise"):
+            cli._emit(args, {"a": np.arange(3.0), "b": [unknown]})  # the report's first keys render before it
+    assert report.read_text(encoding="utf-8") == "an earlier report\n"
