@@ -151,11 +151,16 @@ class _PrimalProblem:
         self.leaf_jac[:, 0, 2] = 1.0
         self.leaf_jac[:, 1:, 1:] = [[1.0, 0.0, -1.0], [-1.0, 0.0, -1.0]]
         # Each decision node's largest price move to a leaf below it, level order: the price part of a
-        # trade's gradient.
-        paths = tree.leaf_paths()
-        price_range = np.zeros(tree.n_nodes)
-        np.maximum.at(price_range, paths, np.abs(tree.P[paths] - tree.P[tree.leaves, None]))
-        self.price_range = price_range[order]
+        # trade's gradient, from the highest P and -P among those leaves (one fold under np.maximum).
+        extremes = np.empty((tree.n_nodes, 2))
+
+        def keep(top, nodes):
+            extremes[nodes] = top
+            return top
+
+        tree.fold_up(np.stack([tree.P, -tree.P], axis=1)[tree.leaves], keep, np.maximum)
+        hi, neg_lo = extremes[order].T
+        self.price_range = np.maximum(hi - tree.P[order], tree.P[order] + neg_lo)
 
     def leaf_values(self, b, s, g=None):
         """Payoff plus cost per leaf and the position each closing trade faces.
@@ -554,7 +559,7 @@ def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) ->
         raise ValueError("trade grid must be a non-empty 1-d array")
     if tree.n_levels - 1 > 3:
         raise InstanceTooLarge("oracle accepts at most 3 periods")
-    if max(len(k) for k in tree.children) > 3:
+    if np.bincount(tree.parent[1:]).max() > 3:
         raise InstanceTooLarge("oracle accepts at most 3 branches per node")
     if grid.size > 1000:
         raise InstanceTooLarge("oracle accepts at most 1000 lattice points per trade")
@@ -575,11 +580,12 @@ def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) ->
             value = pint + tree.P[node] * net + 0.5 * (pen + tree.kappa[node] * eta**2)
             return H_by_node[node] + value
         best = np.inf
+        kids = np.flatnonzero(tree.parent == node)
         for net in grid:
             eta = eta_pre + c[node] * abs(net)
             pint_next = pint + tree.P[node] * net
             worst = -np.inf
-            for child in tree.children[node][tree.p_transition[tree.children[node]] > 0.0]:
+            for child in kids[tree.p_transition[kids] > 0.0]:
                 worst = max(
                     worst,
                     visit(int(child), x_pre + net, eta, pint_next, pen + tree.edge_weight[child] * eta**2),

@@ -5,21 +5,23 @@ and resilience at its time slot together with the transition probability from
 its parent under the reference measure.  A re-weighted measure is represented
 the same way: one transition probability per node.
 
-Every recursion over the tree goes through three primitives of
-:class:`ScenarioTree`: ``down_sweep`` (root to leaves, one vectorised step per
-level) and ``fold_up`` (leaves to root on rows of any shape, one children-sum
-and one caller step per level), the only walks over the levels, and
-``child_sum`` (each node's sum over its children, one ``np.bincount``).
-``up_sweep``, the backward expectation, is a fold.  ``fold_up`` carries the
+Every walk over the tree goes through three primitives of
+:class:`ScenarioTree` on one layout, the parent pointers by level:
+``down_sweep`` (root to leaves, one vectorised step per level), ``fold_up``
+(leaves to root on rows of any shape, one children-combine, a sum by default,
+and one caller step per level) and ``child_sum`` (each node's sum over its
+children, one ``np.bincount``).  ``up_sweep``, the backward expectation, is a
+fold, and no array holds every root-to-leaf path.  ``fold_up`` carries the
 primal's Newton steps, so where each child sits, by rank under its parent, is
-worked out once with the tree: a fold is then a few gathers and adds per
-level, views where the children are evenly spaced.  ``solver.py`` also reads
-``tree.levels``, to place and size the primal's per-level pivots.
+worked out once with the tree: a fold is then a few gathers and combines per
+level, views where the children are evenly spaced.  ``tilt_to_martingale``
+picks every node's extreme children by one sort of the edges per end, with no
+per-node loop.  ``solver.py`` also reads ``tree.levels``, to place and size
+the primal's per-level pivots.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,8 +71,7 @@ class ScenarioTree:
                 f"({self.grid.n_points} points)"
             )
 
-        self._n_children = self.child_sum(np.ones(n)).astype(int)
-        self.is_leaf = self._n_children == 0
+        self.is_leaf = self.child_sum(np.ones(n)) == 0.0
         if np.any(self.t_index[self.is_leaf] != self.n_levels - 1):
             raise ValueError("every leaf must sit at the terminal time")
         self.leaves = np.flatnonzero(self.is_leaf)
@@ -93,13 +94,6 @@ class ScenarioTree:
         self.edge_weight[1:] = self.kappa[self.parent[1:]] - self.kappa[1:]
         # Smallest relative drop of the liquidity curve along an edge: negative where it rises.
         self.decay_margin = decay_margin(self.kappa[self.parent[1:]], self.kappa[1:])
-
-    @functools.cached_property
-    def children(self) -> list[np.ndarray]:
-        """Child ids of every node, in id order; slices of one sort of the parent pointers."""
-        order = np.argsort(self.parent[1:], kind="stable") + 1
-        ends = np.cumsum(self._n_children).tolist()
-        return [order[end - count : end] for end, count in zip(ends, self._n_children.tolist())]
 
     # -- sweeps ----------------------------------------------------------------
 
@@ -136,28 +130,29 @@ class ScenarioTree:
         self.fold_up(step(np.asarray(leaf_values, dtype=float), self.leaves), step)
         return out
 
-    def fold_up(self, leaf_rows, step):
+    def fold_up(self, leaf_rows, step, combine=np.add):
         """Leaves-to-root recursion on per-node rows of any shape; returns the root's row.
 
         ``leaf_rows`` holds one row per leaf (leaf-id order).  Then, level by
         level from the deepest internal one, the rows of the level below are
-        summed over each node's children and ``step(sums, nodes)`` turns those
-        sums, one per node of the level in id order, into the level's rows.
-        Each sum is the first child's row plus the running sum of the other
-        children's rows, children in id order.  The sums are fresh arrays, so
-        ``step`` may write into them.  Which rows to gather comes from a layout
-        computed with the tree.
+        combined over each node's children by the ufunc ``combine`` and
+        ``step(sums, nodes)`` turns the results, one per node of the level in
+        id order, into the level's rows.  Each result is the first child's row
+        combined with the running combination (sum, by default) of the other
+        children's rows, children in id order.  The results are fresh arrays,
+        so ``step`` may write into them.  Which rows to gather comes from a
+        layout computed with the tree.
         """
         rows = np.asarray(leaf_rows)
         for upper, (first, seconds, later, two) in zip(self.levels[-2::-1], self._fold_layout):
             others = rows[seconds]
             for at, kids in later:
-                others[at] += rows[kids]
+                others[at] = combine(others[at], rows[kids])
             if two is None:  # every node has a second child
-                sums = rows[first] + others
+                sums = combine(rows[first], others)
             else:
                 sums = rows[first]
-                sums[two] += others
+                sums[two] = combine(sums[two], others)
             rows = step(sums, upper)
         return rows[0]
 
@@ -179,7 +174,7 @@ class ScenarioTree:
         two = np.flatnonzero(counts >= 2)
         later = [(np.searchsorted(two, slot[order[rank == r]]), _as_slice(order[rank == r]))
                  for r in range(2, int(counts.max()))]
-        # fold_up adds into the first children's rows unless every node has a second child,
+        # fold_up combines into the first children's rows unless every node has a second child,
         # and into the second children's rows when there are later ranks
         first, seconds = order[rank == 0], order[rank == 1]
         seconds = seconds if later else _as_slice(seconds)
@@ -211,16 +206,6 @@ class ScenarioTree:
         """Running sum of a per-node quantity along every root-to-node path."""
         values = as_curve(values, self.n_nodes, "values")
         return self.down_sweep(initial + values[0], lambda acc, nodes: acc + values[nodes])
-
-    def path_nodes(self, leaf: int) -> np.ndarray:
-        """Node ids from the root to ``leaf`` inclusive."""
-        return self.leaf_paths()[np.flatnonzero(self.leaves == leaf)[0]]
-
-    def leaf_paths(self) -> np.ndarray:
-        """Node ids along every root-to-leaf path: one row per leaf, one column per level."""
-        own = np.zeros((self.n_nodes, self.n_levels), dtype=int)
-        own[np.arange(self.n_nodes), self.t_index] = np.arange(self.n_nodes)
-        return self.down_sweep(own[0], lambda rows, nodes: rows + own[nodes])[self.leaves]
 
     def reach_probabilities(self, measure=None) -> np.ndarray:
         """Probability of passing through each node under a ``NodeMeasure``, by default the reference one."""
@@ -444,34 +429,32 @@ def tilt_to_martingale(tree: ScenarioTree, g, eps: float) -> TiltResult:
 
     Raises :class:`NoSignChange` where no such two-point mix exists.
     """
-    g = as_curve(g, tree.n_levels, "g")
+    g = finite(as_curve(g, tree.n_levels, "g"), "g")
     if np.any(np.diff(g) > 0.0):
         raise ValueError("offset function must be non-increasing")
 
+    shifted = tree.P + g[tree.t_index]
+    kids = np.flatnonzero(tree.p_transition[1:] > 0.0) + 1  # the admissible branches
+    inc = np.full(tree.n_nodes, np.nan)  # increment over the parent, on each admissible branch
+    inc[kids] = shifted[kids] - shifted[tree.parent[kids]]
+    # each parent's first branch by increment up, and by increment down, lowest id among ties
+    lo, hi = (kids[np.lexsort((kids, key, tree.parent[kids]))] for key in (inc[kids], -inc[kids]))
+    first = np.diff(tree.parent[lo], prepend=-1) != 0
+    lo, hi = lo[first], hi[first]
+    d_lo, d_hi = np.full((2, tree.n_nodes), np.nan)  # per node, NaN where no branch is admissible
+    d_lo[tree.parent[lo]], d_hi[tree.parent[hi]] = inc[lo], inc[hi]
+    bad = np.flatnonzero(~tree.is_leaf & ~((d_lo <= 0.0) & (d_hi >= 0.0)))
+    if bad.size:
+        node = bad[0]
+        if np.isnan(d_lo[node]):
+            raise NoSignChange(f"node {node} has no admissible branches")
+        raise NoSignChange(f"increments at node {node} do not change sign (range [{d_lo[node]:.6g}, {d_hi[node]:.6g}])")
+
     q = np.zeros(tree.n_nodes)
     q[0] = 1.0
-    shifted = tree.P + g[tree.t_index]
-    for node in np.flatnonzero(~tree.is_leaf):
-        kids = tree.children[node]
-        kids = kids[tree.p_transition[kids] > 0.0]
-        if kids.size == 0:
-            raise NoSignChange(f"node {node} has no admissible branches")
-        inc = shifted[kids] - shifted[node]
-        lo = int(kids[np.argmin(inc)])
-        hi = int(kids[np.argmax(inc)])
-        d_lo = shifted[lo] - shifted[node]
-        d_hi = shifted[hi] - shifted[node]
-        if d_lo > 0.0 or d_hi < 0.0:
-            raise NoSignChange(
-                f"increments at node {node} do not change sign "
-                f"(range [{d_lo:.6g}, {d_hi:.6g}])"
-            )
-        if d_hi > d_lo:
-            w_lo = d_hi / (d_hi - d_lo)
-            q[lo] += w_lo
-            q[hi] += 1.0 - w_lo
-        else:  # all admissible increments vanish
-            q[lo] += 1.0
+    w_lo = np.divide(inc[hi], inc[hi] - inc[lo], out=np.ones(lo.size), where=inc[hi] > inc[lo])
+    q[hi] = 1.0 - w_lo
+    q[lo] = w_lo  # last: where all admissible increments vanish, lo is hi and takes all the mass
 
     measure = NodeMeasure.for_tree(tree, q)
     M = conditional_expectation(tree, measure, shifted[tree.leaves])

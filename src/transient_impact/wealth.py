@@ -8,6 +8,8 @@ schedule; of each price path the grid kernels need only its integral against
 the trades and its first and last price, which :func:`path_sums` gathers in
 one pass over time-row blocks.  A scenario tree is node states: the spread is
 Markov, so :func:`tree_states` gives every node's state in one down-sweep.
+Its midpoint cash is a down-sweep too: each node's payment, from its parent's
+state to its own, summed along the paths by ``tree.accumulate``.
 """
 
 from __future__ import annotations
@@ -161,6 +163,13 @@ def _pre(post: np.ndarray, first) -> np.ndarray:
     return np.concatenate([np.full(post.shape[:-1] + (1,), first), post[..., :-1]], axis=-1)
 
 
+def _midpoint_spend(impact, net, gross, x_pre, x, eta_pre, eta, rho):
+    """Each trade's pay beyond ``P * net``: pre/post-trade means of the shifted mid price and half-spread."""
+    mid = impact.iota * 0.5 * (x_pre + x)
+    half_spread = 0.5 * (eta_pre + eta) / rho
+    return mid * net + half_spread * gross
+
+
 def midpoint_cash(impact, x0: float, p_integral, net, gross, eta, rho):
     """Terminal cash of midpoint-rule execution on rows of slots, from position ``x0``.
 
@@ -170,9 +179,8 @@ def midpoint_cash(impact, x0: float, p_integral, net, gross, eta, rho):
     per schedule row, or one per scenario row for a single schedule row.
     """
     pos = _running(x0, net)
-    mid = impact.iota * 0.5 * (_pre(pos, x0) + pos)
-    half_spread = 0.5 * (_pre(eta, impact.zeta0) + eta) / rho
-    return impact.xi0 - (p_integral + (mid * net + half_spread * gross).sum(axis=-1))
+    spend = _midpoint_spend(impact, net, gross, _pre(pos, x0), pos, _pre(eta, impact.zeta0), eta, rho)
+    return impact.xi0 - (p_integral + spend.sum(axis=-1))
 
 
 def _grid_spread(schedule: TradeSchedule, market: MarketSpec, zeta0: float):
@@ -364,8 +372,10 @@ def tree_wealth(tree, schedule: TradeSchedule, impact) -> TreeWealth:
 
 
 def tree_terminal_cash_direct(tree, schedule: TradeSchedule, impact) -> np.ndarray:
-    """Midpoint-rule terminal cash per leaf for a node-indexed schedule."""
+    """Midpoint-rule terminal cash per leaf for a node-indexed schedule: each node's trade pays from its
+    parent's state (``x0`` and ``zeta0`` at the root) to its own, summed down the paths."""
     net, gross = schedule.net(), schedule.gross()
-    _, eta, p_run, _ = tree_states(tree, net, gross, schedule.x0, impact.zeta0).T
-    paths = tree.leaf_paths()
-    return midpoint_cash(impact, schedule.x0, p_run[tree.leaves], net[paths], gross[paths], eta[paths], tree.rho[paths])
+    x, eta, p_run, _ = tree_states(tree, net, gross, schedule.x0, impact.zeta0).T
+    x_pre, eta_pre = np.r_[schedule.x0, x[tree.parent[1:]]], np.r_[impact.zeta0, eta[tree.parent[1:]]]
+    spend = _midpoint_spend(impact, net, gross, x_pre, x, eta_pre, eta, tree.rho)
+    return impact.xi0 - (p_run[tree.leaves] + tree.accumulate(spend)[tree.leaves])

@@ -150,12 +150,29 @@ def random_tree_schedule(rng, tree, x0=0.0, scale=1.0):
     return ti.TradeSchedule(buys, sells, x0)
 
 
+def ref_children(tree):
+    """Child ids of every node, in id order, read off the parent pointers."""
+    return [np.flatnonzero(tree.parent == node) for node in range(tree.n_nodes)]
+
+
+def ref_leaf_paths(tree):
+    """Node ids along every root-to-leaf path: one row per leaf (leaf-id order), one column per level."""
+    paths = np.empty((tree.leaves.size, tree.n_levels), dtype=int)
+    for row, leaf in enumerate(tree.leaves):
+        node = leaf
+        for k in range(tree.n_levels - 1, -1, -1):
+            paths[row, k] = node
+            node = tree.parent[node]
+    return paths
+
+
 def random_certificate(rng, tree, market):
     """Feasible certificate: random measure, projected perturbed price, random spread."""
+    children = ref_children(tree)
     q = np.zeros(tree.n_nodes)
     q[0] = 1.0
     for node in np.flatnonzero(~tree.is_leaf):
-        kids = tree.children[node]
+        kids = children[node]
         w = rng.dirichlet(np.ones(kids.size))
         q[kids] = w
     measure = ti.NodeMeasure.for_tree(tree, q)

@@ -12,7 +12,7 @@ from transient_impact.errors import (
     SuperReplicationViolated,
 )
 
-from conftest import market_for_tree, random_tree
+from conftest import market_for_tree, random_tree, random_tree_schedule
 
 
 def binary_instance():
@@ -722,3 +722,36 @@ class TestInteriorPoint:
         finally:
             tracemalloc.stop()
         assert peak <= cap_mib * 2**20
+
+    def test_setup_memory_peak(self):
+        # the price range is one fold of the leaves' (P, -P) under np.maximum: 6.3 MiB at depth 14,
+        # where a (leaves x depth) path table took 16.3
+        import tracemalloc
+
+        from transient_impact.solver import _PrimalProblem
+
+        instance = binomial_ladder(14)
+        tracemalloc.start()
+        try:
+            _PrimalProblem(*instance)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 9 * 2**20
+
+    def test_direct_cash_memory_peak(self):
+        # midpoint cash is per-node terms summed by one down-sweep: 3.6 MiB at depth 14, where
+        # (leaves x depth) gathers of the path table took 20.4
+        import tracemalloc
+
+        from transient_impact.wealth import tree_terminal_cash_direct
+
+        tree, market, _ = binomial_ladder(14)
+        schedule = random_tree_schedule(np.random.default_rng(14), tree)
+        tracemalloc.start()
+        try:
+            tree_terminal_cash_direct(tree, schedule, market.impact)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20

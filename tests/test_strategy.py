@@ -4,7 +4,7 @@ import pytest
 import transient_impact as ti
 from transient_impact.errors import GridMismatch, NonFiniteInput
 
-from conftest import random_schedule, random_tree, random_tree_schedule
+from conftest import random_schedule, random_tree, random_tree_schedule, ref_leaf_paths
 
 
 def sched(buys, sells, x0=0.0):
@@ -51,8 +51,7 @@ class TestPositionPath:
         tree = random_tree(rng, depth=3)
         s = random_tree_schedule(rng, tree, x0=0.5)
         pos = ti.position_path(s, tree)
-        for leaf in tree.leaves:
-            path = tree.path_nodes(leaf)
+        for path in ref_leaf_paths(tree):
             expected = 0.5 + np.cumsum(s.net()[path])
             np.testing.assert_allclose(pos[path], expected, rtol=1e-14, atol=1e-14)
 

@@ -19,8 +19,11 @@ here from ``ref_leaf_paths``), and its stationarity fold and gradient scale
 against the loop-built Jacobian and the scale's definition.  The fold
 over a cached child layout must reproduce the ``argsort`` + ``reduceat`` fold
 exactly where a node has at most eight children (beyond that ``reduceat``
-sums pairwise), and the closed-form 1x1 and 2x2 pivots the generic Cholesky
-loops.
+sums pairwise), under ``np.maximum`` as under ``np.add``, and the closed-form
+1x1 and 2x2 pivots the generic Cholesky loops.  The primal's price range, a
+fold under ``np.maximum``, must equal the scatter-max over the leaf-path
+table exactly, and the tilt its per-node loop: the same measure, martingale,
+gap and tail bit for bit, or the same ``NoSignChange`` message.
 
 Tolerances are fixed by the arithmetic: down-sweeps (sums and products along
 paths) keep the operation order of the loops and must agree exactly; where a
@@ -36,11 +39,11 @@ import pytest
 
 import transient_impact as ti
 from transient_impact.duality import node_penalty_weights
-from transient_impact.errors import InfeasibleCertificate
+from transient_impact.errors import InfeasibleCertificate, NoSignChange
 from transient_impact.solver import _PrimalProblem
 from transient_impact.wealth import book_value
 
-from conftest import market_for_tree, random_tree, random_tree_schedule
+from conftest import market_for_tree, random_tree, random_tree_schedule, ref_children, ref_leaf_paths
 
 RTOL = 1e-12
 
@@ -149,10 +152,6 @@ def random_measure(rng, tree):
 # ---------------------------------------------------------------------------
 
 
-def ref_children(tree):
-    return [np.flatnonzero(tree.parent == node) for node in range(tree.n_nodes)]
-
-
 def ref_t_index(tree):
     t_index = np.zeros(tree.n_nodes, dtype=int)
     for node in range(1, tree.n_nodes):
@@ -165,7 +164,7 @@ def ref_levels(tree):
     return [np.flatnonzero(t_index == k) for k in range(t_index.max() + 1)]
 
 
-def ref_fold_up(tree, leaf_rows, step):
+def ref_fold_up(tree, leaf_rows, step, combine=np.add):
     """The fold that the cached child layout replaced: group siblings, then one ``reduceat`` per level."""
     rows = np.asarray(leaf_rows)
     levels = ref_levels(tree)
@@ -175,7 +174,7 @@ def ref_fold_up(tree, leaf_rows, step):
             order = np.argsort(par, kind="stable")
             par, rows = par[order], rows[order]
         starts = np.flatnonzero(np.r_[True, par[1:] != par[:-1]])
-        rows = step(np.add.reduceat(rows, starts, axis=0), upper)
+        rows = step(combine.reduceat(rows, starts, axis=0), upper)
     return rows[0]
 
 
@@ -203,16 +202,6 @@ def ref_reach(tree, q):
     for node in range(1, tree.n_nodes):
         out[node] *= out[tree.parent[node]]
     return out
-
-
-def ref_leaf_paths(tree):
-    paths = np.empty((tree.leaves.size, tree.n_levels), dtype=int)
-    for row, leaf in enumerate(tree.leaves):
-        node = leaf
-        for k in range(tree.n_levels - 1, -1, -1):
-            paths[row, k] = node
-            node = tree.parent[node]
-    return paths
 
 
 def ref_conditional_expectation(tree, q, leaf_values):
@@ -372,6 +361,52 @@ def ref_default_certificate(tree, market, restore=ref_restore_feasibility):
     return restore(tree, cert, market)
 
 
+def ref_tilt_to_martingale(tree, g, eps):
+    """The per-node loop that one sort of the edges replaced: each node's extreme admissible children
+    by ``argmin``/``argmax`` over its children in id order."""
+    g = ti.tree.as_curve(g, tree.n_levels, "g")
+    if np.any(np.diff(g) > 0.0):
+        raise ValueError("offset function must be non-increasing")
+    children = ref_children(tree)
+    q = np.zeros(tree.n_nodes)
+    q[0] = 1.0
+    shifted = tree.P + g[tree.t_index]
+    for node in np.flatnonzero(~tree.is_leaf):
+        kids = children[node]
+        kids = kids[tree.p_transition[kids] > 0.0]
+        if kids.size == 0:
+            raise NoSignChange(f"node {node} has no admissible branches")
+        inc = shifted[kids] - shifted[node]
+        lo = int(kids[np.argmin(inc)])
+        hi = int(kids[np.argmax(inc)])
+        d_lo = shifted[lo] - shifted[node]
+        d_hi = shifted[hi] - shifted[node]
+        if d_lo > 0.0 or d_hi < 0.0:
+            raise NoSignChange(
+                f"increments at node {node} do not change sign "
+                f"(range [{d_lo:.6g}, {d_hi:.6g}])"
+            )
+        if d_hi > d_lo:
+            w_lo = d_hi / (d_hi - d_lo)
+            q[lo] += w_lo
+            q[hi] += 1.0 - w_lo
+        else:  # all admissible increments vanish
+            q[lo] += 1.0
+    measure = ti.NodeMeasure.for_tree(tree, q)
+    M = ti.conditional_expectation(tree, measure, shifted[tree.leaves])
+    gap = float(np.max(np.abs(shifted - M)))
+    tail = ti.tree.q_tail_probability(tree, measure, eps)
+    return ti.TiltResult(measure=measure, martingale=M, max_abs_gap=gap, tail_probability=tail)
+
+
+def ref_price_range(tree):
+    """Each decision node's largest price move to a leaf below it, level order, over the leaf-path table."""
+    paths = ref_leaf_paths(tree)
+    price_range = np.zeros(tree.n_nodes)
+    np.maximum.at(price_range, paths, np.abs(tree.P[paths] - tree.P[tree.leaves, None]))
+    return price_range[np.concatenate(ref_levels(tree)[:-1])]
+
+
 # ---------------------------------------------------------------------------
 # Tests
 # ---------------------------------------------------------------------------
@@ -381,8 +416,6 @@ def ref_default_certificate(tree, market, restore=ref_restore_feasibility):
 def test_constructor_layout_and_discount(tree):
     np.testing.assert_array_equal(tree.t_index, ref_t_index(tree))
     np.testing.assert_array_equal(tree.rho, ref_rho(tree))
-    for got, want in zip(tree.children, ref_children(tree)):
-        np.testing.assert_array_equal(got, want)
     for got, want in zip(tree.levels, ref_levels(tree)):
         np.testing.assert_array_equal(got, want)
 
@@ -395,8 +428,6 @@ def test_down_sweeps_exact(tree):
     np.testing.assert_array_equal(tree.reach_probabilities(), ref_reach(tree, tree.p_transition))
     q = random_measure(rng, tree)
     np.testing.assert_array_equal(tree.reach_probabilities(q), ref_reach(tree, q.transitions))
-    np.testing.assert_array_equal(tree.leaf_paths(), ref_leaf_paths(tree))
-    np.testing.assert_array_equal(tree.path_nodes(tree.leaves[-1]), ref_leaf_paths(tree)[-1])
 
 
 def fold_trees():
@@ -419,10 +450,16 @@ def fold_trees():
     return out
 
 
+# row shapes per combining ufunc; the sums keep the ids they had before np.maximum was a case
+FOLD_CASES = [pytest.param(shape, combine, id=f"{prefix}shape{k}")
+              for prefix, combine in (("", np.add), ("maximum-", np.maximum))
+              for k, shape in enumerate([(), (3,), (4, 4)])]
+
+
 @pytest.mark.parametrize("tree", fold_trees())
-@pytest.mark.parametrize("shape", [(), (3,), (4, 4)])
-def test_fold_matches_reduceat_loop(tree, shape):
-    # Exact: the fold keeps reduceat's order, the first child plus the running sum of the others.
+@pytest.mark.parametrize("shape, combine", FOLD_CASES)
+def test_fold_matches_reduceat_loop(tree, shape, combine):
+    # Exact: the fold keeps reduceat's order, the first child combined with the running combination of the others.
     rng = np.random.default_rng(tree.n_nodes)
     leaf_rows = rng.normal(0.0, 1.0, (tree.leaves.size,) + shape) * 10.0 ** rng.uniform(-4, 4, (tree.leaves.size,) + shape)
     weight = rng.uniform(0.5, 2.0, tree.n_nodes)
@@ -434,7 +471,8 @@ def test_fold_matches_reduceat_loop(tree, shape):
         return step
 
     got, want = [], []
-    np.testing.assert_array_equal(tree.fold_up(leaf_rows, stepper(got)), ref_fold_up(tree, leaf_rows, stepper(want)))
+    np.testing.assert_array_equal(tree.fold_up(leaf_rows, stepper(got), combine),
+                                  ref_fold_up(tree, leaf_rows, stepper(want), combine))
     assert len(got) == len(want) == tree.n_levels - 1
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
@@ -454,6 +492,95 @@ def test_wide_node_folds_as_running_sum(k):
     np.testing.assert_array_equal(got, rows[0] + running)
     bound = k * np.finfo(float).eps * np.abs(rows).sum(axis=0)
     assert np.all(np.abs(got - ref_fold_up(tree, rows, lambda sums, nodes: sums)) <= bound)
+
+
+def price_range_trees():
+    """The fold trees and the binomial call ladder at depths 2-10."""
+    from test_solver import binomial_ladder
+
+    return fold_trees() + [pytest.param(binomial_ladder(depth)[0], id=f"ladder{depth}") for depth in range(2, 11)]
+
+
+@pytest.mark.parametrize("tree", price_range_trees())
+def test_price_range_matches_leaf_path_max(tree):
+    # Exact: max(hi - P, P + neg_lo) rounds like the largest |P_leaf - P|, since rounding is monotone.
+    rng = np.random.default_rng(tree.n_nodes)
+    prob = _PrimalProblem(tree, market_for_tree(rng, tree), np.zeros(tree.leaves.size))
+    np.testing.assert_array_equal(prob.price_range, ref_price_range(tree))
+
+
+def tilt_cases():
+    """Trees and offsets on which the tilt succeeds, meets a node without a sign change, or one without
+    an admissible branch, each of the last two before and after the other."""
+    from conftest import random_nonincreasing_offset, sign_change_tree
+    from test_solver import binomial_ladder
+
+    rng = np.random.default_rng(44)
+    out = []
+    for k, tree in enumerate(TREES):
+        out.append(pytest.param(tree, np.zeros(tree.n_levels), id=f"sweep{k}-flat"))
+        out.append(pytest.param(tree, random_nonincreasing_offset(rng, tree.n_levels), id=f"sweep{k}-offset"))
+    for k in range(6):
+        tree = random_tree(rng, depth=1 + k % 3, max_branch=5)
+        out.append(pytest.param(tree, np.zeros(tree.n_levels), id=f"random{k}"))
+    signs = []
+    for k in range(12):
+        g = random_nonincreasing_offset(rng, 2 + k % 4)
+        signs.append((sign_change_tree(rng, 1 + k % 4, g), g))
+        out.append(pytest.param(*signs[-1], id=f"signs{k}"))
+
+    def edited(tree, P=None, cut=()):
+        """A copy of ``tree`` with prices ``P`` and the branches below the ``cut`` nodes zeroed, after the
+        constructor's checks: a node with no admissible branch passes no simplex check."""
+        copy = ti.ScenarioTree(tree.times, tree.parent, tree.p_transition, tree.P if P is None else P,
+                               tree.delta, tree.r)
+        copy.p_transition = np.where(np.isin(tree.parent, cut), 0.0, tree.p_transition)
+        return copy
+
+    for k, (tree, g) in enumerate([case for case in signs if np.sum(~case[0].is_leaf) >= 3][:4]):
+        inner = np.flatnonzero(~tree.is_leaf)
+        early, late = inner[len(inner) // 3], inner[-1]
+        lifted = tree.P.copy()
+        lifted[tree.parent == early] = tree.P[early] + 50.0  # every increment at early is positive
+        out.append(pytest.param(edited(tree, P=lifted, cut=[late]), g, id=f"flat-then-bare{k}"))
+        out.append(pytest.param(edited(tree, P=lifted, cut=[early]), g, id=f"bare-at-flat{k}"))
+        lifted = tree.P.copy()
+        lifted[tree.parent == late] = tree.P[late] - 50.0  # every increment at late is negative
+        out.append(pytest.param(edited(tree, P=lifted, cut=[early]), g, id=f"bare-then-flat{k}"))
+        out.append(pytest.param(edited(tree, cut=[0]), g, id=f"bare-root{k}"))
+    for k, moves in enumerate([(5.0, 5.0, -5.0, -5.0), (-5.0, 5.0, -5.0, 5.0), (0.0, 0.0)]):
+        tree = binomial_ladder(3, moves)[0]  # ties at both ends of every node's increments
+        out.append(pytest.param(tree, np.zeros(tree.n_levels), id=f"ties{k}"))
+    return out
+
+
+def tilt_outcome(tilt, tree, g):
+    try:
+        return tilt(tree, g, eps=100.0)
+    except NoSignChange as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("tree, g", tilt_cases())
+def test_tilt_matches_per_node_loop(tree, g):
+    # Exact: each node's extreme children and their weights are the loop's, and so is the first failure.
+    got, want = tilt_outcome(ti.tilt_to_martingale, tree, g), tilt_outcome(ref_tilt_to_martingale, tree, g)
+    if isinstance(want, tuple):
+        assert got == want
+        return
+    np.testing.assert_array_equal(got.measure.transitions, want.measure.transitions)
+    np.testing.assert_array_equal(got.martingale, want.martingale)
+    assert got.max_abs_gap == want.max_abs_gap
+    assert got.tail_probability == want.tail_probability
+
+
+def test_tilt_cases_meet_every_outcome():
+    outcomes = [tilt_outcome(ref_tilt_to_martingale, *case.values) for case in tilt_cases()]
+    messages = [out[1] for out in outcomes if isinstance(out, tuple)]
+    assert sum(not isinstance(out, tuple) for out in outcomes) >= 20
+    assert any("do not change sign" in m for m in messages)
+    assert any("no admissible branches" in m and "node 0 " not in m for m in messages)
+    assert any("no admissible branches" in m and "node 0 " in m for m in messages)
 
 
 @pytest.mark.parametrize("tree", TREES)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import NoSignChange
+from transient_impact.errors import NoSignChange, NonFiniteInput
 
-from conftest import random_market, random_tree
+from conftest import random_market, random_tree, ref_children, ref_leaf_paths
 
 
 def one_step_tree(children_P, probs=None, p0=100.0, delta=10.0, r=0.0):
@@ -63,8 +63,7 @@ class TestConstruction:
     def test_resilience_discount_per_path(self, rng):
         tree = random_tree(rng, depth=3, stochastic_liquidity=True)
         dt = np.diff(tree.times)
-        for leaf in tree.leaves:
-            path = tree.path_nodes(leaf)
+        for path in ref_leaf_paths(tree):
             accum = np.concatenate([[0.0], np.cumsum(tree.r[path[:-1]] * dt)])
             np.testing.assert_allclose(tree.rho[path], np.exp(accum), rtol=1e-13)
 
@@ -127,7 +126,7 @@ class TestConditionalExpectation:
         indicator[-1] = 1.0
         values = ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), indicator)
         reach = tree.reach_probabilities()
-        path = set(tree.path_nodes(target))
+        path = set(ref_leaf_paths(tree)[-1])
         for node in range(tree.n_nodes):
             expected = reach[target] / reach[node] if node in path else 0.0
             assert values[node] == pytest.approx(expected, abs=1e-12)
@@ -140,8 +139,9 @@ class TestConditionalExpectation:
         # project to an intermediate level, then restart the recursion from there
         staged = ti.conditional_expectation(tree, q, direct)
         np.testing.assert_allclose(staged, direct, rtol=1e-13, atol=1e-13)
+        children = ref_children(tree)
         for node in np.flatnonzero(~tree.is_leaf):
-            kids = tree.children[node]
+            kids = children[node]
             assert direct[node] == pytest.approx(float(np.dot(q.transitions[kids], direct[kids])), abs=1e-12)
 
 
@@ -190,6 +190,12 @@ class TestTilt:
         tree = one_step_tree([105.0, 120.0])
         with pytest.raises(NoSignChange):
             ti.tilt_to_martingale(tree, np.array([1.0, 0.0]), eps=1e-3)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_offset_rejected(self, bad):
+        tree = one_step_tree([90.0, 120.0])
+        with pytest.raises(NonFiniteInput, match="g must be finite"):
+            ti.tilt_to_martingale(tree, np.array([bad, bad]), eps=1e-3)
 
     def test_increasing_offset_rejected(self):
         tree = one_step_tree([90.0, 120.0])

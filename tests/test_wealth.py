@@ -5,7 +5,7 @@ import transient_impact as ti
 from transient_impact.errors import TerminalNotZero
 from transient_impact.wealth import tree_terminal_cash_direct
 
-from conftest import random_market, random_paths, random_schedule, random_tree, random_tree_schedule
+from conftest import random_market, random_paths, random_schedule, random_tree, random_tree_schedule, ref_leaf_paths
 
 LN2 = np.log(2.0)
 
@@ -306,8 +306,7 @@ class TestTreeWealth:
         s = random_tree_schedule(rng, tree, x0=x0)
         impact = ti.ImpactParams(iota=0.4, zeta0=0.2, x0=x0, xi0=1.0)
         tw = ti.tree_wealth(tree, s, impact)
-        for k, leaf in enumerate(tree.leaves):
-            path = tree.path_nodes(leaf)
+        for k, path in enumerate(ref_leaf_paths(tree)):
             m = ti.MarketSpec.build(tree.times, tree.delta[path], tree.r[path],
                                     iota=0.4, zeta0=0.2, x0=x0, xi0=1.0)
             s_path = ti.TradeSchedule(s.buys[path], s.sells[path], x0)
