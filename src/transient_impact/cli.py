@@ -7,17 +7,20 @@ exactly one of ``--paths`` and ``--tree``, and ``call`` exactly one of
 report (``dual-eval``, ``tilt`` and ``shadow-check`` write per-node CSV series
 instead with ``--format csv``) and maps failures to exit codes: 2 when an input
 is unreadable (including bytes that are not UTF-8) or breaks its schema (a
-malformed tree structure, transitions that do not sum to one, a number too
-large for a float, a certificate ``M`` or ``alpha`` of the wrong shape or
-measure on a zero-probability branch, a NaN, infinite or unknown flag value, a
-``--tol`` that is not positive, a negative ``--max-iter``, both or neither of
-two alternative inputs), 1 when any readable input file (market, tree,
-payoff, strategy, certificate, price paths) holds NaN/inf or the operation
-fails in its domain (including a liquidity curve that rises along a tree edge
-in ``gap``, ``dual-search`` and ``dual-eval``, a given certificate whose ``M``
-drifts under its measure or leaves the band, refused before the primal is
-solved (``dual-eval`` reports such a certificate as not ``feasible`` and
-exits 0), and a ``--utility-param`` given to the log utility), 3 when a
+malformed tree structure, tree transitions that do not sum to one, a number
+too large for a float, a certificate ``q_transitions``, ``M`` or ``alpha`` of
+the wrong shape, a NaN, infinite or unknown flag value, a ``--tol`` that is
+not positive, a negative ``--max-iter``, both or neither of two alternative
+inputs), 1 when any readable input file (market, tree, payoff, strategy,
+certificate, price paths) holds NaN/inf or the operation fails in its domain
+(including a liquidity curve that rises along a tree edge in ``gap``,
+``dual-search`` and ``dual-eval``, a given certificate whose measure is none
+for the tree (a negative transition, mass on a branch of probability zero,
+transitions that do not sum to one) or whose ``M`` drifts under its measure
+or leaves the band, refused before the primal is solved (``dual-eval``
+reports each of these, with ``feasible`` false, and exits 0; ``shadow-check``
+uses only ``M`` from ``--certificate``), and a ``--utility-param`` given to
+the log utility), 3 when a
 solver stops before its tolerance (for ``price``: the primal's Newton budget
 ran out or its search stalled; for ``gap``: the same, unless the certificate
 it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
@@ -33,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import sys
 
 import numpy as np
@@ -51,12 +53,11 @@ EXIT_NONCONVERGED = 3
 
 
 def _emit(args, payload, tree=None, series=None) -> None:
-    buf = io.StringIO()
     if series is not None and args.format == "csv":
-        formats.write_node_series_csv(tree, series, buf)
+        text = formats.write_node_series_csv(tree, series)
     else:
-        formats.dump_json(payload, buf)
-    formats.write_text(buf.getvalue(), args.out)
+        text = formats.dump_json(payload)
+    formats.write_text(text, args.out)
 
 
 def _finite_float(text: str) -> float:
@@ -198,6 +199,7 @@ def cmd_dual_eval(args) -> int:
     slack = feas.bound - np.abs(tr.P - cert.M)
     payload = {
         "feasible": check.valid,
+        "measure_error": check.measure,
         "martingale_drift": check.drift,
         "worst_violation": feas.worst_violation,
         "worst_node": feas.worst_node,

@@ -134,35 +134,48 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
 
 @dataclass(frozen=True)
 class CertificateCheck:
-    """What makes ``(q, M, alpha)`` a certificate: ``M`` a martingale under ``q``, inside the band.
+    """What makes ``(q, M, alpha)`` a certificate: ``q`` a measure, ``M`` a martingale under it, inside the band.
 
-    ``drift`` is ``M``'s largest one-step drift under ``q`` and ``martingale``
-    whether it is within tolerance; ``band`` is the :func:`check_feasibility` report.
+    ``measure`` is the message :meth:`NodeMeasure.for_tree` refuses ``q`` with,
+    else ``None``; ``drift`` is ``M``'s largest one-step drift under ``q`` and
+    ``martingale`` whether it is within tolerance; ``band`` is the
+    :func:`check_feasibility` report.
     """
 
+    measure: str | None
     martingale: bool
     drift: float
     band: FeasibilityReport
 
     @property
     def valid(self) -> bool:
-        return self.martingale and self.band.feasible
+        return self.measure is None and self.martingale and self.band.feasible
 
 
 def check_certificate(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> CertificateCheck:
-    """Check ``M``'s drift under ``q`` and the band; :func:`require_certificate` refuses what fails."""
+    """Judge ``q``, ``M``'s drift under it and the band; :func:`require_certificate` refuses what fails.
+
+    A ``q`` of the wrong length or with a NaN or infinite entry is no input to judge: it raises.
+    """
+    finite(as_curve(cert.q.transitions, tree.n_nodes, "transitions"), "measure transitions")
+    try:
+        NodeMeasure.for_tree(tree, cert.q.transitions)
+        measure = None
+    except ValueError as exc:
+        measure = str(exc)
     martingale, drift = is_martingale(tree, cert.q, cert.M)
-    return CertificateCheck(martingale, drift, check_feasibility(tree, cert, market))
+    return CertificateCheck(measure, martingale, drift, check_feasibility(tree, cert, market))
 
 
 def require_certificate(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> FeasibilityReport:
     """Report the band of a certificate whose value bounds the price; refuse anything else.
 
-    The measure must pass :meth:`NodeMeasure.for_tree` (else ``ValueError``), and
-    :func:`check_certificate` find it valid (else :class:`InfeasibleCertificate`).
+    :func:`check_certificate` must find it valid: a refused measure raises
+    ``ValueError``, a drifting ``M`` or a violated band :class:`InfeasibleCertificate`.
     """
-    NodeMeasure.for_tree(tree, cert.q.transitions)
     check = check_certificate(tree, cert, market)
+    if check.measure is not None:
+        raise ValueError(check.measure)
     if not check.martingale:
         raise InfeasibleCertificate(f"certificate martingale has drift {check.drift:.3e}")
     band = check.band

@@ -93,18 +93,29 @@ def load_schedule(path, x0_default: float = 0.0) -> TradeSchedule:
 
 
 def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
+    """Read, not judge, a certificate: one finite value per node (``alpha`` may be one for all); the root's ``q`` is 1.
+
+    Whether ``q`` is a measure, ``M`` a martingale under it and inside the
+    band is :func:`~transient_impact.duality.check_certificate`'s verdict.
+    """
     data = _read_json(path)
+
+    def node_values(key):
+        values = finite(np.asarray(data[key], dtype=float), f"certificate {key}")
+        if values.shape != (tree.n_nodes,):
+            raise FormatError(f"certificate {key} must list {tree.n_nodes} node values")
+        return values
+
     with _schema("bad certificate file"):
-        q = NodeMeasure.for_tree(tree, np.asarray(data["q_transitions"], dtype=float))
-        M = finite(np.asarray(data["M"], dtype=float), "certificate M")
-        if M.shape != (tree.n_nodes,):
-            raise FormatError(f"certificate M must list {tree.n_nodes} node values")
+        q = node_values("q_transitions")
+        q[0] = 1.0
+        M = node_values("M")
         alpha = data.get("alpha")
         if alpha is not None:
             alpha = finite(np.asarray(alpha, dtype=float), "certificate alpha")
             if alpha.ndim and alpha.shape != (tree.n_nodes,):
                 raise FormatError(f"certificate alpha must be a scalar or list {tree.n_nodes} node values")
-        return DualCertificate(q=q, M=M, alpha=alpha)
+        return DualCertificate(q=NodeMeasure(q), M=M, alpha=alpha)
 
 
 def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
@@ -133,20 +144,26 @@ PATH_BLOCK_ROWS = 16
 def load_price_paths(path) -> np.ndarray:
     """CSV with one column per scenario; returns scenario rows ``(S, N+1)``.
 
-    The whole file as one block of :func:`price_path_blocks`.
+    The blocks of :func:`price_path_blocks`, gathered into a table that grows
+    in place (``resize`` reallocates), so the table is never held twice.
     """
-    [table] = price_path_blocks(path, None)
+    blocks = price_path_blocks(path)
+    table = next(blocks).copy()  # owns its data, so it can be resized
+    for block in blocks:
+        rows = table.shape[0]
+        table.resize((rows + block.shape[0], table.shape[1]), refcheck=False)
+        table[rows:] = block
     return table.T
 
 
-def price_path_blocks(path, max_rows: int | None = PATH_BLOCK_ROWS):
+def price_path_blocks(path):
     """Yield a price-path CSV (one column per scenario) as time-row blocks ``(k, S)``.
 
     A first record with a cell that is not a number is a header and is skipped;
-    numpy's C reader parses the rest, ``max_rows`` data rows at a time (all of
-    them for ``None``), so Python-only syntax such as ``1_0`` fails.  Each
-    block is checked for its width and for finiteness before it is yielded: a
-    bad row raises when the reader reaches it.
+    numpy's C reader parses the rest, :data:`PATH_BLOCK_ROWS` data rows at a
+    time, so Python-only syntax such as ``1_0`` fails.  Each block is checked
+    for its width and for finiteness before it is yielded: a bad row raises
+    when the reader reaches it.
     """
     with _csv_errors(path):
         fh = open(path, newline="", encoding="utf-8")
@@ -158,7 +175,8 @@ def price_path_blocks(path, max_rows: int | None = PATH_BLOCK_ROWS):
         while True:
             with _csv_errors(path, rows, width), warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no data: the end, or refused below
-                block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"', max_rows=max_rows)
+                block = np.loadtxt(lines, delimiter=",", ndmin=2, comments=None, quotechar='"',
+                                   max_rows=PATH_BLOCK_ROWS)
             if block.size == 0:
                 if rows == 0:
                     raise FormatError(f"{path}: need a rectangular numeric table")
@@ -166,7 +184,7 @@ def price_path_blocks(path, max_rows: int | None = PATH_BLOCK_ROWS):
             if width is not None and block.shape[1] != width:
                 raise FormatError(f"{path}: need a rectangular numeric table: "
                                   f"the number of columns changed from {width} to {block.shape[1]} at row {rows + 1}")
-            width, rows, final = block.shape[1], rows + block.shape[0], max_rows is None or block.shape[0] < max_rows
+            width, rows, final = block.shape[1], rows + block.shape[0], block.shape[0] < PATH_BLOCK_ROWS
             yield finite(block, f"{path}: price paths")
             if final:
                 return
@@ -207,20 +225,20 @@ def _is_header(record: list[str]) -> bool:
     return False
 
 
-def dump_json(obj, stream) -> None:
-    """Write ``obj`` as ``json.dump(value, stream, indent=2, sort_keys=True)`` writes its JSON value, then a newline.
+def dump_json(obj) -> str:
+    """The text ``json.dump(value, stream, indent=2, sort_keys=True)`` writes for ``obj``'s JSON value, then a newline.
 
     The JSON value of a report object: a dataclass is the dict of its fields, a
     tuple a list, a numpy array its ``tolist()`` and a numpy number its
     ``item()``; dict keys become ``str(key)``.  Anything else raises
-    ``TypeError`` before anything is written.  An all-finite 1-D float array,
-    the bulk of a report, is rendered with one ``join``; every other value as
-    ``json`` renders it (``NaN``, ``Infinity``, ASCII-escaped strings, ``[]``).
+    ``TypeError``.  An all-finite 1-D float array, the bulk of a report, is
+    rendered with one ``join``; every other value as ``json`` renders it
+    (``NaN``, ``Infinity``, ASCII-escaped strings, ``[]``).
     """
     parts: list[str] = []
     _render(obj, "\n", parts)
     parts.append("\n")
-    stream.write("".join(parts))
+    return "".join(parts)
 
 
 def _render(obj, newline: str, parts: list[str]) -> None:
@@ -263,15 +281,19 @@ def _render(obj, newline: str, parts: list[str]) -> None:
         raise TypeError(f"cannot serialise {type(obj).__name__} to JSON")
 
 
-def write_node_series_csv(tree: ScenarioTree, columns: dict[str, np.ndarray], stream) -> None:
-    """Per-node series (price, martingale, bound, ...) for external plotting."""
-    writer = csv.writer(stream, lineterminator="\n")
-    names = list(columns)
-    writer.writerow(["node", "parent", "t_index", "time"] + names)
-    for node in range(tree.n_nodes):
-        row = [node, int(tree.parent[node]), int(tree.t_index[node]), repr(float(tree.times[tree.t_index[node]]))]
-        row += [repr(float(columns[name][node])) for name in names]
-        writer.writerow(row)
+def write_node_series_csv(tree: ScenarioTree, columns: dict[str, np.ndarray]) -> str:
+    """Per-node series (price, martingale, bound, ...) as CSV text, for external plotting.
+
+    Node id, parent, time index and time, then each column as ``repr`` of a
+    float: no cell, and no column name, needs CSV quoting.
+    """
+    cells = [map(str, range(tree.n_nodes)), map(str, tree.parent.tolist()), map(str, tree.t_index.tolist()),
+             map(float.__repr__, tree.times[tree.t_index].tolist())]
+    cells += [map(float.__repr__, np.asarray(values, dtype=float).tolist()) for values in columns.values()]
+    rows = [",".join(["node", "parent", "t_index", "time", *columns])]
+    rows += map(",".join, zip(*cells))
+    rows.append("")
+    return "\n".join(rows)
 
 
 def certificate_to_dict(cert: DualCertificate) -> dict:

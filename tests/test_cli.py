@@ -11,6 +11,7 @@ import pytest
 from transient_impact import formats
 from transient_impact.cli import build_parser, main
 from transient_impact.formats import PATH_BLOCK_ROWS, load_market, load_price_paths, load_schedule
+from transient_impact.tree import NodeMeasure
 from transient_impact.wealth import lambda_functional, terminal_cash_direct
 
 LN2 = float(np.log(2.0))
@@ -340,6 +341,21 @@ class TestDualEval:
             assert captured.out == ""
             assert "certificate alpha must be a scalar or list 3 node values" in captured.err
 
+    @pytest.mark.parametrize("field, values", [
+        ("q_transitions", [1.0, 0.5]), ("q_transitions", 1.0), ("M", [100.0, 110.0]), ("M", 100.0),
+    ])
+    def test_misshapen_q_or_m_is_a_schema_breach(self, tmp_path, capsys, binary_files, field, values):
+        market, tree, payoff = binary_files
+        cert = {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 110.0, 90.0], "alpha": 0.0, field: values}
+        certificate = write_json(tmp_path / "c.json", cert)
+        for command in ("dual-eval", "dual-search"):
+            code = main([command, "--market", market, "--tree", tree,
+                         "--certificate", certificate, "--payoff", payoff])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert f"certificate {field} must list 3 node values" in captured.err
+
     @pytest.mark.parametrize("alpha", [None, 0.0, [0.0, 0.0, 0.0]])
     def test_alpha_may_be_null_a_scalar_or_one_value_per_node(self, tmp_path, capsys, binary_files, alpha):
         market, tree, payoff = binary_files
@@ -348,7 +364,9 @@ class TestDualEval:
         code, out = run(capsys, "dual-eval", "--market", market, "--tree", tree,
                         "--certificate", certificate, "--payoff", payoff)
         assert code == 0
-        assert json.loads(out)["feasible"] is True
+        report = json.loads(out)
+        assert report["feasible"] is True
+        assert report["measure_error"] is None
 
 
     def test_a_drifting_martingale_is_no_certificate(self, tmp_path, capsys):
@@ -371,6 +389,39 @@ class TestDualEval:
         assert report["units"]["martingale_drift"] == "price"
         assert main(["dual-search", *common]) == 1
         assert "drift 5.000e+00" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("p, q, M", [
+        pytest.param([1.0, 1.0, 0.0], [1.0, 0.0, 1.0], [90.0, 110.0, 90.0], id="mass on a null branch"),
+        pytest.param([1.0, 0.5, 0.5], [1.0, 0.3, 0.3], [60.0, 110.0, 90.0], id="no simplex"),
+        pytest.param([1.0, 0.5, 0.5], [1.0, 1.5, -0.5], [120.0, 110.0, 90.0], id="a negative transition"),
+    ])
+    def test_a_measure_that_is_none_is_no_certificate(self, tmp_path, capsys, binary_files, p, q, M):
+        """``M`` is a martingale under ``q`` inside a wide band, but ``q`` is no measure for the tree.
+
+        Refused by one route: ``dual-search`` exits 1 with ``NodeMeasure.for_tree``'s message and
+        ``dual-eval`` reports that message, with ``feasible`` false, and exits 0.
+        """
+        market, _, payoff = binary_files
+        tree = write_json(tmp_path / "t.json", {"nodes": [
+            {"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+            {"id": 1, "parent": 0, "p_transition": p[1], "P": 110.0},
+            {"id": 2, "parent": 0, "p_transition": p[2], "P": 90.0}]})
+        with pytest.raises(ValueError) as refused:
+            NodeMeasure.for_tree(formats.load_tree(tree, load_market(market)), q)
+        message = str(refused.value)
+        certificate = write_json(tmp_path / "c.json", {"q_transitions": q, "M": M, "alpha": 100.0})
+        common = ["--market", market, "--tree", tree, "--certificate", certificate, "--payoff", payoff]
+        code = main(["dual-search", *common])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert message in captured.err
+        code, out = run(capsys, "dual-eval", *common)
+        assert code == 0
+        report = json.loads(out)
+        assert report["feasible"] is False
+        assert report["measure_error"] == message
+        assert report["martingale_drift"] == 0.0 and report["worst_violation"] < 0.0  # q alone fails
 
 
 class TestCall:
@@ -576,6 +627,20 @@ class TestShadowCheck:
                         "--strategy", strategy, "--utility", "exp", "--utility-param", "2.0")
         assert code == 0
         assert json.loads(out)["verdict"] == "optimal"
+
+    def test_only_the_certificates_martingale_is_read(self, tmp_path, capsys, binary_files):
+        # a q that is no measure for the tree (it sums to 0.6) is not refused: shadow-check reads only M
+        market, tree, _ = binary_files
+        strategy = write_json(tmp_path / "s.json", {"buys": [0.0, 0.0, 0.0], "sells": [0.0, 0.0, 0.0]})
+        common = ["--market", market, "--tree", tree, "--strategy", strategy, "--utility", "exp"]
+        reports = []
+        for q in ([1.0, 0.5, 0.5], [1.0, 0.3, 0.3]):
+            certificate = write_json(tmp_path / "c.json", {"q_transitions": q, "M": [100.0, 110.0, 90.0]})
+            code, out = run(capsys, "shadow-check", *common, "--certificate", certificate)
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["M_hat"] == [100.0, 110.0, 90.0]
 
 
 class TestDualSearch:

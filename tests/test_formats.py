@@ -7,8 +7,10 @@ The one permitted divergence is number syntax that only Python's ``float()``
 reads (digit underscores such as ``1_0``, non-ASCII digits): the oracle reads
 such a cell, the C reader refuses it with a ``FormatError`` (exit 2).
 ``ref_jsonify`` is the per-element walk from report objects to plain JSON
-values that ``formats.dump_json`` replaced: ``dump_json`` must write the bytes
+values that ``formats.dump_json`` replaced: ``dump_json`` must return the text
 ``json.dump(..., indent=2, sort_keys=True)`` writes for its result.
+``ref_node_series_csv`` is the ``csv.writer`` loop that
+``formats.write_node_series_csv`` replaced: the two must give the same text.
 """
 
 import argparse
@@ -24,8 +26,11 @@ import pytest
 
 from transient_impact import cli
 from transient_impact.errors import NonFiniteInput
-from transient_impact.formats import PATH_BLOCK_ROWS, FormatError, dump_json, load_price_paths, price_path_blocks
+from transient_impact.formats import (PATH_BLOCK_ROWS, FormatError, dump_json, load_price_paths, price_path_blocks,
+                                      write_node_series_csv)
 from transient_impact.market import finite
+
+from conftest import random_tree
 
 
 def ref_load_price_paths(path) -> np.ndarray:
@@ -360,16 +365,15 @@ class Book:
 ], ids=lambda a: f"{a.dtype}-{a.ndim}d")
 def test_jsonify_numeric_arrays_byte_identical(value):
     payload = {"values": value, "nested": [value, {"again": value}]}
-    got, want = io.StringIO(), io.StringIO()
-    dump_json(payload, got)
+    want = io.StringIO()
     json.dump(ref_jsonify(payload), want, indent=2, sort_keys=True)
     want.write("\n")
-    assert got.getvalue() == want.getvalue()
+    assert dump_json(payload) == want.getvalue()
 
 
 def test_jsonify_refuses_an_unknown_object(tmp_path):
     with pytest.raises(TypeError, match="cannot serialise object"):
-        dump_json({"report": [object()]}, io.StringIO())
+        dump_json({"report": [object()]})
     report = tmp_path / "report.json"
     report.write_text("an earlier report\n", encoding="utf-8")
     args = argparse.Namespace(format="json", out=str(report))
@@ -377,3 +381,25 @@ def test_jsonify_refuses_an_unknown_object(tmp_path):
         with pytest.raises(TypeError, match="cannot serialise"):
             cli._emit(args, {"a": np.arange(3.0), "b": [unknown]})  # the report's first keys render before it
     assert report.read_text(encoding="utf-8") == "an earlier report\n"
+
+
+def ref_node_series_csv(tree, columns) -> str:
+    """The ``csv.writer`` loop that ``formats.write_node_series_csv`` replaced."""
+    stream = io.StringIO()
+    writer = csv.writer(stream, lineterminator="\n")
+    names = list(columns)
+    writer.writerow(["node", "parent", "t_index", "time"] + names)
+    for node in range(tree.n_nodes):
+        row = [node, int(tree.parent[node]), int(tree.t_index[node]), repr(float(tree.times[tree.t_index[node]]))]
+        row += [repr(float(columns[name][node])) for name in names]
+        writer.writerow(row)
+    return stream.getvalue()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_node_series_csv_matches_the_csv_writer(seed):
+    rng = np.random.default_rng(seed)
+    tree = random_tree(rng, depth=3)
+    odd = rng.choice([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e300], tree.n_nodes)
+    columns = {"P": tree.P, "M": rng.normal(100.0, 5.0, tree.n_nodes), "odd": odd, "ints": np.arange(tree.n_nodes)}
+    assert write_node_series_csv(tree, columns) == ref_node_series_csv(tree, columns)

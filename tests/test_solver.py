@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
+from transient_impact import duality
 from transient_impact.errors import (
     InfeasibleCertificate,
     InstanceTooLarge,
@@ -288,6 +289,15 @@ class TestGivenCertificate:
         self.refuse_the_primal(monkeypatch)
         with pytest.raises(ValueError, match="zero reference probability"):
             ti.gap_report(tree, market, [0.0, 50.0], certificate=cert)
+
+    def test_check_certificate_reports_a_measure_on_a_null_branch(self):
+        # M is a martingale under q and inside its band: the measure alone makes it no certificate
+        tree, market = null_branch_instance()
+        cert = ti.DualCertificate(ti.NodeMeasure(np.array([1.0, 0.0, 1.0])), np.full(3, 100.0), np.full(3, 10.0))
+        check = duality.check_certificate(tree, cert, market)
+        assert check.measure == "measure puts mass on a branch with zero reference probability"
+        assert check.martingale and check.band.feasible
+        assert not check.valid
 
     def test_a_tie_keeps_the_certificate_read_off_the_primal(self):
         tree, market, H = binomial_ladder(2)
