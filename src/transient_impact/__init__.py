@@ -7,12 +7,10 @@ verifies the closed-form call price and shadow-price optimality conditions.
 """
 
 from .applications import (
-    CallSpec,
     CallVerification,
     ExponentialUtility,
     LogUtility,
     PowerUtility,
-    ShadowCheckInput,
     ShadowVerdict,
     buy_and_hold,
     call_price_formula,
@@ -48,7 +46,6 @@ from .market import (
 from .solver import (
     PriceReport,
     SolverOptions,
-    brute_force_oracle,
     default_certificate,
     dual_ascent,
     gap_report,

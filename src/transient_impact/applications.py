@@ -104,20 +104,6 @@ def make_utility(kind: str, param: float | None = None):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CallSpec:
-    """Cash-settled call with strike k >= 0."""
-
-    strike: float
-
-    def __post_init__(self):
-        if self.strike < 0.0:
-            raise ValueError("strike must be >= 0")
-
-    def payoff(self, terminal_price):
-        return np.maximum(np.asarray(terminal_price) - self.strike, 0.0)
-
-
 def call_price_formula(market: MarketSpec, p0: float) -> float:
     """Closed-form super-replication cost of a cash-settled call.
 
@@ -193,7 +179,9 @@ def verify_call_superreplication(market: MarketSpec, P, strike: float) -> CallVe
     funded = replace(market, impact=replace(imp, xi0=price))
     cash = np.atleast_1d(terminal_cash_direct(buy_and_hold(market), funded, sums))
     terminal = sums.last
-    payoff = CallSpec(strike).payoff(terminal)
+    if strike < 0.0:
+        raise ValueError("strike must be >= 0")
+    payoff = np.maximum(terminal - strike, 0.0)
     err = float(np.max(np.abs(cash - terminal)))
     scale = 1.0 + float(np.max(np.abs(terminal)))
     identity = err <= CALL_IDENTITY_RTOL * scale
@@ -214,15 +202,6 @@ def verify_call_superreplication(market: MarketSpec, P, strike: float) -> CallVe
 
 
 @dataclass(frozen=True)
-class ShadowCheckInput:
-    """Candidate liquidating schedule, utility and optional band martingale."""
-
-    schedule: TradeSchedule
-    utility: object
-    M_hat: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
 class ShadowVerdict:
     """Result of the verification: "optimal" or "inconclusive", with diagnostics.
 
@@ -240,7 +219,8 @@ class ShadowVerdict:
     expected_utility: float
 
 
-def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckInput) -> ShadowVerdict:
+def shadow_price_check(tree: ScenarioTree, market: MarketSpec, schedule: TradeSchedule, utility,
+                       M_hat=None) -> ShadowVerdict:
     """Verify utility optimality of a candidate schedule via a shadow price.
 
     Builds the measure proportional to marginal utility of the candidate's
@@ -249,12 +229,12 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
     martingale stays inside the band and touches its lower/upper boundary
     exactly where the candidate sells/buys.  All three checks passing
     certifies the candidate maximises expected utility among liquidating
-    schedules; anything else is inconclusive.
+    schedules; anything else is inconclusive.  ``utility`` is one of the
+    families above; ``M_hat`` (one value per node) is searched for when not given.
     """
-    schedule = normalize(inp.schedule)
+    schedule = normalize(schedule)
     if not np.all(check_terminal_zero(schedule, tree)):
         raise TerminalNotZero("candidate schedule must liquidate on every scenario")
-    utility = inp.utility
     tw = tree_wealth(tree, schedule, market.impact)
     if not utility.in_domain(tw.xi_T):
         raise ValueError("terminal cash leaves the utility's domain")
@@ -269,7 +249,6 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, inp: ShadowCheckI
     tol = SHADOW_RTOL * scale
 
     reasons: list[str] = []
-    M_hat = inp.M_hat
     if M_hat is None:
         band = shadow_band_feasibility(tree, q_hat, lam_hat, pin=pin)
         if not band.feasible:

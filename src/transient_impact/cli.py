@@ -21,14 +21,17 @@ or leaves the band, refused before the primal is solved (``dual-eval``
 reports each of these, with ``feasible`` false, and exits 0; ``shadow-check``
 uses only ``M`` from ``--certificate``), and a ``--utility-param`` given to
 the log utility), 3 when a
-solver stops before its tolerance (for ``price``: the primal's Newton budget
-ran out or its search stalled; for ``gap``: the same, unless the certificate
+solver stops before its tolerance (for ``price``: the primal's Newton search
+stopped short of ``tol``; for ``gap``: the same, unless the certificate
 it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
 proves the value optimal; for ``dual-search``: the same, since it is ``gap``
 with the ``--certificate`` it is given as one more candidate, kept only when
 it is strictly better, and at the default ``tol`` 1e-9: it takes no
-``--tol``).  Neither ``gap`` nor ``dual-search`` runs a dual search, so their
-``--max-iter`` counts the primal's Newton steps only.
+``--tol``).  Exit 3 writes the report and one stderr line with why the
+search stopped (``stalled``, ``budget``, ``breakdown`` or ``no_step``; see
+:class:`~transient_impact.solver.PriceReport`), its Newton steps and its
+final relative residual.  Neither ``gap`` nor ``dual-search`` runs a dual
+search, so their ``--max-iter`` counts the primal's Newton steps only.
 Identical inputs produce byte-identical output.
 """
 
@@ -58,6 +61,15 @@ def _emit(args, payload, tree=None, series=None) -> None:
     else:
         text = formats.dump_json(payload)
     formats.write_text(text, args.out)
+
+
+def _exit_code(report) -> int:
+    """``EXIT_OK`` for a converged report, else ``EXIT_NONCONVERGED``, saying on stderr why the primal stopped."""
+    if report.primal_converged:
+        return EXIT_OK
+    print(f"not converged: the primal search stopped ({report.stop_reason}) after {report.iterations} Newton steps "
+          f"at relative residual {report.residual:.3e}", file=sys.stderr)
+    return EXIT_NONCONVERGED
 
 
 def _finite_float(text: str) -> float:
@@ -168,7 +180,7 @@ def cmd_price(args) -> int:
         "units": {"primal_value": "currency", **_STRATEGY_UNITS},
     }
     _emit(args, payload)
-    return EXIT_OK if report.primal_converged else EXIT_NONCONVERGED
+    return _exit_code(report)
 
 
 def cmd_gap(args) -> int:
@@ -186,7 +198,7 @@ def cmd_gap(args) -> int:
                   **_STRATEGY_UNITS, **_CERTIFICATE_UNITS},
     }
     _emit(args, payload)
-    return EXIT_OK if report.primal_converged else EXIT_NONCONVERGED
+    return _exit_code(report)
 
 
 def cmd_dual_eval(args) -> int:
@@ -227,7 +239,7 @@ def cmd_dual_search(args) -> int:
         "units": {"dual_value": "currency", **_CERTIFICATE_UNITS},
     }
     _emit(args, payload)
-    return EXIT_OK if report.dual_converged else EXIT_NONCONVERGED
+    return _exit_code(report)
 
 
 def cmd_call(args) -> int:
@@ -278,9 +290,7 @@ def cmd_shadow_check(args) -> int:
     M_hat = None
     if args.certificate:
         M_hat = formats.load_certificate(args.certificate, tr).M
-    verdict = applications.shadow_price_check(
-        tr, market, applications.ShadowCheckInput(schedule=schedule, utility=utility, M_hat=M_hat)
-    )
+    verdict = applications.shadow_price_check(tr, market, schedule, utility, M_hat)
     payload = {
         "verdict": verdict.verdict,
         "reasons": list(verdict.reasons),

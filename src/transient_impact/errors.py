@@ -29,10 +29,6 @@ class InfeasibleCertificate(TransientImpactError):
     """Dual certificate is not one: its martingale drifts under its measure or leaves the price band."""
 
 
-class InstanceTooLarge(TransientImpactError):
-    """Problem exceeds the size limits of the exhaustive oracle."""
-
-
 class NotApplicable(TransientImpactError):
     """Closed-form result invoked outside of its preconditions."""
 

@@ -67,10 +67,6 @@ class TimeGrid:
     def n_points(self) -> int:
         return self.times.size
 
-    @property
-    def n_steps(self) -> int:
-        return self.times.size - 1
-
     def steps(self) -> np.ndarray:
         return np.diff(self.times)
 

@@ -1,4 +1,4 @@
-"""Super-replication pricing on scenario trees: primal, oracle and certificates.
+"""Super-replication pricing on scenario trees: primal and certificates.
 
 The primal program minimises, over non-negative buy/sell quantities at every
 non-terminal node, the worst-leaf sum of payoff and cost functional; each leaf
@@ -45,11 +45,11 @@ from .duality import (
     require_certificate,
     restore_feasibility,
 )
-from .errors import InstanceTooLarge, WeakDualityViolated
+from .errors import WeakDualityViolated
 from .market import MarketSpec
 from .strategy import TradeSchedule, normalize
 from .tree import NodeMeasure, ScenarioTree, _as_slice, conditional_expectation
-from .wealth import book_value, tree_states, tree_wealth
+from .wealth import tree_states, tree_wealth
 
 
 # The primal search stops when its relative residual sets no new best in this many
@@ -63,7 +63,11 @@ class SolverOptions:
     """Tuning knobs: the primal's relative residual tolerance and its budget of Newton steps.
 
     ``tol`` also sets the gap that certifies the primal optimal in :func:`gap_report`;
-    it must be positive and finite.  A negative budget acts as zero.
+    it must be positive and finite.  A negative budget acts as zero.  The two
+    tests read ``tol`` on different scales: the Newton test divides the
+    constraint and complementarity residuals by ``1 + max(|t|, |v_l|, g)``
+    (the epigraph variable, the leaf values and the closing trades), and
+    :func:`gap_report` divides the gap by ``1 + |primal|``.
     """
 
     tol: float = 1e-9
@@ -84,7 +88,13 @@ class PriceReport:
     closing trade (one row per leaf).  ``primal_converged`` says the primal
     value is optimal to tolerance: its Newton search met ``tol``, or, in
     :func:`gap_report`, a certificate closes the gap to ``tol * (1 + |primal|)``.
-    ``dual_converged`` is the same flag.
+    ``dual_converged`` is the same flag.  ``stop_reason`` says why the Newton
+    search stopped: ``tolerance`` (its relative residual met ``tol``),
+    ``stalled`` (``STALL_STEPS`` steps without a new best residual),
+    ``budget`` (``max_iter`` steps taken), ``breakdown`` (a pivot of the
+    Newton matrix lost definiteness) or ``no_step`` (no step of at least
+    ``MIN_STEP`` was acceptable); ``residual`` is the relative residual it
+    stopped at.
     """
 
     primal_value: float | None = None
@@ -96,6 +106,8 @@ class PriceReport:
     gap: float | None = None
     iterations: int = 0
     primal_converged: bool = True
+    stop_reason: str = "tolerance"
+    residual: float = 0.0
 
     @property
     def dual_converged(self) -> bool:
@@ -462,14 +474,13 @@ def _boundary_step(it: _Iterate, step: _Iterate) -> float:
     return min(1.0, float(np.min(-x[falling] / dx[falling]))) if falling.any() else 1.0
 
 
-def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate, int, bool]:
+def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate, int, str, float]:
     """Mehrotra predictor–corrector from an infeasible start.
 
-    Returns the last iterate, the Newton steps taken and whether the relative
-    residual met ``opts.tol``.  The search also stops when the Newton budget
-    ``opts.max_iter`` runs out, when no step is acceptable, or when the
-    residual sets no new best in ``STALL_STEPS`` steps (a rising liquidity
-    curve can leave the program without a minimum).
+    Returns the last iterate, the Newton steps taken, why the search stopped
+    (:attr:`PriceReport.stop_reason`) and the relative residual there.  A
+    rising liquidity curve can leave the program without a minimum, where
+    the search stalls.  The budget check returns on the last pass of the loop.
     """
     L, n = prob.H.size, prob.n_dec
     it = _Iterate(np.empty(1 + 7 * L + 4 * n), n)
@@ -489,14 +500,16 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
     for steps in range(budget + 1):
         res = _Residuals(it, values, pulled)
         if res.error <= opts.tol:
-            return it, steps, True
+            return it, steps, "tolerance", res.error
         best, since_best = (res.error, 0) if res.error < best else (best, since_best + 1)
-        if since_best >= STALL_STEPS or steps == budget:
-            break
+        if since_best >= STALL_STEPS:
+            return it, steps, "stalled", res.error
+        if steps == budget:
+            return it, steps, "budget", res.error
         try:
             factor = _newton_matrix(prob, it)
-        except np.linalg.LinAlgError:  # a pivot lost definiteness to rounding
-            break
+        except np.linalg.LinAlgError:
+            return it, steps, "breakdown", res.error
         affine = _direction(prob, it, res, factor, np.zeros_like(it.slack), np.zeros_like(it.trades))
         mu_affine = it.moved(affine, _boundary_step(it, affine)).mu()
         sigma_mu = (mu_affine / res.mu) ** 3 * res.mu
@@ -513,10 +526,9 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
                 break
             a *= 0.5
         else:
-            break
+            return it, steps, "no_step", res.error
         it = trial
         pulled = prob.pullback(it.dual)
-    return it, steps, False
 
 
 def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None) -> PriceReport:
@@ -534,7 +546,7 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
     sub, reached = tree.reached_part()
     on_leaf = reached[tree.leaves]
     prob = _PrimalProblem(sub, market, H[on_leaf])
-    it, steps, converged = _interior_point(prob, options or SolverOptions())
+    it, steps, stop, residual = _interior_point(prob, options or SolverOptions())
     value, schedule = min(prob.cash_requirement(it.trades.T.ravel()), prob.cash_requirement(np.zeros(2 * prob.n_dec)),
                           key=lambda priced: priced[0])
     if sub is not tree:
@@ -542,59 +554,8 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
     weights, closing = np.zeros(on_leaf.size), np.zeros((on_leaf.size, 2))
     weights[on_leaf], closing[on_leaf] = it.dual[:, 0], it.dual[:, 1:]
     return PriceReport(primal_value=value, strategy=schedule, leaf_weights=weights, closing_multipliers=closing,
-                       iterations=steps, primal_converged=converged)
-
-
-def brute_force_oracle(tree: ScenarioTree, market: MarketSpec, H, trade_grid) -> float:
-    """Exhaustive minimisation of the worst-leaf cash requirement on a trade lattice.
-
-    Every non-terminal node picks its net trade from ``trade_grid``; leaves
-    liquidate, and those behind a zero-probability branch constrain nothing.
-    The result is an upper bound on the true optimum and, by convexity,
-    within one lattice step of it.  Only tiny instances are accepted (at
-    most 3 periods, 3 branches per node, 1000 lattice points).
-    """
-    grid = np.asarray(trade_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise ValueError("trade grid must be a non-empty 1-d array")
-    if tree.n_levels - 1 > 3:
-        raise InstanceTooLarge("oracle accepts at most 3 periods")
-    if np.bincount(tree.parent[1:]).max() > 3:
-        raise InstanceTooLarge("oracle accepts at most 3 branches per node")
-    if grid.size > 1000:
-        raise InstanceTooLarge("oracle accepts at most 1000 lattice points per trade")
-    depth = tree.t_index[tree.leaves]
-    if float(np.sum(grid.size ** depth.astype(float))) > 5e7:
-        raise InstanceTooLarge("lattice enumeration would be too large")
-
-    H = leaf_payoff(tree, H)
-    H_by_node = np.zeros(tree.n_nodes)
-    H_by_node[tree.leaves] = H
-    imp = market.impact
-    c = tree.rho / tree.delta
-
-    def visit(node: int, x_pre: float, eta_pre: float, pint: float, pen: float) -> float:
-        if tree.is_leaf[node]:
-            net = -x_pre
-            eta = eta_pre + c[node] * abs(net)
-            value = pint + tree.P[node] * net + 0.5 * (pen + tree.kappa[node] * eta**2)
-            return H_by_node[node] + value
-        best = np.inf
-        kids = np.flatnonzero(tree.parent == node)
-        for net in grid:
-            eta = eta_pre + c[node] * abs(net)
-            pint_next = pint + tree.P[node] * net
-            worst = -np.inf
-            for child in kids[tree.p_transition[kids] > 0.0]:
-                worst = max(
-                    worst,
-                    visit(int(child), x_pre + net, eta, pint_next, pen + tree.edge_weight[child] * eta**2),
-                )
-            best = min(best, worst)
-        return best
-
-    raw = visit(0, imp.x0, imp.zeta0, 0.0, 0.0)
-    return float(raw - book_value(imp, float(tree.delta[0])))
+                       iterations=steps, primal_converged=stop == "tolerance", stop_reason=stop,
+                       residual=residual)
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,6 @@ class TradeSchedule:
     def zero(cls, n_slots: int, x0: float = 0.0) -> "TradeSchedule":
         return cls(np.zeros(n_slots), np.zeros(n_slots), x0)
 
-    @classmethod
-    def from_net(cls, net, x0: float = 0.0) -> "TradeSchedule":
-        net = np.asarray(net, dtype=float)
-        return cls(np.maximum(net, 0.0), np.maximum(-net, 0.0), x0)
-
 
 def _check_same_slots(a: TradeSchedule, b: TradeSchedule) -> None:
     if a.n_slots != b.n_slots:

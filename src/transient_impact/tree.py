@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MonotonicityViolation, NoSignChange
-from .market import EPS_MONO, TimeGrid, as_curve, decay_margin, finite, require_signs
+from .market import TimeGrid, as_curve, decay_margin, finite, require_signs
 
 MARTINGALE_RTOL = 1e-10
 SIMPLEX_ATOL = 1e-9
@@ -221,10 +221,6 @@ class ScenarioTree:
         parent = np.where(self.parent[reached] >= 0, (np.cumsum(reached) - 1)[self.parent[reached]], -1)
         return ScenarioTree(self.times, parent, self.p_transition[reached], self.P[reached], self.delta[reached],
                             self.r[reached]), reached
-
-    def validate_assumptions_pathwise(self) -> tuple[bool, float]:
-        """Edge-wise check that the liquidity curve strictly decreases on every path."""
-        return self.decay_margin > EPS_MONO, self.decay_margin
 
     def require_decay(self) -> None:
         """Refuse a liquidity curve that rises along an edge.

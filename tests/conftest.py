@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
+from transient_impact.duality import leaf_payoff
+from transient_impact.wealth import book_value
 
 
 def random_market(rng, max_steps=50, min_steps=1, iota=None, zeta0=None, x0=None, xi0=None):
@@ -207,6 +209,62 @@ def exhaustive_utility_search(tree, market, utility, trade_grid):
             continue
         best = max(best, float(np.dot(leaf_reach, utility.value(tw.xi_T))))
     return best
+
+
+class OracleTooLarge(Exception):
+    """The instance exceeds the size limits of :func:`brute_force_oracle`."""
+
+
+def brute_force_oracle(tree, market, H, trade_grid) -> float:
+    """Exhaustive minimisation of the worst-leaf cash requirement on a trade lattice.
+
+    Every non-terminal node picks its net trade from ``trade_grid``; leaves
+    liquidate, and those behind a zero-probability branch constrain nothing.
+    The result is an upper bound on the true optimum and, by convexity,
+    within one lattice step of it.  Only tiny instances are accepted (at
+    most 3 periods, 3 branches per node, 1000 lattice points).
+    """
+    grid = np.asarray(trade_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("trade grid must be a non-empty 1-d array")
+    if tree.n_levels - 1 > 3:
+        raise OracleTooLarge("oracle accepts at most 3 periods")
+    if np.bincount(tree.parent[1:]).max() > 3:
+        raise OracleTooLarge("oracle accepts at most 3 branches per node")
+    if grid.size > 1000:
+        raise OracleTooLarge("oracle accepts at most 1000 lattice points per trade")
+    depth = tree.t_index[tree.leaves]
+    if float(np.sum(grid.size ** depth.astype(float))) > 5e7:
+        raise OracleTooLarge("lattice enumeration would be too large")
+
+    H = leaf_payoff(tree, H)
+    H_by_node = np.zeros(tree.n_nodes)
+    H_by_node[tree.leaves] = H
+    imp = market.impact
+    c = tree.rho / tree.delta
+
+    def visit(node: int, x_pre: float, eta_pre: float, pint: float, pen: float) -> float:
+        if tree.is_leaf[node]:
+            net = -x_pre
+            eta = eta_pre + c[node] * abs(net)
+            value = pint + tree.P[node] * net + 0.5 * (pen + tree.kappa[node] * eta**2)
+            return H_by_node[node] + value
+        best = np.inf
+        kids = np.flatnonzero(tree.parent == node)
+        for net in grid:
+            eta = eta_pre + c[node] * abs(net)
+            pint_next = pint + tree.P[node] * net
+            worst = -np.inf
+            for child in kids[tree.p_transition[kids] > 0.0]:
+                worst = max(
+                    worst,
+                    visit(int(child), x_pre + net, eta, pint_next, pen + tree.edge_weight[child] * eta**2),
+                )
+            best = min(best, worst)
+        return best
+
+    raw = visit(0, imp.x0, imp.zeta0, 0.0, 0.0)
+    return float(raw - book_value(imp, float(tree.delta[0])))
 
 
 def super_replication_cash(tree, market, schedule, H):

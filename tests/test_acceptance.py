@@ -13,6 +13,7 @@ import pytest
 import transient_impact as ti
 
 from conftest import (
+    brute_force_oracle,
     exhaustive_utility_search,
     market_for_tree,
     random_certificate,
@@ -148,7 +149,7 @@ def test_criterion_5_reference_pricing_instance(announce):
     start = time.perf_counter()
     tree, market, H = binary_reference()
     primal = ti.primal_solve(tree, market, H)
-    oracle = ti.brute_force_oracle(tree, market, H, np.arange(0.0, 1.0001, 0.01))
+    oracle = brute_force_oracle(tree, market, H, np.arange(0.0, 1.0001, 0.01))
     init = ti.DualCertificate(
         q=ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), M=tree.P.copy(), alpha=np.zeros(3)
     )
@@ -286,8 +287,7 @@ def test_criterion_9_shadow_price_verification(announce):
                            stochastic_liquidity=bool(rng.random() < 0.5))
         market = market_for_tree(rng, tree, x0=0.0, zeta0=float(rng.uniform(0.0, 0.4)), xi0=10.0)
         utility = utilities[k % len(utilities)]
-        inp = ti.ShadowCheckInput(schedule=ti.TradeSchedule.zero(tree.n_nodes), utility=utility)
-        verdict = ti.shadow_price_check(tree, market, inp)
+        verdict = ti.shadow_price_check(tree, market, ti.TradeSchedule.zero(tree.n_nodes), utility)
         assert verdict.verdict == "optimal", f"instance {k} unexpectedly inconclusive: {verdict.reasons}"
         best_other = exhaustive_utility_search(tree, market, utility, np.linspace(-1.0, 1.0, 9))
         tol = 1e-9 * (1.0 + abs(verdict.expected_utility))

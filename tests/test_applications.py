@@ -200,12 +200,8 @@ class TestShadowPriceCheck:
     def test_no_trading_on_martingale_price_is_optimal(self, rng):
         tree = random_tree(rng, depth=2, martingale=True)
         market = market_for_tree(rng, tree, x0=0.0, zeta0=0.2, xi0=5.0)
-        inp = ti.ShadowCheckInput(
-            schedule=ti.TradeSchedule.zero(tree.n_nodes),
-            utility=ti.ExponentialUtility(1.0),
-            M_hat=tree.P.copy(),
-        )
-        verdict = ti.shadow_price_check(tree, market, inp)
+        verdict = ti.shadow_price_check(tree, market, ti.TradeSchedule.zero(tree.n_nodes), ti.ExponentialUtility(1.0),
+                                        M_hat=tree.P.copy())
         assert verdict.verdict == "optimal"
         assert verdict.martingale_defect <= 1e-10
         assert verdict.band_violation <= 0.0 + 1e-12
@@ -213,16 +209,14 @@ class TestShadowPriceCheck:
     def test_search_finds_martingale_when_none_given(self, rng):
         tree = random_tree(rng, depth=2, martingale=True)
         market = market_for_tree(rng, tree, x0=0.0, zeta0=0.15, xi0=5.0)
-        inp = ti.ShadowCheckInput(schedule=ti.TradeSchedule.zero(tree.n_nodes), utility=ti.LogUtility())
-        verdict = ti.shadow_price_check(tree, market, inp)
+        verdict = ti.shadow_price_check(tree, market, ti.TradeSchedule.zero(tree.n_nodes), ti.LogUtility())
         assert verdict.verdict == "optimal"
         assert verdict.M_hat is not None
 
     def test_strong_drift_is_inconclusive(self):
         tree = one_step([106.0, 107.0])
         market = ti.MarketSpec.build([0.0, 1.0], 10.0, 0.0, zeta0=0.5, x0=0.0, xi0=5.0)
-        inp = ti.ShadowCheckInput(schedule=ti.TradeSchedule.zero(3), utility=ti.ExponentialUtility(1.0))
-        verdict = ti.shadow_price_check(tree, market, inp)
+        verdict = ti.shadow_price_check(tree, market, ti.TradeSchedule.zero(3), ti.ExponentialUtility(1.0))
         assert verdict.verdict == "inconclusive"
         assert verdict.reasons
 
@@ -230,28 +224,23 @@ class TestShadowPriceCheck:
     def test_non_finite_martingale_rejected(self, M_hat):
         tree = one_step([106.0, 107.0])
         market = ti.MarketSpec.build([0.0, 1.0], 10.0, 0.0, zeta0=0.5, x0=0.0, xi0=5.0)
-        inp = ti.ShadowCheckInput(schedule=ti.TradeSchedule.zero(3), utility=ti.ExponentialUtility(1.0),
-                                  M_hat=np.array(M_hat))
         with pytest.raises(NonFiniteInput, match="M_hat"):
-            ti.shadow_price_check(tree, market, inp)
+            ti.shadow_price_check(tree, market, ti.TradeSchedule.zero(3), ti.ExponentialUtility(1.0),
+                                  M_hat=np.array(M_hat))
 
     def test_requires_liquidation(self, rng):
         tree = random_tree(rng, depth=2)
         market = market_for_tree(rng, tree, x0=0.0)
         buys = np.zeros(tree.n_nodes)
         buys[0] = 1.0
-        inp = ti.ShadowCheckInput(
-            schedule=ti.TradeSchedule(buys, np.zeros(tree.n_nodes)), utility=ti.LogUtility()
-        )
         with pytest.raises(TerminalNotZero):
-            ti.shadow_price_check(tree, market, inp)
+            ti.shadow_price_check(tree, market, ti.TradeSchedule(buys, np.zeros(tree.n_nodes)), ti.LogUtility())
 
     def test_domain_violation_rejected(self, rng):
         tree = random_tree(rng, depth=2, martingale=True)
         market = market_for_tree(rng, tree, x0=0.0, zeta0=0.0, xi0=-1.0)  # negative wealth
-        inp = ti.ShadowCheckInput(schedule=ti.TradeSchedule.zero(tree.n_nodes), utility=ti.LogUtility())
         with pytest.raises(ValueError):
-            ti.shadow_price_check(tree, market, inp)
+            ti.shadow_price_check(tree, market, ti.TradeSchedule.zero(tree.n_nodes), ti.LogUtility())
 
     def test_optimal_verdict_confirmed_by_exhaustive_search(self, rng):
         from conftest import exhaustive_utility_search
@@ -259,8 +248,7 @@ class TestShadowPriceCheck:
         tree = random_tree(rng, depth=2, max_branch=2, martingale=True)
         market = market_for_tree(rng, tree, x0=0.0, zeta0=0.1, xi0=10.0)
         utility = ti.ExponentialUtility(0.5)
-        inp = ti.ShadowCheckInput(schedule=ti.TradeSchedule.zero(tree.n_nodes), utility=utility)
-        verdict = ti.shadow_price_check(tree, market, inp)
+        verdict = ti.shadow_price_check(tree, market, ti.TradeSchedule.zero(tree.n_nodes), utility)
         assert verdict.verdict == "optimal"
         best_other = exhaustive_utility_search(tree, market, utility, np.linspace(-1.0, 1.0, 9))
         assert best_other <= verdict.expected_utility + 1e-9 * (1.0 + abs(verdict.expected_utility))

@@ -179,6 +179,26 @@ class TestPriceAndGap:
         _, out2 = run(capsys, "price", "--market", market, "--tree", tree, "--payoff", payoff)
         assert out1 == out2
 
+    @pytest.mark.parametrize("command", ["price", "gap", "dual-search"])
+    def test_spent_budget_exits_three_and_says_why(self, tmp_path, capsys, binary_files, command):
+        market, tree, payoff = binary_files
+        argv = [command, "--market", market, "--tree", tree, "--payoff", payoff, "--max-iter", "1"]
+        code, out = run(capsys, *argv)
+        out_file = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out_file)]) == 3
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.startswith("not converged: the primal search stopped (budget) after 1 Newton steps")
+        assert captured.err.count("\n") == 1 and "relative residual" in captured.err
+        assert out_file.read_text(encoding="utf-8") == out  # the report is written as on any exit
+        assert json.loads(out)["converged"] is False
+
+    def test_converged_commands_write_nothing_to_stderr(self, capsys, binary_files):
+        market, tree, payoff = binary_files
+        for command in ("price", "gap", "dual-search"):
+            assert main([command, "--market", market, "--tree", tree, "--payoff", payoff]) == 0
+            assert capsys.readouterr().err == ""
+
     def test_weak_duality_breach_exits_one(self, capsys, binary_files, monkeypatch):
         from dataclasses import replace
 

@@ -7,13 +7,12 @@ import transient_impact as ti
 from transient_impact import duality
 from transient_impact.errors import (
     InfeasibleCertificate,
-    InstanceTooLarge,
     MonotonicityViolation,
     NonFiniteInput,
     SuperReplicationViolated,
 )
 
-from conftest import market_for_tree, random_tree, random_tree_schedule
+from conftest import OracleTooLarge, brute_force_oracle, market_for_tree, random_tree, random_tree_schedule
 
 
 def binary_instance():
@@ -79,7 +78,7 @@ class TestPrimalSolve:
         tree, market = single_scenario([100.0, 100.0])
         report = ti.primal_solve(tree, market, np.ones(1))
         assert report.primal_value == pytest.approx(1.0, abs=1e-8)
-        oracle = ti.brute_force_oracle(tree, market, np.ones(1), np.linspace(-1, 1, 41))
+        oracle = brute_force_oracle(tree, market, np.ones(1), np.linspace(-1, 1, 41))
         assert report.primal_value <= oracle + 1e-9
 
     def test_binary_reference_instance(self):
@@ -129,6 +128,7 @@ class TestPrimalSolve:
         report = ti.primal_solve(tree, market, H, ti.SolverOptions(max_iter=budget))
         assert not report.primal_converged
         assert report.iterations == max(budget, 0)
+        assert report.stop_reason == "budget"
         tw = ti.tree_wealth(tree, report.strategy, replace(market.impact, xi0=report.primal_value))
         assert np.min(tw.xi_T - H) >= -1e-9 * (1.0 + abs(report.primal_value))
 
@@ -149,31 +149,31 @@ class TestPrimalSolve:
 class TestBruteForceOracle:
     def test_binary_reference_instance(self):
         tree, market, H = binary_instance()
-        value = ti.brute_force_oracle(tree, market, H, np.arange(0.0, 1.0001, 0.01))
+        value = brute_force_oracle(tree, market, H, np.arange(0.0, 1.0001, 0.01))
         assert value == pytest.approx(5.05, abs=0.005)
 
     def test_zero_payoff(self):
         tree, market = single_scenario([100.0, 100.0])
-        assert ti.brute_force_oracle(tree, market, np.zeros(1), np.linspace(-1, 1, 21)) == pytest.approx(0.0, abs=1e-12)
+        assert brute_force_oracle(tree, market, np.zeros(1), np.linspace(-1, 1, 21)) == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_payoff(self):
         tree, market = single_scenario([100.0, 100.0])
-        value = ti.brute_force_oracle(tree, market, np.ones(1), np.linspace(-1, 1, 21))
+        value = brute_force_oracle(tree, market, np.ones(1), np.linspace(-1, 1, 21))
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_size_guards(self, rng):
         tree = random_tree(rng, depth=4, max_branch=2)
         market = market_for_tree(rng, tree)
-        with pytest.raises(InstanceTooLarge):
-            ti.brute_force_oracle(tree, market, np.zeros(tree.leaves.size), np.linspace(-1, 1, 5))
+        with pytest.raises(OracleTooLarge):
+            brute_force_oracle(tree, market, np.zeros(tree.leaves.size), np.linspace(-1, 1, 5))
         small = random_tree(rng, depth=2, max_branch=2)
-        with pytest.raises(InstanceTooLarge):
-            ti.brute_force_oracle(small, market_for_tree(rng, small), np.zeros(small.leaves.size), np.linspace(-1, 1, 1001))
+        with pytest.raises(OracleTooLarge):
+            brute_force_oracle(small, market_for_tree(rng, small), np.zeros(small.leaves.size), np.linspace(-1, 1, 1001))
 
     def test_null_branch_constrains_nothing(self):
         # the null leaf pays 50 and is not dominated: as in the primal, only the sure move to 110 is priced
         tree, market = null_branch_instance()
-        value = ti.brute_force_oracle(tree, market, [0.0, 50.0], np.arange(0.0, 40.0, 0.05))
+        value = brute_force_oracle(tree, market, [0.0, 50.0], np.arange(0.0, 40.0, 0.05))
         primal = ti.primal_solve(tree, market, [0.0, 50.0]).primal_value
         assert primal <= value + 1e-9 and value - primal <= 1e-2 * (1.0 + abs(primal))
 
@@ -186,7 +186,7 @@ class TestBruteForceOracle:
             H = np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
             step = 0.02
             grid = np.arange(-2.0, 2.0001, step)
-            oracle = ti.brute_force_oracle(tree, market, H, grid)
+            oracle = brute_force_oracle(tree, market, H, grid)
             primal = ti.primal_solve(tree, market, H).primal_value
             scale = 1.0 + abs(oracle)
             assert primal <= oracle + 5e-3 * scale  # solver not worse than the lattice
@@ -239,7 +239,7 @@ class TestDualAscent:
 
     def test_rising_liquidity_curve_refused(self):
         tree, market, H = rising_instance()
-        assert tree.validate_assumptions_pathwise()[1] < 0.0
+        assert tree.decay_margin < 0.0
         init = ti.default_certificate(tree, market)
         with pytest.raises(MonotonicityViolation, match="rises"):
             ti.dual_ascent(tree, market, H, init, ti.SolverOptions(max_iter=5))
@@ -712,8 +712,8 @@ class TestInteriorPoint:
         from transient_impact.solver import _interior_point, _PrimalProblem
 
         for _, tree, market, H in list(seeded_convex_trees())[:8]:
-            it, _, converged = _interior_point(_PrimalProblem(tree, market, H), ti.SolverOptions())
-            assert converged
+            it, _, stop, residual = _interior_point(_PrimalProblem(tree, market, H), ti.SolverOptions())
+            assert stop == "tolerance" and residual <= 1e-9
             assert np.all(it.dual > 0.0)
             assert it.dual[:, 0].sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -765,3 +765,57 @@ class TestInteriorPoint:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+
+def random_call_trees():
+    """The seeded set of random decaying trees: depth 2-4, ``random_tree`` and ``market_for_tree``
+    from ``default_rng(0)``, and a call at 100 scaled by a factor drawn from [0.5, 2)."""
+    rng = np.random.default_rng(0)
+    while True:
+        tree = random_tree(rng, int(rng.integers(2, 5)))
+        market = market_for_tree(rng, tree)
+        yield tree, market, np.maximum(tree.P[tree.leaves] - 100.0, 0.0) * rng.uniform(0.5, 2)
+
+
+class TestStopReason:
+    """Each report says why the primal's Newton search stopped, and at which relative residual."""
+
+    def test_tolerance(self):
+        report = ti.primal_solve(*binary_instance())
+        assert report.primal_converged and report.stop_reason == "tolerance"
+        assert 0.0 <= report.residual <= 1e-9
+
+    @pytest.mark.parametrize("index, n_nodes, reason, steps", [(73, 20, "stalled", 221), (191, 31, "breakdown", 17)])
+    def test_random_trees_that_stop_short(self, index, n_nodes, reason, steps):
+        # the two trees of the first 200 whose search ends above tol, at gap / (1 + |primal|) 1.8e-5 and 3.0e-9;
+        # no certificate closes their gap, so they stay unconverged
+        from itertools import islice
+
+        tree, market, H = next(islice(random_call_trees(), index, None))
+        assert tree.n_nodes == n_nodes
+        report = ti.gap_report(tree, market, H)
+        assert (report.stop_reason, report.iterations) == (reason, steps)
+        assert not report.primal_converged
+        assert report.residual > 1e-9
+
+    def test_budget_on_the_ladder(self):
+        report = ti.primal_solve(*binomial_ladder(4), ti.SolverOptions(max_iter=1))
+        assert (report.stop_reason, report.iterations, report.primal_converged) == ("budget", 1, False)
+        assert report.residual > 1e-9
+
+    def test_breakdown_when_the_newton_matrix_is_not_definite(self, monkeypatch):
+        from transient_impact import solver
+
+        def indefinite(prob, it):
+            raise np.linalg.LinAlgError("a pivot is not positive definite")
+
+        monkeypatch.setattr(solver, "_newton_matrix", indefinite)
+        report = ti.primal_solve(*binary_instance())
+        assert (report.stop_reason, report.iterations, report.primal_converged) == ("breakdown", 0, False)
+
+    def test_no_step_when_every_trial_is_too_short(self, monkeypatch):
+        from transient_impact import solver
+
+        monkeypatch.setattr(solver, "MIN_STEP", 1.0)  # no step is longer than 1
+        report = ti.primal_solve(*binary_instance())
+        assert (report.stop_reason, report.iterations, report.primal_converged) == ("no_step", 0, False)

@@ -29,11 +29,6 @@ class TestTradeSchedule:
         with pytest.raises(NonFiniteInput):
             ti.TradeSchedule(buys, sells, x0)
 
-    def test_from_net_splits_signs(self):
-        s = ti.TradeSchedule.from_net([1.0, -2.0, 0.0], x0=3.0)
-        np.testing.assert_array_equal(s.buys, [1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(s.sells, [0.0, 2.0, 0.0])
-
 
 class TestPositionPath:
     def test_no_trades(self):

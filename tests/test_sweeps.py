@@ -40,6 +40,7 @@ import pytest
 import transient_impact as ti
 from transient_impact.duality import node_penalty_weights
 from transient_impact.errors import InfeasibleCertificate, NoSignChange
+from transient_impact.market import EPS_MONO
 from transient_impact.solver import _PrimalProblem
 from transient_impact.wealth import book_value
 
@@ -1266,7 +1267,7 @@ def test_stationarity_fold_matches_dense_jacobian(monkeypatch, tree, market, H):
 def test_tree_sparse_newton_direction_matches_dense_kkt(monkeypatch, tree, market, H):
     from transient_impact import solver
 
-    assert tree.validate_assumptions_pathwise()[0]  # convex: the curvature is the true Hessian
+    assert tree.decay_margin > EPS_MONO  # convex: the curvature is the true Hessian
     direction = solver._direction
     seen = []
 

@@ -3,6 +3,7 @@ import pytest
 
 import transient_impact as ti
 from transient_impact.errors import NoSignChange, NonFiniteInput
+from transient_impact.market import EPS_MONO
 
 from conftest import random_market, random_tree, ref_children, ref_leaf_paths
 
@@ -69,8 +70,7 @@ class TestConstruction:
 
     def test_edge_decay_check(self, rng):
         tree = random_tree(rng, depth=2)
-        ok, margin = tree.validate_assumptions_pathwise()
-        assert ok and margin > 0.0
+        assert tree.decay_margin > EPS_MONO
 
 
     def test_pathwise_margin_matches_market_margin(self, rng):
@@ -79,9 +79,8 @@ class TestConstruction:
         markets.append(ti.MarketSpec.build([0, 1, 2], 10.0, 0.0))  # flat
         for market in markets:
             tree = ti.ScenarioTree.single_path(market, 100.0)
-            _, margin = tree.validate_assumptions_pathwise()
             expected = ti.validate_assumptions(market.grid, market.liquidity).kappa_relative_margin
-            assert margin == pytest.approx(expected, rel=1e-12)
+            assert tree.decay_margin == pytest.approx(expected, rel=1e-12)
 
 
 class TestNodeMeasure:
