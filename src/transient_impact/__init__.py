@@ -38,9 +38,6 @@ from .market import (
     MuWeights,
     TimeGrid,
     ValidationReport,
-    build_kappa,
-    build_mu,
-    build_rho,
     validate_assumptions,
 )
 from .solver import (

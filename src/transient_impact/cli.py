@@ -30,7 +30,9 @@ it is strictly better, and at the default ``tol`` 1e-9: it takes no
 ``--tol``).  Exit 3 writes the report and one stderr line with why the
 search stopped (``stalled``, ``budget``, ``breakdown`` or ``no_step``; see
 :class:`~transient_impact.solver.PriceReport`), its Newton steps and its
-final relative residual.  Neither ``gap`` nor ``dual-search`` runs a dual
+final relative residual, and for ``gap`` and ``dual-search`` also the
+reported gap over ``1 + |primal|``, which bounds the primal value's error
+(weak duality).  Neither ``gap`` nor ``dual-search`` runs a dual
 search, so their ``--max-iter`` counts the primal's Newton steps only.
 Identical inputs produce byte-identical output.
 """
@@ -64,11 +66,13 @@ def _emit(args, payload, tree=None, series=None) -> None:
 
 
 def _exit_code(report) -> int:
-    """``EXIT_OK`` for a converged report, else ``EXIT_NONCONVERGED``, saying on stderr why the primal stopped."""
+    """``EXIT_OK`` for a converged report, else ``EXIT_NONCONVERGED``, saying on stderr why the primal stopped
+    and, where a certificate was read off it, how far its gap is from proving the value."""
     if report.primal_converged:
         return EXIT_OK
+    gap = "" if report.gap is None else f", gap/(1+|primal|) {report.gap / (1.0 + abs(report.primal_value)):.3e}"
     print(f"not converged: the primal search stopped ({report.stop_reason}) after {report.iterations} Newton steps "
-          f"at relative residual {report.residual:.3e}", file=sys.stderr)
+          f"at relative residual {report.residual:.3e}{gap}", file=sys.stderr)
     return EXIT_NONCONVERGED
 
 

@@ -1,13 +1,16 @@
-"""Market primitives: time grid, depth/resilience curves and derived liquidity weights.
+"""Market primitives: time grid, depth/resilience curves and their regularity checks.
 
 The model is parameterised by a market depth curve ``delta`` (shares per unit
-price move) and a resilience rate ``r`` (1/time).  From these we derive the
-resilience discount ``rho``, the decaying liquidity curve ``kappa = delta /
-rho**2`` and the liquidity weights used by every wealth and certificate
-computation: one weight per grid interval (the drop of ``kappa`` over it) plus
-a terminal atom ``kappa[-1]``.  The interval weight is always consumed against
-the value at the *left* grid point; trades sit exactly on grid points, which
-makes this discretisation exact for grid-point trading.
+price move) and a resilience rate ``r`` (1/time).  A deterministic market is
+the one-scenario case of a scenario tree, so its derived curves are read off
+its one-path :class:`~transient_impact.tree.ScenarioTree`, whose constructor
+is the one code that computes them: the resilience discount ``rho``, the
+decaying liquidity curve ``kappa = delta / rho**2`` and the liquidity weights
+used by every wealth and certificate computation, one weight per grid
+interval (the drop of ``kappa`` over it) plus a terminal atom ``kappa[-1]``.
+The interval weight is always consumed against the value at the *left* grid
+point; trades sit exactly on grid points, which makes this discretisation
+exact for grid-point trading.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MonotonicityViolation, NonFiniteInput
+from .errors import NonFiniteInput
 
 # Relative strictness guard for the decay of the liquidity curve.
 EPS_MONO = 1e-12
@@ -66,9 +69,6 @@ class TimeGrid:
     @property
     def n_points(self) -> int:
         return self.times.size
-
-    def steps(self) -> np.ndarray:
-        return np.diff(self.times)
 
 
 @dataclass(frozen=True)
@@ -139,52 +139,21 @@ class MarketSpec:
         return cls(grid, liq, ImpactParams(iota=iota, zeta0=zeta0, x0=x0, xi0=xi0))
 
     def rho(self) -> np.ndarray:
-        return build_rho(self.grid, self.liquidity.r)
+        return _chain(self).rho
 
     def kappa(self) -> np.ndarray:
-        return build_kappa(self.grid, self.liquidity.delta, self.rho())
+        return _chain(self).kappa
 
-    def mu(self, require_strict: bool = True) -> MuWeights:
-        return build_mu(self.kappa(), require_strict=require_strict)
-
-
-# ---------------------------------------------------------------------------
-# Derived curves
-# ---------------------------------------------------------------------------
+    def mu(self) -> MuWeights:
+        chain = _chain(self)
+        return MuWeights(interior=chain.edge_weight[1:], atom=float(chain.kappa[-1]))
 
 
-def build_rho(grid: TimeGrid, r) -> np.ndarray:
-    """Resilience discount factor on the grid.
+def _chain(market: MarketSpec):
+    """The market's one-path tree at price 0; ``ValueError`` on a depth <= 0 or a resilience < 0."""
+    from .tree import ScenarioTree  # tree.py imports this module
 
-    Uses a left-endpoint rule for the accumulated resilience, which is exact
-    when the rate is piecewise constant between grid points:
-    ``rho[i] = exp(sum_{j<i} r[j] * (t[j+1] - t[j]))`` with ``rho[0] = 1``.
-    """
-    r = as_curve(r, grid.n_points, "r")
-    require_signs(r=r)
-    accum = np.concatenate([[0.0], np.cumsum(r[:-1] * grid.steps())])
-    return np.exp(accum)
-
-
-def build_kappa(grid: TimeGrid, delta, rho: np.ndarray) -> np.ndarray:
-    """Liquidity decay curve ``delta / rho**2`` on the grid."""
-    delta = as_curve(delta, grid.n_points, "delta")
-    require_signs(delta=delta)
-    rho = as_curve(rho, grid.n_points, "rho")
-    return delta / rho**2
-
-
-def build_mu(kappa: np.ndarray, require_strict: bool = True) -> MuWeights:
-    """Liquidity weights: interval masses ``kappa[i-1] - kappa[i]`` plus the atom ``kappa[-1]``.
-
-    With ``require_strict`` (the default) a non-strict decrease of the curve
-    raises :class:`MonotonicityViolation`.  Wealth computations that merely
-    evaluate the algebraic cash identity may disable the check.
-    """
-    kappa = np.asarray(kappa, dtype=float)
-    if require_strict and decay_margin(kappa[:-1], kappa[1:]) <= EPS_MONO:
-        raise MonotonicityViolation("liquidity curve must be strictly decreasing")
-    return MuWeights(interior=kappa[:-1] - kappa[1:], atom=float(kappa[-1]))
+    return ScenarioTree.single_path(market, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +211,11 @@ def validate_assumptions(grid: TimeGrid, liquidity: LiquiditySpec) -> Validation
 
     ratio_min = ratio_max = margin = np.nan
     if not failures:
-        rho = build_rho(grid, r)
-        ratio = delta / rho
+        chain = _chain(MarketSpec(grid, liquidity))
+        ratio = delta / chain.rho
         ratio_min = float(ratio.min())
         ratio_max = float(ratio.max())
-        kappa = build_kappa(grid, delta, rho)
-        margin = decay_margin(kappa[:-1], kappa[1:])
+        margin = chain.decay_margin
         if margin <= EPS_MONO:
             failures.append(
                 "liquidity curve is not strictly decreasing "

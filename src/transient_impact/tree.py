@@ -83,7 +83,8 @@ class ScenarioTree:
                              for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1])]
         self._check_simplex(self.p_transition, "transition probabilities")
 
-        # Per-node resilience discount and liquidity curve along the path.
+        # Per-node resilience discount and liquidity curve along the path: the accumulated
+        # resilience takes each interval's rate at its left end, exact for a piecewise constant rate.
         dt = np.diff(self.grid.times)
         growth = np.ones(n)
         growth[1:] = np.exp(self.r[self.parent[1:]] * dt[self.t_index[self.parent[1:]]])

@@ -1,27 +1,30 @@
 """Spread state, terminal cash and its convex decomposition.
 
-Two routes to the same terminal cash: the direct midpoint-execution rule
-:func:`midpoint_cash`, and the decomposition ``cash = v0 - (price integral +
-spread penalty)``.  Both agree to rounding whenever the terminal position is
-zero.  A deterministic grid is a row of slots, one spread and penalty per
-schedule; of each price path the grid kernels need only its integral against
-the trades and its first and last price, which :func:`path_sums` gathers in
-one pass over time-row blocks.  A scenario tree is node states: the spread is
-Markov, so :func:`tree_states` gives every node's state in one down-sweep.
-Its midpoint cash is a down-sweep too: each node's payment, from its parent's
-state to its own, summed along the paths by ``tree.accumulate``.
+Two routes to the same terminal cash: the direct midpoint-execution rule,
+each trade paying from its parent's state to its own, and the decomposition
+``cash = v0 - (price integral + spread penalty)``.  Both agree to rounding
+whenever the terminal position is zero.  The spread is Markov, so on a
+scenario tree :func:`tree_states` gives every node's position, spread and
+running penalty in one down-sweep, and the midpoint cash is a down-sweep too,
+the nodes' payments summed along the paths by ``tree.accumulate``.  A
+deterministic grid is the one-scenario case: the grid functions run the same
+code on the market's one-path tree at price 0.  The price enters the cash
+only linearly, so of each price path they need only its integral against the
+trades and its first and last price, which :func:`path_sums` gathers in one
+pass over time-row blocks.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import GridMismatch, TerminalNotZero
 from .market import MarketSpec
 from .strategy import TradeSchedule, check_terminal_zero, convex_combine, normalize
+from .tree import ScenarioTree
 
 
 @dataclass(frozen=True)
@@ -57,7 +60,7 @@ class WealthBreakdown:
 
 @dataclass(frozen=True)
 class PathSums:
-    """What the grid kernels read of each price path, gathered in one pass over its rows.
+    """What the grid functions read of each price path, gathered in one pass over its rows.
 
     Per scenario: the price integral ``p_integral = sum(P * net)`` against the
     trades ``net`` it was taken with, and the first and last price.  ``low`` is
@@ -120,17 +123,24 @@ def path_sums(P, net) -> PathSums:
     return PathSums(net, integral, first, last, low, rows, was_1d)
 
 
-def _grid_sums(schedule: TradeSchedule, market: MarketSpec, P):
-    """The :func:`path_sums` of ``P`` against the schedule, then its spread and penalty on the grid.
+def _chain(schedule: TradeSchedule, market: MarketSpec) -> ScenarioTree:
+    """The market's one-path tree at price 0, once the schedule is known to fit its grid."""
+    if schedule.n_slots != market.grid.n_points:
+        raise GridMismatch(f"schedule has {schedule.n_slots} slots but the grid has {market.grid.n_points} points")
+    return ScenarioTree.single_path(market, 0.0)
+
+
+def _on_chain(schedule: TradeSchedule, market: MarketSpec, P):
+    """The :func:`path_sums` of ``P`` against the schedule, and the market's one-path tree.
 
     The prices are read first, so a fault in a price file outranks a schedule
     that does not fit the grid, which outranks paths that do not.
     """
     sums = path_sums(P, schedule.net())
-    eta, penalty = _grid_spread(schedule, market, market.impact.zeta0)
+    chain = _chain(schedule, market)
     if sums.n_points != market.grid.n_points:
         raise ValueError(f"price paths must have {market.grid.n_points} grid points, got {sums.n_points}")
-    return sums, eta, penalty
+    return sums, chain
 
 
 def _prices(P, n_points: int) -> np.ndarray:
@@ -151,18 +161,6 @@ def book_value(impact, delta0: float) -> float:
     return 0.5 * (impact.iota * impact.x0**2 + delta0 * impact.zeta0**2)
 
 
-def _running(first, steps) -> np.ndarray:
-    """``first + cumsum(steps)`` along the last axis, summed in path order from ``first``."""
-    out = np.array(steps, dtype=float)
-    out[..., 0] += first
-    return np.cumsum(out, axis=-1, out=out)
-
-
-def _pre(post: np.ndarray, first) -> np.ndarray:
-    """Pre-trade values: ``first`` at slot 0, then the post-trade value of the previous slot."""
-    return np.concatenate([np.full(post.shape[:-1] + (1,), first), post[..., :-1]], axis=-1)
-
-
 def _midpoint_spend(impact, net, gross, x_pre, x, eta_pre, eta, rho):
     """Each trade's pay beyond ``P * net``: pre/post-trade means of the shifted mid price and half-spread."""
     mid = impact.iota * 0.5 * (x_pre + x)
@@ -170,45 +168,18 @@ def _midpoint_spend(impact, net, gross, x_pre, x, eta_pre, eta, rho):
     return mid * net + half_spread * gross
 
 
-def midpoint_cash(impact, x0: float, p_integral, net, gross, eta, rho):
-    """Terminal cash of midpoint-rule execution on rows of slots, from position ``x0``.
-
-    Each trade pays the pre/post-trade average of the shifted mid price on its
-    net size and of the half-spread ``eta / rho`` on its gross size.  The
-    unaffected part ``p_integral = sum(P * net)`` comes from the caller: one
-    per schedule row, or one per scenario row for a single schedule row.
-    """
-    pos = _running(x0, net)
-    spend = _midpoint_spend(impact, net, gross, _pre(pos, x0), pos, _pre(eta, impact.zeta0), eta, rho)
-    return impact.xi0 - (p_integral + spend.sum(axis=-1))
-
-
-def _grid_spread(schedule: TradeSchedule, market: MarketSpec, zeta0: float):
-    """Scaled spread ``eta = zeta0 + cumsum(rho / delta * gross)`` of a schedule on the grid, and its penalty.
-
-    The penalty is ``0.5 * (sum(w * eta[:-1]**2) + atom * eta[-1]**2)``:
-    each interval mass ``w`` pairs with the spread at its left slot, the
-    ``atom`` with the last slot.
-    """
-    if schedule.n_slots != market.grid.n_points:
-        raise GridMismatch(f"schedule has {schedule.n_slots} slots but the grid has {market.grid.n_points} points")
-    mu = market.mu(require_strict=False)
-    eta = _running(zeta0, market.rho() / market.liquidity.delta * schedule.gross())
-    return eta, 0.5 * ((mu.interior * eta[:-1] ** 2).sum() + mu.atom * eta[-1] ** 2)
-
-
 def eta_path(schedule: TradeSchedule, market: MarketSpec) -> SpreadState:
     """Scaled spread and half-spread along the grid, pre- and post-trade."""
-    eta, _ = _grid_spread(schedule, market, market.impact.zeta0)
-    eta_pre = _pre(eta, market.impact.zeta0)
-    rho = market.rho()
-    return SpreadState(eta=eta, eta_pre=eta_pre, zeta=eta / rho, zeta_pre=eta_pre / rho)
+    chain = _chain(schedule, market)
+    eta = tree_states(chain, schedule.net(), schedule.gross(), schedule.x0, market.impact.zeta0)[:, 1]
+    eta_pre = np.r_[market.impact.zeta0, eta[:-1]]
+    return SpreadState(eta=eta, eta_pre=eta_pre, zeta=eta / chain.rho, zeta_pre=eta_pre / chain.rho)
 
 
 def terminal_cash_direct(schedule: TradeSchedule, market: MarketSpec, P):
     """Midpoint-rule terminal cash against ``P``: any form :func:`path_sums` reads, in one pass."""
-    sums, eta, _ = _grid_sums(schedule, market, P)
-    cash = midpoint_cash(market.impact, schedule.x0, sums.p_integral, sums.net, schedule.gross(), eta, market.rho())
+    sums, chain = _on_chain(schedule, market, P)
+    cash = tree_terminal_cash_direct(chain, schedule, market.impact)[0] - sums.p_integral
     return _collapse(cash, sums.was_1d)
 
 
@@ -220,14 +191,14 @@ def lambda_functional(schedule: TradeSchedule, market: MarketSpec, P) -> WealthB
     ``xi_T = v0 - lambda_T`` is the terminal cash whenever the schedule
     liquidates.
     """
-    sums, _, eta_penalty = _grid_sums(schedule, market, P)
-    eta_penalty = float(eta_penalty)
+    sums, chain = _on_chain(schedule, market, P)
+    tw = tree_wealth(chain, schedule, market.impact)
+    eta_penalty = float(tw.eta_penalty[0])
     lam = sums.p_integral + eta_penalty
-    v0 = market.impact.xi0 + book_value(market.impact, float(market.liquidity.delta[0]))
     return WealthBreakdown(
-        xi_T=_collapse(v0 - lam, sums.was_1d),
+        xi_T=_collapse(tw.v0 - lam, sums.was_1d),
         lambda_T=_collapse(lam, sums.was_1d),
-        v0=v0,
+        v0=tw.v0,
         p_integral=_collapse(sums.p_integral, sums.was_1d),
         eta_penalty=eta_penalty,
     )
@@ -258,9 +229,9 @@ def tv_bound(market: MarketSpec, P, level: float):
     ``(S, N+1)``).
     """
     P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
-    rho = market.rho()
-    kappa_T = float(market.kappa()[-1])
-    min_ratio = float(np.min(rho / market.liquidity.delta))
+    chain = ScenarioTree.single_path(market, 0.0)
+    kappa_T = float(chain.kappa[-1])
+    min_ratio = float(np.min(chain.rho / chain.delta))
     C = 2.0 / (kappa_T * min_ratio**2)
     p_sup = np.max(np.abs(P2), axis=1)
     bound = 0.5 * (C * p_sup + np.sqrt((C * p_sup) ** 2 + 4.0 * C * level**2))
@@ -294,25 +265,18 @@ def quadratic_scaling(schedule: TradeSchedule, market: MarketSpec, P):
     Scaling all trades by ``c`` moves the cost functional along the parabola
     ``a + b*c + q*c**2`` with ``q = 0.5 * integral of (eta - zeta0)**2``
     against the liquidity weights, hence ``q >= 0`` with equality only for the
-    empty schedule.  The polynomial identity is re-verified internally at
-    ``c in {0, 1, 2}``, so ``P`` is one path ``(N+1,)`` or scenario rows
-    ``(S, N+1)``.
+    empty schedule.  ``P`` is any form :func:`path_sums` reads, read once.
     """
-    zeta0 = market.impact.zeta0
-    a = float(_grid_spread(_scale_schedule(schedule, 0.0), market, zeta0)[1])
-    q = float(_grid_spread(schedule, market, 0.0)[1])
-    # the penalty of zeta0 + (eta - zeta0) is a + q plus the cross term, which is linear in c
-    cross = float(_grid_spread(schedule, market, zeta0)[1]) - a - q
-    P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
-    b = P2 @ schedule.net() + cross
+    sums, chain = _on_chain(schedule, market, P)
 
-    for c in (0.0, 1.0, 2.0):
-        lam = np.atleast_1d(lambda_functional(_scale_schedule(schedule, c), market, P2).lambda_T)
-        fit = a + b * c + q * c**2
-        scale = 1.0 + np.max(np.abs(lam))
-        if np.max(np.abs(lam - fit)) > 1e-10 * scale:  # pragma: no cover - algebraic identity
-            raise ArithmeticError("scaling coefficients do not reproduce the cost functional")
-    return a, _collapse(b, was_1d), q
+    def penalty(s: TradeSchedule, impact) -> float:
+        return float(tree_wealth(chain, s, impact).eta_penalty[0])
+
+    a = penalty(_scale_schedule(schedule, 0.0), market.impact)
+    q = penalty(schedule, replace(market.impact, zeta0=0.0))
+    # the penalty of zeta0 + (eta - zeta0) is a + q plus the cross term, which is linear in c
+    cross = penalty(schedule, market.impact) - a - q
+    return a, _collapse(sums.p_integral + cross, sums.was_1d), q
 
 
 # ---------------------------------------------------------------------------

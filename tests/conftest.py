@@ -16,8 +16,7 @@ def random_market(rng, max_steps=50, min_steps=1, iota=None, zeta0=None, x0=None
     times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 0.4, n_steps))])
     n = n_steps + 1
     r = rng.uniform(0.05, 2.0, n)
-    grid = ti.TimeGrid(times)
-    rho = ti.build_rho(grid, r)
+    rho = ti.MarketSpec.build(times, 1.0, r).rho()
     kappa0 = rng.uniform(2.0, 20.0)
     kappa = kappa0 * np.concatenate([[1.0], np.cumprod(rng.uniform(0.55, 0.98, n_steps))])
     delta = kappa * rho**2

@@ -191,7 +191,13 @@ class TestPriceAndGap:
         assert captured.err.startswith("not converged: the primal search stopped (budget) after 1 Newton steps")
         assert captured.err.count("\n") == 1 and "relative residual" in captured.err
         assert out_file.read_text(encoding="utf-8") == out  # the report is written as on any exit
-        assert json.loads(out)["converged"] is False
+        report = json.loads(out)
+        assert report["converged"] is False
+        # gap and dual-search also name their certificate's gap; price reads no certificate
+        assert ("gap/(1+|primal|)" in captured.err) == (command != "price")
+        if command == "gap":
+            rel = report["gap"] / (1.0 + abs(report["primal_value"]))
+            assert captured.err.endswith(f", gap/(1+|primal|) {rel:.3e}\n")
 
     def test_converged_commands_write_nothing_to_stderr(self, capsys, binary_files):
         market, tree, payoff = binary_files

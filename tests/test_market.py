@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import MonotonicityViolation, NonFiniteInput
+from transient_impact.errors import NonFiniteInput
 
-from conftest import random_market
+from conftest import random_market, random_paths
 
 LN2 = np.log(2.0)
 
@@ -41,21 +41,25 @@ class TestNonFiniteInput:
             build()
 
 
+def market(times, delta=1.0, r=0.0):
+    return ti.MarketSpec.build(times, delta, r)
+
+
 class TestBuildRho:
     def test_zero_resilience_gives_one(self):
-        assert np.array_equal(ti.build_rho(grid(0, 0.3, 1, 2), 0.0), np.ones(4))
+        assert np.array_equal(market([0, 0.3, 1, 2], r=0.0).rho(), np.ones(4))
 
     def test_log_two_rate_unit_grid(self):
-        np.testing.assert_allclose(ti.build_rho(grid(0, 1), LN2), [1.0, 2.0], rtol=1e-15)
+        np.testing.assert_allclose(market([0, 1], r=LN2).rho(), [1.0, 2.0], rtol=1e-15)
 
     def test_log_two_rate_half_grid(self):
         np.testing.assert_allclose(
-            ti.build_rho(grid(0, 0.5, 1), LN2), [1.0, np.sqrt(2.0), 2.0], rtol=1e-15
+            market([0, 0.5, 1], r=LN2).rho(), [1.0, np.sqrt(2.0), 2.0], rtol=1e-15
         )
 
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
-            ti.build_rho(grid(0, 1), -0.1)
+            market([0, 1], r=-0.1).rho()
 
     def test_non_decreasing(self, rng):
         for _ in range(20):
@@ -65,42 +69,35 @@ class TestBuildRho:
 
 class TestBuildKappa:
     def test_constant_depth_zero_resilience(self):
-        g = grid(0, 1)
-        kappa = ti.build_kappa(g, 10.0, ti.build_rho(g, 0.0))
+        kappa = market([0, 1], 10.0, 0.0).kappa()
         np.testing.assert_array_equal(kappa, [10.0, 10.0])
 
     def test_constant_depth_with_resilience(self):
-        g = grid(0, 1)
-        kappa = ti.build_kappa(g, 10.0, ti.build_rho(g, LN2))
+        kappa = market([0, 1], 10.0, LN2).kappa()
         np.testing.assert_allclose(kappa, [10.0, 2.5], rtol=1e-15)
 
     def test_decreasing_depth_zero_resilience(self):
-        g = grid(0, 1)
-        kappa = ti.build_kappa(g, [10.0, 5.0], ti.build_rho(g, 0.0))
+        kappa = market([0, 1], [10.0, 5.0], 0.0).kappa()
         np.testing.assert_array_equal(kappa, [10.0, 5.0])
 
     def test_nonpositive_depth_rejected(self):
-        g = grid(0, 1)
         with pytest.raises(ValueError):
-            ti.build_kappa(g, 0.0, ti.build_rho(g, 0.0))
+            market([0, 1], 0.0, 0.0).kappa()
 
 
 class TestBuildMu:
+    # without resilience the liquidity curve is the depth curve
     def test_two_point_weights(self):
-        mu = ti.build_mu(np.array([10.0, 2.5]))
+        mu = market([0, 1], [10.0, 2.5]).mu()
         np.testing.assert_allclose(mu.interior, [7.5])
         assert mu.atom == 2.5
         assert mu.total == 10.0
 
     def test_three_point_weights(self):
-        mu = ti.build_mu(np.array([10.0, 5.0, 2.5]))
+        mu = market([0, 1, 2], [10.0, 5.0, 2.5]).mu()
         np.testing.assert_allclose(mu.interior, [5.0, 2.5])
         assert mu.atom == 2.5
         assert mu.total == 10.0
-
-    def test_constant_curve_rejected(self):
-        with pytest.raises(MonotonicityViolation):
-            ti.build_mu(np.array([10.0, 10.0]))
 
     def test_total_mass_is_initial_depth(self, rng):
         for _ in range(300):
@@ -108,6 +105,16 @@ class TestBuildMu:
             mu = m.mu()
             delta0 = m.liquidity.delta[0]
             assert abs(mu.total - delta0) <= 1e-12 * delta0
+
+    def test_curves_are_the_one_path_trees(self, rng):
+        for _ in range(50):
+            m = random_market(rng, max_steps=30)
+            chain = ti.ScenarioTree.single_path(m, random_paths(rng, m.grid.n_points)[0])
+            mu = m.mu()
+            assert np.array_equal(m.rho(), chain.rho)
+            assert np.array_equal(m.kappa(), chain.kappa)
+            assert np.array_equal(mu.interior, chain.edge_weight[1:])
+            assert mu.atom == chain.kappa[-1]
 
 
 class TestValidateAssumptions:
@@ -161,13 +168,11 @@ class TestGridRefinement:
             fine_r[::2] = m.liquidity.r
             fine_r[1::2] = m.liquidity.r[:-1]
             fine_delta[1::2] = m.liquidity.delta[:-1]
-            fine_grid = ti.TimeGrid(fine_t)
-            fine_rho = ti.build_rho(fine_grid, fine_r)
-            np.testing.assert_allclose(fine_rho[::2], m.rho(), rtol=1e-13)
-            fine_kappa = ti.build_kappa(fine_grid, fine_delta, fine_rho)
+            fine = market(fine_t, fine_delta, fine_r)
+            np.testing.assert_allclose(fine.rho()[::2], m.rho(), rtol=1e-13)
             # aggregation is the invariant; the refined curve may touch flatness
-            fine_mu = ti.build_mu(fine_kappa, require_strict=False)
-            coarse_mu = ti.build_mu(m.kappa())
+            fine_mu = fine.mu()
+            coarse_mu = m.mu()
             merged = fine_mu.interior[0::2] + fine_mu.interior[1::2]
             np.testing.assert_allclose(merged, coarse_mu.interior, rtol=1e-12, atol=1e-14)
             assert abs(fine_mu.atom - coarse_mu.atom) <= 1e-12 * coarse_mu.atom

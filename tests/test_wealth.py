@@ -279,12 +279,11 @@ class TestQuadraticScaling:
             assert q >= 0.0
             if ti.total_variation(s) > 0.0:
                 assert q > 0.0
-            # check the parabola at a fourth point
-            c = 3.0
-            scaled = ti.TradeSchedule(c * s.buys, c * s.sells, s.x0)
-            lam = ti.lambda_functional(scaled, m, P).lambda_T
-            fit = a + b * c + q * c**2
-            assert abs(lam - fit) <= 1e-9 * (1.0 + abs(lam))
+            for c in (0.0, 1.0, 2.0, 3.0):
+                scaled = ti.TradeSchedule(c * s.buys, c * s.sells, s.x0)
+                lam = ti.lambda_functional(scaled, m, P).lambda_T
+                fit = a + b * c + q * c**2
+                assert abs(lam - fit) <= 1e-9 * (1.0 + abs(lam))
 
 
 class TestTreeWealth:
