@@ -20,20 +20,18 @@ transitions that do not sum to one) or whose ``M`` drifts under its measure
 or leaves the band, refused before the primal is solved (``dual-eval``
 reports each of these, with ``feasible`` false, and exits 0; ``shadow-check``
 uses only ``M`` from ``--certificate``), and a ``--utility-param`` given to
-the log utility), 3 when a
-solver stops before its tolerance (for ``price``: the primal's Newton search
-stopped short of ``tol``; for ``gap``: the same, unless the certificate
-it reads off the primal closes the gap to ``tol * (1 + |primal|)``, which
-proves the value optimal; for ``dual-search``: the same, since it is ``gap``
-with the ``--certificate`` it is given as one more candidate, kept only when
-it is strictly better, and at the default ``tol`` 1e-9: it takes no
-``--tol``).  Exit 3 writes the report and one stderr line with why the
-search stopped (``stalled``, ``budget``, ``breakdown`` or ``no_step``; see
-:class:`~transient_impact.solver.PriceReport`), its Newton steps and its
-final relative residual, and for ``gap`` and ``dual-search`` also the
-reported gap over ``1 + |primal|``, which bounds the primal value's error
-(weak duality).  Neither ``gap`` nor ``dual-search`` runs a dual
-search, so their ``--max-iter`` counts the primal's Newton steps only.
+the log utility), 3 when a solve is not converged: ``price``, ``gap`` and
+``dual-search`` report ``converged`` exactly when their certificate's gap is
+at most ``tol * (1 + |primal|)``, which by weak duality proves the value
+optimal (``dual-search`` takes no ``--tol`` and certifies at the default
+1e-9).  The one exception is ``price`` on a liquidity curve that rises along
+an edge, where no certificate bounds the price: there it reports no gap, and
+``converged`` says the Newton search met ``tol``.  Exit 3 writes the report
+and one stderr line with why the search stopped (``stalled``, ``budget``,
+``breakdown`` or ``no_step``; see :class:`~transient_impact.solver.PriceReport`),
+its Newton steps, its final relative residual and, where a certificate
+bounds the price, the reported gap over ``1 + |primal|``.  No command runs a
+dual search, so ``--max-iter`` counts the primal's Newton steps only.
 Identical inputs produce byte-identical output.
 """
 
@@ -63,17 +61,6 @@ def _emit(args, payload, tree=None, series=None) -> None:
     else:
         text = formats.dump_json(payload)
     formats.write_text(text, args.out)
-
-
-def _exit_code(report) -> int:
-    """``EXIT_OK`` for a converged report, else ``EXIT_NONCONVERGED``, saying on stderr why the primal stopped
-    and, where a certificate was read off it, how far its gap is from proving the value."""
-    if report.primal_converged:
-        return EXIT_OK
-    gap = "" if report.gap is None else f", gap/(1+|primal|) {report.gap / (1.0 + abs(report.primal_value)):.3e}"
-    print(f"not converged: the primal search stopped ({report.stop_reason}) after {report.iterations} Newton steps "
-          f"at relative residual {report.residual:.3e}{gap}", file=sys.stderr)
-    return EXIT_NONCONVERGED
 
 
 def _finite_float(text: str) -> float:
@@ -106,8 +93,14 @@ def _finite_list(text: str) -> tuple[float, ...]:
     return tuple(_finite_float(v) for v in text.split(","))
 
 
-_STRATEGY_UNITS = {"strategy.buys": "shares", "strategy.sells": "shares"}
-_CERTIFICATE_UNITS = {"certificate.M": "price", "certificate.alpha": "price", "certificate.q_transitions": "probability"}
+# The units of each field a solve reports, by report attribute.
+_SOLVE_UNITS = {
+    "primal_value": {"primal_value": "currency"},
+    "dual_value": {"dual_value": "currency"},
+    "gap": {"gap": "currency"},
+    "strategy": {"strategy.buys": "shares", "strategy.sells": "shares"},
+    "certificate": {"certificate.M": "price", "certificate.alpha": "price", "certificate.q_transitions": "probability"},
+}
 
 
 def _priced_tree(args):
@@ -115,6 +108,26 @@ def _priced_tree(args):
     market = formats.load_market(args.market)
     tr = formats.load_tree(args.tree, market)
     return market, tr, formats.load_payoff(args.payoff, tr)
+
+
+def _solved(args, report, *fields) -> int:
+    """Write a solve's report: the named ``fields``, its Newton steps and its verdict, with their units.
+
+    ``EXIT_OK`` when converged, else ``EXIT_NONCONVERGED``, saying on stderr why the primal stopped and,
+    where a certificate bounds the price, how far its gap is from proving the value.
+    """
+    payload = {field: getattr(report, field) for field in fields}
+    if "certificate" in payload:
+        payload["certificate"] = formats.certificate_to_dict(report.certificate)
+    payload.update(iterations=report.iterations, converged=report.primal_converged,
+                   units={key: unit for field in fields for key, unit in _SOLVE_UNITS[field].items()})
+    _emit(args, payload)
+    if report.primal_converged:
+        return EXIT_OK
+    gap = "" if report.gap is None else f", gap/(1+|primal|) {report.gap / (1.0 + abs(report.primal_value)):.3e}"
+    print(f"not converged: the primal search stopped ({report.stop_reason}) after {report.iterations} Newton steps "
+          f"at relative residual {report.residual:.3e}{gap}", file=sys.stderr)
+    return EXIT_NONCONVERGED
 
 
 def _options(args) -> SolverOptions:
@@ -175,34 +188,13 @@ def cmd_wealth(args) -> int:
 
 def cmd_price(args) -> int:
     market, tr, H = _priced_tree(args)
-    report = solver.primal_solve(tr, market, H, _options(args))
-    payload = {
-        "primal_value": report.primal_value,
-        "iterations": report.iterations,
-        "converged": report.primal_converged,
-        "strategy": report.strategy,
-        "units": {"primal_value": "currency", **_STRATEGY_UNITS},
-    }
-    _emit(args, payload)
-    return _exit_code(report)
+    return _solved(args, solver.primal_solve(tr, market, H, _options(args)), "primal_value", "strategy")
 
 
 def cmd_gap(args) -> int:
     market, tr, H = _priced_tree(args)
     report = solver.gap_report(tr, market, H, _options(args))
-    payload = {
-        "primal_value": report.primal_value,
-        "dual_value": report.dual_value,
-        "gap": report.gap,
-        "iterations": report.iterations,
-        "converged": report.primal_converged,
-        "strategy": report.strategy,
-        "certificate": formats.certificate_to_dict(report.certificate),
-        "units": {"primal_value": "currency", "dual_value": "currency", "gap": "currency",
-                  **_STRATEGY_UNITS, **_CERTIFICATE_UNITS},
-    }
-    _emit(args, payload)
-    return _exit_code(report)
+    return _solved(args, report, "primal_value", "dual_value", "gap", "strategy", "certificate")
 
 
 def cmd_dual_eval(args) -> int:
@@ -234,16 +226,7 @@ def cmd_dual_eval(args) -> int:
 def cmd_dual_search(args) -> int:
     market, tr, H = _priced_tree(args)
     init = formats.load_certificate(args.certificate, tr) if args.certificate else None
-    report = solver.dual_ascent(tr, market, H, init, _options(args))
-    payload = {
-        "dual_value": report.dual_value,
-        "iterations": report.iterations,
-        "converged": report.dual_converged,
-        "certificate": formats.certificate_to_dict(report.certificate),
-        "units": {"dual_value": "currency", **_CERTIFICATE_UNITS},
-    }
-    _emit(args, payload)
-    return _exit_code(report)
+    return _solved(args, solver.dual_ascent(tr, market, H, init, _options(args)), "dual_value", "certificate")
 
 
 def cmd_call(args) -> int:
@@ -330,7 +313,7 @@ _FLAGS = {
     "certificate": ("--certificate", {"required": True, "help": "dual certificate JSON"}),
     "certificate-opt": ("--certificate", {"help": "dual certificate JSON"}),
     "payoff": ("--payoff", {"required": True, "help": "payoff JSON (call strike or leaf values)"}),
-    "primal": ("--tol", {"type": _positive_float, "help": "primal solver tolerance (relative residual)"}),
+    "primal": ("--tol", {"type": _positive_float, "help": "solve tolerance (Newton residual, gap / (1 + |primal|))"}),
     "max-iter": ("--max-iter", {"type": _count, "help": "Newton-step budget of the primal"}),
     "format": ("--format", {"choices": ("json", "csv"), "default": "json",
                             "help": "csv: per-node series instead of the report"}),

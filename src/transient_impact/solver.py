@@ -20,17 +20,20 @@ them all at once.  The leaf multipliers form a probability over leaves.
 The reported value is the exact cash requirement of the returned schedule,
 so feasibility never rests on the solver.
 
-No dual search runs.  ``gap_report`` alone chooses and certifies the
-certificate: it reads two off the primal's multipliers and spread
-(:func:`~transient_impact.duality.certificate_from`), one whose martingale
-comes from the closing trades' multipliers and one with a band martingale,
-and keeps the best of them, the default one and an optional given one.
-Every emitted certificate is exactly feasible.  The gap between both sides
-is reported, never assumed zero.  Everything is deterministic.
+No dual search runs.  ``primal_solve`` alone decides the verdict: where the
+liquidity decays, it reads two certificates off an iterate's multipliers and
+spread (:func:`~transient_impact.duality.certificate_from`), one whose
+martingale comes from the closing trades' multipliers and one with a band
+martingale, keeps the best of them and the default one, and stops only when
+that certificate's gap proves the value optimal.  ``gap_report`` adds a given
+certificate, kept only when it is worth strictly more.  Every emitted
+certificate is exactly feasible.  The gap between both sides is reported,
+never assumed zero.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -60,14 +63,11 @@ MIN_STEP = 1e-12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs: the primal's relative residual tolerance and its budget of Newton steps.
+    """Tuning knobs: the tolerance that certifies the primal and its budget of Newton steps.
 
-    ``tol`` also sets the gap that certifies the primal optimal in :func:`gap_report`;
-    it must be positive and finite.  A negative budget acts as zero.  The two
-    tests read ``tol`` on different scales: the Newton test divides the
-    constraint and complementarity residuals by ``1 + max(|t|, |v_l|, g)``
-    (the epigraph variable, the leaf values and the closing trades), and
-    :func:`gap_report` divides the gap by ``1 + |primal|``.
+    A solve is converged when its certificate's gap is at most ``tol * (1 +
+    |primal|)`` (see :class:`PriceReport`); ``tol`` must be positive and
+    finite.  A negative budget acts as zero.
     """
 
     tol: float = 1e-9
@@ -85,29 +85,31 @@ class PriceReport:
     ``leaf_weights`` are the primal's leaf multipliers (leaf-id order), a
     probability over the reached leaves, and ``closing_multipliers`` the
     multipliers of ``x_pre - g <= 0`` and ``-x_pre - g <= 0`` on each leaf's
-    closing trade (one row per leaf).  ``primal_converged`` says the primal
-    value is optimal to tolerance: its Newton search met ``tol``, or, in
-    :func:`gap_report`, a certificate closes the gap to ``tol * (1 + |primal|)``.
-    ``dual_converged`` is the same flag.  ``stop_reason`` says why the Newton
-    search stopped: ``tolerance`` (its relative residual met ``tol``),
-    ``stalled`` (``STALL_STEPS`` steps without a new best residual),
-    ``budget`` (``max_iter`` steps taken), ``breakdown`` (a pivot of the
-    Newton matrix lost definiteness) or ``no_step`` (no step of at least
-    ``MIN_STEP`` was acceptable); ``residual`` is the relative residual it
-    stopped at.
+    closing trade (one row per leaf).  ``primal_converged`` says the gap
+    certifies the primal value optimal: ``gap <= tol * (1 + |primal|)``.  On
+    a liquidity curve that rises along an edge no certificate bounds the
+    price, so there ``dual_value``, ``certificate`` and ``gap`` are ``None``
+    and the flag says the Newton search met ``tol``.  ``dual_converged`` is
+    the same flag.  ``stop_reason`` says why the Newton search stopped:
+    ``tolerance`` (its relative residual met ``tol`` and, where a certificate
+    bounds the price, so did the gap), ``stalled`` (``STALL_STEPS`` steps
+    without a new best residual), ``budget`` (``max_iter`` steps taken),
+    ``breakdown`` (a pivot of the Newton matrix lost definiteness) or
+    ``no_step`` (no step of at least ``MIN_STEP`` was acceptable);
+    ``residual`` is the relative residual it stopped at.
     """
 
-    primal_value: float | None = None
-    strategy: TradeSchedule | None = None
-    leaf_weights: np.ndarray | None = None
-    closing_multipliers: np.ndarray | None = None
+    primal_value: float
+    strategy: TradeSchedule
+    leaf_weights: np.ndarray
+    closing_multipliers: np.ndarray
+    iterations: int
+    primal_converged: bool
+    stop_reason: str
+    residual: float
     dual_value: float | None = None
     certificate: DualCertificate | None = None
     gap: float | None = None
-    iterations: int = 0
-    primal_converged: bool = True
-    stop_reason: str = "tolerance"
-    residual: float = 0.0
 
     @property
     def dual_converged(self) -> bool:
@@ -474,13 +476,16 @@ def _boundary_step(it: _Iterate, step: _Iterate) -> float:
     return min(1.0, float(np.min(-x[falling] / dx[falling]))) if falling.any() else 1.0
 
 
-def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate, int, str, float]:
+def _interior_point(prob: _PrimalProblem, opts: SolverOptions,
+                    certifies=lambda it: True) -> tuple[_Iterate, int, str, float]:
     """Mehrotra predictor–corrector from an infeasible start.
 
     Returns the last iterate, the Newton steps taken, why the search stopped
-    (:attr:`PriceReport.stop_reason`) and the relative residual there.  A
-    rising liquidity curve can leave the program without a minimum, where
-    the search stalls.  The budget check returns on the last pass of the loop.
+    (:attr:`PriceReport.stop_reason`) and the relative residual there.  It
+    stops at ``tolerance`` once the relative residual meets ``tol`` and
+    ``certifies`` accepts the iterate; otherwise it steps on.  A rising
+    liquidity curve can leave the program without a minimum, where the
+    search stalls.  The budget check returns on the last pass of the loop.
     """
     L, n = prob.H.size, prob.n_dec
     it = _Iterate(np.empty(1 + 7 * L + 4 * n), n)
@@ -499,7 +504,7 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
     budget = max(opts.max_iter, 0)
     for steps in range(budget + 1):
         res = _Residuals(it, values, pulled)
-        if res.error <= opts.tol:
+        if res.error <= opts.tol and certifies(it):
             return it, steps, "tolerance", res.error
         best, since_best = (res.error, 0) if res.error < best else (best, since_best + 1)
         if since_best >= STALL_STEPS:
@@ -532,7 +537,7 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions) -> tuple[_Iterate
 
 
 def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None) -> PriceReport:
-    """Least initial cash whose forced-liquidation schedule dominates the payoff almost surely.
+    """Least initial cash whose forced-liquidation schedule dominates the payoff almost surely, certified.
 
     Deterministic interior-point solve of the epigraph program on the tree's
     reached part, where unreached nodes only close the position; the returned
@@ -541,21 +546,52 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
     flag says.  Holding ``x0`` and liquidating at the leaves is priced too,
     and the cheaper schedule is returned, the solver's on a tie: where doing
     nothing is optimal, its exact cash carries no rounding of the search.
+
+    Where the liquidity decays, an iterate that meets the Newton test is
+    certified by the best of :func:`~transient_impact.duality.certificate_from`
+    with and without the closing multipliers and the default certificate, the
+    first on a tie: the search stops only on a gap within ``tol * (1 + |primal|)``.
     """
+    opts = options or SolverOptions()
     H = leaf_payoff(tree, H)
     sub, reached = tree.reached_part()
     on_leaf = reached[tree.leaves]
     prob = _PrimalProblem(sub, market, H[on_leaf])
-    it, steps, stop, residual = _interior_point(prob, options or SolverOptions())
-    value, schedule = min(prob.cash_requirement(it.trades.T.ravel()), prob.cash_requirement(np.zeros(2 * prob.n_dec)),
-                          key=lambda priced: priced[0])
-    if sub is not tree:
-        schedule = _liquidating(tree, reached, schedule.buys, schedule.sells, schedule.x0)
-    weights, closing = np.zeros(on_leaf.size), np.zeros((on_leaf.size, 2))
-    weights[on_leaf], closing[on_leaf] = it.dual[:, 0], it.dual[:, 1:]
-    return PriceReport(primal_value=value, strategy=schedule, leaf_weights=weights, closing_multipliers=closing,
-                       iterations=steps, primal_converged=stop == "tolerance", stop_reason=stop,
-                       residual=residual)
+    hold = prob.cash_requirement(np.zeros(2 * prob.n_dec))
+    default = default_certificate(tree, market) if tree.decay_margin >= 0.0 else None
+
+    @functools.lru_cache(maxsize=1)  # an iterate that met the Newton test is certified once
+    def priced(it: _Iterate) -> dict:
+        """The report's fields at ``it``; with a decaying curve, its certificate and the verdict of its gap."""
+        value, schedule = min(prob.cash_requirement(it.trades.T.ravel()), hold, key=lambda pair: pair[0])
+        if sub is not tree:
+            schedule = _liquidating(tree, reached, schedule.buys, schedule.sells, schedule.x0)
+        weights, closing = np.zeros(on_leaf.size), np.zeros((on_leaf.size, 2))
+        weights[on_leaf], closing[on_leaf] = it.dual[:, 0], it.dual[:, 1:]
+        fields = dict(primal_value=value, strategy=schedule, leaf_weights=weights, closing_multipliers=closing)
+        if default is None:
+            return fields
+        candidates = (certificate_from(tree, market, schedule, weights),
+                      certificate_from(tree, market, schedule, weights, closing), default)
+        values = [dual_objective(tree, cert, market, H) for cert in candidates]
+        return fields | _certified(value, candidates, values, opts.tol)
+
+    certifies = (lambda it: True) if default is None else (lambda it: priced(it)["primal_converged"])
+    it, steps, stop, residual = _interior_point(prob, opts, certifies)
+    # On a rising curve no certificate bounds the price, so the Newton test's verdict stands.
+    fields = {"primal_converged": stop == "tolerance", **priced(it)}
+    return PriceReport(**fields, iterations=steps, stop_reason=stop, residual=residual)
+
+
+def _certified(primal_value: float, candidates, values, tol: float) -> dict:
+    """The certificate of largest dual value, the first on a tie, its gap and whether the gap certifies;
+    a gap below ``-WEAK_DUALITY_RTOL`` of the values' scale raises :class:`WeakDualityViolated`."""
+    best = int(np.argmax(values))
+    gap = float(primal_value - values[best])
+    if gap < -WEAK_DUALITY_RTOL * (1.0 + abs(primal_value) + abs(values[best])):
+        raise WeakDualityViolated(f"weak duality violated: gap {gap:.3e}")
+    return dict(dual_value=values[best], certificate=candidates[best], gap=gap,
+                primal_converged=gap <= tol * (1.0 + abs(primal_value)))
 
 
 # ---------------------------------------------------------------------------
@@ -573,48 +609,26 @@ def default_certificate(tree: ScenarioTree, market: MarketSpec) -> DualCertifica
 
 def dual_ascent(tree: ScenarioTree, market: MarketSpec, H, init_cert: DualCertificate | None,
                 options: SolverOptions | None = None) -> PriceReport:
-    """:func:`gap_report` with ``init_cert`` as one more candidate; no search runs.
-
-    The certificate read off the primal leaves a gap within the primal's own
-    tolerance, so by weak duality no ascent from it could gain more.
-    """
+    """:func:`gap_report` with ``init_cert`` as one more candidate; no search runs: a converged solve's
+    own certificate closes the gap to ``tol``, so by weak duality no ascent could gain more."""
     return gap_report(tree, market, H, options, certificate=init_cert)
 
 
 def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None,
                certificate: DualCertificate | None = None) -> PriceReport:
-    """Solve the primal once, certify it without a search, and report the gap (weak duality enforced).
+    """The certified primal solve, with a given ``certificate`` as one more candidate (weak duality enforced).
 
-    The candidates are two certificates read off the primal's multipliers
-    and schedule (:func:`~transient_impact.duality.certificate_from`, with
-    and without the closing trades' multipliers), the default one and a
-    given ``certificate``, refused before any solve unless it passes
-    :func:`~transient_impact.duality.require_certificate`.  The report keeps
-    the one worth most, the first on a tie.  A gap within ``tol * (1 + |primal|)``
-    proves the primal optimal, so it then counts as converged even where the
-    Newton search stalled.
+    Refuses a rising liquidity curve and a given ``certificate`` that fails
+    :func:`~transient_impact.duality.require_certificate` before any solve.
+    The given one replaces :func:`primal_solve`'s only when worth strictly
+    more, and the verdict is then read off its gap.
     """
     opts = options or SolverOptions()
     tree.require_decay()
     if certificate is not None:
         require_certificate(tree, certificate, market)
-    primal = primal_solve(tree, market, H, opts)
-    candidates = (
-        certificate_from(tree, market, primal.strategy, primal.leaf_weights),
-        certificate_from(tree, market, primal.strategy, primal.leaf_weights, primal.closing_multipliers),
-        default_certificate(tree, market),
-        *(() if certificate is None else (certificate,)),
-    )
-    values = [dual_objective(tree, cert, market, H) for cert in candidates]
-    best = int(np.argmax(values))
-    gap = float(primal.primal_value - values[best])
-    scale = 1.0 + abs(primal.primal_value) + abs(values[best])
-    if gap < -WEAK_DUALITY_RTOL * scale:
-        raise WeakDualityViolated(f"weak duality violated: gap {gap:.3e}")
-    return replace(
-        primal,
-        dual_value=values[best],
-        certificate=candidates[best],
-        gap=gap,
-        primal_converged=primal.primal_converged or gap <= opts.tol * (1.0 + abs(primal.primal_value)),
-    )
+    report = primal_solve(tree, market, H, opts)
+    if certificate is None:
+        return report
+    values = (report.dual_value, dual_objective(tree, certificate, market, H))
+    return replace(report, **_certified(report.primal_value, (report.certificate, certificate), values, opts.tol))

@@ -12,7 +12,10 @@ from transient_impact import formats
 from transient_impact.cli import build_parser, main
 from transient_impact.formats import PATH_BLOCK_ROWS, load_market, load_price_paths, load_schedule
 from transient_impact.tree import NodeMeasure
+from transient_impact.solver import primal_solve
 from transient_impact.wealth import lambda_functional, terminal_cash_direct
+
+from conftest import market_for_tree, random_tree
 
 LN2 = float(np.log(2.0))
 
@@ -193,11 +196,33 @@ class TestPriceAndGap:
         assert out_file.read_text(encoding="utf-8") == out  # the report is written as on any exit
         report = json.loads(out)
         assert report["converged"] is False
-        # gap and dual-search also name their certificate's gap; price reads no certificate
-        assert ("gap/(1+|primal|)" in captured.err) == (command != "price")
+        # every solve names its certificate's gap, which bounds the value's error
+        assert "gap/(1+|primal|)" in captured.err
         if command == "gap":
             rel = report["gap"] / (1.0 + abs(report["primal_value"]))
             assert captured.err.endswith(f", gap/(1+|primal|) {rel:.3e}\n")
+
+    def test_price_certifies_a_degenerate_program_whose_search_breaks_down(self, tmp_path, capsys):
+        # zero payoff, position and spread on a martingale price: the Newton search breaks down
+        # after 20 steps, and the gap of exactly 0 proves the value 0 optimal
+        rng = np.random.default_rng(5)
+        tree = random_tree(rng, depth=2, martingale=True)
+        market = market_for_tree(rng, tree, x0=0.0, zeta0=0.0)
+        solved = primal_solve(tree, market, np.zeros(tree.leaves.size))
+        assert (solved.stop_reason, solved.iterations, solved.gap) == ("breakdown", 20, 0.0)
+        impact = market.impact
+        market_path = write_json(tmp_path / "m.json", {
+            "grid": tree.times.tolist(), "delta": market.liquidity.delta.tolist(), "r": market.liquidity.r.tolist(),
+            "iota": impact.iota, "zeta0": impact.zeta0, "x0": impact.x0, "xi0": impact.xi0})
+        nodes = [{"id": i, "parent": int(tree.parent[i]), "p_transition": float(tree.p_transition[i]),
+                  "P": float(tree.P[i]), "delta": float(tree.delta[i]), "r": float(tree.r[i])}
+                 for i in range(tree.n_nodes)]
+        tree_path = write_json(tmp_path / "t.json", {"nodes": nodes})
+        payoff = write_json(tmp_path / "h.json", {"type": "values", "values": [0.0] * int(tree.leaves.size)})
+        code, out = run(capsys, "price", "--market", market_path, "--tree", tree_path, "--payoff", payoff)
+        report = json.loads(out)
+        assert code == 0 and report["converged"] is True
+        assert (report["primal_value"], report["iterations"]) == (0.0, 20)
 
     def test_converged_commands_write_nothing_to_stderr(self, capsys, binary_files):
         market, tree, payoff = binary_files

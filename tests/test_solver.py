@@ -308,23 +308,21 @@ class TestGivenCertificate:
         assert report.dual_value == read_off.dual_value
 
     def test_a_strictly_better_one_is_kept_and_certifies_the_primal(self, monkeypatch):
-        # the read-off is replaced by the default certificate and the Newton search reports
-        # no convergence, so only the given certificate can prove the primal optimal
-        from dataclasses import replace
-
+        # with the read-off replaced by the default certificate no certificate of the solve's own
+        # closes the gap, so the search steps on until it stops unconverged; only the given
+        # certificate can then prove the primal optimal
         from transient_impact import solver
 
         tree, market, H = binomial_ladder(2)
         best = ti.gap_report(tree, market, H).certificate
-        primal_solve = solver.primal_solve
-        monkeypatch.setattr(solver, "primal_solve", lambda *args: replace(primal_solve(*args), primal_converged=False))
         monkeypatch.setattr(solver, "certificate_from", lambda tree, market, *rest: ti.default_certificate(tree, market))
         weak = ti.gap_report(tree, market, H)
         report = ti.gap_report(tree, market, H, certificate=best)
-        assert not weak.primal_converged and weak.gap > 1e-3
+        assert not weak.primal_converged and weak.gap > 1e-3 and weak.stop_reason != "tolerance"
         assert report.certificate is best
         assert report.primal_converged and report.dual_converged
         assert 0.0 <= report.gap <= 1e-6 * report.primal_value
+        assert (report.iterations, report.stop_reason) == (weak.iterations, weak.stop_reason)
 
     def test_dual_converged_is_primal_converged(self):
         report = ti.gap_report(*binomial_ladder(2), ti.SolverOptions(max_iter=1))
@@ -775,6 +773,30 @@ def random_call_trees():
         tree = random_tree(rng, int(rng.integers(2, 5)))
         market = market_for_tree(rng, tree)
         yield tree, market, np.maximum(tree.P[tree.leaves] - 100.0, 0.0) * rng.uniform(0.5, 2)
+
+
+class TestVerdict:
+    """``converged`` is one rule wherever the search stops: the reported gap certifies the value."""
+
+    def test_converged_is_a_certified_gap_on_the_random_set(self):
+        from itertools import islice
+
+        for k, (tree, market, H) in enumerate(islice(random_call_trees(), 200)):
+            for report in (ti.primal_solve(tree, market, H), ti.gap_report(tree, market, H)):
+                assert report.primal_converged == (report.gap <= 1e-9 * (1.0 + abs(report.primal_value))), k
+
+    @pytest.mark.parametrize("index, steps", [(43, 11), (85, 12), (95, 13), (148, 10), (162, 14)])
+    def test_a_newton_stop_that_leaves_a_gap_steps_on(self, index, steps):
+        # the Newton test alone stops these one step earlier, at gap / (1 + |primal|) 1.1e-9 to 4.1e-9
+        from itertools import islice
+
+        from transient_impact.solver import _interior_point, _PrimalProblem
+
+        tree, market, H = next(islice(random_call_trees(), index, None))
+        assert _interior_point(_PrimalProblem(tree, market, H), ti.SolverOptions())[1:3] == (steps - 1, "tolerance")
+        report = ti.primal_solve(tree, market, H)
+        assert (report.stop_reason, report.iterations) == ("tolerance", steps)
+        assert report.primal_converged and report.gap <= 1e-9 * (1.0 + abs(report.primal_value))
 
 
 class TestStopReason:
