@@ -39,8 +39,8 @@ class ExponentialUtility:
     risk_aversion: float = 1.0
 
     def __post_init__(self):
-        if self.risk_aversion <= 0.0:
-            raise ValueError("risk aversion must be > 0")
+        if not 0.0 < self.risk_aversion < np.inf:  # NaN fails too
+            raise ValueError("risk aversion must be > 0 and finite")
 
     def value(self, x):
         return -np.exp(-self.risk_aversion * np.asarray(x)) / self.risk_aversion

@@ -24,9 +24,14 @@ the log utility), 3 when a solve is not converged: ``price``, ``gap`` and
 ``dual-search`` report ``converged`` exactly when their certificate's gap is
 at most ``tol * (1 + |primal|)``, which by weak duality proves the value
 optimal (``dual-search`` takes no ``--tol`` and certifies at the default
-1e-9).  The one exception is ``price`` on a liquidity curve that rises along
-an edge, where no certificate bounds the price: there it reports no gap, and
-``converged`` says the Newton search met ``tol``.  Exit 3 writes the report
+1e-9).  The certificate given to ``dual-search`` is a candidate at every
+iterate that meets the Newton test, so it can stop the search.  Where a
+certificate bounds the price, a search that stops at ``tolerance`` is
+converged; one converged at another stop never met ``tol`` yet proves its
+value optimal by its last gap.  The one exception is ``price`` on a
+liquidity curve that rises along an edge, where no certificate bounds the
+price: there it reports no gap, and ``converged`` says the Newton search met
+``tol``.  Exit 3 writes the report
 and one stderr line with why the search stopped (``stalled``, ``budget``,
 ``breakdown`` or ``no_step``; see :class:`~transient_impact.solver.PriceReport`),
 its Newton steps, its final relative residual and, where a certificate

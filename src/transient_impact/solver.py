@@ -24,16 +24,14 @@ No dual search runs.  ``primal_solve`` alone decides the verdict: where the
 liquidity decays, it reads two certificates off an iterate's multipliers and
 spread (:func:`~transient_impact.duality.certificate_from`), one whose
 martingale comes from the closing trades' multipliers and one with a band
-martingale, keeps the best of them and the default one, and stops only when
-that certificate's gap proves the value optimal.  ``gap_report`` adds a given
-certificate, kept only when it is worth strictly more.  Every emitted
-certificate is exactly feasible.  The gap between both sides is reported,
-never assumed zero.  Everything is deterministic.
+martingale, keeps the best of them, the default one and a given one, and
+stops only when that certificate's gap proves the value optimal.  Every
+emitted certificate is exactly feasible.  The gap between both sides is
+reported, never assumed zero.  Everything is deterministic.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -63,7 +61,7 @@ MIN_STEP = 1e-12
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Tuning knobs: the tolerance that certifies the primal and its budget of Newton steps.
+    """Tuning knobs: the tolerance of the primal's certified gap and its budget of Newton steps.
 
     A solve is converged when its certificate's gap is at most ``tol * (1 +
     |primal|)`` (see :class:`PriceReport`); ``tol`` must be positive and
@@ -86,17 +84,21 @@ class PriceReport:
     probability over the reached leaves, and ``closing_multipliers`` the
     multipliers of ``x_pre - g <= 0`` and ``-x_pre - g <= 0`` on each leaf's
     closing trade (one row per leaf).  ``primal_converged`` says the gap
-    certifies the primal value optimal: ``gap <= tol * (1 + |primal|)``.  On
-    a liquidity curve that rises along an edge no certificate bounds the
-    price, so there ``dual_value``, ``certificate`` and ``gap`` are ``None``
-    and the flag says the Newton search met ``tol``.  ``dual_converged`` is
-    the same flag.  ``stop_reason`` says why the Newton search stopped:
-    ``tolerance`` (its relative residual met ``tol`` and, where a certificate
-    bounds the price, so did the gap), ``stalled`` (``STALL_STEPS`` steps
-    without a new best residual), ``budget`` (``max_iter`` steps taken),
-    ``breakdown`` (a pivot of the Newton matrix lost definiteness) or
-    ``no_step`` (no step of at least ``MIN_STEP`` was acceptable);
-    ``residual`` is the relative residual it stopped at.
+    proves the primal value optimal: ``gap <= tol * (1 + |primal|)``.  On a
+    liquidity curve that rises along an edge no certificate bounds the price,
+    so there ``dual_value``, ``certificate`` and ``gap`` are ``None`` and the
+    flag says the Newton search met ``tol``.  ``dual_converged`` is the same
+    flag.  ``stop_reason`` says why the Newton search stopped: ``tolerance``
+    (its relative residual met ``tol`` and, where a certificate bounds the
+    price, so did the gap), ``stalled`` (``STALL_STEPS`` steps without a new
+    best residual), ``budget`` (``max_iter`` steps taken), ``breakdown`` (a
+    pivot of the Newton matrix lost definiteness) or ``no_step`` (no step of
+    at least ``MIN_STEP`` was acceptable); ``residual`` is the relative
+    residual it stopped at.  A given certificate is a candidate at every
+    iterate that meets the Newton test, so it can stop the search: an iterate
+    that meets both tests stops at ``tolerance``, and a converged report with
+    another reason never met ``tol``, yet its last gap proves the value
+    optimal.
     """
 
     primal_value: float
@@ -440,7 +442,7 @@ def _newton_matrix(prob: _PrimalProblem, it: _Iterate) -> _TreeFactor:
     tree, leaves = prob.tree, prob.leaf_rows
     lam = it.dual[:, 0]
     roots = np.zeros((lam.size, 4, 4))
-    roots[:, 0, 0] = np.sqrt(lam * np.maximum(tree.kappa[leaves], 0.0))
+    roots[:, 0, 0] = np.sqrt(lam * tree.kappa[leaves])
     roots[:, 0, 3] = roots[:, 0, 0] * prob.c[leaves]
     np.multiply(prob.leaf_jac, np.sqrt(it.dual / it.slack)[:, :, None], out=roots[:, 1:])
     close = roots[:, :, -1].copy()
@@ -476,16 +478,16 @@ def _boundary_step(it: _Iterate, step: _Iterate) -> float:
     return min(1.0, float(np.min(-x[falling] / dx[falling]))) if falling.any() else 1.0
 
 
-def _interior_point(prob: _PrimalProblem, opts: SolverOptions,
-                    certifies=lambda it: True) -> tuple[_Iterate, int, str, float]:
+def _interior_point(prob: _PrimalProblem, opts: SolverOptions):
     """Mehrotra predictor–corrector from an infeasible start.
 
-    Returns the last iterate, the Newton steps taken, why the search stopped
-    (:attr:`PriceReport.stop_reason`) and the relative residual there.  It
-    stops at ``tolerance`` once the relative residual meets ``tol`` and
-    ``certifies`` accepts the iterate; otherwise it steps on.  A rising
-    liquidity curve can leave the program without a minimum, where the
-    search stalls.  The budget check returns on the last pass of the loop.
+    Yields the iterate, the Newton steps taken, the stop reason
+    (:attr:`PriceReport.stop_reason`) and the relative residual: at
+    ``tolerance`` for each iterate whose relative residual meets ``tol``,
+    then once more where the search stops for another reason.  A caller that
+    asks for the next one steps on as if the Newton test had failed.  A
+    rising liquidity curve can leave the program without a minimum, where the
+    search stalls.  The budget check stops on the last pass of the loop.
     """
     L, n = prob.H.size, prob.n_dec
     it = _Iterate(np.empty(1 + 7 * L + 4 * n), n)
@@ -504,17 +506,17 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions,
     budget = max(opts.max_iter, 0)
     for steps in range(budget + 1):
         res = _Residuals(it, values, pulled)
-        if res.error <= opts.tol and certifies(it):
-            return it, steps, "tolerance", res.error
+        if res.error <= opts.tol:
+            yield it, steps, "tolerance", res.error
         best, since_best = (res.error, 0) if res.error < best else (best, since_best + 1)
-        if since_best >= STALL_STEPS:
-            return it, steps, "stalled", res.error
-        if steps == budget:
-            return it, steps, "budget", res.error
+        if since_best >= STALL_STEPS or steps == budget:
+            yield it, steps, "stalled" if since_best >= STALL_STEPS else "budget", res.error
+            return
         try:
             factor = _newton_matrix(prob, it)
         except np.linalg.LinAlgError:
-            return it, steps, "breakdown", res.error
+            yield it, steps, "breakdown", res.error
+            return
         affine = _direction(prob, it, res, factor, np.zeros_like(it.slack), np.zeros_like(it.trades))
         mu_affine = it.moved(affine, _boundary_step(it, affine)).mu()
         sigma_mu = (mu_affine / res.mu) ** 3 * res.mu
@@ -531,12 +533,14 @@ def _interior_point(prob: _PrimalProblem, opts: SolverOptions,
                 break
             a *= 0.5
         else:
-            return it, steps, "no_step", res.error
+            yield it, steps, "no_step", res.error
+            return
         it = trial
         pulled = prob.pullback(it.dual)
 
 
-def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None) -> PriceReport:
+def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None,
+                 certificate: DualCertificate | None = None) -> PriceReport:
     """Least initial cash whose forced-liquidation schedule dominates the payoff almost surely, certified.
 
     Deterministic interior-point solve of the epigraph program on the tree's
@@ -549,49 +553,45 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
 
     Where the liquidity decays, an iterate that meets the Newton test is
     certified by the best of :func:`~transient_impact.duality.certificate_from`
-    with and without the closing multipliers and the default certificate, the
-    first on a tie: the search stops only on a gap within ``tol * (1 + |primal|)``.
+    with and without the closing multipliers, the default certificate and the
+    given ``certificate``, the first on a tie: the search stops only on a gap
+    within ``tol * (1 + |primal|)``, and a gap below ``-WEAK_DUALITY_RTOL`` of
+    the values' scale raises :class:`WeakDualityViolated`.  A given
+    ``certificate`` is refused before any solve on a rising curve and where
+    :func:`~transient_impact.duality.require_certificate` fails.
     """
     opts = options or SolverOptions()
+    if certificate is not None:
+        tree.require_decay()
+        require_certificate(tree, certificate, market)
     H = leaf_payoff(tree, H)
     sub, reached = tree.reached_part()
     on_leaf = reached[tree.leaves]
     prob = _PrimalProblem(sub, market, H[on_leaf])
     hold = prob.cash_requirement(np.zeros(2 * prob.n_dec))
-    default = default_certificate(tree, market) if tree.decay_margin >= 0.0 else None
-
-    @functools.lru_cache(maxsize=1)  # an iterate that met the Newton test is certified once
-    def priced(it: _Iterate) -> dict:
-        """The report's fields at ``it``; with a decaying curve, its certificate and the verdict of its gap."""
+    # The candidates that do not depend on the iterate, valued once; on a rising curve none bounds the price.
+    given = [] if certificate is None else [certificate]
+    fixed = [] if tree.decay_margin < 0.0 else [default_certificate(tree, market), *given]
+    fixed_values = [dual_objective(tree, cert, market, H) for cert in fixed]
+    for it, steps, stop, residual in _interior_point(prob, opts):
         value, schedule = min(prob.cash_requirement(it.trades.T.ravel()), hold, key=lambda pair: pair[0])
         if sub is not tree:
             schedule = _liquidating(tree, reached, schedule.buys, schedule.sells, schedule.x0)
         weights, closing = np.zeros(on_leaf.size), np.zeros((on_leaf.size, 2))
         weights[on_leaf], closing[on_leaf] = it.dual[:, 0], it.dual[:, 1:]
-        fields = dict(primal_value=value, strategy=schedule, leaf_weights=weights, closing_multipliers=closing)
-        if default is None:
-            return fields
-        candidates = (certificate_from(tree, market, schedule, weights),
-                      certificate_from(tree, market, schedule, weights, closing), default)
-        values = [dual_objective(tree, cert, market, H) for cert in candidates]
-        return fields | _certified(value, candidates, values, opts.tol)
-
-    certifies = (lambda it: True) if default is None else (lambda it: priced(it)["primal_converged"])
-    it, steps, stop, residual = _interior_point(prob, opts, certifies)
-    # On a rising curve no certificate bounds the price, so the Newton test's verdict stands.
-    fields = {"primal_converged": stop == "tolerance", **priced(it)}
-    return PriceReport(**fields, iterations=steps, stop_reason=stop, residual=residual)
-
-
-def _certified(primal_value: float, candidates, values, tol: float) -> dict:
-    """The certificate of largest dual value, the first on a tie, its gap and whether the gap certifies;
-    a gap below ``-WEAK_DUALITY_RTOL`` of the values' scale raises :class:`WeakDualityViolated`."""
-    best = int(np.argmax(values))
-    gap = float(primal_value - values[best])
-    if gap < -WEAK_DUALITY_RTOL * (1.0 + abs(primal_value) + abs(values[best])):
-        raise WeakDualityViolated(f"weak duality violated: gap {gap:.3e}")
-    return dict(dual_value=values[best], certificate=candidates[best], gap=gap,
-                primal_converged=gap <= tol * (1.0 + abs(primal_value)))
+        converged, best, dual_value, gap = stop == "tolerance", None, None, None  # stands where none bounds the price
+        if fixed:
+            candidates = [certificate_from(tree, market, schedule, weights),
+                          certificate_from(tree, market, schedule, weights, closing), *fixed]
+            values = [dual_objective(tree, cert, market, H) for cert in candidates[:2]] + fixed_values
+            k = int(np.argmax(values))
+            best, dual_value, gap = candidates[k], values[k], float(value - values[k])
+            if gap < -WEAK_DUALITY_RTOL * (1.0 + abs(value) + abs(dual_value)):
+                raise WeakDualityViolated(f"weak duality violated: gap {gap:.3e}")
+            converged = gap <= opts.tol * (1.0 + abs(value))
+        if converged or stop != "tolerance":
+            return PriceReport(value, schedule, weights, closing, iterations=steps, primal_converged=converged,
+                               stop_reason=stop, residual=residual, dual_value=dual_value, certificate=best, gap=gap)
 
 
 # ---------------------------------------------------------------------------
@@ -616,19 +616,6 @@ def dual_ascent(tree: ScenarioTree, market: MarketSpec, H, init_cert: DualCertif
 
 def gap_report(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptions | None = None,
                certificate: DualCertificate | None = None) -> PriceReport:
-    """The certified primal solve, with a given ``certificate`` as one more candidate (weak duality enforced).
-
-    Refuses a rising liquidity curve and a given ``certificate`` that fails
-    :func:`~transient_impact.duality.require_certificate` before any solve.
-    The given one replaces :func:`primal_solve`'s only when worth strictly
-    more, and the verdict is then read off its gap.
-    """
-    opts = options or SolverOptions()
+    """:func:`primal_solve`, with a rising liquidity curve refused before any solve."""
     tree.require_decay()
-    if certificate is not None:
-        require_certificate(tree, certificate, market)
-    report = primal_solve(tree, market, H, opts)
-    if certificate is None:
-        return report
-    values = (report.dual_value, dual_objective(tree, certificate, market, H))
-    return replace(report, **_certified(report.primal_value, (report.certificate, certificate), values, opts.tol))
+    return primal_solve(tree, market, H, options, certificate)

@@ -427,6 +427,7 @@ def tilt_to_martingale(tree: ScenarioTree, g, eps: float) -> TiltResult:
     Raises :class:`NoSignChange` where no such two-point mix exists.
     """
     g = finite(as_curve(g, tree.n_levels, "g"), "g")
+    eps = finite(float(eps), "tail threshold eps")
     if np.any(np.diff(g) > 0.0):
         raise ValueError("offset function must be non-increasing")
 

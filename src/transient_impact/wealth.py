@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GridMismatch, TerminalNotZero
-from .market import MarketSpec
+from .market import MarketSpec, finite
 from .strategy import TradeSchedule, check_terminal_zero, convex_combine, normalize
 from .tree import ScenarioTree
 
@@ -80,12 +80,14 @@ class PathSums:
 def _time_blocks(P):
     """``P`` as time-row blocks ``(k, S)``, and whether it was one path.
 
-    An iterator of blocks, as :func:`formats.price_path_blocks` yields, passes
-    through; one path ``(N+1,)`` or scenario rows ``(S, N+1)`` is one block.
+    An iterator of blocks, as :func:`formats.price_path_blocks` yields (each
+    checked there), passes through; one path ``(N+1,)`` or scenario rows
+    ``(S, N+1)`` is one block, refused with :class:`NonFiniteInput` where a
+    price is NaN or infinite.
     """
     if isinstance(P, Iterator):
         return P, False
-    P = np.asarray(P, dtype=float)
+    P = finite(np.asarray(P, dtype=float), "price paths")
     if P.ndim not in (1, 2):
         raise ValueError("price paths must be one path or scenario rows")
     return [np.atleast_2d(P).T], P.ndim == 1
@@ -144,7 +146,7 @@ def _on_chain(schedule: TradeSchedule, market: MarketSpec, P):
 
 
 def _prices(P, n_points: int) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
+    P = finite(np.asarray(P, dtype=float), "price paths")
     if P.ndim == 1:
         P = P[np.newaxis, :]
     if P.ndim != 2 or P.shape[1] != n_points:
@@ -229,6 +231,7 @@ def tv_bound(market: MarketSpec, P, level: float):
     ``(S, N+1)``).
     """
     P2, was_1d = _prices(P, market.grid.n_points), np.ndim(P) == 1
+    level = finite(float(level), "tv_bound level")
     chain = ScenarioTree.single_path(market, 0.0)
     kappa_T = float(chain.kappa[-1])
     min_ratio = float(np.min(chain.rho / chain.delta))

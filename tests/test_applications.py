@@ -68,6 +68,50 @@ class TestBuyAndHold:
         assert s.buys[0] == 0.5 and s.sells[-1] == 1.0
 
 
+def wide_call_tree(L, x0, zeta0):
+    """The one-period tree of the paper's call theorem: root 100, two equally likely leaves at
+    100 + L and 0, delta 10, r 0.5, and a call struck at 100; with buy-and-hold's exact cash there."""
+    tree = ti.ScenarioTree([0.0, 1.0], [-1, 0, 0], [1.0, 0.5, 0.5], [100.0, 100.0 + L, 0.0], 10.0, 0.5)
+    market = ti.MarketSpec.build([0.0, 1.0], 10.0, 0.5, zeta0=zeta0, x0=x0)
+    H = np.maximum(tree.P[tree.leaves] - 100.0, 0.0)
+    hold = ti.TradeSchedule([1.0 - x0, 0.0, 0.0], [0.0, 1.0, 1.0], x0)  # buy at the root, sell at each leaf
+    cash = float(np.max(H - ti.tree_wealth(tree, hold, market.impact).xi_T))
+    return tree, market, H, cash
+
+
+class TestCallTheoremOnATree:
+    """Buy-and-hold super-replicates the call at the paper's closed form, so it bounds the tree's price."""
+
+    @pytest.mark.parametrize("x0, zeta0, formula", [(0.0, 0.0, 100.160653), (0.5, 0.1, 50.203480)])
+    @pytest.mark.parametrize("L", [10.0, 1e3, 1e6])
+    def test_buy_and_hold_cash_is_the_call_formula(self, x0, zeta0, formula, L):
+        _, market, _, cash = wide_call_tree(L, x0, zeta0)
+        assert ti.call_price_formula(market, 100.0) == pytest.approx(formula, abs=5e-7)
+        assert cash == pytest.approx(ti.call_price_formula(market, 100.0), rel=1e-14)
+
+    @pytest.mark.parametrize("x0, zeta0", [(0.0, 0.0), (0.5, 0.1)])
+    def test_certified_price_rises_toward_the_formula(self, x0, zeta0):
+        # 9.09 / 50.04 / 91.04 / 99.17 at x0 0: a known feasible schedule bounds every certified price
+        last = -np.inf
+        for L in (10.0, 100.0, 1e3, 1e4):
+            tree, market, H, cash = wide_call_tree(L, x0, zeta0)
+            report = ti.gap_report(tree, market, H)
+            assert report.primal_converged, L
+            assert last <= report.primal_value <= cash, L
+            last = report.primal_value
+
+    @pytest.mark.parametrize("x0, zeta0, L", [
+        pytest.param(0.0, 0.0, 1e5, marks=pytest.mark.xfail(strict=True, reason="stalls at 101.51 > 100.16")),
+        pytest.param(0.0, 0.0, 1e6, marks=pytest.mark.xfail(strict=True, reason="stalls at 100.32 > 100.16")),
+        pytest.param(0.5, 0.1, 1e6, marks=pytest.mark.xfail(strict=True, reason="stalls at 52.28 > 50.20")),
+    ])
+    def test_wide_trees_certify_below_buy_and_hold(self, x0, zeta0, L):
+        # known failures of the primal's scaling: its search stalls above a known feasible schedule's cash
+        tree, market, H, cash = wide_call_tree(L, x0, zeta0)
+        report = ti.gap_report(tree, market, H)
+        assert report.primal_converged and report.primal_value <= cash
+
+
 class TestCallVerification:
     def test_reference_instance_terminal_price(self):
         m = ti.MarketSpec.build([0.0, 0.25, 0.5, 0.75, 1.0], 10.0, 0.0)
@@ -194,6 +238,11 @@ class TestUtilities:
             ti.PowerUtility(1.5)
         with pytest.raises(ValueError):
             ti.make_utility("log", 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_risk_aversion_rejected(self, bad):
+        with pytest.raises(ValueError, match="risk aversion must be > 0 and finite"):
+            ti.ExponentialUtility(bad)
 
 
 class TestShadowPriceCheck:

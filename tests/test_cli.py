@@ -724,7 +724,7 @@ class TestDualSearch:
         # 0.5 * 120 + 0.5 * 90 is not 100: however wide its band, M is no martingale under q
         from transient_impact import solver
 
-        monkeypatch.setattr(solver, "primal_solve", lambda *args: pytest.fail("primal solved"))
+        monkeypatch.setattr(solver, "_interior_point", lambda *args: pytest.fail("primal solved"))
         market, tree, payoff = binary_files
         drifting = {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 120.0, 90.0], "alpha": 50.0}
         cert = write_json(tmp_path / "c.json", drifting)

@@ -260,7 +260,7 @@ class TestGivenCertificate:
         def refuse(*args, **kwargs):
             raise AssertionError("primal solved")
 
-        monkeypatch.setattr(solver, "primal_solve", refuse)
+        monkeypatch.setattr(solver, "_interior_point", refuse)
 
     def test_infeasible_one_is_refused_before_the_primal(self, monkeypatch):
         self.refuse_the_primal(monkeypatch)
@@ -309,20 +309,31 @@ class TestGivenCertificate:
 
     def test_a_strictly_better_one_is_kept_and_certifies_the_primal(self, monkeypatch):
         # with the read-off replaced by the default certificate no certificate of the solve's own
-        # closes the gap, so the search steps on until it stops unconverged; only the given
-        # certificate can then prove the primal optimal
+        # closes the gap, so the search steps on to no_step at step 12, unconverged; the given
+        # certificate is a candidate at every iterate that meets the Newton test, so it certifies
+        # the first one, at step 8, in primal_solve and gap_report alike
         from transient_impact import solver
 
         tree, market, H = binomial_ladder(2)
         best = ti.gap_report(tree, market, H).certificate
         monkeypatch.setattr(solver, "certificate_from", lambda tree, market, *rest: ti.default_certificate(tree, market))
         weak = ti.gap_report(tree, market, H)
-        report = ti.gap_report(tree, market, H, certificate=best)
-        assert not weak.primal_converged and weak.gap > 1e-3 and weak.stop_reason != "tolerance"
-        assert report.certificate is best
-        assert report.primal_converged and report.dual_converged
-        assert 0.0 <= report.gap <= 1e-6 * report.primal_value
-        assert (report.iterations, report.stop_reason) == (weak.iterations, weak.stop_reason)
+        assert not weak.primal_converged and weak.gap > 1e-3
+        assert (weak.iterations, weak.stop_reason) == (12, "no_step")
+        for solve in (ti.gap_report, ti.primal_solve):
+            report = solve(tree, market, H, certificate=best)
+            assert report.certificate is best
+            assert report.primal_converged and report.dual_converged
+            assert 0.0 <= report.gap <= 1e-9 * (1.0 + abs(report.primal_value))
+            assert (report.iterations, report.stop_reason) == (8, "tolerance")
+
+    def test_one_on_a_rising_curve_is_refused_before_the_primal(self, monkeypatch):
+        # no certificate bounds the price there, so primal_solve takes none, as gap_report takes no such tree
+        tree, market, H = rising_instance()
+        cert = ti.default_certificate(tree, market)
+        self.refuse_the_primal(monkeypatch)
+        with pytest.raises(MonotonicityViolation, match="rises"):
+            ti.primal_solve(tree, market, H, certificate=cert)
 
     def test_dual_converged_is_primal_converged(self):
         report = ti.gap_report(*binomial_ladder(2), ti.SolverOptions(max_iter=1))
@@ -710,7 +721,7 @@ class TestInteriorPoint:
         from transient_impact.solver import _interior_point, _PrimalProblem
 
         for _, tree, market, H in list(seeded_convex_trees())[:8]:
-            it, _, stop, residual = _interior_point(_PrimalProblem(tree, market, H), ti.SolverOptions())
+            it, _, stop, residual = next(_interior_point(_PrimalProblem(tree, market, H), ti.SolverOptions()))
             assert stop == "tolerance" and residual <= 1e-9
             assert np.all(it.dual > 0.0)
             assert it.dual[:, 0].sum() == pytest.approx(1.0, abs=1e-9)
@@ -793,7 +804,8 @@ class TestVerdict:
         from transient_impact.solver import _interior_point, _PrimalProblem
 
         tree, market, H = next(islice(random_call_trees(), index, None))
-        assert _interior_point(_PrimalProblem(tree, market, H), ti.SolverOptions())[1:3] == (steps - 1, "tolerance")
+        first = next(_interior_point(_PrimalProblem(tree, market, H), ti.SolverOptions()))
+        assert first[1:3] == (steps - 1, "tolerance")
         report = ti.primal_solve(tree, market, H)
         assert (report.stop_reason, report.iterations) == ("tolerance", steps)
         assert report.primal_converged and report.gap <= 1e-9 * (1.0 + abs(report.primal_value))

@@ -196,6 +196,13 @@ class TestTilt:
         with pytest.raises(NonFiniteInput, match="g must be finite"):
             ti.tilt_to_martingale(tree, np.array([bad, bad]), eps=1e-3)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_tail_threshold_rejected(self, bad):
+        # NaN compares false with every price, so it would report a tail mass of 0
+        tree = one_step_tree([90.0, 120.0])
+        with pytest.raises(NonFiniteInput, match="eps must be finite"):
+            ti.tilt_to_martingale(tree, np.zeros(2), eps=bad)
+
     def test_increasing_offset_rejected(self):
         tree = one_step_tree([90.0, 120.0])
         with pytest.raises(ValueError, match="non-increasing"):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import transient_impact as ti
-from transient_impact.errors import TerminalNotZero
+from transient_impact.errors import NonFiniteInput, TerminalNotZero
 from transient_impact.wealth import tree_terminal_cash_direct
 
 from conftest import random_market, random_paths, random_schedule, random_tree, random_tree_schedule, ref_leaf_paths
@@ -188,6 +188,20 @@ class TestPathSums:
             with pytest.raises(ValueError, match="grid points"):
                 ti.lambda_functional(s, m, paths)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kernel", [
+        lambda m, P: ti.terminal_cash_direct(round_trip(), m, P),
+        lambda m, P: ti.lambda_functional(round_trip(), m, P),
+        lambda m, P: ti.quadratic_scaling(round_trip(), m, P),
+        lambda m, P: ti.verify_call_superreplication(m, P, 100.0),
+        lambda m, P: ti.tv_bound(m, P, 1.0),
+    ], ids=["terminal_cash_direct", "lambda_functional", "quadratic_scaling", "verify_call", "tv_bound"])
+    def test_non_finite_price_table_rejected(self, decaying_market, kernel, bad):
+        # a NaN or infinite price is refused, not turned into a NaN cash, bound or verdict
+        for P in (np.array([100.0, bad]), np.array([[100.0, 100.0], [bad, 100.0]])):
+            with pytest.raises(NonFiniteInput, match="price paths must be finite"):
+                kernel(decaying_market, P)
+
 
 class TestTvBound:
     def test_reference_instance_is_finite(self, decaying_market):
@@ -213,6 +227,11 @@ class TestTvBound:
     def test_zero_level_allows_no_trades(self, decaying_market):
         _, bound = ti.tv_bound(decaying_market, np.full(2, 100.0), 0.0)
         assert bound >= 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, decaying_market, bad):
+        with pytest.raises(NonFiniteInput, match="level must be finite"):
+            ti.tv_bound(decaying_market, np.full(2, 100.0), bad)
 
     def test_constant_scales_with_depth(self):
         m1 = ti.MarketSpec.build([0.0, 1.0], 10.0, LN2)
