@@ -57,7 +57,6 @@ from .strategy import (
     total_variation,
 )
 from .tree import (
-    NodeMeasure,
     ScenarioTree,
     TiltResult,
     conditional_expectation,

@@ -16,11 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .duality import DualCertificate, band_pins, constraint_bound, leaf_measure, shadow_band_feasibility
+from .duality import band_pins, constraint_bound, leaf_measure, shadow_band_feasibility
 from .errors import NotApplicable, TerminalNotZero
 from .market import MarketSpec, as_curve, finite
 from .strategy import TradeSchedule, check_terminal_zero, normalize
-from .tree import NodeMeasure, ScenarioTree, is_martingale
+from .tree import ScenarioTree, is_martingale
 from .wealth import path_sums, terminal_cash_direct, tree_wealth
 
 SHADOW_RTOL = 1e-8
@@ -210,7 +210,7 @@ class ShadowVerdict:
 
     verdict: str
     reasons: tuple[str, ...]
-    q_hat: NodeMeasure
+    q_hat: np.ndarray
     lambda_hat: np.ndarray
     M_hat: np.ndarray | None
     martingale_defect: float | None
@@ -242,7 +242,7 @@ def shadow_price_check(tree: ScenarioTree, market: MarketSpec, schedule: TradeSc
     reach_p = tree.reach_probabilities()
     q_hat = leaf_measure(tree, reach_p[tree.leaves] * utility.derivative(tw.xi_T))
     alpha_hat = tw.eta
-    lam_hat = constraint_bound(tree, DualCertificate(q=q_hat, M=np.zeros(tree.n_nodes), alpha=alpha_hat), market)
+    lam_hat = constraint_bound(tree, q_hat, alpha_hat)
     pin = band_pins(tree, schedule, lam_hat)
 
     scale = 1.0 + float(np.max(np.abs(tree.P)) + np.max(lam_hat))

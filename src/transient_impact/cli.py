@@ -205,9 +205,9 @@ def cmd_gap(args) -> int:
 def cmd_dual_eval(args) -> int:
     market = formats.load_market(args.market)
     tr = formats.load_tree(args.tree, market)
-    cert = formats.load_certificate(args.certificate, tr)
+    cert = formats.load_certificate(args.certificate, tr, market.impact.zeta0)
     H = formats.load_payoff(args.payoff, tr)
-    check = duality.check_certificate(tr, cert, market)
+    check = duality.check_certificate(tr, cert)
     feas = check.band
     slack = feas.bound - np.abs(tr.P - cert.M)
     payload = {
@@ -222,15 +222,14 @@ def cmd_dual_eval(args) -> int:
         "units": {"martingale_drift": "price", "worst_violation": "price", "objective": "currency", "bound": "price",
                   "band_slack": "price"},
     }
-    alpha = cert.alpha_or_default(tr, market.impact.zeta0)
-    series = {"P": tr.P, "M": cert.M, "bound": feas.bound, "alpha": alpha, "band_slack": slack}
+    series = {"P": tr.P, "M": cert.M, "bound": feas.bound, "alpha": cert.alpha, "band_slack": slack}
     _emit(args, payload, tree=tr, series=series)
     return EXIT_OK
 
 
 def cmd_dual_search(args) -> int:
     market, tr, H = _priced_tree(args)
-    init = formats.load_certificate(args.certificate, tr) if args.certificate else None
+    init = formats.load_certificate(args.certificate, tr, market.impact.zeta0) if args.certificate else None
     return _solved(args, solver.dual_ascent(tr, market, H, init, _options(args)), "dual_value", "certificate")
 
 
@@ -264,12 +263,12 @@ def cmd_tilt(args) -> int:
     payload = {
         "max_abs_gap": result.max_abs_gap,
         "tail_probability": result.tail_probability,
-        "q_transitions": result.measure.transitions,
+        "q_transitions": result.measure,
         "M": result.martingale,
         "units": {"max_abs_gap": "price", "tail_probability": "probability", "q_transitions": "probability",
                   "M": "price"},
     }
-    series = {"P": tr.P, "M": result.martingale, "q": result.measure.transitions}
+    series = {"P": tr.P, "M": result.martingale, "q": result.measure}
     _emit(args, payload, tree=tr, series=series)
     return EXIT_OK
 
@@ -281,7 +280,7 @@ def cmd_shadow_check(args) -> int:
     utility = applications.make_utility(args.utility, args.utility_param)
     M_hat = None
     if args.certificate:
-        M_hat = formats.load_certificate(args.certificate, tr).M
+        M_hat = formats.load_certificate(args.certificate, tr, market.impact.zeta0).M
     verdict = applications.shadow_price_check(tr, market, schedule, utility, M_hat)
     payload = {
         "verdict": verdict.verdict,

@@ -1,9 +1,11 @@
 """Dual certificates: price-band constraint, penalized objective, weak duality.
 
-A certificate is a triple (node measure, martingale, spread process).  It is
-feasible when the unaffected price stays within a band around the martingale
-whose width is the discounted conditional liquidity-weighted mass of the
-spread process.  The penalized expectation of the payoff under a feasible
+A certificate is three node arrays: a measure's transitions ``q``, a
+martingale ``M`` under it and a spread process ``alpha``.  Its band, the
+discounted conditional liquidity-weighted mass of ``alpha`` under ``q``
+(:func:`constraint_bound`), reads only the tree, ``q`` and ``alpha``, and the
+certificate is feasible when the unaffected price stays within it around
+``M``: the judges read the tree and the certificate alone.  The penalized expectation of the payoff under a feasible
 certificate can never exceed any super-replicating initial cash; the verifier
 returns that margin together with the exact slack decomposition that makes the
 inequality an identity.  :func:`certificate_from` reads a certificate off a
@@ -24,7 +26,7 @@ import numpy as np
 from .errors import InfeasibleCertificate, SuperReplicationViolated, TerminalNotZero
 from .market import MarketSpec, as_curve, finite
 from .strategy import TradeSchedule, check_terminal_zero
-from .tree import NodeMeasure, ScenarioTree, conditional_expectation, is_martingale
+from .tree import ScenarioTree, conditional_expectation, is_martingale
 from .wealth import tree_wealth
 
 FEASIBILITY_RTOL = 1e-10
@@ -33,21 +35,21 @@ WEAK_DUALITY_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Node measure, martingale values per node and optional spread process."""
+    """Measure transitions ``q``, martingale ``M`` and spread process ``alpha``: one value per node each.
 
-    q: NodeMeasure
+    Held as float arrays of one length, else ``ValueError``; whether they
+    make a certificate on a tree is :func:`check_certificate`'s verdict.
+    """
+
+    q: np.ndarray
     M: np.ndarray
-    alpha: np.ndarray | None = None
+    alpha: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "M", np.asarray(self.M, dtype=float))
-        if self.alpha is not None:
-            object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-
-    def alpha_or_default(self, tree: ScenarioTree, zeta0: float) -> np.ndarray:
-        if self.alpha is None:
-            return np.full(tree.n_nodes, float(zeta0))
-        return as_curve(self.alpha, tree.n_nodes, "alpha")
+        for field in ("q", "M", "alpha"):
+            object.__setattr__(self, field, np.asarray(getattr(self, field), dtype=float))
+        if not self.q.ndim == 1 or not self.q.shape == self.M.shape == self.alpha.shape:
+            raise ValueError("certificate q, M and alpha must hold one value per node each")
 
 
 def leaf_payoff(tree: ScenarioTree, H) -> np.ndarray:
@@ -70,18 +72,18 @@ def node_penalty_weights(tree: ScenarioTree, reach) -> np.ndarray:
     return w
 
 
-def constraint_bound(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> np.ndarray:
-    """Band width per node: discounted conditional remaining spread mass.
+def constraint_bound(tree: ScenarioTree, q, alpha) -> np.ndarray:
+    """Band width per node under the measure transitions ``q``: discounted conditional remaining spread mass.
 
     Backward recursion of ``F(n) = sum_children q * (interval_mass * alpha(n)
     + F(child))`` with ``F(leaf) = atom * alpha(leaf)``; the bound is
     ``rho/delta * F``.  With zero resilience and a constant spread process the
     bound telescopes to that constant at every node.
     """
-    alpha = cert.alpha_or_default(tree, market.impact.zeta0)
+    alpha = as_curve(alpha, tree.n_nodes, "alpha")
     leaves = tree.leaves
     edge = tree.edge_weight * alpha[tree.parent]  # the root's entry is never read
-    F = tree.up_sweep(cert.q.transitions, tree.kappa[leaves] * alpha[leaves], edge)
+    F = tree.up_sweep(q, tree.kappa[leaves] * alpha[leaves], edge)
     return tree.rho / tree.delta * F
 
 
@@ -93,7 +95,7 @@ class FeasibilityReport:
     bound: np.ndarray
 
 
-def check_feasibility(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> FeasibilityReport:
+def check_feasibility(tree: ScenarioTree, cert: DualCertificate) -> FeasibilityReport:
     """Check the price stays within the certificate's band at every node.
 
     The band is defined on any tree; what a rising liquidity curve breaks is
@@ -101,7 +103,7 @@ def check_feasibility(tree: ScenarioTree, cert: DualCertificate, market: MarketS
     ``worst_node`` is the lowest node within the feasibility tolerance of
     the worst, not the argmax among rounding-level ties (the argmax for NaN).
     """
-    B = constraint_bound(tree, cert, market)
+    B = constraint_bound(tree, cert.q, cert.alpha)
     violation = np.abs(tree.P - cert.M) - B
     worst = float(np.max(violation))
     tol = FEASIBILITY_RTOL * (1.0 + float(np.max(np.abs(tree.P)) + np.max(np.abs(cert.M)) + np.max(np.abs(B))))
@@ -121,12 +123,13 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
     ``c / rho`` and, on a decaying liquidity curve, narrows none, so every
     positive violation is repaired (none: the spread comes back unchanged).
     One check confirms it, else :class:`InfeasibleCertificate` is raised.
+    The band needs no market; ``market`` stays in the signature for callers
+    that pass it.
     """
-    cert = replace(cert, alpha=cert.alpha_or_default(tree, market.impact.zeta0))
-    violation = np.maximum(np.abs(tree.P - cert.M) - constraint_bound(tree, cert, market), 0.0) * tree.rho
+    violation = np.maximum(np.abs(tree.P - cert.M) - constraint_bound(tree, cert.q, cert.alpha), 0.0) * tree.rho
     raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
     cert = replace(cert, alpha=cert.alpha + raise_by)
-    report = check_feasibility(tree, cert, market)
+    report = check_feasibility(tree, cert)
     if not report.feasible:
         raise InfeasibleCertificate(f"repair left the band violated at node {report.worst_node}")
     return cert
@@ -136,7 +139,7 @@ def restore_feasibility(tree: ScenarioTree, cert: DualCertificate, market: Marke
 class CertificateCheck:
     """What makes ``(q, M, alpha)`` a certificate: ``q`` a measure, ``M`` a martingale under it, inside the band.
 
-    ``measure`` is the message :meth:`NodeMeasure.for_tree` refuses ``q`` with,
+    ``measure`` is the message :meth:`ScenarioTree.measure` refuses ``q`` with,
     else ``None``; ``drift`` is ``M``'s largest one-step drift under ``q`` and
     ``martingale`` whether it is within tolerance; ``band`` is the
     :func:`check_feasibility` report.
@@ -152,28 +155,28 @@ class CertificateCheck:
         return self.measure is None and self.martingale and self.band.feasible
 
 
-def check_certificate(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> CertificateCheck:
+def check_certificate(tree: ScenarioTree, cert: DualCertificate) -> CertificateCheck:
     """Judge ``q``, ``M``'s drift under it and the band; :func:`require_certificate` refuses what fails.
 
     A ``q`` of the wrong length or with a NaN or infinite entry is no input to judge: it raises.
     """
-    finite(as_curve(cert.q.transitions, tree.n_nodes, "transitions"), "measure transitions")
+    finite(as_curve(cert.q, tree.n_nodes, "transitions"), "measure transitions")
     try:
-        NodeMeasure.for_tree(tree, cert.q.transitions)
+        tree.measure(cert.q)
         measure = None
     except ValueError as exc:
         measure = str(exc)
     martingale, drift = is_martingale(tree, cert.q, cert.M)
-    return CertificateCheck(measure, martingale, drift, check_feasibility(tree, cert, market))
+    return CertificateCheck(measure, martingale, drift, check_feasibility(tree, cert))
 
 
-def require_certificate(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec) -> FeasibilityReport:
+def require_certificate(tree: ScenarioTree, cert: DualCertificate) -> FeasibilityReport:
     """Report the band of a certificate whose value bounds the price; refuse anything else.
 
     :func:`check_certificate` must find it valid: a refused measure raises
     ``ValueError``, a drifting ``M`` or a violated band :class:`InfeasibleCertificate`.
     """
-    check = check_certificate(tree, cert, market)
+    check = check_certificate(tree, cert)
     if check.measure is not None:
         raise ValueError(check.measure)
     if not check.martingale:
@@ -224,9 +227,9 @@ def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | 
         expected[nodes] = sums
         band[nodes, 0] = np.maximum(band[nodes, 0], sums[:, 0])
         band[nodes, 1] = np.minimum(band[nodes, 1], sums[:, 1])
-        return q.transitions[nodes, None] * band[nodes]
+        return q[nodes, None] * band[nodes]
 
-    tree.fold_up(q.transitions[tree.leaves, None] * band[tree.leaves], intersect)
+    tree.fold_up(q[tree.leaves, None] * band[tree.leaves], intersect)
     lo, hi = band.T
     empty = np.flatnonzero(lo > hi + slack)
     if empty.size:
@@ -251,20 +254,21 @@ def shadow_band_feasibility(tree: ScenarioTree, q, lam, pin: dict[int, float] | 
     return BandFeasibility(feasible=True, M=M, empty_node=None)
 
 
-def leaf_measure(tree: ScenarioTree, leaf_weights) -> NodeMeasure:
+def leaf_measure(tree: ScenarioTree, leaf_weights) -> np.ndarray:
     """Measure whose leaf probabilities are proportional to ``leaf_weights`` (leaf-id order).
 
     Each transition is the node's share of its parent's weight (the reference
     transition where the parent has none); with no weight at all the measure
-    is the reference one.  The weights must be finite and non-negative, and
-    weight on a leaf behind a zero-probability branch is refused, not dropped.
+    is the reference one, ``tree.p_transition`` itself.  The weights must be
+    finite and non-negative, and weight on a leaf behind a zero-probability
+    branch is refused, not dropped.
     """
     leaf_mass = finite(as_curve(leaf_weights, tree.leaves.size, "leaf_weights"), "leaf weights")
     if np.any(leaf_mass < 0.0):
         raise ValueError("leaf weights must be >= 0")
     total = float(np.sum(leaf_mass))
     if not total > 0.0:
-        return NodeMeasure.reference(tree)
+        return tree.p_transition
     marginal = tree.up_sweep(np.ones(tree.n_nodes), leaf_mass / total)
     transitions = np.ones(tree.n_nodes)
     nonroot = np.arange(1, tree.n_nodes)
@@ -274,7 +278,7 @@ def leaf_measure(tree: ScenarioTree, leaf_weights) -> NodeMeasure:
         marginal[nonroot] / np.where(parent_mass > 0.0, parent_mass, 1.0),
         tree.p_transition[nonroot],
     )
-    return NodeMeasure.for_tree(tree, transitions)
+    return tree.measure(transitions)
 
 
 def band_pins(tree: ScenarioTree, schedule: TradeSchedule, lam) -> dict[int, float]:
@@ -306,7 +310,7 @@ def certificate_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSche
     """
     q = leaf_measure(tree, leaf_weights)
     alpha = tree_wealth(tree, schedule, market.impact).eta
-    lam = constraint_bound(tree, DualCertificate(q=q, M=np.zeros(tree.n_nodes), alpha=alpha), market)
+    lam = constraint_bound(tree, q, alpha)
     if closing is None:
         band = shadow_band_feasibility(tree, q, lam)
         if not band.feasible:
@@ -328,7 +332,7 @@ def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec
     imp = market.impact
     reach = tree.reach_probabilities(cert.q)
     expected_payoff = float(np.dot(reach[tree.leaves], H))
-    dev = cert.alpha_or_default(tree, imp.zeta0) - imp.zeta0
+    dev = cert.alpha - imp.zeta0
     penalty = float(np.dot(node_penalty_weights(tree, reach), dev**2))
     m0 = float(cert.M[0])
     return expected_payoff - 0.5 * penalty - m0 * imp.x0 - 0.5 * imp.iota * imp.x0**2
@@ -382,13 +386,12 @@ def weak_duality_check(
     if shortfall < -tol:
         raise SuperReplicationViolated(f"terminal cash falls {-shortfall:.3e} short of the payoff")
 
-    feas = require_certificate(tree, cert, market)
+    feas = require_certificate(tree, cert)
 
     dual_value = dual_objective(tree, cert, market, H)
     margin = float(xi0) - dual_value
 
     # Exact slack decomposition of the margin.
-    alpha = cert.alpha_or_default(tree, market.impact.zeta0)
     reach = tree.reach_probabilities(cert.q)
     gap = tree.P - cert.M
     net = schedule.net()
@@ -396,7 +399,7 @@ def weak_duality_check(
     slack_super = float(np.dot(reach[tree.leaves], tw.xi_T - H))
     slack_sign = float(np.dot(reach, gap * net + np.abs(gap) * gross))
     slack_band = float(np.dot(reach, (feas.bound - np.abs(gap)) * gross))
-    slack_quad = 0.5 * float(np.dot(node_penalty_weights(tree, reach), (tw.eta - alpha) ** 2))
+    slack_quad = 0.5 * float(np.dot(node_penalty_weights(tree, reach), (tw.eta - cert.alpha) ** 2))
     residual = margin - (slack_super + slack_sign + slack_band + slack_quad)
 
     return WeakDualityReport(

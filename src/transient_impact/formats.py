@@ -16,9 +16,9 @@ import numpy as np
 
 from .duality import DualCertificate
 from .errors import NonFiniteInput
-from .market import MarketSpec, finite
+from .market import MarketSpec, as_curve, finite
 from .strategy import TradeSchedule
-from .tree import NodeMeasure, ScenarioTree
+from .tree import ScenarioTree
 
 
 class FormatError(Exception):
@@ -92,11 +92,12 @@ def load_schedule(path, x0_default: float = 0.0) -> TradeSchedule:
         return TradeSchedule(data["buys"], data["sells"], data.get("x0", x0_default))
 
 
-def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
+def load_certificate(path, tree: ScenarioTree, zeta0: float) -> DualCertificate:
     """Read, not judge, a certificate: one finite value per node (``alpha`` may be one for all); the root's ``q`` is 1.
 
-    Whether ``q`` is a measure, ``M`` a martingale under it and inside the
-    band is :func:`~transient_impact.duality.check_certificate`'s verdict.
+    An absent or ``null`` ``alpha`` is the flat spread ``zeta0``.  Whether
+    ``q`` is a measure, ``M`` a martingale under it and inside the band is
+    :func:`~transient_impact.duality.check_certificate`'s verdict.
     """
     data = _read_json(path)
 
@@ -111,11 +112,10 @@ def load_certificate(path, tree: ScenarioTree) -> DualCertificate:
         q[0] = 1.0
         M = node_values("M")
         alpha = data.get("alpha")
-        if alpha is not None:
-            alpha = finite(np.asarray(alpha, dtype=float), "certificate alpha")
-            if alpha.ndim and alpha.shape != (tree.n_nodes,):
-                raise FormatError(f"certificate alpha must be a scalar or list {tree.n_nodes} node values")
-        return DualCertificate(q=NodeMeasure(q), M=M, alpha=alpha)
+        alpha = finite(np.asarray(zeta0 if alpha is None else alpha, dtype=float), "certificate alpha")
+        if alpha.ndim and alpha.shape != (tree.n_nodes,):
+            raise FormatError(f"certificate alpha must be a scalar or list {tree.n_nodes} node values")
+        return DualCertificate(q=q, M=M, alpha=as_curve(alpha, tree.n_nodes))
 
 
 def load_payoff(path, tree: ScenarioTree) -> np.ndarray:
@@ -298,7 +298,7 @@ def write_node_series_csv(tree: ScenarioTree, columns: dict[str, np.ndarray]) ->
 
 def certificate_to_dict(cert: DualCertificate) -> dict:
     return {
-        "q_transitions": cert.q.transitions,
+        "q_transitions": cert.q,
         "M": cert.M,
         "alpha": cert.alpha,
     }

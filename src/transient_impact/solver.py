@@ -49,7 +49,7 @@ from .duality import (
 from .errors import WeakDualityViolated
 from .market import MarketSpec
 from .strategy import TradeSchedule, normalize
-from .tree import NodeMeasure, ScenarioTree, _as_slice, conditional_expectation
+from .tree import ScenarioTree, _as_slice, conditional_expectation
 from .wealth import tree_states, tree_wealth
 
 
@@ -178,19 +178,18 @@ class _PrimalProblem:
         hi, neg_lo = extremes[order].T
         self.price_range = np.maximum(hi - tree.P[order], tree.P[order] + neg_lo)
 
-    def leaf_values(self, b, s, g=None):
+    def leaf_values(self, b, s, g):
         """Payoff plus cost per leaf and the position each closing trade faces.
 
-        ``g`` is the closing trades' gross size, at least ``|x_pre|``; by
-        default exactly that.  The spread entries of ``lift`` and ``leaf_jac``
-        are refreshed to this point.
+        ``g`` is the closing trades' gross size, at least ``|x_pre|``.  The
+        spread entries of ``lift`` and ``leaf_jac`` are refreshed to this point.
         """
         tree, leaves = self.tree, self.leaf_rows
         net, gross = np.zeros(tree.n_nodes), np.zeros(tree.n_nodes)
         net[self.decision_rows], gross[self.decision_rows] = b - s, b + s
         states = tree_states(tree, net, gross, self.impact.x0, self.impact.zeta0)
         x_pre, eta_pre, p_run, pen_run = states[leaves].T  # a leaf's own trade is the closing one
-        eta = eta_pre + self.c[leaves] * (np.abs(x_pre) if g is None else g)
+        eta = eta_pre + self.c[leaves] * g
         np.multiply(self.edge_mass, states[self.parent_of, 1], out=self.lift[:, 2, 0])
         slope = tree.kappa[leaves] * eta
         np.add(tree.edge_weight[leaves] * eta_pre, slope, out=self.leaf_jac[:, 0, 0])
@@ -563,7 +562,7 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
     opts = options or SolverOptions()
     if certificate is not None:
         tree.require_decay()
-        require_certificate(tree, certificate, market)
+        require_certificate(tree, certificate)
     H = leaf_payoff(tree, H)
     sub, reached = tree.reached_part()
     on_leaf = reached[tree.leaves]
@@ -601,9 +600,8 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
 
 def default_certificate(tree: ScenarioTree, market: MarketSpec) -> DualCertificate:
     """Reference measure, projected price and flat spread, raised by :func:`restore_feasibility`."""
-    q = NodeMeasure.reference(tree)
-    M = conditional_expectation(tree, q, tree.P[tree.leaves])
-    cert = DualCertificate(q=q, M=M, alpha=np.full(tree.n_nodes, market.impact.zeta0))
+    M = conditional_expectation(tree, tree.p_transition, tree.P[tree.leaves])
+    cert = DualCertificate(q=tree.p_transition, M=M, alpha=np.full(tree.n_nodes, market.impact.zeta0))
     return restore_feasibility(tree, cert, market)
 
 

@@ -2,8 +2,11 @@
 
 Nodes are stored parents first, each node carrying the exogenous price, depth
 and resilience at its time slot together with the transition probability from
-its parent under the reference measure.  A re-weighted measure is represented
-the same way: one transition probability per node.
+its parent under the reference measure.  A re-weighted measure is the same
+kind of array, one transition probability per node, which
+:meth:`ScenarioTree.measure` checks; the reference measure is
+``tree.p_transition`` itself.  A tree's arrays are read-only copies of its
+inputs, so its constructor's checks hold for its whole life.
 
 Every walk over the tree goes through three primitives of
 :class:`ScenarioTree` on one layout, the parent pointers by level:
@@ -51,12 +54,12 @@ class ScenarioTree:
 
     def __init__(self, times, parent, p_transition, P, delta, r):
         self.grid = TimeGrid(np.asarray(times, dtype=float))
-        self.parent = np.asarray(parent, dtype=int)
+        self.parent = np.array(parent, dtype=int)  # copies, frozen below: the caller's arrays stay writable
         n = self.parent.size
-        self.p_transition = finite(as_curve(p_transition, n, "p_transition"), "p_transition")
-        self.P = finite(as_curve(P, n, "P"), "P")
-        self.delta = finite(as_curve(delta, n, "delta"), "delta")
-        self.r = finite(as_curve(r, n, "r"), "r")
+        self.p_transition = finite(as_curve(p_transition, n, "p_transition"), "p_transition").copy()
+        self.P = finite(as_curve(P, n, "P"), "P").copy()
+        self.delta = finite(as_curve(delta, n, "delta"), "delta").copy()
+        self.r = finite(as_curve(r, n, "r"), "r").copy()
         self.t_index = _depths(self.parent)
         require_signs(self.delta, self.r)
         if np.any(self.p_transition < 0.0):
@@ -95,6 +98,10 @@ class ScenarioTree:
         self.edge_weight[1:] = self.kappa[self.parent[1:]] - self.kappa[1:]
         # Smallest relative drop of the liquidity curve along an edge: negative where it rises.
         self.decay_margin = decay_margin(self.kappa[self.parent[1:]], self.kappa[1:])
+        # Read-only from here on, so the checks above hold for the tree's whole life.
+        for values in (self.parent, self.p_transition, self.P, self.delta, self.r, self.t_index, self.is_leaf,
+                       self.leaves, self.rho, self.kappa, self.edge_weight):
+            values.setflags(write=False)
 
     # -- sweeps ----------------------------------------------------------------
 
@@ -208,10 +215,27 @@ class ScenarioTree:
         values = as_curve(values, self.n_nodes, "values")
         return self.down_sweep(initial + values[0], lambda acc, nodes: acc + values[nodes])
 
-    def reach_probabilities(self, measure=None) -> np.ndarray:
-        """Probability of passing through each node under a ``NodeMeasure``, by default the reference one."""
-        q = self.p_transition if measure is None else measure.transitions
+    def reach_probabilities(self, q=None) -> np.ndarray:
+        """Probability of passing through each node under the transitions ``q``, by default the reference ones."""
+        q = self.p_transition if q is None else q
         return self.down_sweep(q[0], lambda acc, nodes: acc * q[nodes])
+
+    def measure(self, transitions) -> np.ndarray:
+        """``transitions`` checked to be a measure on the tree, absolutely continuous w.r.t. the reference one.
+
+        One finite, non-negative transition per node, charging no branch of
+        reference probability zero and summing to one over each node's
+        children.  Returns a copy whose root transition is 1.
+        """
+        q = finite(as_curve(transitions, self.n_nodes, "transitions"), "measure transitions")
+        if np.any(q < 0.0):
+            raise ValueError("measure transitions must be >= 0")
+        if np.any((self.p_transition == 0.0) & (q > 0.0)):
+            raise ValueError("measure puts mass on a branch with zero reference probability")
+        self._check_simplex(q, "measure transitions")
+        q = q.copy()
+        q[0] = 1.0
+        return q
 
     def reached_part(self) -> tuple["ScenarioTree", np.ndarray]:
         """The subtree of the nodes that no zero-probability branch cuts off, the only ones a measure may
@@ -332,32 +356,6 @@ def _node_column(column: list, default, t_index: np.ndarray, what: str) -> np.nd
     return out
 
 
-@dataclass(frozen=True)
-class NodeMeasure:
-    """Re-weighted transition probabilities, absolutely continuous w.r.t. the tree's."""
-
-    transitions: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "transitions", np.asarray(self.transitions, dtype=float))
-
-    @classmethod
-    def for_tree(cls, tree: ScenarioTree, transitions) -> "NodeMeasure":
-        q = finite(as_curve(transitions, tree.n_nodes, "transitions"), "measure transitions")
-        if np.any(q < 0.0):
-            raise ValueError("measure transitions must be >= 0")
-        if np.any((tree.p_transition == 0.0) & (q > 0.0)):
-            raise ValueError("measure puts mass on a branch with zero reference probability")
-        tree._check_simplex(q, "measure transitions")
-        q = q.copy()
-        q[0] = 1.0
-        return cls(q)
-
-    @classmethod
-    def reference(cls, tree: ScenarioTree) -> "NodeMeasure":
-        return cls(tree.p_transition.copy())
-
-
 # ---------------------------------------------------------------------------
 # Expectations and martingales
 # ---------------------------------------------------------------------------
@@ -378,13 +376,13 @@ def conditional_expectation(tree: ScenarioTree, q, values) -> np.ndarray:
     ``values`` fixes the leaves (given per leaf in leaf-id order, or per node).
     Returns one value per node.
     """
-    return tree.up_sweep(q.transitions, _leaf_values(tree, values))
+    return tree.up_sweep(q, _leaf_values(tree, values))
 
 
 def is_martingale(tree: ScenarioTree, q, M) -> tuple[bool, float]:
     """Largest one-step drift of ``M`` under ``q``; true when below tolerance."""
     M = as_curve(M, tree.n_nodes, "M")
-    drift = np.abs(tree.child_sum(q.transitions * M) - M)[~tree.is_leaf]
+    drift = np.abs(tree.child_sum(q * M) - M)[~tree.is_leaf]
     defect = float(np.max(drift, initial=0.0))
     scale = 1.0 + float(np.max(np.abs(M)))
     return defect <= MARTINGALE_RTOL * scale, defect
@@ -407,7 +405,7 @@ def q_tail_probability(tree: ScenarioTree, q, threshold: float) -> float:
 class TiltResult:
     """Outcome of the drift-removing two-point tilt."""
 
-    measure: NodeMeasure
+    measure: np.ndarray
     martingale: np.ndarray
     max_abs_gap: float
     tail_probability: float
@@ -454,7 +452,7 @@ def tilt_to_martingale(tree: ScenarioTree, g, eps: float) -> TiltResult:
     q[hi] = 1.0 - w_lo
     q[lo] = w_lo  # last: where all admissible increments vanish, lo is hi and takes all the mass
 
-    measure = NodeMeasure.for_tree(tree, q)
+    measure = tree.measure(q)
     M = conditional_expectation(tree, measure, shifted[tree.leaves])
     gap = float(np.max(np.abs(shifted - M)))
     tail = q_tail_probability(tree, measure, eps)

@@ -94,7 +94,7 @@ def random_tree(rng, depth=2, max_branch=3, p0=100.0, vol=4.0, stochastic_liquid
         r_arr,
     )
     if martingale:
-        P = ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), tree.P[tree.leaves])
+        P = ti.conditional_expectation(tree, tree.p_transition, tree.P[tree.leaves])
         tree = ti.ScenarioTree(times, parent, tree.p_transition, P, delta, r_arr)
     return tree
 
@@ -176,7 +176,7 @@ def random_certificate(rng, tree, market):
         kids = children[node]
         w = rng.dirichlet(np.ones(kids.size))
         q[kids] = w
-    measure = ti.NodeMeasure.for_tree(tree, q)
+    measure = tree.measure(q)
     m_terminal = tree.P[tree.leaves] * rng.uniform(0.9, 1.1, tree.leaves.size)
     M = ti.conditional_expectation(tree, measure, m_terminal)
     alpha = market.impact.zeta0 + rng.uniform(0.0, 1.0, tree.n_nodes)

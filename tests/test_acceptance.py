@@ -123,12 +123,8 @@ def test_criterion_3_flat_spread_reduction(announce):
                     new.append(len(nodes) - 1)
             level = new
         tree = ti.ScenarioTree.from_node_dicts(times, nodes, default_delta=deltas, default_r=0.0)
-        market = ti.MarketSpec.build(times, deltas, 0.0)
         lam = float(rng.uniform(0.05, 2.0))
-        cert = ti.DualCertificate(
-            q=ti.NodeMeasure.reference(tree), M=tree.P.copy(), alpha=np.full(tree.n_nodes, lam)
-        )
-        B = ti.constraint_bound(tree, cert, market)
+        B = ti.constraint_bound(tree, tree.p_transition, np.full(tree.n_nodes, lam))
         worst = max(worst, float(np.max(np.abs(B - lam)) / (1e-12 * (1.0 + lam))))
     announce(3, worst <= 1.0, f"{n_markets} markets, worst deviation {worst:.3e} of the 1e-12 tolerance")
 
@@ -151,7 +147,7 @@ def test_criterion_5_reference_pricing_instance(announce):
     primal = ti.primal_solve(tree, market, H)
     oracle = brute_force_oracle(tree, market, H, np.arange(0.0, 1.0001, 0.01))
     init = ti.DualCertificate(
-        q=ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), M=tree.P.copy(), alpha=np.zeros(3)
+        q=tree.measure([1.0, 0.5, 0.5]), M=tree.P.copy(), alpha=np.zeros(3)
     )
     dual = ti.dual_ascent(tree, market, H, init)
     gap = primal.primal_value - dual.dual_value
@@ -269,8 +265,8 @@ def test_criterion_8_tilt_exactness(announce):
     r0 = ti.tilt_to_martingale(tree, np.zeros(2), eps=1e-3)
     r1 = ti.tilt_to_martingale(tree, np.array([1.0, 0.0]), eps=1e-3)
     exact = (
-        np.max(np.abs(r0.measure.transitions[1:] - [2 / 3, 0.0, 1 / 3])) <= 1e-15
-        and np.max(np.abs(r1.measure.transitions[1:] - [19 / 30, 0.0, 11 / 30])) <= 1e-15
+        np.max(np.abs(r0.measure[1:] - [2 / 3, 0.0, 1 / 3])) <= 1e-15
+        and np.max(np.abs(r1.measure[1:] - [19 / 30, 0.0, 11 / 30])) <= 1e-15
     )
     ok = worst <= 1e-10 and exact
     announce(8, ok, f"{n_trees} random trees worst |shifted price - martingale| {worst:.3e}; hand examples exact")

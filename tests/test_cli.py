@@ -11,7 +11,6 @@ import pytest
 from transient_impact import formats
 from transient_impact.cli import build_parser, main
 from transient_impact.formats import PATH_BLOCK_ROWS, load_market, load_price_paths, load_schedule
-from transient_impact.tree import NodeMeasure
 from transient_impact.solver import primal_solve
 from transient_impact.wealth import lambda_functional, terminal_cash_direct
 
@@ -234,14 +233,13 @@ class TestPriceAndGap:
         from dataclasses import replace
 
         from transient_impact import solver
-        from transient_impact.tree import NodeMeasure
 
         certificate_from = solver.certificate_from
 
         def overshooting(tree, *args, **kwargs):
             # all mass on the leaf paying 10: worth about 9.95 against a primal of 5.05
             cert = certificate_from(tree, *args, **kwargs)
-            return replace(cert, q=NodeMeasure.for_tree(tree, [1.0, 1.0, 0.0]))
+            return replace(cert, q=tree.measure([1.0, 1.0, 0.0]))
 
         monkeypatch.setattr(solver, "certificate_from", overshooting)
         market, tree, payoff = binary_files
@@ -419,6 +417,19 @@ class TestDualEval:
         assert report["feasible"] is True
         assert report["measure_error"] is None
 
+    def test_a_kept_certificate_reports_the_spread_its_file_left_out(self, tmp_path, capsys, binary_files):
+        # all mass on the leaf paying 10, M on the band's edge: worth exactly the primal's 10, more than the
+        # certificates read off the primal, so dual-search keeps it, with zeta0 as its spread at every node
+        _, tree, payoff = binary_files
+        market = write_json(tmp_path / "m.json", {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.0, "zeta0": 10.0})
+        certificate = write_json(tmp_path / "c.json", {"q_transitions": [1.0, 1.0, 0.0], "M": [110.0, 110.0, 90.0]})
+        code, out = run(capsys, "dual-search", "--market", market, "--tree", tree, "--payoff", payoff,
+                        "--certificate", certificate)
+        assert code == 0
+        report = json.loads(out)
+        assert report["dual_value"] == 10.0
+        assert report["certificate"]["alpha"] == [10.0, 10.0, 10.0]
+
 
     def test_a_drifting_martingale_is_no_certificate(self, tmp_path, capsys):
         """0.5 * 120 + 0.5 * 90 is not 100: however wide the band, this ``M`` is no martingale under ``q``."""
@@ -449,7 +460,7 @@ class TestDualEval:
     def test_a_measure_that_is_none_is_no_certificate(self, tmp_path, capsys, binary_files, p, q, M):
         """``M`` is a martingale under ``q`` inside a wide band, but ``q`` is no measure for the tree.
 
-        Refused by one route: ``dual-search`` exits 1 with ``NodeMeasure.for_tree``'s message and
+        Refused by one route: ``dual-search`` exits 1 with ``ScenarioTree.measure``'s message and
         ``dual-eval`` reports that message, with ``feasible`` false, and exits 0.
         """
         market, _, payoff = binary_files
@@ -458,7 +469,7 @@ class TestDualEval:
             {"id": 1, "parent": 0, "p_transition": p[1], "P": 110.0},
             {"id": 2, "parent": 0, "p_transition": p[2], "P": 90.0}]})
         with pytest.raises(ValueError) as refused:
-            NodeMeasure.for_tree(formats.load_tree(tree, load_market(market)), q)
+            formats.load_tree(tree, load_market(market)).measure(q)
         message = str(refused.value)
         certificate = write_json(tmp_path / "c.json", {"q_transitions": q, "M": M, "alpha": 100.0})
         common = ["--market", market, "--tree", tree, "--certificate", certificate, "--payoff", payoff]

@@ -33,7 +33,7 @@ def one_step(children_P, probs=None, p0=100.0, delta=10.0, r=0.0):
 
 
 def flat_alpha_cert(tree, level, M=None):
-    q = ti.NodeMeasure.reference(tree)
+    q = tree.p_transition
     M = tree.P.copy() if M is None else M
     return ti.DualCertificate(q=q, M=M, alpha=np.full(tree.n_nodes, level))
 
@@ -56,29 +56,37 @@ def decreasing_depth_tree(rng, depth=3, max_branch=3):
     return ti.ScenarioTree.from_node_dicts(times, nodes, default_delta=deltas, default_r=0.0)
 
 
+@pytest.mark.parametrize("q, M, alpha", [
+    pytest.param([1.0, 0.5, 0.5], [100.0, 110.0, 90.0], 0.1, id="scalar alpha"),
+    pytest.param([1.0, 0.5, 0.5], [100.0, 110.0], [0.1, 0.1, 0.1], id="short M"),
+    pytest.param(1.0, 100.0, 0.1, id="all scalars"),
+])
+def test_a_certificate_is_three_node_arrays(q, M, alpha):
+    with pytest.raises(ValueError, match="one value per node each"):
+        ti.DualCertificate(q, M, alpha)
+
+
 class TestConstraintBound:
     def test_flat_spread_telescopes_without_resilience(self, rng):
         for _ in range(30):
             tree = decreasing_depth_tree(rng)
             market = market_for_tree(rng, tree)
             lam = float(rng.uniform(0.05, 2.0))
-            B = ti.constraint_bound(tree, flat_alpha_cert(tree, lam), market)
+            B = ti.constraint_bound(tree, tree.p_transition, np.full(tree.n_nodes, lam))
             assert np.max(np.abs(B - lam)) <= 1e-12 * (1.0 + lam)
 
     def test_zero_spread_gives_zero_bound(self, rng):
         tree = random_tree(rng, depth=2)
-        market = market_for_tree(rng, tree)
-        B = ti.constraint_bound(tree, flat_alpha_cert(tree, 0.0), market)
+        B = ti.constraint_bound(tree, tree.p_transition, np.zeros(tree.n_nodes))
         np.testing.assert_array_equal(B, np.zeros(tree.n_nodes))
 
     def test_one_step_hand_values(self):
         tree = one_step([110.0, 90.0], delta=10.0, r=LN2)
-        market = chain_market(delta=10.0, r=LN2, zeta0=0.1)
         cert = flat_alpha_cert(tree, 0.1)
-        B = ti.constraint_bound(tree, cert, market)
+        B = ti.constraint_bound(tree, cert.q, cert.alpha)
         # interval mass 7.5 and atom 2.5, all against spread 0.1
         assert B[0] == pytest.approx(0.1, abs=1e-15)
-        np.testing.assert_allclose(B[1:], 0.05, rtol=1e-14)  # = zeta0 / rho_T
+        np.testing.assert_allclose(B[1:], 0.05, rtol=1e-14)  # = alpha / rho_T
 
     def test_monotone_in_spread_process(self, rng):
         for _ in range(20):
@@ -86,32 +94,29 @@ class TestConstraintBound:
             market = market_for_tree(rng, tree)
             alpha = rng.uniform(0.0, 1.0, tree.n_nodes)
             bigger = alpha + rng.uniform(0.0, 0.5, tree.n_nodes)
-            q = ti.NodeMeasure.reference(tree)
-            B0 = ti.constraint_bound(tree, ti.DualCertificate(q, tree.P, alpha), market)
-            B1 = ti.constraint_bound(tree, ti.DualCertificate(q, tree.P, bigger), market)
+            q = tree.p_transition
+            B0 = ti.constraint_bound(tree, q, alpha)
+            B1 = ti.constraint_bound(tree, q, bigger)
             assert np.all(B1 >= B0 - 1e-14)
 
 
 class TestFeasibility:
     def test_price_itself_with_zero_band(self, rng):
         tree = random_tree(rng, depth=2, martingale=True)
-        market = market_for_tree(rng, tree, zeta0=0.0)
-        report = ti.check_feasibility(tree, flat_alpha_cert(tree, 0.0), market)
+        report = ti.check_feasibility(tree, flat_alpha_cert(tree, 0.0))
         assert report.feasible
 
     def test_fixed_spread_band_built_by_construction(self, rng):
         tree = decreasing_depth_tree(rng)
-        market = market_for_tree(rng, tree)
         lam = 5.0  # wide enough for the +-3 price moves used by the generator
-        M = ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), tree.P[tree.leaves])
-        report = ti.check_feasibility(tree, flat_alpha_cert(tree, lam, M=M), market)
+        M = ti.conditional_expectation(tree, tree.p_transition, tree.P[tree.leaves])
+        report = ti.check_feasibility(tree, flat_alpha_cert(tree, lam, M=M))
         assert report.feasible
 
     def test_violation_reported_at_worst_node(self):
         tree = one_step([110.0, 90.0])
-        market = chain_market()
-        cert = ti.DualCertificate(ti.NodeMeasure.reference(tree), np.zeros(3), np.zeros(3))
-        report = ti.check_feasibility(tree, cert, market)
+        cert = ti.DualCertificate(tree.p_transition, np.zeros(3), np.zeros(3))
+        report = ti.check_feasibility(tree, cert)
         assert not report.feasible
         assert report.worst_violation == pytest.approx(110.0)
         assert report.worst_node == 1
@@ -121,14 +126,14 @@ class TestFeasibility:
         # the argmax among them moves with a few ulps of M; the lowest node within tolerance does not
         from test_solver import binomial_ladder
 
-        tree, market, _ = binomial_ladder(2)
+        tree, _, _ = binomial_ladder(2)
         cert = flat_alpha_cert(tree, 1.0)
-        touching = tree.P - ti.constraint_bound(tree, cert, market)
+        touching = tree.P - ti.constraint_bound(tree, cert.q, cert.alpha)
         rng = np.random.default_rng(5)
         named = set()
         for _ in range(20):
             M = touching + rng.integers(-4, 5, tree.n_nodes) * np.spacing(touching)
-            report = ti.check_feasibility(tree, flat_alpha_cert(tree, 1.0, M=M), market)
+            report = ti.check_feasibility(tree, flat_alpha_cert(tree, 1.0, M=M))
             assert report.feasible
             assert report.worst_violation == np.max(np.abs(tree.P - M) - report.bound)
             named.add(report.worst_node)
@@ -139,12 +144,12 @@ class TestFeasibility:
             tree = random_tree(rng, depth=3, stochastic_liquidity=True)
             market = market_for_tree(rng, tree)
             cert = ti.DualCertificate(
-                ti.NodeMeasure.reference(tree),
-                ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), rng.normal(90, 15, tree.leaves.size)),
+                tree.p_transition,
+                ti.conditional_expectation(tree, tree.p_transition, rng.normal(90, 15, tree.leaves.size)),
                 rng.uniform(0.0, 0.2, tree.n_nodes),
             )
             repaired = ti.restore_feasibility(tree, cert, market)
-            assert ti.check_feasibility(tree, repaired, market).feasible
+            assert ti.check_feasibility(tree, repaired).feasible
 
 
 class TestDualObjective:
@@ -220,7 +225,7 @@ class TestWeakDuality:
         schedule = random_tree_schedule(rng, tree, x0=market.impact.x0)
         H = np.zeros(tree.leaves.size)
         xi0 = super_replication_cash(tree, market, schedule, H)
-        bad = ti.DualCertificate(ti.NodeMeasure.reference(tree), np.zeros(tree.n_nodes), np.zeros(tree.n_nodes))
+        bad = ti.DualCertificate(tree.p_transition, np.zeros(tree.n_nodes), np.zeros(tree.n_nodes))
         with pytest.raises(InfeasibleCertificate):
             ti.weak_duality_check(tree, market, schedule, xi0, bad, H)
 

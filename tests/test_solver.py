@@ -197,11 +197,11 @@ class TestDualAscent:
     def test_binary_instance_improves_from_plain_expectation(self):
         tree, market, H = binary_instance()
         init = ti.DualCertificate(
-            ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), tree.P.copy(), np.zeros(3)
+            tree.measure([1.0, 0.5, 0.5]), tree.P.copy(), np.zeros(3)
         )
         report = ti.dual_ascent(tree, market, H, init)
         assert report.dual_value >= 5.0
-        assert ti.check_feasibility(tree, report.certificate, market).feasible
+        assert ti.check_feasibility(tree, report.certificate).feasible
 
     def test_zero_payoff_zero_position_caps_at_zero(self, rng):
         tree = random_tree(rng, depth=2, martingale=True)
@@ -225,7 +225,7 @@ class TestDualAscent:
         lam = 0.25
         market = ti.MarketSpec.build(times, [10.0, 8.0, 6.0], 0.0, zeta0=lam, x0=0.0)
         H = np.abs(tree.P[tree.leaves] - 100.0)
-        init = ti.DualCertificate(ti.NodeMeasure.reference(tree), tree.P.copy(), np.full(tree.n_nodes, lam))
+        init = ti.DualCertificate(tree.p_transition, tree.P.copy(), np.full(tree.n_nodes, lam))
         init_value = ti.dual_objective(tree, init, market, H)
         assert init_value == pytest.approx(float(np.dot([0.25, 0.25, 0.25, 0.25], H)))
         report = ti.dual_ascent(tree, market, H, init)
@@ -233,7 +233,7 @@ class TestDualAscent:
 
     def test_infeasible_init_rejected(self):
         tree, market, H = binary_instance()
-        bad = ti.DualCertificate(ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), np.zeros(3), np.zeros(3))
+        bad = ti.DualCertificate(tree.measure([1.0, 0.5, 0.5]), np.zeros(3), np.zeros(3))
         with pytest.raises(InfeasibleCertificate):
             ti.dual_ascent(tree, market, H, bad)
 
@@ -265,7 +265,7 @@ class TestGivenCertificate:
     def test_infeasible_one_is_refused_before_the_primal(self, monkeypatch):
         self.refuse_the_primal(monkeypatch)
         tree, market, H = binary_instance()
-        bad = ti.DualCertificate(ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.5]), np.zeros(3), np.zeros(3))
+        bad = ti.DualCertificate(tree.measure([1.0, 0.5, 0.5]), np.zeros(3), np.zeros(3))
         with pytest.raises(InfeasibleCertificate):
             ti.gap_report(tree, market, H, certificate=bad)
 
@@ -277,7 +277,7 @@ class TestGivenCertificate:
         alpha[tree.leaves] += 0.01
         M[tree.leaves[0]] += 0.005
         drifting = ti.DualCertificate(solved.q, M, alpha)
-        assert ti.check_feasibility(tree, drifting, market).feasible
+        assert ti.check_feasibility(tree, drifting).feasible
         assert ti.is_martingale(tree, drifting.q, drifting.M)[1] == pytest.approx(2.668e-3, rel=1e-3)
         self.refuse_the_primal(monkeypatch)
         with pytest.raises(InfeasibleCertificate, match="drift 2.668e-03"):
@@ -285,16 +285,16 @@ class TestGivenCertificate:
 
     def test_a_measure_on_a_null_branch_is_refused_before_the_primal(self, monkeypatch):
         tree, market = null_branch_instance()
-        cert = ti.DualCertificate(ti.NodeMeasure(np.array([1.0, 0.0, 1.0])), np.full(3, 100.0), np.full(3, 10.0))
+        cert = ti.DualCertificate(np.array([1.0, 0.0, 1.0]), np.full(3, 100.0), np.full(3, 10.0))
         self.refuse_the_primal(monkeypatch)
         with pytest.raises(ValueError, match="zero reference probability"):
             ti.gap_report(tree, market, [0.0, 50.0], certificate=cert)
 
     def test_check_certificate_reports_a_measure_on_a_null_branch(self):
         # M is a martingale under q and inside its band: the measure alone makes it no certificate
-        tree, market = null_branch_instance()
-        cert = ti.DualCertificate(ti.NodeMeasure(np.array([1.0, 0.0, 1.0])), np.full(3, 100.0), np.full(3, 10.0))
-        check = duality.check_certificate(tree, cert, market)
+        tree, _ = null_branch_instance()
+        cert = ti.DualCertificate(np.array([1.0, 0.0, 1.0]), np.full(3, 100.0), np.full(3, 10.0))
+        check = duality.check_certificate(tree, cert)
         assert check.measure == "measure puts mass on a branch with zero reference probability"
         assert check.martingale and check.band.feasible
         assert not check.valid
@@ -444,11 +444,11 @@ class TestCertificateFromPrimal:
             report = ti.primal_solve(tree, market, H)
             got = ti.certificate_from(tree, market, report.strategy, report.leaf_weights)
             eta = ti.tree_wealth(tree, report.strategy, market.impact).eta
-            lam = ti.constraint_bound(tree, ti.DualCertificate(q=got.q, M=np.zeros(tree.n_nodes), alpha=eta), market)
+            lam = ti.constraint_bound(tree, got.q, eta)
             violation = np.maximum(np.abs(tree.P - got.M) - lam, 0.0) * tree.rho
             raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
             np.testing.assert_array_equal(got.alpha, eta + raise_by)
-            assert ti.check_feasibility(tree, got, market).feasible
+            assert ti.check_feasibility(tree, got).feasible
 
     def test_degenerate_programs_are_certified_optimal(self):
         # zero payoff, position and spread on a martingale price: the Newton search stalls
@@ -469,7 +469,7 @@ class TestCertificateFromPrimal:
         tree, market = null_branch_instance()
         report = ti.gap_report(tree, market, H)
         assert report.leaf_weights[1] == 0.0
-        assert ti.check_feasibility(tree, report.certificate, market).feasible
+        assert ti.check_feasibility(tree, report.certificate).feasible
         check = ti.weak_duality_check(tree, market, report.strategy, report.primal_value, report.certificate, H)
         assert check.margin >= 0.0
         assert report.dual_value >= searched
@@ -487,7 +487,7 @@ class TestCertificateFromPrimal:
         tree, market, H = binary_instance()
         schedule = ti.primal_solve(tree, market, H).strategy
         recovered = ti.certificate_from(tree, market, schedule, [0.0, 0.0])
-        np.testing.assert_array_equal(recovered.q.transitions, tree.p_transition)
+        np.testing.assert_array_equal(recovered.q, tree.p_transition)
         for weights in ([-1.0, 2.0], [1.0, -1.0]):
             with pytest.raises(ValueError, match="leaf weights must be >= 0"):
                 ti.certificate_from(tree, market, schedule, weights)
@@ -508,7 +508,7 @@ class TestReadOffCertificate:
         assert ti.dual_objective(tree, read_off, market, H) >= ti.dual_objective(tree, band, market, H) - 1e-9 * scale
         # each leaf's value stays in its band before any repair, weight or none
         eta = ti.tree_wealth(tree, report.strategy, market.impact).eta
-        bound = ti.constraint_bound(tree, replace(read_off, alpha=eta), market)
+        bound = ti.constraint_bound(tree, read_off.q, eta)
         leaves = tree.leaves
         assert np.all(np.abs(tree.P - read_off.M)[leaves] <= bound[leaves] + 1e-12 * scale)
 
@@ -591,7 +591,7 @@ class TestAlmostSure:
         tree, market = null_branch_instance()
         H = [0.0, 50.0]
         report = ti.gap_report(tree, market, H)
-        cert = ti.DualCertificate(ti.NodeMeasure(np.array([1.0, 0.0, 1.0])), np.full(3, 100.0), np.full(3, 10.0))
+        cert = ti.DualCertificate(np.array([1.0, 0.0, 1.0]), np.full(3, 100.0), np.full(3, 10.0))
         with pytest.raises(ValueError, match="zero reference probability"):
             ti.weak_duality_check(tree, market, report.strategy, report.primal_value, cert, H)
 
@@ -616,9 +616,9 @@ class TestNonFinitePayoff:
 class TestRisingLiquidityCurve:
     def test_certificate_evaluation_refuses_it(self):
         tree, market, H = rising_instance()
-        cert = ti.DualCertificate(ti.NodeMeasure.reference(tree), tree.P.copy(), np.full(tree.n_nodes, 50.0))
+        cert = ti.DualCertificate(tree.p_transition, tree.P.copy(), np.full(tree.n_nodes, 50.0))
         schedule = ti.primal_solve(tree, market, H)
-        assert ti.check_feasibility(tree, cert, market).feasible  # the band itself is defined
+        assert ti.check_feasibility(tree, cert).feasible  # the band itself is defined
         calls = (
             lambda: ti.dual_objective(tree, cert, market, H),
             lambda: ti.weak_duality_check(tree, market, schedule.strategy, schedule.primal_value, cert, H),

@@ -145,7 +145,7 @@ def random_measure(rng, tree):
         kids = children[node]
         kids = kids[tree.p_transition[kids] > 0.0]
         q[kids] = rng.dirichlet(np.ones(kids.size))
-    return ti.NodeMeasure.for_tree(tree, q)
+    return tree.measure(q)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +325,7 @@ def ref_shadow_band_feasibility(tree, q, lam, pin):
 
 def ref_restore_feasibility(tree, cert, market):
     """Per node, the spread raised by the largest discounted violation on its path from the root."""
-    cert = replace(cert, alpha=cert.alpha_or_default(tree, market.impact.zeta0))
-    bound = ti.check_feasibility(tree, cert, market).bound
+    bound = ti.check_feasibility(tree, cert).bound
     violation = np.maximum(np.abs(tree.P - cert.M) - bound, 0.0) * tree.rho
     alpha = cert.alpha.copy()
     for node in range(tree.n_nodes):
@@ -336,17 +335,15 @@ def ref_restore_feasibility(tree, cert, market):
             walk = tree.parent[walk]
         alpha[node] += worst
     cert = replace(cert, alpha=alpha)
-    if not ti.check_feasibility(tree, cert, market).feasible:
+    if not ti.check_feasibility(tree, cert).feasible:
         raise InfeasibleCertificate("could not restore feasibility")
     return cert
 
 
 def four_pass_restore(tree, cert, market):
     """The old policy: up to four uniform bumps of the spread process, each re-checked."""
-    alpha = cert.alpha_or_default(tree, market.impact.zeta0)
-    cert = replace(cert, alpha=alpha)
     for _ in range(4):
-        report = ti.check_feasibility(tree, cert, market)
+        report = ti.check_feasibility(tree, cert)
         if report.feasible:
             return cert
         gap = np.abs(tree.P - cert.M) - report.bound
@@ -356,7 +353,7 @@ def four_pass_restore(tree, cert, market):
 
 
 def ref_default_certificate(tree, market, restore=ref_restore_feasibility):
-    q = ti.NodeMeasure.reference(tree)
+    q = tree.p_transition
     M = ti.conditional_expectation(tree, q, tree.P[tree.leaves])
     cert = ti.DualCertificate(q=q, M=M, alpha=np.full(tree.n_nodes, market.impact.zeta0))
     return restore(tree, cert, market)
@@ -393,7 +390,7 @@ def ref_tilt_to_martingale(tree, g, eps):
             q[hi] += 1.0 - w_lo
         else:  # all admissible increments vanish
             q[lo] += 1.0
-    measure = ti.NodeMeasure.for_tree(tree, q)
+    measure = tree.measure(q)
     M = ti.conditional_expectation(tree, measure, shifted[tree.leaves])
     gap = float(np.max(np.abs(shifted - M)))
     tail = ti.tree.q_tail_probability(tree, measure, eps)
@@ -428,7 +425,7 @@ def test_down_sweeps_exact(tree):
     np.testing.assert_array_equal(tree.accumulate(values, initial=1.5), ref_accumulate(tree, values, 1.5))
     np.testing.assert_array_equal(tree.reach_probabilities(), ref_reach(tree, tree.p_transition))
     q = random_measure(rng, tree)
-    np.testing.assert_array_equal(tree.reach_probabilities(q), ref_reach(tree, q.transitions))
+    np.testing.assert_array_equal(tree.reach_probabilities(q), ref_reach(tree, q))
 
 
 def fold_trees():
@@ -569,7 +566,7 @@ def test_tilt_matches_per_node_loop(tree, g):
     if isinstance(want, tuple):
         assert got == want
         return
-    np.testing.assert_array_equal(got.measure.transitions, want.measure.transitions)
+    np.testing.assert_array_equal(got.measure, want.measure)
     np.testing.assert_array_equal(got.martingale, want.martingale)
     assert got.max_abs_gap == want.max_abs_gap
     assert got.tail_probability == want.tail_probability
@@ -590,12 +587,12 @@ def test_conditional_expectation_and_martingale_check(tree):
     q = random_measure(rng, tree)
     leaf_values = rng.uniform(50.0, 150.0, tree.leaves.size)
     M = ti.conditional_expectation(tree, q, leaf_values)
-    assert_close(M, ref_conditional_expectation(tree, q.transitions, leaf_values))
-    assert ti.is_martingale(tree, q, M)[0] and ref_is_martingale(tree, q.transitions, M)[0]
+    assert_close(M, ref_conditional_expectation(tree, q, leaf_values))
+    assert ti.is_martingale(tree, q, M)[0] and ref_is_martingale(tree, q, M)[0]
 
     drifting = M + rng.normal(0.0, 1.0, tree.n_nodes)
     ok, defect = ti.is_martingale(tree, q, drifting)
-    ref_ok, ref_defect = ref_is_martingale(tree, q.transitions, drifting)
+    ref_ok, ref_defect = ref_is_martingale(tree, q, drifting)
     assert ok == ref_ok
     assert_close(defect, ref_defect)
 
@@ -606,9 +603,8 @@ def test_constraint_bound_and_penalty_weights(tree):
     market = market_for_tree(rng, tree)
     q = random_measure(rng, tree)
     alpha = market.impact.zeta0 + rng.uniform(0.0, 1.0, tree.n_nodes)
-    cert = ti.DualCertificate(q=q, M=tree.P, alpha=alpha)
-    assert_close(ti.constraint_bound(tree, cert, market), ref_constraint_bound(tree, q.transitions, alpha))
-    assert_close(node_penalty_weights(tree, tree.reach_probabilities(q)), ref_node_penalty_weights(tree, q.transitions))
+    assert_close(ti.constraint_bound(tree, q, alpha), ref_constraint_bound(tree, q, alpha))
+    assert_close(node_penalty_weights(tree, tree.reach_probabilities(q)), ref_node_penalty_weights(tree, q))
 
 
 def test_shadow_band_feasibility_with_and_without_pins():
@@ -623,7 +619,7 @@ def test_shadow_band_feasibility_with_and_without_pins():
                 for node in rng.choice(tree.n_nodes, size=min(3, tree.n_nodes), replace=False):
                     pin[int(node)] = float(tree.P[node] + rng.choice([-1.0, 1.0]) * lam[node])
             band = ti.shadow_band_feasibility(tree, q, lam, pin=pin)
-            feasible, M, empty_node = ref_shadow_band_feasibility(tree, q.transitions, lam, pin)
+            feasible, M, empty_node = ref_shadow_band_feasibility(tree, q, lam, pin)
             assert band.feasible == feasible
             assert band.empty_node == empty_node
             if feasible:
@@ -682,13 +678,14 @@ def test_primal_leaf_values_match_tree_wealth(tree):
     size = rng.uniform(0.0, 1.0, prob.n_dec) * (rng.random(prob.n_dec) < 0.8)
     buy = rng.random(prob.n_dec) < 0.5
     u = np.concatenate([np.where(buy, size, 0.0), np.where(buy, 0.0, size)])
-    vals = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :])[0]
-    tw = ref_tree_wealth(tree, prob.cash_requirement(u)[1], market.impact)
+    schedule = prob.cash_requirement(u)[1]
+    vals = prob.leaf_values(u[: prob.n_dec], u[prob.n_dec :], schedule.gross()[tree.leaves])[0]  # leaves close
+    tw = ref_tree_wealth(tree, schedule, market.impact)
     assert_close(vals, H + tw.lambda_T)
 
 
 def assert_same_certificate(got, want):
-    np.testing.assert_array_equal(got.q.transitions, want.q.transitions)
+    np.testing.assert_array_equal(got.q, want.q)
     np.testing.assert_array_equal(got.M, want.M)
     np.testing.assert_array_equal(got.alpha, want.alpha)
 
@@ -699,17 +696,18 @@ def test_one_bump_repair_matches_four_pass_loop(tree):
     market = market_for_tree(rng, tree)
     q = random_measure(rng, tree)
     repaired = 0
-    for spread in (None, market.impact.zeta0 + rng.uniform(0.0, 0.5, tree.n_nodes)):
+    flat = np.full(tree.n_nodes, market.impact.zeta0)
+    for spread in (flat, market.impact.zeta0 + rng.uniform(0.0, 0.5, tree.n_nodes)):
         for push in (0.0, 0.5, 5.0, 50.0):
             M = tree.P + push * rng.normal(0.0, 1.0, tree.n_nodes)
             cert = ti.DualCertificate(q=q, M=M, alpha=spread)
             got = ti.restore_feasibility(tree, cert, market)
             want = ref_restore_feasibility(tree, cert, market)
             assert_same_certificate(got, want)
-            repaired += not np.array_equal(got.alpha, cert.alpha_or_default(tree, market.impact.zeta0))
+            repaired += not np.array_equal(got.alpha, cert.alpha)
     assert repaired >= 4
 
-    broken = ti.DualCertificate(q=q, M=np.where(np.arange(tree.n_nodes) == 0, np.nan, tree.P))
+    broken = ti.DualCertificate(q=q, M=np.where(np.arange(tree.n_nodes) == 0, np.nan, tree.P), alpha=flat)
     for restore in (ti.restore_feasibility, ref_restore_feasibility):
         with pytest.raises(InfeasibleCertificate):
             restore(tree, broken, market)
@@ -749,7 +747,7 @@ def test_dual_ascent_never_loses_to_its_start(tree, market, H, options):
     converged = ti.gap_report(tree, market, H).certificate
     for init, opts in ((default, options), (drawn, options), (converged, ti.SolverOptions(max_iter=1))):
         report = ti.dual_ascent(tree, market, H, init, opts)
-        assert ti.check_feasibility(tree, report.certificate, market).feasible
+        assert ti.check_feasibility(tree, report.certificate).feasible
         assert report.dual_value == ti.dual_objective(tree, report.certificate, market, H)
         for start in (init, default):
             assert report.dual_value >= ti.dual_objective(tree, start, market, H)

@@ -22,6 +22,20 @@ def one_step_tree(children_P, probs=None, p0=100.0, delta=10.0, r=0.0):
 
 
 class TestConstruction:
+    def test_arrays_are_read_only_copies(self):
+        # the constructor's checks hold for the tree's life, and the caller's inputs stay its own
+        inputs = [np.array([-1, 0, 0]), np.array([1.0, 0.5, 0.5]), np.array([100.0, 110.0, 90.0]),
+                  np.full(3, 10.0), np.zeros(3)]
+        tree = ti.ScenarioTree([0.0, 1.0], *inputs)
+        for name in ("parent", "p_transition", "P", "delta", "r", "t_index", "is_leaf", "leaves", "rho", "kappa",
+                     "edge_weight"):
+            values = getattr(tree, name)
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = values[-1]
+        for given in inputs:
+            given[1] = given[2]
+        np.testing.assert_array_equal(tree.P, [100.0, 110.0, 90.0])
+
     def test_transition_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
             one_step_tree([90.0, 110.0], probs=[0.4, 0.4])
@@ -84,37 +98,46 @@ class TestConstruction:
 
 
 class TestNodeMeasure:
+    """Transitions that ``ScenarioTree.measure`` accepts as a node measure, and those it refuses."""
+
     def test_requires_simplex(self):
         tree = one_step_tree([90.0, 110.0])
         with pytest.raises(ValueError, match="sum"):
-            ti.NodeMeasure.for_tree(tree, [1.0, 0.3, 0.3])
+            tree.measure([1.0, 0.3, 0.3])
 
     def test_rejects_mass_on_null_branch(self):
         tree = one_step_tree([90.0, 105.0, 120.0], probs=[0.5, 0.5, 0.0])
         with pytest.raises(ValueError, match="zero reference"):
-            ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.0, 0.5])
+            tree.measure([1.0, 0.5, 0.0, 0.5])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_transitions_rejected(self, bad):
         tree = one_step_tree([90.0, 110.0])
         with pytest.raises(ValueError, match="finite"):
-            ti.NodeMeasure.for_tree(tree, [1.0, bad, 0.5])
+            tree.measure([1.0, bad, 0.5])
+
+    def test_returns_a_copy_with_root_transition_one(self):
+        tree = one_step_tree([90.0, 110.0])
+        given = np.array([0.3, 0.5, 0.5])
+        q = tree.measure(given)
+        np.testing.assert_array_equal(q, [1.0, 0.5, 0.5])
+        assert given[0] == 0.3
 
     def test_zero_mass_on_positive_branch_accepted(self):
         tree = one_step_tree([90.0, 105.0, 120.0])
-        q = ti.NodeMeasure.for_tree(tree, [1.0, 0.5, 0.0, 0.5])
-        np.testing.assert_array_equal(q.transitions[1:], [0.5, 0.0, 0.5])
+        q = tree.measure([1.0, 0.5, 0.0, 0.5])
+        np.testing.assert_array_equal(q[1:], [0.5, 0.0, 0.5])
 
 
 class TestConditionalExpectation:
     def test_constant_leaves(self, rng):
         tree = random_tree(rng, depth=3)
-        values = ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), np.full(tree.leaves.size, 7.0))
+        values = ti.conditional_expectation(tree, tree.p_transition, np.full(tree.leaves.size, 7.0))
         np.testing.assert_allclose(values, 7.0)
 
     def test_one_period_mean(self):
         tree = one_step_tree([90.0, 120.0])
-        q = ti.NodeMeasure.for_tree(tree, [1.0, 2.0 / 3.0, 1.0 / 3.0])
+        q = tree.measure([1.0, 2.0 / 3.0, 1.0 / 3.0])
         values = ti.conditional_expectation(tree, q, tree.P[tree.leaves])
         assert values[0] == pytest.approx(100.0, abs=1e-13)
 
@@ -123,7 +146,7 @@ class TestConditionalExpectation:
         target = tree.leaves[-1]
         indicator = np.zeros(tree.leaves.size)
         indicator[-1] = 1.0
-        values = ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), indicator)
+        values = ti.conditional_expectation(tree, tree.p_transition, indicator)
         reach = tree.reach_probabilities()
         path = set(ref_leaf_paths(tree)[-1])
         for node in range(tree.n_nodes):
@@ -132,7 +155,7 @@ class TestConditionalExpectation:
 
     def test_tower_property(self, rng):
         tree = random_tree(rng, depth=4)
-        q = ti.NodeMeasure.reference(tree)
+        q = tree.p_transition
         leaf_values = rng.normal(0.0, 5.0, tree.leaves.size)
         direct = ti.conditional_expectation(tree, q, leaf_values)
         # project to an intermediate level, then restart the recursion from there
@@ -141,31 +164,31 @@ class TestConditionalExpectation:
         children = ref_children(tree)
         for node in np.flatnonzero(~tree.is_leaf):
             kids = children[node]
-            assert direct[node] == pytest.approx(float(np.dot(q.transitions[kids], direct[kids])), abs=1e-12)
+            assert direct[node] == pytest.approx(float(np.dot(q[kids], direct[kids])), abs=1e-12)
 
 
 class TestMartingaleProjection:
     def test_projection_is_martingale(self, rng):
         tree = random_tree(rng, depth=3)
-        q = ti.NodeMeasure.reference(tree)
+        q = tree.p_transition
         M = ti.conditional_expectation(tree, q, rng.normal(100.0, 10.0, tree.leaves.size))
         ok, defect = ti.is_martingale(tree, q, M)
         assert ok and defect <= 1e-12 * 101.0
 
     def test_risk_neutral_price_projects_to_itself(self, rng):
         tree = random_tree(rng, depth=3, martingale=True)
-        q = ti.NodeMeasure.reference(tree)
+        q = tree.p_transition
         M = ti.conditional_expectation(tree, q, tree.P[tree.leaves])
         np.testing.assert_allclose(M, tree.P, rtol=1e-12)
 
     def test_constant_terminal_value(self, rng):
         tree = random_tree(rng, depth=2)
-        M = ti.conditional_expectation(tree, ti.NodeMeasure.reference(tree), np.full(tree.leaves.size, 5.0))
+        M = ti.conditional_expectation(tree, tree.p_transition, np.full(tree.leaves.size, 5.0))
         np.testing.assert_allclose(M, 5.0)
 
     def test_drift_detected(self):
         tree = one_step_tree([90.0, 120.0])  # equal weights: mean 105 != 100
-        ok, defect = ti.is_martingale(tree, ti.NodeMeasure.reference(tree), tree.P)
+        ok, defect = ti.is_martingale(tree, tree.p_transition, tree.P)
         assert not ok
         assert defect == pytest.approx(5.0)
 
@@ -174,14 +197,14 @@ class TestTilt:
     def test_three_child_example(self):
         tree = one_step_tree([90.0, 105.0, 120.0], probs=[1 / 3, 1 / 3, 1 / 3])
         res = ti.tilt_to_martingale(tree, np.zeros(2), eps=1e-3)
-        np.testing.assert_allclose(res.measure.transitions[1:], [2 / 3, 0.0, 1 / 3], atol=1e-15)
+        np.testing.assert_allclose(res.measure[1:], [2 / 3, 0.0, 1 / 3], atol=1e-15)
         assert res.martingale[0] == pytest.approx(100.0, abs=1e-12)
         assert res.max_abs_gap <= 1e-12
 
     def test_three_child_example_with_offset(self):
         tree = one_step_tree([90.0, 105.0, 120.0], probs=[1 / 3, 1 / 3, 1 / 3])
         res = ti.tilt_to_martingale(tree, np.array([1.0, 0.0]), eps=1e-3)
-        np.testing.assert_allclose(res.measure.transitions[1:], [19 / 30, 0.0, 11 / 30], atol=1e-15)
+        np.testing.assert_allclose(res.measure[1:], [19 / 30, 0.0, 11 / 30], atol=1e-15)
         assert res.martingale[0] == pytest.approx(101.0, abs=1e-12)
         assert res.max_abs_gap <= 1e-12
 
@@ -211,14 +234,14 @@ class TestTilt:
     def test_tie_break_prefers_lowest_node_id(self):
         tree = one_step_tree([90.0, 90.0, 120.0, 120.0])
         res = ti.tilt_to_martingale(tree, np.zeros(2), eps=1e-3)
-        q = res.measure.transitions[1:]
+        q = res.measure[1:]
         assert q[0] == pytest.approx(2 / 3) and q[1] == 0.0
         assert q[2] == pytest.approx(1 / 3) and q[3] == 0.0
 
     def test_null_branches_get_no_mass(self):
         tree = one_step_tree([80.0, 90.0, 120.0, 130.0], probs=[0.0, 0.5, 0.5, 0.0])
         res = ti.tilt_to_martingale(tree, np.zeros(2), eps=1e-3)
-        q = res.measure.transitions[1:]
+        q = res.measure[1:]
         assert q[0] == 0.0 and q[3] == 0.0
         assert res.max_abs_gap <= 1e-12
 
@@ -235,19 +258,19 @@ class TestTilt:
             assert ok
             assert 0.0 <= res.tail_probability <= 1.0
             # absolutely continuous: no mass where the reference has none
-            assert np.all(res.measure.transitions[tree.p_transition == 0.0] == 0.0)
+            assert np.all(res.measure[tree.p_transition == 0.0] == 0.0)
 
 
 class TestTailProbability:
     def test_above_all_leaves(self):
         tree = one_step_tree([90.0, 120.0])
-        assert ti.q_tail_probability(tree, ti.NodeMeasure.reference(tree), 130.0) == 0.0
+        assert ti.q_tail_probability(tree, tree.p_transition, 130.0) == 0.0
 
     def test_below_all_leaves(self):
         tree = one_step_tree([90.0, 120.0])
-        assert ti.q_tail_probability(tree, ti.NodeMeasure.reference(tree), 80.0) == 1.0
+        assert ti.q_tail_probability(tree, tree.p_transition, 80.0) == 1.0
 
     def test_mixed(self):
         tree = one_step_tree([90.0, 120.0])
-        q = ti.NodeMeasure.for_tree(tree, [1.0, 2 / 3, 1 / 3])
+        q = tree.measure([1.0, 2 / 3, 1 / 3])
         assert ti.q_tail_probability(tree, q, 100.0) == pytest.approx(1 / 3)
