@@ -23,7 +23,7 @@ from .duality import (
     DualCertificate,
     FeasibilityReport,
     WeakDualityReport,
-    certificate_from,
+    certificates_from,
     check_feasibility,
     constraint_bound,
     dual_objective,

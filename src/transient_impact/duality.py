@@ -8,11 +8,11 @@ certificate is feasible when the unaffected price stays within it around
 ``M``: the judges read the tree and the certificate alone.  The penalized expectation of the payoff under a feasible
 certificate can never exceed any super-replicating initial cash; the verifier
 returns that margin together with the exact slack decomposition that makes the
-inequality an identity.  :func:`certificate_from` reads a certificate off a
-solved primal by complementary slackness: the measure from its leaf
-multipliers, the spread process from its spread, and the martingale from its
-closing trades' multipliers, which puts it on the band's edge where the
-schedule trades (or, without them, any martingale inside the band).  The one
+inequality an identity.  :func:`certificates_from` reads two certificates off
+a solved primal by complementary slackness: one measure from its leaf
+multipliers, one spread process from its spread, so one band, and two
+martingales, one anywhere inside the band and one from its closing trades'
+multipliers, which puts it on the band's edge where the schedule trades.  The one
 repair is :func:`restore_feasibility`, the one validity rule :func:`check_certificate`,
 which :func:`require_certificate` enforces.
 """
@@ -288,41 +288,38 @@ def band_pins(tree: ScenarioTree, schedule: TradeSchedule, lam) -> dict[int, flo
     return pin
 
 
-def certificate_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSchedule, leaf_weights,
-                     closing=None) -> DualCertificate:
-    """Feasible certificate read off a schedule and the primal's multipliers.
+def certificates_from(tree: ScenarioTree, market: MarketSpec, schedule: TradeSchedule, leaf_weights,
+                       closing) -> tuple[DualCertificate, DualCertificate]:
+    """The two feasible certificates read off a schedule and the primal's multipliers: ``(band, closing)``.
 
-    The measure is :func:`leaf_measure` of the leaf weights, none of them on
-    a leaf behind a zero-probability branch, and the spread process the
-    schedule's spread.  Given the closing-trade multipliers ``closing`` (per
-    leaf, ``y+`` and ``y-`` on ``±x_pre - g <= 0``), the martingale is read
-    off them: ``M_T = P_T - B_T (y+ - y-) / (y+ + y-)`` on each leaf's band
+    Both share one measure, :func:`leaf_measure` of the leaf weights, none
+    of them on a leaf behind a zero-probability branch, one spread process,
+    the schedule's spread, and so one band; they differ in their martingale.
+    The first's is a band martingale: anywhere inside the band, else inside
+    the band widened by its deficit.  The second's is read off the closing-
+    trade multipliers ``closing`` (per leaf, ``y+`` and ``y-`` on ``±x_pre -
+    g <= 0``): ``M_T = P_T - B_T (y+ - y-) / (y+ + y-)`` on each leaf's band
     width ``B_T`` (``M_T = P_T`` where both are zero), and ``M`` its
     conditional expectation.  At an optimum, stationarity in the closing
     trade makes ``y+ + y-`` the leaf weight times ``B_T``, so ``M_T`` is
     ``P_T - (y+ - y-) / weight``, and stationarity in the buys and sells
     then puts ``M`` inside every band, on its edge where the schedule
     trades.  The ratio, unlike a division by the weight, stays in the band
-    on leaves that carry no weight.  Without ``closing``, ``M`` is a band
-    martingale: anywhere inside the band, else inside the band widened by
-    its deficit.  :func:`restore_feasibility` then raises the spread where
-    ``M`` leaves its band.
+    on leaves that carry no weight.  :func:`restore_feasibility` then raises
+    each one's spread where its ``M`` leaves the band.
     """
     q = leaf_measure(tree, leaf_weights)
     alpha = tree_wealth(tree, schedule, market.impact).eta
     lam = constraint_bound(tree, q, alpha)
-    if closing is None:
-        band = shadow_band_feasibility(tree, q, lam)
-        if not band.feasible:
-            band = shadow_band_feasibility(tree, q, lam + band.deficit)
-        M = band.M
-    else:
-        y_long, y_short = np.asarray(closing, dtype=float).T
-        total = y_long + y_short
-        share = np.divide(y_long - y_short, total, out=np.zeros(total.size), where=total > 0.0)
-        leaves = tree.leaves
-        M = conditional_expectation(tree, q, tree.P[leaves] - lam[leaves] * share)
-    return restore_feasibility(tree, DualCertificate(q=q, M=M, alpha=alpha), market)
+    band = shadow_band_feasibility(tree, q, lam)
+    if not band.feasible:
+        band = shadow_band_feasibility(tree, q, lam + band.deficit)
+    y_long, y_short = np.asarray(closing, dtype=float).T
+    total = y_long + y_short
+    share = np.divide(y_long - y_short, total, out=np.zeros(total.size), where=total > 0.0)
+    leaves = tree.leaves
+    read_off = conditional_expectation(tree, q, tree.P[leaves] - lam[leaves] * share)
+    return tuple(restore_feasibility(tree, DualCertificate(q=q, M=M, alpha=alpha), market) for M in (band.M, read_off))
 
 
 def dual_objective(tree: ScenarioTree, cert: DualCertificate, market: MarketSpec, H) -> float:

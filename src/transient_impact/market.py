@@ -52,18 +52,19 @@ def as_curve(values, n_points: int, name: str = "curve") -> np.ndarray:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Strictly increasing trading times t_0 = 0 < t_1 < ... < t_N."""
+    """Strictly increasing trading times t_0 = 0 < t_1 < ... < t_N, held as a read-only copy."""
 
     times: np.ndarray
 
     def __post_init__(self):
-        t = finite(np.asarray(self.times, dtype=float), "market grid")
+        t = finite(np.array(self.times, dtype=float), "market grid")
         if t.ndim != 1 or t.size < 2:
             raise ValueError("time grid needs at least two points")
         if t[0] != 0.0:
             raise ValueError("time grid must start at 0")
         if not np.all(np.diff(t) > 0.0):
             raise ValueError("time grid must be strictly increasing")
+        t.setflags(write=False)  # the caller's array stays writable, and the checks above hold for good
         object.__setattr__(self, "times", t)
 
     @property
@@ -73,18 +74,19 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class LiquiditySpec:
-    """Per-grid-point market depth (> 0) and resilience rate (>= 0)."""
+    """Per-grid-point market depth (> 0) and resilience rate (>= 0), held as read-only copies."""
 
     delta: np.ndarray
     r: np.ndarray
 
     def __post_init__(self):
-        delta = finite(np.atleast_1d(np.asarray(self.delta, dtype=float)), "market delta")
-        r = finite(np.atleast_1d(np.asarray(self.r, dtype=float)), "market r")
+        delta = finite(np.atleast_1d(np.array(self.delta, dtype=float)), "market delta")
+        r = finite(np.atleast_1d(np.array(self.r, dtype=float)), "market r")
         if delta.shape != r.shape:
             raise ValueError("depth and resilience curves must have the same length")
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "r", r)
+        for name, values in (("delta", delta), ("r", r)):
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
 
 
 @dataclass(frozen=True)
@@ -131,7 +133,7 @@ class MarketSpec:
 
     @classmethod
     def build(cls, times, delta, r, iota=0.0, zeta0=0.0, x0=0.0, xi0=0.0) -> "MarketSpec":
-        grid = TimeGrid(np.asarray(times, dtype=float))
+        grid = TimeGrid(times)
         liq = LiquiditySpec(
             as_curve(delta, grid.n_points, "delta"),
             as_curve(r, grid.n_points, "r"),

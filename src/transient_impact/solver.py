@@ -22,10 +22,10 @@ so feasibility never rests on the solver.
 
 No dual search runs.  ``primal_solve`` alone decides the verdict: where the
 liquidity decays, it reads two certificates off an iterate's multipliers and
-spread (:func:`~transient_impact.duality.certificate_from`), one whose
-martingale comes from the closing trades' multipliers and one with a band
-martingale, keeps the best of them, the default one and a given one, and
-stops only when that certificate's gap proves the value optimal.  Every
+spread (:func:`~transient_impact.duality.certificates_from`), one measure,
+spread and band with two martingales, a band one and one from the closing
+trades' multipliers, keeps the best of them, the default one and a given one,
+and stops only when that certificate's gap proves the value optimal.  Every
 emitted certificate is exactly feasible.  The gap between both sides is
 reported, never assumed zero.  Everything is deterministic.
 """
@@ -40,7 +40,7 @@ import numpy as np
 from .duality import (
     WEAK_DUALITY_RTOL,
     DualCertificate,
-    certificate_from,
+    certificates_from,
     dual_objective,
     leaf_payoff,
     require_certificate,
@@ -551,12 +551,13 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
     nothing is optimal, its exact cash carries no rounding of the search.
 
     Where the liquidity decays, an iterate that meets the Newton test is
-    certified by the best of :func:`~transient_impact.duality.certificate_from`
-    with and without the closing multipliers, the default certificate and the
-    given ``certificate``, the first on a tie: the search stops only on a gap
-    within ``tol * (1 + |primal|)``, and a gap below ``-WEAK_DUALITY_RTOL`` of
-    the values' scale raises :class:`WeakDualityViolated`.  A given
-    ``certificate`` is refused before any solve on a rising curve and where
+    certified by the best of the two read-offs of
+    :func:`~transient_impact.duality.certificates_from`, the default
+    certificate and the given ``certificate``, the first on a tie: the search
+    stops only on a gap within ``tol * (1 + |primal|)``, and a gap below
+    ``-WEAK_DUALITY_RTOL`` of the values' scale raises
+    :class:`WeakDualityViolated`.  A given ``certificate`` is refused before
+    any solve on a rising curve and where
     :func:`~transient_impact.duality.require_certificate` fails.
     """
     opts = options or SolverOptions()
@@ -580,8 +581,7 @@ def primal_solve(tree: ScenarioTree, market: MarketSpec, H, options: SolverOptio
         weights[on_leaf], closing[on_leaf] = it.dual[:, 0], it.dual[:, 1:]
         converged, best, dual_value, gap = stop == "tolerance", None, None, None  # stands where none bounds the price
         if fixed:
-            candidates = [certificate_from(tree, market, schedule, weights),
-                          certificate_from(tree, market, schedule, weights, closing), *fixed]
+            candidates = [*certificates_from(tree, market, schedule, weights, closing), *fixed]
             values = [dual_objective(tree, cert, market, H) for cert in candidates[:2]] + fixed_values
             k = int(np.argmax(values))
             best, dual_value, gap = candidates[k], values[k], float(value - values[k])

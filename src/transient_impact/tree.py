@@ -16,8 +16,10 @@ and one caller step per level) and ``child_sum`` (each node's sum over its
 children, one ``np.bincount``).  ``up_sweep``, the backward expectation, is a
 fold, and no array holds every root-to-leaf path.  ``fold_up`` carries the
 primal's Newton steps, so where each child sits, by rank under its parent, is
-worked out once with the tree: a fold is then a few gathers and combines per
-level, views where the children are evenly spaced.  ``tilt_to_martingale``
+worked out once per tree: a fold is then a few gathers and combines per
+level, views where the children are evenly spaced.  That layout is built on
+a tree's first fold, so a tree that never folds (a market's one-path tree,
+read for its liquidity curves) never pays for it.  ``tilt_to_martingale``
 picks every node's extreme children by one sort of the edges per end, with no
 per-node loop.  ``solver.py`` also reads ``tree.levels``, to place and size
 the primal's per-level pivots.
@@ -26,6 +28,7 @@ the primal's per-level pivots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +56,7 @@ class ScenarioTree:
     """
 
     def __init__(self, times, parent, p_transition, P, delta, r):
-        self.grid = TimeGrid(np.asarray(times, dtype=float))
+        self.grid = TimeGrid(times)
         self.parent = np.array(parent, dtype=int)  # copies, frozen below: the caller's arrays stay writable
         n = self.parent.size
         self.p_transition = finite(as_curve(p_transition, n, "p_transition"), "p_transition").copy()
@@ -67,12 +70,7 @@ class ScenarioTree:
         if self.p_transition[0] != 1.0:
             raise ValueError("root transition probability must be 1")
 
-        self.n_levels = int(self.t_index.max()) + 1
-        if self.n_levels != self.grid.n_points:
-            raise ValueError(
-                f"tree depth ({self.n_levels} levels) does not match the time grid "
-                f"({self.grid.n_points} points)"
-            )
+        self.n_levels = _levels(self.t_index, self.grid.n_points)
 
         self.is_leaf = self.child_sum(np.ones(n)) == 0.0
         if np.any(self.t_index[self.is_leaf] != self.n_levels - 1):
@@ -82,8 +80,6 @@ class ScenarioTree:
         # down_sweep's writes and gathers per level below the root; a level stored contiguously is a slice
         self._level_rows = [_as_slice(level) for level in self.levels[1:]]
         self._level_parents = [self.parent[level] for level in self.levels[1:]]
-        self._fold_layout = [self._child_layout(upper, lower)
-                             for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1])]
         self._check_simplex(self.p_transition, "transition probabilities")
 
         # Per-node resilience discount and liquidity curve along the path: the accumulated
@@ -148,8 +144,8 @@ class ScenarioTree:
         id order, into the level's rows.  Each result is the first child's row
         combined with the running combination (sum, by default) of the other
         children's rows, children in id order.  The results are fresh arrays,
-        so ``step`` may write into them.  Which rows to gather comes from a
-        layout computed with the tree.
+        so ``step`` may write into them.  Which rows to gather comes from
+        :attr:`_fold_layout`, computed on the tree's first fold.
         """
         rows = np.asarray(leaf_rows)
         for upper, (first, seconds, later, two) in zip(self.levels[-2::-1], self._fold_layout):
@@ -163,6 +159,11 @@ class ScenarioTree:
                 sums[two] = combine(sums[two], others)
             rows = step(sums, upper)
         return rows[0]
+
+    @cached_property
+    def _fold_layout(self):
+        """:meth:`_child_layout` of each level with children, deepest first."""
+        return [self._child_layout(upper, lower) for upper, lower in zip(self.levels[-2::-1], self.levels[:0:-1])]
 
     def _child_layout(self, upper, lower):
         """Where ``fold_up`` finds each child of a level, by rank among its siblings.
@@ -304,6 +305,7 @@ class ScenarioTree:
         for i, level in declared:
             if level != t_index[i]:
                 raise ValueError(f"node {i}: declared t_index contradicts the parent structure")
+        _levels(t_index, TimeGrid(times).n_points)  # before the per-time defaults are read at each depth
         return cls(times, parent, _node_column(p, 1.0, t_index, "transition probability"),
                    _node_column(price, None, t_index, "price"), _node_column(delta, default_delta, t_index, "depth"),
                    _node_column(r, default_r, t_index, "resilience rate"))
@@ -334,13 +336,22 @@ def _depths(parent: np.ndarray) -> np.ndarray:
     if parent.size == 0 or parent[0] != -1:
         raise ValueError("node 0 must be the root (parent -1)")
     if np.any(parent[1:] < 0) or np.any(parent >= np.arange(parent.size)):
-        raise ValueError("nodes must be stored level by level with parents first")
+        raise ValueError("nodes must be stored parents first (levels may interleave; a parent's id is below its "
+                         "children's)")
     depth = np.zeros(parent.size, dtype=int)
     ancestor = parent.copy()
     while (live := ancestor >= 0).any():
         depth[live] += 1
         ancestor[live] = parent[ancestor[live]]
     return depth
+
+
+def _levels(t_index: np.ndarray, n_points: int) -> int:
+    """The number of levels of a tree of depths ``t_index``; ``ValueError`` unless one per grid point."""
+    n_levels = int(t_index.max()) + 1
+    if n_levels != n_points:
+        raise ValueError(f"tree depth ({n_levels} levels) does not match the time grid ({n_points} points)")
+    return n_levels
 
 
 def _node_column(column: list, default, t_index: np.ndarray, what: str) -> np.ndarray:

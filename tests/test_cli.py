@@ -234,14 +234,13 @@ class TestPriceAndGap:
 
         from transient_impact import solver
 
-        certificate_from = solver.certificate_from
+        certificates_from = solver.certificates_from
 
-        def overshooting(tree, *args, **kwargs):
+        def overshooting(tree, *args):
             # all mass on the leaf paying 10: worth about 9.95 against a primal of 5.05
-            cert = certificate_from(tree, *args, **kwargs)
-            return replace(cert, q=tree.measure([1.0, 1.0, 0.0]))
+            return tuple(replace(cert, q=tree.measure([1.0, 1.0, 0.0])) for cert in certificates_from(tree, *args))
 
-        monkeypatch.setattr(solver, "certificate_from", overshooting)
+        monkeypatch.setattr(solver, "certificates_from", overshooting)
         market, tree, payoff = binary_files
         code = main(["gap", "--market", market, "--tree", tree, "--payoff", payoff])
         assert code == 1
@@ -1020,3 +1019,120 @@ class TestShadowCheckReport:
         assert report["verdict"] == "inconclusive"
         for field in ("M_hat", "martingale_defect", "band_violation", "flat_off_violation"):
             assert report[field] is None
+
+
+def binary_nodes(changes):
+    """The one-period binary tree's node records; ``changes`` maps a node id to the fields it overrides."""
+    nodes = [{"id": 0, "parent": -1, "p_transition": 1.0, "P": 100.0},
+             {"id": 1, "parent": 0, "p_transition": 0.5, "P": 110.0},
+             {"id": 2, "parent": 0, "p_transition": 0.5, "P": 90.0}]
+    for node, fields in changes.items():
+        nodes[node].update(fields)
+    return {"nodes": nodes}
+
+
+class TestRefusals:
+    """Each refusal's exit code and message, through the command line."""
+
+    def refused(self, capsys, argv, code, message):
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+
+    def test_a_tree_deeper_than_the_grid_is_refused_by_depth(self, tmp_path, capsys, binary_files):
+        # the market's per-time defaults cover two points; the third level is refused before they are read
+        market, _, payoff = binary_files
+        tree = write_json(tmp_path / "deep.json", binary_nodes({1: {"p_transition": 1.0},
+                                                                2: {"parent": 1, "p_transition": 1.0}}))
+        self.refused(capsys, ["price", "--market", market, "--tree", tree, "--payoff", payoff], 2,
+                     "bad tree file: tree depth (3 levels) does not match the time grid (2 points)")
+
+    @pytest.mark.parametrize("changes, message", [
+        ({1: {"p_transition": 1.5}, 2: {"p_transition": -0.5}}, "transition probabilities must be >= 0"),
+        ({0: {"p_transition": 0.5}}, "root transition probability must be 1"),
+        ({2: {"t_index": 2}}, "node 2: declared t_index contradicts the parent structure"),
+        ({0: {"parent": 0}}, "node 0 must be the root (parent -1)"),
+    ], ids=["negative-transition", "root-transition", "declared-t-index", "no-root"])
+    def test_a_malformed_tree_exits_two(self, tmp_path, capsys, binary_files, changes, message):
+        market, _, payoff = binary_files
+        tree = write_json(tmp_path / "bad.json", binary_nodes(changes))
+        self.refused(capsys, ["price", "--market", market, "--tree", tree, "--payoff", payoff], 2,
+                     f"bad tree file: {message}")
+
+    @pytest.mark.parametrize("field, message", [
+        ("iota", "permanent impact coefficient must be >= 0"),
+        ("zeta0", "initial half-spread must be >= 0"),
+    ])
+    def test_a_negative_impact_parameter_exits_two(self, tmp_path, capsys, binary_files, field, message):
+        _, tree, payoff = binary_files
+        market = write_json(tmp_path / "m.json", {"grid": [0.0, 1.0], "delta": 10.0, "r": 0.0, field: -1.0})
+        self.refused(capsys, ["price", "--market", market, "--tree", tree, "--payoff", payoff], 2,
+                     f"bad market spec: {message}")
+
+    def test_an_unknown_payoff_type_exits_two(self, tmp_path, capsys, binary_files):
+        market, tree, _ = binary_files
+        payoff = write_json(tmp_path / "put.json", {"type": "put", "strike": 100.0})
+        self.refused(capsys, ["price", "--market", market, "--tree", tree, "--payoff", payoff], 2,
+                     "unknown payoff type 'put'")
+
+    def test_a_missing_paths_file_exits_two(self, tmp_path, capsys, market_file):
+        strategy = write_json(tmp_path / "s.json", {"buys": [0.0, 0.0], "sells": [0.0, 0.0]})
+        missing = str(tmp_path / "missing.csv")
+        self.refused(capsys, ["wealth", "--market", market_file, "--strategy", strategy, "--paths", missing], 2,
+                     "No such file or directory")
+
+    def test_a_strategy_of_the_wrong_length_exits_one(self, tmp_path, capsys, binary_files):
+        market, tree, _ = binary_files
+        paths = tmp_path / "p.csv"
+        paths.write_text("100,100\n101,99\n", encoding="utf-8")
+        three = write_json(tmp_path / "s3.json", {"buys": [0.0] * 3, "sells": [0.0] * 3})
+        five = write_json(tmp_path / "s5.json", {"buys": [0.0] * 5, "sells": [0.0] * 5})
+        self.refused(capsys, ["wealth", "--market", market, "--strategy", three, "--paths", str(paths)], 1,
+                     "schedule has 3 slots but the grid has 2 points")
+        self.refused(capsys, ["wealth", "--market", market, "--strategy", five, "--tree", tree], 1,
+                     "schedule must have one slot per tree node")
+
+    def test_a_negative_strike_exits_one(self, capsys, market_file):
+        self.refused(capsys, ["call", "--market", market_file, "--p0", "100", "--strike", "-1"], 1,
+                     "strike must be >= 0")
+
+    def test_paths_from_different_first_prices_exit_one(self, tmp_path, capsys, market_file):
+        paths = tmp_path / "p.csv"
+        paths.write_text("100,90\n101,99\n", encoding="utf-8")
+        self.refused(capsys, ["call", "--market", market_file, "--paths", str(paths)], 1,
+                     "all scenario paths must start from the same price")
+
+
+class TestReportedVerdicts:
+    def test_shadow_check_names_every_reason_a_given_martingale_fails(self, tmp_path, capsys, binary_files):
+        # M drifts under the utility's measure, leaves its band at the leaves and leaves the band's
+        # edge where the schedule buys (the root) and sells (the leaves)
+        market, tree, _ = binary_files
+        strategy = write_json(tmp_path / "s.json", {"buys": [1.0, 0.0, 0.0], "sells": [0.0, 1.0, 1.0]})
+        certificate = write_json(tmp_path / "c.json", {"q_transitions": [1.0, 0.5, 0.5], "M": [100.0, 150.0, 90.0]})
+        code, out = run(capsys, "shadow-check", "--market", market, "--tree", tree, "--strategy", strategy,
+                        "--utility", "exp", "--certificate", certificate)
+        assert code == 0
+        report = json.loads(out)
+        assert report["verdict"] == "inconclusive"
+        prefixes = ("candidate martingale has drift ", "band violated by ",
+                    "martingale leaves the boundary on trading nodes by ")
+        assert len(report["reasons"]) == len(prefixes)
+        assert all(reason.startswith(prefix) for reason, prefix in zip(report["reasons"], prefixes))
+
+    def test_price_applies_the_given_tolerance(self, capsys, binary_files, monkeypatch):
+        from transient_impact import solver
+
+        seen = []
+        primal_solve = solver.primal_solve
+
+        def spy(tree, market, H, options=None, certificate=None):
+            seen.append(options)
+            return primal_solve(tree, market, H, options, certificate)
+
+        monkeypatch.setattr(solver, "primal_solve", spy)
+        market, tree, payoff = binary_files
+        code, out = run(capsys, "price", "--market", market, "--tree", tree, "--payoff", payoff, "--tol", "1e-6")
+        assert code == 0 and json.loads(out)["converged"] is True
+        assert [options.tol for options in seen] == [1e-6]

@@ -26,6 +26,21 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             grid(0.0, 1.0, 1.0)
 
+    def test_curves_are_read_only_copies(self):
+        # the checks hold for the market's life, and the caller's arrays stay its own
+        times, delta, r = np.array([0.0, 1.0]), np.array([10.0, 8.0]), np.array([0.5, 0.5])
+        market = ti.MarketSpec(ti.TimeGrid(times), ti.LiquiditySpec(delta, r))
+        tree = ti.ScenarioTree(times, [-1, 0], [1.0, 1.0], [100.0, 101.0], delta, r)
+        for values in (market.grid.times, market.liquidity.delta, market.liquidity.r, tree.times):
+            with pytest.raises(ValueError, match="read-only"):
+                values[1] = -5.0
+        for given in (times, delta, r):
+            given[1] = -5.0
+        np.testing.assert_array_equal(market.grid.times, [0.0, 1.0])
+        np.testing.assert_array_equal(tree.times, [0.0, 1.0])
+        np.testing.assert_array_equal(market.liquidity.delta, [10.0, 8.0])
+        np.testing.assert_array_equal(market.liquidity.r, [0.5, 0.5])
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("build", [

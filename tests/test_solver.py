@@ -316,7 +316,7 @@ class TestGivenCertificate:
 
         tree, market, H = binomial_ladder(2)
         best = ti.gap_report(tree, market, H).certificate
-        monkeypatch.setattr(solver, "certificate_from", lambda tree, market, *rest: ti.default_certificate(tree, market))
+        monkeypatch.setattr(solver, "certificates_from", lambda tree, market, *rest: (ti.default_certificate(tree, market),) * 2)
         weak = ti.gap_report(tree, market, H)
         assert not weak.primal_converged and weak.gap > 1e-3
         assert (weak.iterations, weak.stop_reason) == (12, "no_step")
@@ -438,17 +438,18 @@ class TestCertificateFromPrimal:
         assert report.gap == pytest.approx(0.0, abs=1e-9)
 
     def test_subtree_repair_leaves_nothing_to_bump(self):
-        # certificate_from hands its un-raised spread to restore_feasibility, whose path raise
-        # must give the same bits as the raise certificate_from once made itself
+        # certificates_from hands its un-raised spread to restore_feasibility, whose path raise
+        # must give the same bits as the raise the read-off once made itself
         for _, tree, market, H in seeded_convex_trees():
             report = ti.primal_solve(tree, market, H)
-            got = ti.certificate_from(tree, market, report.strategy, report.leaf_weights)
             eta = ti.tree_wealth(tree, report.strategy, market.impact).eta
-            lam = ti.constraint_bound(tree, got.q, eta)
-            violation = np.maximum(np.abs(tree.P - got.M) - lam, 0.0) * tree.rho
-            raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
-            np.testing.assert_array_equal(got.alpha, eta + raise_by)
-            assert ti.check_feasibility(tree, got).feasible
+            for got in ti.certificates_from(tree, market, report.strategy, report.leaf_weights,
+                                            report.closing_multipliers):
+                lam = ti.constraint_bound(tree, got.q, eta)
+                violation = np.maximum(np.abs(tree.P - got.M) - lam, 0.0) * tree.rho
+                raise_by = tree.down_sweep(violation[0], lambda acc, nodes: np.maximum(acc, violation[nodes]))
+                np.testing.assert_array_equal(got.alpha, eta + raise_by)
+                assert ti.check_feasibility(tree, got).feasible
 
     def test_degenerate_programs_are_certified_optimal(self):
         # zero payoff, position and spread on a martingale price: the Newton search stalls
@@ -474,23 +475,23 @@ class TestCertificateFromPrimal:
         assert check.margin >= 0.0
         assert report.dual_value >= searched
         with pytest.raises(ValueError, match="zero reference probability"):
-            ti.certificate_from(tree, market, report.strategy, [0.0, 1.0])  # all weight on the null leaf
+            ti.certificates_from(tree, market, report.strategy, [0.0, 1.0], np.zeros((2, 2)))  # all on the null leaf
 
     @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.inf, 1.0]])
     def test_non_finite_leaf_weights_are_refused(self, weights):
         tree, market, H = binary_instance()
         schedule = ti.primal_solve(tree, market, H).strategy
         with pytest.raises(NonFiniteInput, match="leaf weights must be finite"):
-            ti.certificate_from(tree, market, schedule, weights)
+            ti.certificates_from(tree, market, schedule, weights, np.zeros((2, 2)))
 
     def test_zero_leaf_weights_give_the_reference_measure_and_negative_ones_are_refused(self):
         tree, market, H = binary_instance()
         schedule = ti.primal_solve(tree, market, H).strategy
-        recovered = ti.certificate_from(tree, market, schedule, [0.0, 0.0])
+        recovered, _ = ti.certificates_from(tree, market, schedule, [0.0, 0.0], np.zeros((2, 2)))
         np.testing.assert_array_equal(recovered.q, tree.p_transition)
         for weights in ([-1.0, 2.0], [1.0, -1.0]):
             with pytest.raises(ValueError, match="leaf weights must be >= 0"):
-                ti.certificate_from(tree, market, schedule, weights)
+                ti.certificates_from(tree, market, schedule, weights, np.zeros((2, 2)))
 
 
 class TestReadOffCertificate:
@@ -501,9 +502,8 @@ class TestReadOffCertificate:
         report = ti.gap_report(tree, market, H)
         scale = 1.0 + abs(report.primal_value)
         assert -1e-9 * scale <= report.gap <= 1e-6 * scale
-        band = ti.certificate_from(tree, market, report.strategy, report.leaf_weights)
-        read_off = ti.certificate_from(tree, market, report.strategy, report.leaf_weights,
-                                       report.closing_multipliers)
+        band, read_off = ti.certificates_from(tree, market, report.strategy, report.leaf_weights,
+                                              report.closing_multipliers)
         # never worse than the band martingale beyond weak-duality rounding
         assert ti.dual_objective(tree, read_off, market, H) >= ti.dual_objective(tree, band, market, H) - 1e-9 * scale
         # each leaf's value stays in its band before any repair, weight or none
